@@ -27,7 +27,7 @@ Subcommands:
   fleet-wide cohort-aware rebalance (``--rebalance``), each handoff
   bitwise-invisible to the migrated session's trace
 * ``bench-backends``  — time reference vs batched vs fast backends on
-  one sweep (``fast`` joins wherever a fused provider is available)
+  one sweep (``fast`` joins wherever cffi and a C compiler are available)
 * ``perf``            — print the Table I / Table II model predictions
 * ``obs``             — inspect telemetry: ``obs report`` renders a
   metrics/span snapshot (live registry, snapshot file, or a running
@@ -43,7 +43,7 @@ Commands that execute the filter accept ``--backend
 {reference,batched,fast}`` to pick the
 :class:`~repro.engine.backend.FilterBackend`; all backends produce
 bitwise-identical results, so the flag only affects throughput (``fast``
-needs numba or a C toolchain and fails with a clear configuration error
+needs cffi and a C compiler and fails with a clear configuration error
 otherwise).  Every
 ``--variant``/``--variants`` flag speaks the config-spec grammar
 ``variant[+key=value...]`` (:class:`~repro.core.config.ConfigSpec`), so

@@ -31,8 +31,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "BatchedBackend",
-    "FastBackend",
-    "FastStack",
     "ParticleStack",
     "ReferenceBackend",
     "ReferenceStack",
@@ -49,8 +47,6 @@ _LAZY = {
     "ReferenceStack": "reference",
     "BatchedBackend": "batched",
     "ParticleStack": "batched",
-    "FastBackend": "fast",
-    "FastStack": "fast",
     "ReplayPlan": "replay",
     "ReplayStep": "replay",
 }

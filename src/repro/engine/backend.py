@@ -31,10 +31,10 @@ Three backends ship today:
   :class:`~repro.core.mcl.MonteCarloLocalization` per run;
 * ``batched`` — :class:`~repro.engine.batched.BatchedBackend`, which
   stacks all R runs' particle populations into ``(R, N)`` arrays and
-  advances them in single vectorized passes;
-* ``fast`` — :class:`~repro.engine.fast.FastBackend`, the batched run
-  loop over fused per-row compiled kernels (numba or cffi C; requires
-  one of them, or ``REPRO_FAST_IMPL=numpy`` for the slow fallback).
+  advances them in single vectorized numpy passes;
+* ``fast`` — the same backend and stack handed the cffi-compiled
+  :class:`~repro.engine.fast_c.CProvider`, which fuses the per-row hot
+  loops (needs cffi and a C compiler).
 
 Further backends plug in by registering a new name — and must either
 keep the contract or register under a name that signals the difference.
@@ -189,14 +189,14 @@ class FilterBackend(Protocol):
 # ----------------------------------------------------------------------
 # Telemetry names
 # ----------------------------------------------------------------------
-# The engine layer's span and counter names live here, on the seam both
-# stack implementations import, so batched and fast report under one
-# catalog (docs/observability.md).  Instrumentation goes through
-# :mod:`repro.obs` accessors only — when telemetry is disabled they
-# return shared no-op singletons, and nothing here may ever touch RNG
-# or numeric state (the bitwise contract above extends to telemetry:
-# traces with spans active are bit-identical to spans off).
-SPAN_TRANSFORM = "engine.step.transform"
+# The engine layer's span and counter names live here, on the seam, so
+# every stack reports under one catalog (docs/observability.md).
+# Instrumentation goes through :mod:`repro.obs` accessors only — when
+# telemetry is disabled they return shared no-op singletons, and nothing
+# here may ever touch RNG or numeric state (the bitwise contract above
+# extends to telemetry: traces with spans active are bit-identical to
+# spans off).
+SPAN_MOTION = "engine.step.motion"
 SPAN_GATHER = "engine.step.gather"
 SPAN_WEIGHT = "engine.step.weight"
 SPAN_RESAMPLE = "engine.step.resample"
@@ -243,19 +243,30 @@ def _ensure_builtin_backends() -> None:
     """Register the built-in backends on first use (lazily: the concrete
     implementations import ``core`` modules, which themselves import the
     engine kernels)."""
-    if (
-        "reference" in _FACTORIES
-        and "batched" in _FACTORIES
-        and "fast" in _FACTORIES
-    ):
+    if "reference" in _FACTORIES and "batched" in _FACTORIES and "fast" in _FACTORIES:
         return
     from .batched import BatchedBackend
-    from .fast import FastBackend
     from .reference import ReferenceBackend
 
-    # "fast" always registers (so listings and CLI choices are
-    # environment-independent); constructing it raises a clear
-    # ConfigurationError when no fused implementation is available.
     _FACTORIES.setdefault("reference", ReferenceBackend)
     _FACTORIES.setdefault("batched", BatchedBackend)
-    _FACTORIES.setdefault("fast", FastBackend)
+    _FACTORIES.setdefault("fast", _fast_backend)
+
+
+def _fast_backend() -> FilterBackend:
+    """The batched backend on the compiled C provider.
+
+    ``fast`` always registers, so listings and CLI choices do not depend
+    on the host; building it compiles the C kernels (once per cache) and
+    raises :class:`ConfigurationError` when that is impossible.
+    """
+    from .batched import BatchedBackend
+    from .fast_c import CProvider
+
+    try:
+        provider = CProvider()
+    except Exception as exc:  # noqa: BLE001 - reported as a configuration error
+        raise ConfigurationError(
+            f"the fast backend needs cffi and a C compiler: {exc}"
+        ) from exc
+    return BatchedBackend(provider)

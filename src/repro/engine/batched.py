@@ -32,12 +32,38 @@ under the reference backend, so per-run traces and metrics are
 **identical** to R sequential reference runs — asserted by
 ``tests/engine/test_backends.py`` (offline) and ``tests/serve/``
 (online fleets).
+
+The float64 shadow state
+------------------------
+Next to the storage-precision arrays the stack keeps float64 shadows
+``x64/y64/theta64/w64`` with the invariant ``shadow ==
+stored.astype(float64)`` after every write, and two trig shadows with
+``cos64/sin64 == np.cos/sin(theta64)``.  A shadow pays one widening per
+*write* instead of one per stage read; the trig shadows are evaluated
+once after each yaw write and *gathered* (exact) through resampling, so
+the three stages that need yaw trig per step (motion compose, beam
+transform, estimate) share one evaluation.
+
+Compiled kernels
+----------------
+The ``fast`` backend is this backend handed a
+:class:`~repro.engine.fast_c.CProvider`.  The stack then sends the beam
+transform -> EDT gather -> tree reduction, the ESS, the resampling wheel
+and the estimate reductions through fused per-row C kernels (no
+``(R, N, K)`` temporaries), and at float32 storage also fuses the whole
+motion, weight-update and resample row paths.  It stays bitwise because
+only IEEE-exact arithmetic crosses into compiled code: transcendentals
+(``sin``/``cos``/``exp``) are always evaluated by numpy and passed in,
+every reduction follows the deterministic tree spec, and the wheel
+replicates the sequential scan of
+:func:`repro.engine.kernels.systematic_resample`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -45,6 +71,7 @@ from .. import obs
 from ..common.errors import ConfigurationError
 from ..common.geometry import Pose2D, wrap_angle
 from ..common.rng import make_rng
+from ..common.scratch import Scratch
 from ..core.config import MclConfig
 from ..core.pose_estimate import pose_error
 from ..core.snapshot import FilterStateSnapshot
@@ -63,12 +90,15 @@ from .backend import (
     RunTrace,
     SPAN_ESTIMATE,
     SPAN_GATHER,
+    SPAN_MOTION,
     SPAN_RESAMPLE,
-    SPAN_TRANSFORM,
     SPAN_WEIGHT,
     StepWork,
 )
 from .replay import ReplayPlan, ReplayStep
+
+if TYPE_CHECKING:
+    from .fast_c import CProvider
 
 __all__ = [
     "OBS_CHUNK_ELEMENTS",
@@ -96,28 +126,38 @@ class ParticleStack:
     the serve layer's online scheduler.  Rows are independent filter
     populations under one shared :class:`MclConfig`; every operation
     that crosses rows is per-row deterministic (elementwise stages on
-    the stack, order-sensitive reductions per contiguous row), so a
-    row's evolution never depends on which rows it was packed with.
+    the stack, order-sensitive reductions along each row), so a row's
+    evolution never depends on which rows it was packed with.
+
+    ``provider`` (the C provider, or ``None`` for numpy stages) only
+    changes how fast the stages run, never a bit of their results.
     """
 
     def __init__(
-        self,
-        config: MclConfig,
-        rows: int = 0,
-        obs_chunk_elements: int = OBS_CHUNK_ELEMENTS,
+        self, config: MclConfig, rows: int = 0, provider: CProvider | None = None
     ) -> None:
-        if obs_chunk_elements < 1:
-            raise ConfigurationError("obs_chunk_elements must be positive")
         self.config = config
         self.count = config.particle_count
         self.dtype = config.precision.particle_dtype
-        self.obs_chunk_elements = int(obs_chunk_elements)
+        self.provider = provider
+        # The fully fused row paths exist for float32 storage only; other
+        # precisions keep the stacked stages around the provider kernels.
+        self._fused = provider is not None and np.dtype(self.dtype) == np.float32
+        # The numpy observation stage's (R', N, K) temporaries, kept
+        # across steps (see repro.common.scratch).
+        self._scratch = Scratch()
 
         self.rows = 0
         self.x = np.zeros((0, self.count), dtype=self.dtype)
         self.y = np.zeros((0, self.count), dtype=self.dtype)
         self.theta = np.zeros((0, self.count), dtype=self.dtype)
         self.weights = np.zeros((0, self.count), dtype=self.dtype)
+        self.x64 = np.zeros((0, self.count))
+        self.y64 = np.zeros((0, self.count))
+        self.theta64 = np.zeros((0, self.count))
+        self.w64 = np.zeros((0, self.count))
+        self.cos64 = np.zeros((0, self.count))
+        self.sin64 = np.zeros((0, self.count))
         self.update_count = np.zeros(0, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = []
         self.estimates: list[Pose2D] = []
@@ -141,6 +181,15 @@ class ParticleStack:
         self.y = grow(self.y)
         self.theta = grow(self.theta)
         self.weights = grow(self.weights)
+        self.x64 = grow(self.x64)
+        self.y64 = grow(self.y64)
+        self.theta64 = grow(self.theta64)
+        self.w64 = grow(self.w64)
+        self.sin64 = grow(self.sin64)
+        self.cos64 = grow(self.cos64)
+        # Fresh rows hold theta64 == 0: cos(0) == 1 keeps the trig
+        # invariant exact even before init_row touches them.
+        self.cos64[self.rows :] = 1.0
         self.update_count = np.concatenate(
             [self.update_count, np.zeros(rows - self.rows, dtype=np.int64)]
         )
@@ -210,6 +259,7 @@ class ParticleStack:
         self.y[row] = snapshot.y
         self.theta[row] = snapshot.theta
         self.weights[row] = snapshot.weights
+        self._sync_shadows(row)
         self.rngs[row] = snapshot.make_rng()
         self.update_count[row] = int(snapshot.update_count)
         self.estimates[row] = snapshot.estimate_pose()
@@ -253,7 +303,7 @@ class ParticleStack:
         # timing reads never feed back into the numeric state below.
         obs.counter(COUNTER_STEPS).inc()
         obs.counter(COUNTER_GATE_TRIGGERS).inc(len(triggered_list))
-        with obs.span(SPAN_TRANSFORM):
+        with obs.span(SPAN_MOTION):
             self._motion_update(triggered, work)
         observed = self._observation_update(work)
         if observed.size:
@@ -268,35 +318,63 @@ class ParticleStack:
     ) -> None:
         config = self.config
         n = self.count
-        rows = len(triggered)
-        noise_x = np.empty((rows, n))
-        noise_y = np.empty((rows, n))
-        noise_theta = np.empty((rows, n))
-        inc = np.empty((rows, 3))
+        dx = np.empty((len(triggered), n))
+        dy = np.empty((len(triggered), n))
+        dtheta = np.empty((len(triggered), n))
         i = 0
         for item in work:
             pending = item.step.pending
             assert pending is not None  # packed steps always fired
             for row in item.rows:
-                noise_x[i], noise_y[i], noise_theta[i] = kernels.sample_motion_noise(
+                noise_x, noise_y, noise_theta = kernels.sample_motion_noise(
                     self.rngs[row], n, config.sigma_odom_xy, config.sigma_odom_theta
                 )
-                inc[i] = (pending.x, pending.y, pending.theta)
+                np.add(pending.x, noise_x, out=dx[i])
+                np.add(pending.y, noise_y, out=dy[i])
+                np.add(pending.theta, noise_theta, out=dtheta[i])
                 i += 1
 
+        if self._fused:
+            # Per-row fused compose + wrap + store + shadow refresh, fed
+            # the prior yaw trig from the shadows; the posterior yaw's
+            # trig is the step's single trig evaluation.
+            for i, row in enumerate(triggered.tolist()):
+                self.provider.compose_store_row(
+                    self.cos64[row],
+                    self.sin64[row],
+                    dx[i],
+                    dy[i],
+                    dtheta[i],
+                    self.x[row],
+                    self.y[row],
+                    self.theta[row],
+                    self.x64[row],
+                    self.y64[row],
+                    self.theta64[row],
+                )
+                np.cos(self.theta64[row], out=self.cos64[row])
+                np.sin(self.theta64[row], out=self.sin64[row])
+            return
         new_x, new_y, new_theta = kernels.compose_increment(
-            self.x[triggered].astype(np.float64),
-            self.y[triggered].astype(np.float64),
-            self.theta[triggered].astype(np.float64),
-            inc[:, 0:1] + noise_x,
-            inc[:, 1:2] + noise_y,
-            inc[:, 2:3] + noise_theta,
+            self.x64[triggered],
+            self.y64[triggered],
+            self.theta64[triggered],
+            dx,
+            dy,
+            dtheta,
+            cos_t=self.cos64[triggered],
+            sin_t=self.sin64[triggered],
         )
         self._store(triggered, new_x, new_y, new_theta)
 
     def _observation_update(self, work: Sequence[StepWork]) -> np.ndarray:
         """Re-weight packed rows; returns the rows that saw usable beams."""
         config = self.config
+        inv_count = 1.0 / self.count
+        if self.provider is None:
+            squared_sums = partial(kernels.beam_squared_sums, scratch=self._scratch)
+        else:
+            squared_sums = self.provider.beam_squared_sums
         observed: list[int] = []
         for item in work:
             step = item.step
@@ -304,55 +382,92 @@ class ParticleStack:
                 continue
             for chunk in self._row_chunks(item.rows, step.beams.beam_count):
                 with obs.span(SPAN_GATHER):
-                    log_lik = kernels.beam_log_likelihoods(
-                        self.x[chunk].astype(np.float64),
-                        self.y[chunk].astype(np.float64),
-                        self.theta[chunk].astype(np.float64),
+                    log_lik = squared_sums(
+                        self.x64[chunk],
+                        self.y64[chunk],
+                        self.cos64[chunk],
+                        self.sin64[chunk],
                         step.end_x,
                         step.end_y,
                         item.field,
-                        config.sigma_obs,
                     )
                 with obs.span(SPAN_WEIGHT):
-                    updated = kernels.posterior_log_weights(
-                        self.weights[chunk], log_lik, config.beam_replication
-                    )
-                    stored = updated.astype(self.dtype)
-                    kernels.normalize_weights(stored, self.dtype)
-                    self.weights[chunk] = stored
+                    # The tail of kernels.beam_log_likelihoods, then
+                    # kernels.posterior_log_weights split at its exp.
+                    np.negative(log_lik, out=log_lik)
+                    log_lik /= 2.0 * config.sigma_obs**2
+                    like = kernels.likelihood_ratios(log_lik, config.beam_replication)
+                    if self._fused:
+                        # Prior multiply + storage cast + normalize +
+                        # shadow refresh, fused per row.
+                        for j, row in enumerate(chunk.tolist()):
+                            self.provider.update_weights_row(
+                                self.w64[row], like[j], self.weights[row], inv_count
+                            )
+                    else:
+                        stored = (self.w64[chunk] * like).astype(self.dtype)
+                        kernels.normalize_weights(stored, self.dtype)
+                        self.weights[chunk] = stored
+                        self.w64[chunk] = stored.astype(np.float64)
             observed.extend(item.rows)
         return np.array(observed, dtype=np.int64)
 
     def _row_chunks(self, rows: list[int], beam_count: int):
         """Split rows so one (R', N, K) float64 temporary stays bounded."""
         per_row = self.count * max(beam_count, 1)
-        chunk_rows = max(1, self.obs_chunk_elements // per_row)
+        chunk_rows = max(1, OBS_CHUNK_ELEMENTS // per_row)
         for start in range(0, len(rows), chunk_rows):
             yield np.array(rows[start : start + chunk_rows], dtype=np.int64)
 
     def _resample(self, observed: np.ndarray) -> None:
         threshold = self.config.resample_ess_fraction * self.count
-        ess = np.atleast_1d(
-            np.asarray(kernels.effective_sample_size(self.weights[observed]))
-        )
+        if self.provider is None:
+            ess = kernels.effective_sample_size(self.w64[observed])
+        else:
+            ess = self.provider.ess_rows(self.w64[observed])
         uniform = np.asarray(1.0 / self.count, dtype=self.dtype)
         resampled = 0
-        for i, run in enumerate(observed):
-            run = int(run)
+        for i, run in enumerate(observed.tolist()):
             if ess[i] > threshold:
                 continue
             resampled += 1
             u0 = kernels.draw_wheel_offset(self.rngs[run], self.count)
-            indices = kernels.systematic_resample(
-                self.weights[run].astype(np.float64),
-                u0,
-                validate=False,
-                normalized=True,
-            )
-            self.x[run] = self.x[run][indices]
-            self.y[run] = self.y[run][indices]
-            self.theta[run] = self.theta[run][indices]
+            if self._fused:
+                # Fused wheel + gather of the three stored rows and their
+                # five shadows.
+                self.provider.resample_row(
+                    self.w64[run],
+                    u0,
+                    self.x[run],
+                    self.y[run],
+                    self.theta[run],
+                    self.x64[run],
+                    self.y64[run],
+                    self.theta64[run],
+                    self.cos64[run],
+                    self.sin64[run],
+                )
+            else:
+                if self.provider is None:
+                    indices = kernels.systematic_resample(
+                        self.w64[run], u0, validate=False, normalized=True
+                    )
+                else:
+                    indices = self.provider.resample_indices(self.w64[run], u0)
+                # Gathers of exact shadows stay exact.
+                for array in (
+                    self.x,
+                    self.y,
+                    self.theta,
+                    self.x64,
+                    self.y64,
+                    self.theta64,
+                    self.cos64,
+                    self.sin64,
+                ):
+                    array[run] = array[run][indices]
             self.weights[run] = uniform
+            self.w64[run] = uniform  # the stored value, widened
         obs.counter(COUNTER_RESAMPLES).inc(resampled)
         obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - resampled)
 
@@ -375,82 +490,101 @@ class ParticleStack:
         )
         if weights is not None:
             self.weights[rows] = np.asarray(weights).astype(self.dtype)
+        self._sync_shadows(rows, weights=weights is not None)
+
+    def _sync_shadows(self, rows, weights: bool = True) -> None:
+        """Re-establish ``shadow == stored.astype(float64)`` on ``rows``."""
+        self.x64[rows] = self.x[rows]
+        self.y64[rows] = self.y[rows]
+        theta64 = self.theta[rows].astype(np.float64)
+        self.theta64[rows] = theta64
+        self.cos64[rows] = np.cos(theta64)
+        self.sin64[rows] = np.sin(theta64)
+        if weights:
+            self.w64[rows] = self.weights[rows]
 
     def _refresh_estimates(self, triggered: np.ndarray) -> None:
         """Recompute the weighted-mean poses of all triggered rows.
 
-        The elementwise stages (float64 casts, weight normalization,
-        sin/cos of yaw) run once on the ``(R', N)`` stack; the
-        order-sensitive reductions (the weighted dots) stay per-row on
-        contiguous views, so each row's result is bitwise identical to
-        :func:`repro.engine.kernels.weighted_mean_pose` on that run alone.
+        Each row's pose is bitwise identical to
+        :func:`repro.engine.kernels.weighted_mean_pose` on that run
+        alone: the elementwise stages read the shadows, and every
+        reduction runs along a row through the deterministic tree, which
+        does not depend on how many rows are stacked.
         """
-        x64 = self.x[triggered].astype(np.float64)
-        y64 = self.y[triggered].astype(np.float64)
-        theta64 = self.theta[triggered].astype(np.float64)
-        w64 = self.weights[triggered].astype(np.float64)
+        if self.provider is not None:
+            for run in triggered.tolist():
+                self._provider_estimate(run)
+            return
+        w64 = self.w64[triggered]
         totals = np.asarray(kernels.det_sum(w64))
-        degenerate = ~((totals > 0) & np.isfinite(totals))
-        if degenerate.any():  # rare: fall back to the scalar kernel
-            for run in triggered:
-                self._refresh_estimate(int(run))
+        if not ((totals > 0) & np.isfinite(totals)).all():
+            for run in triggered.tolist():  # rare: the scalar kernel
+                self._refresh_estimate(run)
             return
         w64 /= totals[:, None]
-        sin_t = np.sin(theta64)
-        cos_t = np.cos(theta64)
-        sums = np.asarray(kernels.det_sum(w64))
-        for i, run in enumerate(triggered):
-            weights = w64[i]
-            mean_x = float(kernels.det_dot(weights, x64[i]))
-            mean_y = float(kernels.det_dot(weights, y64[i]))
-            mean_theta = self._circular_mean_row(
-                weights, sin_t[i], cos_t[i], float(sums[i])
+        sums = kernels.det_sum(w64)
+        mean_x = kernels.det_dot(w64, self.x64[triggered])
+        mean_y = kernels.det_dot(w64, self.y64[triggered])
+        sin_sums = kernels.det_dot(w64, self.sin64[triggered])
+        cos_sums = kernels.det_dot(w64, self.cos64[triggered])
+        for i, run in enumerate(triggered.tolist()):
+            mean_theta = _circular_mean(
+                float(sin_sums[i]), float(cos_sums[i]), float(sums[i])
             )
-            estimate = Pose2D(mean_x, mean_y, mean_theta)
-            self.estimates[int(run)] = estimate
-            self.estimate_arrays[int(run)] = estimate.as_array()
+            estimate = Pose2D(float(mean_x[i]), float(mean_y[i]), mean_theta)
+            self._set_estimate(run, estimate)
+
+    def _provider_estimate(self, row: int) -> None:
+        """One row's estimate through the provider's fused reductions."""
+        w64 = self.w64[row]
+        total = self.provider.det_sum_row(w64)
+        if not (total > 0.0 and math.isfinite(total)):
+            self._refresh_estimate(row)  # rare: the scalar kernel
+            return
+        total, mean_x, mean_y, sin_sum, cos_sum = self.provider.estimate_row(
+            self.x64[row], self.y64[row], self.sin64[row], self.cos64[row], w64, total
+        )
+        self._set_estimate(
+            row, Pose2D(mean_x, mean_y, _circular_mean(sin_sum, cos_sum, total))
+        )
 
     def _refresh_estimate(self, row: int) -> None:
-        """Recompute one row's weighted-mean pose from its row views."""
+        """Recompute one row's weighted-mean pose with the scalar kernel."""
         _, mean_x, mean_y, mean_theta = kernels.weighted_mean_pose(
-            self.x[row].astype(np.float64),
-            self.y[row].astype(np.float64),
-            self.theta[row].astype(np.float64),
-            self.weights[row],
+            self.x64[row], self.y64[row], self.theta64[row], self.weights[row]
         )
-        estimate = Pose2D(mean_x, mean_y, mean_theta)
+        self._set_estimate(row, Pose2D(mean_x, mean_y, mean_theta))
+
+    def _set_estimate(self, row: int, estimate: Pose2D) -> None:
         self.estimates[row] = estimate
         self.estimate_arrays[row] = estimate.as_array()
 
-    @staticmethod
-    def _circular_mean_row(
-        weights: np.ndarray, sin_t: np.ndarray, cos_t: np.ndarray, total: float
-    ) -> float:
-        """One row of :func:`repro.engine.kernels._circular_mean_det`.
 
-        ``sin_t``/``cos_t`` are the precomputed elementwise transforms;
-        the det-tree dots and guards replicate the scalar helper
-        exactly.  The degenerate branches (non-positive or non-finite
-        totals) are handled by the caller's fallback, so ``total > 0``
-        holds here.
-        """
-        sin_sum = float(kernels.det_dot(weights, sin_t))
-        cos_sum = float(kernels.det_dot(weights, cos_t))
-        eps = 1e-9 * max(1.0, total)
-        if abs(sin_sum) < eps and abs(cos_sum) < eps:
-            return 0.0
-        return math.atan2(sin_sum / total, cos_sum / total)
+def _circular_mean(sin_sum: float, cos_sum: float, total: float) -> float:
+    """The tail of :func:`repro.engine.kernels._circular_mean_det`.
+
+    Takes the det-tree sums of the normalized weights and of their dots
+    with sin/cos of yaw; the guard and ``atan2`` replicate the scalar
+    helper exactly.  Callers handle non-positive or non-finite totals,
+    so ``total > 0`` holds here.
+    """
+    eps = 1e-9 * max(1.0, total)
+    if abs(sin_sum) < eps and abs(cos_sum) < eps:
+        return 0.0
+    return math.atan2(sin_sum / total, cos_sum / total)
 
 
 class BatchedBackend:
-    """Vectorized executor advancing all runs of a batch simultaneously."""
+    """Vectorized executor advancing all runs of a batch simultaneously.
 
-    name = "batched"
+    Registered twice: as ``batched`` with numpy stages, and as ``fast``
+    handed the compiled :class:`~repro.engine.fast_c.CProvider`.
+    """
 
-    def __init__(self, obs_chunk_elements: int = OBS_CHUNK_ELEMENTS) -> None:
-        if obs_chunk_elements < 1:
-            raise ConfigurationError("obs_chunk_elements must be positive")
-        self.obs_chunk_elements = int(obs_chunk_elements)
+    def __init__(self, provider: CProvider | None = None) -> None:
+        self.provider = provider
+        self.name = "batched" if provider is None else "fast"
         self._plans: dict[tuple, ReplayPlan] = {}
 
     def execute(
@@ -468,15 +602,13 @@ class BatchedBackend:
             raise ConfigurationError(
                 "distance field resolution does not match the occupancy grid"
             )
-        # The stack comes from open_stack so subclasses swapping the stack
-        # implementation (the fast backend) inherit the whole run loop.
         stack = self.open_stack(config, len(specs))
         batch = _RunBatch(grid, list(specs), config, field, stack, self.plan)
         return batch.run()
 
     def open_stack(self, config: MclConfig, rows: int = 0) -> ParticleStack:
         """Open the step-level entry point: a stacked session container."""
-        return ParticleStack(config, rows, self.obs_chunk_elements)
+        return ParticleStack(config, rows, self.provider)
 
     def plan(self, sequence: RecordedSequence, config: MclConfig) -> ReplayPlan:
         """Build (or reuse) the replay plan of one sequence.
@@ -510,8 +642,7 @@ class _RunBatch:
 
     Owns the batch layout (grouping runs by sequence, per-instant gate
     masks, trace recording); all particle math is delegated to one
-    injected :class:`ParticleStack` (or subclass) holding every run as a
-    row.
+    injected :class:`ParticleStack` holding every run as a row.
     """
 
     def __init__(

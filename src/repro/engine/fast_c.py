@@ -1,12 +1,14 @@
 """C provider of the ``fast`` backend: cffi-compiled fused kernels.
 
-This is the tier the paper's own port corresponds to: the GAP9
-implementation wins by restructuring the per-particle likelihood loop
-into one fused C pass (Sec. III-B/C of the paper), and this module does
-the same on the host — transform -> EDT gather -> squared-distance
-reduction fused per particle, no ``(R, N, K)`` temporaries.
+The paper's GAP9 port wins by restructuring the per-particle likelihood
+loop into one fused C pass (Sec. III-B/C of the paper), and this module
+does the same on the host — transform -> EDT gather -> squared-distance
+reduction fused per particle, no ``(R, N, K)`` temporaries.  The
+``fast`` backend is :class:`~repro.engine.batched.BatchedBackend`
+handed a :class:`CProvider`; its :class:`~repro.engine.batched.ParticleStack`
+decides which stages dispatch here.
 
-Bitwise discipline (see :mod:`repro.engine.fast` for the full rules):
+Bitwise discipline:
 
 * Only IEEE-exact arithmetic crosses the C boundary: ``+ - * /``,
   ``floor``, ``fmod``/``copysign`` (the wrap), integer casts, compares
@@ -25,9 +27,9 @@ Bitwise discipline (see :mod:`repro.engine.fast` for the full rules):
 The extension module is compiled once per C-source hash with the system
 toolchain and cached under ``$REPRO_FAST_CACHE`` (default
 ``~/.cache/repro-fastc``); concurrent builders race benignly via
-atomic rename.  All entry points raise plain exceptions; availability
-policy (what to do when no compiler exists) lives in
-:mod:`repro.engine.fast`.
+atomic rename.  All entry points raise plain exceptions; the backend
+registry (:mod:`repro.engine.backend`) reports a failed build as a
+``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -443,19 +445,24 @@ def build_extension():
 
 
 class CProvider:
-    """Fused-kernel provider backed by the compiled extension."""
+    """Fused-kernel provider backed by the compiled extension.
+
+    Scratch buffers are cached per length and reused across calls: the
+    provider is driven by one single-threaded stack loop at a time.
+    """
 
     name = "c"
-    #: Offers the fully fused float32 row paths (compose/store, weight
-    #: update, resample+gather) in addition to the base provider API.
-    fused_f32 = True
 
     def __init__(self) -> None:
         self._ffi, self._lib = build_extension()
-        # Per-beam-count scratch for the loglik kernels, reused across
-        # calls (the provider is driven by one single-threaded stack
-        # loop at a time, like the stacks' own scratch rows).
-        self._beam_scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._scratch: dict[tuple[str, int], np.ndarray] = {}
+
+    def _buffer(self, slot: str, size: int, dtype=np.float64) -> np.ndarray:
+        buffer = self._scratch.get((slot, size))
+        if buffer is None:
+            buffer = np.empty(max(size, 1), dtype=dtype)
+            self._scratch[(slot, size)] = buffer
+        return buffer
 
     # ``ffi.from_buffer`` is ~6x cheaper per call than casting
     # ``array.ctypes.data`` (no ctypes interface object), and the
@@ -470,7 +477,7 @@ class CProvider:
     def _ip(self, array: np.ndarray):
         return self._ffi.from_buffer("int64_t[]", array)
 
-    def loglik_sums(
+    def beam_squared_sums(
         self,
         x: np.ndarray,
         y: np.ndarray,
@@ -480,20 +487,12 @@ class CProvider:
         end_y: np.ndarray,
         field,
     ) -> np.ndarray:
-        """det-tree sums over beams of squared EDT lookups, shape of ``x``."""
+        """:func:`repro.engine.kernels.beam_squared_sums`, fused per particle."""
         from ..maps.distance_field import FieldKind
 
         m = x.size
         k = end_x.size
         out = np.empty(x.shape, dtype=np.float64)
-        cached = self._beam_scratch.get(k)
-        if cached is None:
-            cached = (
-                np.empty(max(k, 1), dtype=np.int64),
-                np.empty(max(k, 1), dtype=np.float64),
-            )
-            self._beam_scratch[k] = cached
-        idx_scratch, beam_scratch = cached
         rows, cols = field.data.shape
         end_x = np.ascontiguousarray(end_x, dtype=np.float64)
         end_y = np.ascontiguousarray(end_y, dtype=np.float64)
@@ -505,38 +504,29 @@ class CProvider:
             self._dp(end_x),
             self._dp(end_y),
         )
+        tail = (
+            rows,
+            cols,
+            field.origin_x,
+            field.origin_y,
+            field.resolution,
+            field.border_squared(),
+            m,
+            k,
+            self._ip(self._buffer("beam_index", k, np.int64)),
+            self._dp(self._buffer("beam", k)),
+            self._dp(out),
+        )
         if field.kind is FieldKind.QUANTIZED_U8:
             self._lib.fused_loglik_u8(
                 *args,
                 self._ffi.from_buffer("uint8_t[]", field.data),
                 self._dp(field.squared_lut()),
-                rows,
-                cols,
-                field.origin_x,
-                field.origin_y,
-                field.resolution,
-                field.border_squared(),
-                m,
-                k,
-                self._ip(idx_scratch),
-                self._dp(beam_scratch),
-                self._dp(out),
+                *tail,
             )
         else:
             self._lib.fused_loglik_f64(
-                *args,
-                self._dp(field.squared_table()),
-                rows,
-                cols,
-                field.origin_x,
-                field.origin_y,
-                field.resolution,
-                field.border_squared(),
-                m,
-                k,
-                self._ip(idx_scratch),
-                self._dp(beam_scratch),
-                self._dp(out),
+                *args, self._dp(field.squared_table()), *tail
             )
         return out
 
@@ -548,9 +538,8 @@ class CProvider:
         cos_t: np.ndarray,
         w: np.ndarray,
         total: float,
-        scratch_a: np.ndarray,
-        scratch_b: np.ndarray,
     ) -> tuple[float, float, float, float, float]:
+        """One row's ``(normalized total, mean_x, mean_y, sin_sum, cos_sum)``."""
         out = np.empty(5, dtype=np.float64)
         self._lib.estimate_row(
             self._dp(x),
@@ -560,33 +549,37 @@ class CProvider:
             self._dp(w),
             float(total),
             x.size,
-            self._dp(scratch_a),
-            self._dp(scratch_b),
+            self._dp(self._buffer("a", x.size)),
+            self._dp(self._buffer("b", x.size)),
             self._dp(out),
         )
         return float(out[0]), float(out[1]), float(out[2]), float(out[3]), float(out[4])
 
-    def resample_indices(
-        self, w: np.ndarray, u0: float, scratch: np.ndarray
-    ) -> np.ndarray:
+    def resample_indices(self, w: np.ndarray, u0: float) -> np.ndarray:
         idx = np.empty(w.size, dtype=np.int64)
         self._lib.wheel_resample(
-            self._dp(w), w.size, float(u0), self._dp(scratch), self._ip(idx)
+            self._dp(w),
+            w.size,
+            float(u0),
+            self._dp(self._buffer("a", w.size)),
+            self._ip(idx),
         )
         return idx
 
-    def det_sum_row(self, a: np.ndarray, scratch: np.ndarray) -> float:
+    def det_sum_row(self, a: np.ndarray) -> float:
         out = np.empty(1, dtype=np.float64)
         self._lib.det_sum_rows(
-            self._dp(a), 1, a.size, self._dp(scratch), self._dp(out)
+            self._dp(a), 1, a.size, self._dp(self._buffer("a", a.size)), self._dp(out)
         )
         return float(out[0])
 
-    def ess_rows(self, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def ess_rows(self, w: np.ndarray) -> np.ndarray:
         """Per-row ESS of a C-contiguous ``(R, N)`` float64 block."""
         r, n = w.shape
         out = np.empty(r, dtype=np.float64)
-        self._lib.ess_rows(self._dp(w), r, n, self._dp(scratch), self._dp(out))
+        self._lib.ess_rows(
+            self._dp(w), r, n, self._dp(self._buffer("a", n)), self._dp(out)
+        )
         return out
 
     def update_weights_row(
@@ -595,7 +588,6 @@ class CProvider:
         like: np.ndarray,
         stored: np.ndarray,
         inv_count: float,
-        scratch: np.ndarray,
     ) -> None:
         """Fused posterior multiply + normalize of one float32 row.
 
@@ -606,7 +598,7 @@ class CProvider:
             self._dp(like),
             w64.size,
             float(inv_count),
-            self._dp(scratch),
+            self._dp(self._buffer("a", w64.size)),
             self._fp(stored),
             self._dp(w64),
         )
@@ -656,18 +648,15 @@ class CProvider:
         t64: np.ndarray,
         c64: np.ndarray,
         s64: np.ndarray,
-        dscratch_a: np.ndarray,
-        dscratch_b: np.ndarray,
-        iscratch: np.ndarray,
-        fscratch: np.ndarray,
     ) -> None:
         """Fused wheel + eight-array gather of one float32 row."""
+        n = w64.size
         self._lib.resample_f32(
             self._dp(w64),
-            w64.size,
+            n,
             float(u0),
-            self._dp(dscratch_a),
-            self._ip(iscratch),
+            self._dp(self._buffer("a", n)),
+            self._ip(self._buffer("index", n, np.int64)),
             self._fp(xs),
             self._fp(ys),
             self._fp(ts),
@@ -676,6 +665,6 @@ class CProvider:
             self._dp(t64),
             self._dp(c64),
             self._dp(s64),
-            self._fp(fscratch),
-            self._dp(dscratch_b),
+            self._fp(self._buffer("f32", n, np.float32)),
+            self._dp(self._buffer("b", n)),
         )

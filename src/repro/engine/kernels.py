@@ -37,6 +37,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.geometry import wrap_angle
+from ..common.scratch import Scratch, scratch_array
 from ..maps.distance_field import DistanceField
 from .reductions import det_dot, det_sum, det_sum_squares
 
@@ -44,7 +45,9 @@ __all__ = [
     "sample_motion_noise",
     "compose_increment",
     "transform_endpoints",
+    "beam_squared_sums",
     "beam_log_likelihoods",
+    "likelihood_ratios",
     "posterior_log_weights",
     "normalize_weights",
     "effective_sample_size",
@@ -79,14 +82,20 @@ def compose_increment(
     dx: np.ndarray,
     dy: np.ndarray,
     dtheta: np.ndarray,
+    *,
+    cos_t: np.ndarray | None = None,
+    sin_t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply body-frame increments to pose arrays of any leading shape.
 
     All inputs broadcast together; yaw is wrapped to ``[-pi, pi)``.  For
     ``(N,)`` inputs this is exactly :func:`repro.common.geometry.compose_arrays`.
+    Callers that already hold ``cos(theta)`` and ``sin(theta)`` (a stack's
+    trig shadows) pass them in; the result is identical.
     """
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
+    if cos_t is None or sin_t is None:
+        cos_t = np.cos(theta)
+        sin_t = np.sin(theta)
     new_x = x + cos_t * dx - sin_t * dy
     new_y = y + sin_t * dx + cos_t * dy
     new_theta = wrap_angle(np.asarray(theta + dtheta))
@@ -99,33 +108,63 @@ def compose_increment(
 def transform_endpoints(
     x: np.ndarray,
     y: np.ndarray,
-    theta: np.ndarray,
+    cos_t: np.ndarray,
+    sin_t: np.ndarray,
     end_x: np.ndarray,
     end_y: np.ndarray,
+    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map body-frame beam end points into the world frame.
 
-    ``x, y, theta`` have shape ``(..., N)``; ``end_x, end_y`` shape
-    ``(K,)``.  Returns two ``(..., N, K)`` arrays covering every
-    (pose, end point) combination.
+    ``x, y`` and the yaw's ``cos_t, sin_t`` have shape ``(..., N)``;
+    ``end_x, end_y`` shape ``(K,)``.  Returns two ``(..., N, K)`` arrays
+    covering every (pose, end point) combination.
 
-    The in-place formulation allocates three full-size temporaries
-    instead of eight while producing bit-identical results: the only
-    reassociation is ``x + cos*ex`` -> ``cos*ex + x``, and IEEE-754
-    addition is commutative.
+    The in-place formulation needs three full-size arrays instead of
+    eight while producing bit-identical results: the only reassociation
+    is ``x + cos*ex`` -> ``cos*ex + x``, and IEEE-754 addition is
+    commutative.  With ``scratch`` (float64 inputs) all three come from
+    it, so the results live until its next use.
     """
-    cos_t = np.cos(theta)[..., None]
-    sin_t = np.sin(theta)[..., None]
+    cos_t = cos_t[..., None]
+    sin_t = sin_t[..., None]
+    shape = np.broadcast_shapes(cos_t.shape, np.shape(end_x))
+
+    def array(name: str) -> np.ndarray | None:
+        return scratch_array(scratch, "transform." + name, shape, np.float64)
+
+    product = array("product")
     # world_x = (x + cos_t * end_x) - sin_t * end_y
-    world_x = cos_t * end_x
+    world_x = np.multiply(cos_t, end_x, out=array("world_x"))
     world_x += x[..., None]
-    scratch = sin_t * end_y
-    world_x -= scratch
+    product = np.multiply(sin_t, end_y, out=product)
+    world_x -= product
     # world_y = (y + sin_t * end_x) + cos_t * end_y
-    world_y = np.multiply(sin_t, end_x, out=scratch)  # reuses scratch storage
+    world_y = np.multiply(sin_t, end_x, out=array("world_y"))
     world_y += y[..., None]
-    world_y += cos_t * end_y
+    world_y += np.multiply(cos_t, end_y, out=product)
     return world_x, world_y
+
+
+def beam_squared_sums(
+    x: np.ndarray,
+    y: np.ndarray,
+    cos_t: np.ndarray,
+    sin_t: np.ndarray,
+    end_x: np.ndarray,
+    end_y: np.ndarray,
+    field: DistanceField,
+    scratch: Scratch | None = None,
+) -> np.ndarray:
+    """Det-tree sum over beams of squared EDT distances, shape ``(..., N)``.
+
+    Transforms every (pose, beam) end point into the map and looks up
+    the truncated EDT; the yaw trig comes in already evaluated.  A
+    ``scratch`` supplies the ``(..., N, K)`` temporaries (float64 inputs).
+    """
+    world_x, world_y = transform_endpoints(x, y, cos_t, sin_t, end_x, end_y, scratch)
+    squared = field.lookup_squared_world(world_x, world_y, scratch)
+    return np.asarray(det_sum(squared))
 
 
 def beam_log_likelihoods(
@@ -139,30 +178,37 @@ def beam_log_likelihoods(
 ) -> np.ndarray:
     """Beam-end-point observation log-likelihood, shape ``(..., N)``.
 
-    Transforms every (pose, beam) end point into the map, looks up the
-    truncated EDT, and sums ``-d^2 / (2 sigma_obs^2)`` over beams (the
-    Gaussian normalization constant cancels during weight normalization).
+    Sums ``-d^2 / (2 sigma_obs^2)`` over beams (the Gaussian
+    normalization constant cancels during weight normalization).
     """
-    world_x, world_y = transform_endpoints(x, y, theta, end_x, end_y)
-    squared = field.lookup_squared_world(world_x, world_y)
-    log_lik = np.asarray(det_sum(squared))
+    log_lik = beam_squared_sums(
+        x, y, np.cos(theta), np.sin(theta), end_x, end_y, field
+    )
     np.negative(log_lik, out=log_lik)
     log_lik /= 2.0 * sigma_obs**2
     return log_lik
 
 
-def posterior_log_weights(
-    weights: np.ndarray, log_lik: np.ndarray, replication: float
-) -> np.ndarray:
-    """Unnormalized posterior weights in float64, shape ``(..., N)``.
+def likelihood_ratios(log_lik: np.ndarray, replication: float) -> np.ndarray:
+    """Per-particle likelihood relative to the run's best, ``(..., N)``.
 
-    Replicates the per-beam likelihood, subtracts the per-run max
-    log-likelihood (so fp16 storage cannot underflow to all-zero), and
-    multiplies into the prior weights.
+    Replicates the per-beam likelihood and subtracts the per-run max
+    log-likelihood before exponentiating (so fp16 storage cannot
+    underflow to all-zero).
     """
     log_lik = log_lik * replication
     log_lik = log_lik - log_lik.max(axis=-1, keepdims=True)
-    return np.asarray(weights, dtype=np.float64) * np.exp(log_lik)
+    return np.exp(log_lik)
+
+
+def posterior_log_weights(
+    weights: np.ndarray, log_lik: np.ndarray, replication: float
+) -> np.ndarray:
+    """Unnormalized posterior weights in float64, shape ``(..., N)``:
+    the prior weights times :func:`likelihood_ratios`."""
+    return np.asarray(weights, dtype=np.float64) * likelihood_ratios(
+        log_lik, replication
+    )
 
 
 def normalize_weights(weights: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -44,8 +44,8 @@ def default_bench_backends() -> tuple[str, ...]:
 
     ``fast`` always *registers* so CLI listings are environment
     independent, but constructing it raises ``ConfigurationError`` when
-    neither numba nor a C toolchain is present — probe once here and
-    drop it from the default comparison rather than failing the bench.
+    cffi or a C compiler is missing — probe once here and drop it from
+    the default comparison rather than failing the bench.
     """
     backends = ["reference", "batched"]
     try:

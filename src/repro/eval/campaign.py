@@ -392,7 +392,11 @@ def run_campaign(
             )
 
     try:
-        if jobs == 1:
+        if not pending:
+            # A complete resume builds no backend and no pool: resolving
+            # ``fast`` alone would compile the C kernels for nothing.
+            pass
+        elif jobs == 1:
             # Resolve the backend once so its replay-plan cache serves
             # every cell (mirrors SweepEngine.__post_init__); one local
             # field cache shares each EDT across a scenario's cells.

@@ -1,7 +1,8 @@
-"""Backend equivalence: the batched engine must match the reference.
+"""Backend equivalence: the stacked engine must match the reference.
 
-The contract under test is strict: for matching seeds, the batched
-backend produces **bitwise identical** per-run estimate traces, error
+The contract under test is strict: for matching seeds, the stacked
+backends (``batched`` and ``fast``, one stack with and without the C
+provider) produce **bitwise identical** per-run estimate traces, error
 traces and metrics to running the reference backend sequentially — for
 every precision variant, for stacked runs over *different* sequences
 (per-run gating masks), and for partial resampling (per-run wheel
@@ -20,7 +21,8 @@ from repro.common.errors import ConfigurationError
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.engine import available_backends, get_backend
-from repro.engine.backend import RunSpec
+from repro.engine import batched as batched_module
+from repro.engine.backend import RunSpec, StepWork
 from repro.engine.batched import BatchedBackend, ReplayPlan
 from repro.engine.reference import ReferenceBackend
 from repro.maps.distance_field import DistanceField
@@ -67,6 +69,21 @@ def _assert_traces_identical(reference, batched):
         np.testing.assert_array_equal(ref.estimate_trace, bat.estimate_trace)
 
 
+def _assert_shadows_exact(stack):
+    """Bitwise: ``shadow == stored.astype(float64)``, ``cos64/sin64 ==
+    np.cos/sin(theta64)``."""
+    pairs = [
+        (stack.x64, stack.x.astype(np.float64)),
+        (stack.y64, stack.y.astype(np.float64)),
+        (stack.theta64, stack.theta.astype(np.float64)),
+        (stack.w64, stack.weights.astype(np.float64)),
+        (stack.cos64, np.cos(stack.theta64)),
+        (stack.sin64, np.sin(stack.theta64)),
+    ]
+    for shadow, expected in pairs:
+        np.testing.assert_array_equal(shadow.view(np.uint64), expected.view(np.uint64))
+
+
 def _metrics_signature(result):
     metrics = result.metrics
     return (
@@ -78,9 +95,27 @@ def _metrics_signature(result):
     )
 
 
-class TestBatchedEquivalence:
+class _StackEquivalence:
+    """One suite for every stacked backend: bitwise-identical traces and
+    metrics to sequential reference runs.
+
+    The subclasses below pin :attr:`backend_name` — ``batched`` (numpy
+    stages) and ``fast`` (the same stack handed the C provider) — so
+    both run every test here.
+    """
+
+    backend_name: str
+
+    @pytest.fixture
+    def backend(self, request):
+        if self.backend_name == "fast":
+            return request.getfixturevalue("fast_backend")
+        return get_backend(self.backend_name)
+
     @pytest.mark.parametrize("variant", ["fp32", "fp321tof", "fp32qm", "fp16qm"])
-    def test_r6_stacked_runs_match_sequential_reference(self, mini_world, variant):
+    def test_r6_stacked_runs_match_sequential_reference(
+        self, mini_world, backend, variant
+    ):
         """R=6 stacked runs (2 sequences x 3 seeds) == 6 sequential runs."""
         grid, long_flight, short_flight = mini_world
         config = MclConfig(particle_count=128).with_variant(variant)
@@ -91,15 +126,15 @@ class TestBatchedEquivalence:
             for seed in (0, 1, 2)
         ]
         reference = ReferenceBackend().execute(grid, specs, config, field)
-        batched = BatchedBackend().execute(grid, specs, config, field)
-        _assert_traces_identical(reference, batched)
+        stacked = backend.execute(grid, specs, config, field)
+        _assert_traces_identical(reference, stacked)
 
-    def test_metrics_identical_through_runner(self, mini_world):
+    def test_metrics_identical_through_runner(self, mini_world, backend):
         """The evaluated RunResult metrics agree exactly, run by run."""
         from repro.eval.runner import run_localization_batch
 
         grid, long_flight, short_flight = mini_world
-        config = MclConfig(particle_count=128)
+        config = MclConfig(particle_count=128).with_variant("fp16qm")
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
         specs = [
             RunSpec(sequence, seed)
@@ -107,12 +142,12 @@ class TestBatchedEquivalence:
             for seed in (0, 1, 2)
         ]
         reference = run_localization_batch(grid, specs, config, field, "reference")
-        batched = run_localization_batch(grid, specs, config, field, "batched")
+        stacked = run_localization_batch(grid, specs, config, field, backend)
         assert [_metrics_signature(r) for r in reference] == [
-            _metrics_signature(b) for b in batched
+            _metrics_signature(s) for s in stacked
         ]
 
-    def test_tracking_init_equivalence(self, mini_world):
+    def test_tracking_init_equivalence(self, mini_world, backend):
         grid, long_flight, __ = mini_world
         config = MclConfig(particle_count=128)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
@@ -121,10 +156,10 @@ class TestBatchedEquivalence:
             for seed in (0, 1, 2)
         ]
         reference = ReferenceBackend().execute(grid, specs, config, field)
-        batched = BatchedBackend().execute(grid, specs, config, field)
-        _assert_traces_identical(reference, batched)
+        stacked = backend.execute(grid, specs, config, field)
+        _assert_traces_identical(reference, stacked)
 
-    def test_partial_resampling_row_offsets(self, mini_world):
+    def test_partial_resampling_row_offsets(self, mini_world, backend):
         """ESS-gated resampling fires per run — rows resample independently."""
         grid, long_flight, short_flight = mini_world
         config = dataclasses.replace(
@@ -137,13 +172,12 @@ class TestBatchedEquivalence:
             for seed in (0, 1, 2)
         ]
         reference = ReferenceBackend().execute(grid, specs, config, field)
-        batched = BatchedBackend().execute(grid, specs, config, field)
-        _assert_traces_identical(reference, batched)
+        stacked = backend.execute(grid, specs, config, field)
+        _assert_traces_identical(reference, stacked)
 
-    def test_plan_cache_reused_across_cells(self, mini_world):
+    def test_plan_cache_reused_across_cells(self, mini_world, backend):
         """One backend instance re-serves plans to later cells unchanged."""
         grid, long_flight, __ = mini_world
-        backend = BatchedBackend()
         field = None
         results = []
         for count in (64, 128):
@@ -158,17 +192,83 @@ class TestBatchedEquivalence:
         )
         _assert_traces_identical(reference, results[-1])
 
-    def test_single_run_single_chunk_paths_agree(self, mini_world):
-        """A tiny observation chunk budget only changes the tiling."""
+    def test_tiny_observation_chunks_agree(self, mini_world, backend, monkeypatch):
+        """A one-element observation chunk budget only changes the row
+        tiling; tiling must never leak into results."""
         grid, long_flight, __ = mini_world
         config = MclConfig(particle_count=96)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
         specs = [RunSpec(long_flight, seed) for seed in (0, 1, 2)]
-        whole = BatchedBackend().execute(grid, specs, config, field)
-        tiled = BatchedBackend(obs_chunk_elements=1).execute(
-            grid, specs, config, field
-        )
+        whole = backend.execute(grid, specs, config, field)
+        monkeypatch.setattr(batched_module, "OBS_CHUNK_ELEMENTS", 1)
+        tiled = backend.execute(grid, specs, config, field)
         _assert_traces_identical(whole, tiled)
+
+    @pytest.mark.parametrize("variant", ["fp32", "fp16qm"])
+    def test_shadow_invariant(self, mini_world, backend, variant):
+        """Every write keeps the float64 and trig shadows exact: after
+        ``init_row``, a resampling ``step``, ``import_row`` and
+        ``ensure_capacity``."""
+        grid, long_flight, __ = mini_world
+        # ESS <= N, so every observed row resamples at fraction 1.0.
+        config = dataclasses.replace(
+            MclConfig(particle_count=64).with_variant(variant),
+            resample_ess_fraction=1.0,
+        )
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        stack = backend.open_stack(config, 2)
+        for row, seed in enumerate((0, 1)):
+            stack.init_row(row, grid, RunSpec(long_flight, seed))
+        _assert_shadows_exact(stack)
+
+        plan = backend.plan(long_flight, config)
+        step = next(s for s in plan.steps if s.fires and s.beams is not None)
+        stack.step([StepWork(rows=[0, 1], step=step, field=field)])
+        uniform = np.asarray(1.0 / config.particle_count, dtype=stack.dtype)
+        assert (stack.weights == uniform).all(), "the step must resample"
+        _assert_shadows_exact(stack)
+
+        stack.import_row(1, stack.export_row(0))
+        _assert_shadows_exact(stack)
+
+        stack.ensure_capacity(5)
+        _assert_shadows_exact(stack)
+
+
+class TestBatchedEquivalence(_StackEquivalence):
+    backend_name = "batched"
+
+
+class TestFastEquivalence(_StackEquivalence):
+    backend_name = "fast"
+
+    def test_numpy_fallback_matches_compiled_provider(self, mini_world, backend):
+        """Hosts without cffi fall back to ``batched``: its numpy stages
+        and the C kernels land on the same bits."""
+        grid, long_flight, __ = mini_world
+        config = MclConfig(particle_count=128).with_variant("fp32")
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        specs = [RunSpec(long_flight, seed) for seed in (0, 1)]
+        _assert_traces_identical(
+            backend.execute(grid, specs, config, field),
+            get_backend("batched").execute(grid, specs, config, field),
+        )
+
+    def test_missing_provider_is_configuration_error(self, monkeypatch):
+        """Without cffi, building ``fast`` fails loudly with
+        ConfigurationError, not an ImportError mid-sweep."""
+        import builtins
+
+        real_import = builtins.__import__
+
+        def no_cffi(name, *args, **kwargs):
+            if name == "cffi" or name.startswith("cffi."):
+                raise ImportError("cffi intentionally unavailable")
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", no_cffi)
+        with pytest.raises(ConfigurationError, match="cffi"):
+            get_backend("fast")
 
 
 class TestScenarioEquivalence:
@@ -212,132 +312,6 @@ class TestScenarioEquivalence:
         _assert_traces_identical(reference, batched)
 
 
-def _fast_backend_or_skip(**kwargs):
-    from repro.engine.fast import FastBackend
-
-    try:
-        return FastBackend(**kwargs)
-    except ConfigurationError as exc:
-        pytest.skip(f"no fused fast-backend provider available: {exc}")
-
-
-class TestFastEquivalence:
-    """The fast backend joins the same contract: bitwise-identical
-    traces and metrics to the reference, whichever fused provider
-    (numba / C / numpy fallback) serves the kernels."""
-
-    @pytest.mark.parametrize("variant", ["fp32", "fp321tof", "fp32qm", "fp16qm"])
-    def test_r6_stacked_runs_match_sequential_reference(self, mini_world, variant):
-        grid, long_flight, short_flight = mini_world
-        config = MclConfig(particle_count=128).with_variant(variant)
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [
-            RunSpec(sequence, seed)
-            for sequence in (long_flight, short_flight)
-            for seed in (0, 1, 2)
-        ]
-        reference = ReferenceBackend().execute(grid, specs, config, field)
-        fast = _fast_backend_or_skip().execute(grid, specs, config, field)
-        _assert_traces_identical(reference, fast)
-
-    def test_partial_resampling_row_offsets(self, mini_world):
-        """ESS-gated partial resampling exercises the fused per-row
-        resample path (some rows gather, some don't)."""
-        grid, long_flight, short_flight = mini_world
-        config = dataclasses.replace(
-            MclConfig(particle_count=128), resample_ess_fraction=0.5
-        )
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [
-            RunSpec(sequence, seed)
-            for sequence in (long_flight, short_flight)
-            for seed in (0, 1, 2)
-        ]
-        reference = ReferenceBackend().execute(grid, specs, config, field)
-        fast = _fast_backend_or_skip().execute(grid, specs, config, field)
-        _assert_traces_identical(reference, fast)
-
-    def test_metrics_identical_through_runner(self, mini_world):
-        from repro.eval.runner import run_localization_batch
-
-        _fast_backend_or_skip()  # skip early when unavailable
-        grid, long_flight, short_flight = mini_world
-        config = MclConfig(particle_count=128).with_variant("fp16qm")
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [
-            RunSpec(sequence, seed)
-            for sequence in (long_flight, short_flight)
-            for seed in (0, 1, 2)
-        ]
-        reference = run_localization_batch(grid, specs, config, field, "reference")
-        fast = run_localization_batch(grid, specs, config, field, "fast")
-        assert [_metrics_signature(r) for r in reference] == [
-            _metrics_signature(f) for f in fast
-        ]
-
-    def test_tiny_observation_chunks_agree(self, mini_world):
-        """The fused per-row kernels see whatever row tiling the chunk
-        budget produces; tiling must never leak into results."""
-        grid, long_flight, __ = mini_world
-        config = MclConfig(particle_count=96)
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [RunSpec(long_flight, seed) for seed in (0, 1, 2)]
-        whole = _fast_backend_or_skip().execute(grid, specs, config, field)
-        tiled = _fast_backend_or_skip(obs_chunk_elements=1).execute(
-            grid, specs, config, field
-        )
-        _assert_traces_identical(whole, tiled)
-
-    def test_numpy_fallback_matches_compiled_provider(self, mini_world):
-        """Cross-provider check: the pure-numpy provider and whichever
-        compiled tier resolve both land on the same bits — the contract
-        binds implementations, not just backends."""
-        grid, long_flight, __ = mini_world
-        compiled = _fast_backend_or_skip()
-        from repro.engine.fast import FastBackend
-
-        fallback = FastBackend(impl="numpy")
-        assert fallback.provider_name == "numpy"
-        config = MclConfig(particle_count=128).with_variant("fp32")
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [RunSpec(long_flight, seed) for seed in (0, 1)]
-        _assert_traces_identical(
-            compiled.execute(grid, specs, config, field),
-            fallback.execute(grid, specs, config, field),
-        )
-
-    def test_unknown_impl_rejected(self):
-        from repro.engine.fast import FastBackend
-
-        with pytest.raises(ConfigurationError, match="REPRO_FAST_IMPL"):
-            FastBackend(impl="gpu")
-
-    def test_missing_provider_is_configuration_error(self, monkeypatch):
-        """Pinning a tier whose dependency is absent must fail loudly
-        with ConfigurationError, not an ImportError mid-sweep."""
-        import builtins
-        import sys
-
-        from repro.engine.fast import FastBackend
-
-        real_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba intentionally unavailable")
-            return real_import(name, *args, **kwargs)
-
-        # Evict any cached modules so the pinned tier re-imports numba
-        # (and hits the block) even on hosts where numba IS installed.
-        for module in list(sys.modules):
-            if module == "numba" or module.startswith("numba."):
-                monkeypatch.delitem(sys.modules, module, raising=False)
-        monkeypatch.delitem(sys.modules, "repro.engine.fast_numba", raising=False)
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        with pytest.raises(ConfigurationError, match="numba"):
-            FastBackend(impl="numba")
-
-
 class TestReplayPlan:
     def test_gating_trace_matches_sequence(self, mini_world):
         grid, long_flight, __ = mini_world
@@ -362,8 +336,8 @@ class TestReplayPlan:
 class TestBackendRegistry:
     def test_builtin_backends_listed(self):
         # "fast" always *lists* (construction may still raise
-        # ConfigurationError when no provider is available).
-        assert set(available_backends()) >= {"reference", "batched", "fast"}
+        # ConfigurationError when cffi or a C compiler is missing).
+        assert available_backends() == ("batched", "fast", "reference")
 
     def test_get_backend_resolves_names(self):
         assert get_backend("reference").name == "reference"

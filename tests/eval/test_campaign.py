@@ -247,6 +247,27 @@ class TestRunCampaign:
         assert summary.recovered_files  # the torn file was swept first
         assert store_bytes(broken) == baseline
 
+    def test_complete_resume_builds_no_backend(self, fresh, tmp_path, monkeypatch):
+        """Resuming a complete store never resolves the backend (for
+        ``fast`` that would compile the C kernels for nothing)."""
+        import repro.eval.campaign as campaign_module
+
+        store, __ = fresh
+        complete = CampaignStore("tiny", root=tmp_path / "complete")
+        complete.write_manifest(tiny_spec().to_manifest())
+        for name, data in store_bytes(store).items():
+            path = complete.cell_path(name.removesuffix(".json"))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+        def no_backend(name):
+            raise AssertionError(f"backend {name!r} resolved with no cell pending")
+
+        monkeypatch.setattr(campaign_module, "get_backend", no_backend)
+        summary = run_campaign(tiny_spec(), backend="fast", store=complete, resume=True)
+        assert summary.executed == 0
+        assert summary.skipped == summary.total_cells
+
     def test_jobs_fanout_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
         fanned = CampaignStore("tiny", root=tmp_path / "jobs2")

@@ -3,7 +3,7 @@
 Each golden JSON snapshots the complete observable output of one
 fp32/N=64 sweep cell over a generated scenario: every scalar metric as
 an exact float (``float.hex``) and every per-frame trace array as a
-SHA-256 of its raw bytes.  Both backends must keep reproducing it
+SHA-256 of its raw bytes.  Every backend must keep reproducing it
 exactly — a refactor that drifts any resampling decision, weight, or
 trace sample by one ulp fails loudly here instead of silently shifting
 published numbers.
@@ -103,17 +103,11 @@ def _cell_snapshot(backend: str, variant: str) -> dict:
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_CELLS))
 @pytest.mark.parametrize("backend", ["reference", "batched", "fast"])
-def test_golden_cell_reproduces_bit_for_bit(backend, golden_name):
+def test_golden_cell_reproduces_bit_for_bit(request, backend, golden_name):
     variant = GOLDEN_CELLS[golden_name]
     golden_path = Path(__file__).parent / golden_name
     if backend == "fast":
-        from repro.common.errors import ConfigurationError
-        from repro.engine import get_backend
-
-        try:
-            get_backend("fast")
-        except ConfigurationError as exc:
-            pytest.skip(f"no fused fast-backend provider available: {exc}")
+        request.getfixturevalue("fast_backend")  # skips without cffi or cc
     snapshot = _cell_snapshot(backend, variant)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         golden_path.write_text(json.dumps(snapshot, indent=2) + "\n")

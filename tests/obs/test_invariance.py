@@ -134,7 +134,8 @@ class TestEngineInvariance:
         # The instrumentation actually fired while staying invisible.
         assert snap["counters"]["engine.steps"] > 0
         assert snap["counters"]["sweep.cells"] == 1
-        assert snap["spans"]["engine.step.weight"]["count"] > 0
+        for stage in ("motion", "gather", "weight", "resample", "estimate"):
+            assert snap["spans"][f"engine.step.{stage}"]["count"] > 0, stage
         assert any(tmp_path.glob("events-*.jsonl"))
 
 

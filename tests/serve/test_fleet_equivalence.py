@@ -98,15 +98,11 @@ class TestFleetEquivalence:
             result = manager.close(spec.session_id)
             assert_trace_equal(result.trace, solo_traces[spec.session_id])
 
+    @pytest.mark.usefixtures("fast_backend")
     def test_fast_backend_fleet_matches_solo_reference(self, solo_traces):
-        """The fused fast backend serves the same mixed fleet bit-for-bit
-        (skipped where no fused provider is constructible)."""
-        from repro.common.errors import ConfigurationError
-
-        try:
-            manager = SessionManager(backend="fast")
-        except ConfigurationError as exc:
-            pytest.skip(f"no fused fast-backend provider available: {exc}")
+        """The C-provider ``fast`` backend serves the same mixed fleet
+        bit-for-bit."""
+        manager = SessionManager(backend="fast")
         for spec in fleet_specs():
             manager.create(spec)
         manager.run_to_completion(frames_per_flush=16)

@@ -82,16 +82,6 @@ async def finish_and_close(client, session_id):
     return await client.close_session(session_id)
 
 
-def fast_backend_or_skip():
-    from repro.common.errors import ConfigurationError
-    from repro.engine.fast import FastBackend
-
-    try:
-        FastBackend()
-    except ConfigurationError as exc:
-        pytest.skip(f"no fused fast-backend provider available: {exc}")
-
-
 class TestMigrationBitwise:
     def test_mixed_fleet_migrates_bitwise(self):
         """Every session of the mixed fleet (two fingerprints, fp32 +
@@ -154,9 +144,8 @@ class TestMigrationBitwise:
         for session in run(serve()):
             assert_closed_matches_solo(session)
 
+    @pytest.mark.usefixtures("fast_backend")
     def test_migration_between_fast_and_reference_servers(self):
-        fast_backend_or_skip()
-
         async def serve():
             async with (
                 OnlineServer(backend="fast") as a,
