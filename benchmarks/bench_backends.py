@@ -1,8 +1,8 @@
 """Backend throughput: reference vs batched vs fast on the Fig. 6/7 grid.
 
 Times the same sweep cells under the sequential ``reference`` backend,
-the ``(R, N)``-stacked ``batched`` backend and — when a fused-kernel
-provider is available — the ``fast`` backend, verifies they produced
+the ``(R, N)``-stacked ``batched`` backend and — when its C kernels
+load — the ``fast`` backend, verifies they produced
 identical per-run metrics, prints the per-cell table, and writes the
 machine-readable report to ``results/BENCH_backends.json``.
 
@@ -20,9 +20,10 @@ override it).  Expected shape on one core:
   no ``(R, N, K)`` temporaries, one vectorized transform+gather+tree
   pass per row — must beat the reference >= 5x at fp32/N=1024.
 
-The report also records ``cpu_count`` and, on multi-core hosts, one
-process-parallel (``jobs > 1``) sweep timing row for the fastest
-backend.
+The report also records the ``provider`` the default backend resolved
+to (``c``, or ``numpy`` on a host without cffi or a C compiler),
+``cpu_count`` and, on multi-core hosts, one process-parallel
+(``jobs > 1``) sweep timing row for the fastest backend.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def test_backend_throughput(benchmark, world, sequences):
         header.extend([backend, "speedup"])
     parallel = report.get("parallel")
     footnote = (
-        f"identical per-run metrics asserted; {report['cpu_count']} core(s)"
+        f"identical per-run metrics asserted; {report['cpu_count']} core(s); "
+        f"provider {report['provider']}"
     )
     if parallel:
         footnote += (

@@ -9,8 +9,8 @@ Scale control
 * ``paper``  — the full 6 sequences x 6 seeds protocol of the paper.
 
 ``REPRO_BACKEND`` selects the filter backend the sweeps execute through
-(``batched`` by default; every backend produces identical results, so
-the choice only moves wall-clock).
+(the library default, ``fast``, unless set; every backend produces
+identical results, so the choice only moves wall-clock).
 
 The expensive accuracy sweep is executed once per session (inside the
 Fig. 6/7 bench) and shared with the Fig. 8 bench through the session
@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.config import PAPER_PARTICLE_COUNTS
 from repro.dataset.sequences import load_all_sequences
+from repro.engine.backend import DEFAULT_BACKEND
 from repro.eval.aggregate import SweepProtocol
 from repro.maps.maze import build_drone_maze_world
 
@@ -34,7 +35,7 @@ def current_scale() -> str:
 
 
 def current_backend() -> str:
-    return os.environ.get("REPRO_BACKEND", "batched").lower()
+    return os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND).lower()
 
 
 def accuracy_protocol() -> SweepProtocol:

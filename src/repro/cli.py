@@ -27,7 +27,7 @@ Subcommands:
   fleet-wide cohort-aware rebalance (``--rebalance``), each handoff
   bitwise-invisible to the migrated session's trace
 * ``bench-backends``  — time reference vs batched vs fast backends on
-  one sweep (``fast`` joins wherever cffi and a C compiler are available)
+  one sweep (``fast`` joins wherever its C kernels load)
 * ``perf``            — print the Table I / Table II model predictions
 * ``obs``             — inspect telemetry: ``obs report`` renders a
   metrics/span snapshot (live registry, snapshot file, or a running
@@ -42,9 +42,10 @@ not to change any numeric result (see ``docs/observability.md``).
 Commands that execute the filter accept ``--backend
 {reference,batched,fast}`` to pick the
 :class:`~repro.engine.backend.FilterBackend`; all backends produce
-bitwise-identical results, so the flag only affects throughput (``fast``
-needs cffi and a C compiler and fails with a clear configuration error
-otherwise).  Every
+bitwise-identical results, so the flag only affects throughput.  ``fast``,
+the default outside ``run``, compiles its C kernels on first use; without
+cffi or a C compiler it runs the ``batched`` numpy stages, and a compiler
+that fails is a configuration error.  Every
 ``--variant``/``--variants`` flag speaks the config-spec grammar
 ``variant[+key=value...]`` (:class:`~repro.core.config.ConfigSpec`), so
 paper variants and ablated configurations are interchangeable.
@@ -68,7 +69,7 @@ from .core.config import (
     ConfigSpec,
 )
 from .dataset.sequences import SEQUENCE_SCRIPTS, load_all_sequences, load_sequence
-from .engine.backend import available_backends
+from .engine.backend import DEFAULT_BACKEND, available_backends
 from .eval.aggregate import RunningCellStats, SweepProtocol
 from .eval.bench import compare_backends, write_backend_report
 from .eval.campaign import (
@@ -1023,7 +1024,7 @@ def _cmd_bench_backends(args: argparse.Namespace) -> int:
     )
     footnote = (
         f"equivalent results: {report['equivalent']}; "
-        f"{report['cpu_count']} core(s)"
+        f"{report['cpu_count']} core(s); provider {report['provider']}"
     )
     parallel = report.get("parallel")
     if parallel:
@@ -1252,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         choices=list(available_backends()),
-        default="batched",
+        default=DEFAULT_BACKEND,
         help="filter backend executing each sweep cell",
     )
     sweep.add_argument(
@@ -1323,7 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser_.add_argument(
             "--backend",
             choices=list(available_backends()),
-            default="batched",
+            default=DEFAULT_BACKEND,
             help="filter backend executing each cell",
         )
         parser_.add_argument(
@@ -1482,7 +1483,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         choices=list(available_backends()),
-        default="batched",
+        default=DEFAULT_BACKEND,
         help="filter backend stepping the fleet (identical results)",
     )
     serve.add_argument(
@@ -1528,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument(
         "--backend",
         choices=list(available_backends()),
-        default="batched",
+        default=DEFAULT_BACKEND,
         help="filter backend stepping the sessions (identical results)",
     )
     online.add_argument(
@@ -1660,7 +1661,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-backends",
-        help="time reference vs batched (vs fast, when available) on one sweep",
+        help="time reference vs batched (vs fast, where its C kernels load)",
     )
     bench.add_argument("--variants", type=_parse_variants, default=None)
     bench.add_argument("--particles", type=_parse_particles, default=None)

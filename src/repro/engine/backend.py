@@ -32,9 +32,10 @@ Three backends ship today:
 * ``batched`` — :class:`~repro.engine.batched.BatchedBackend`, which
   stacks all R runs' particle populations into ``(R, N)`` arrays and
   advances them in single vectorized numpy passes;
-* ``fast`` — the same backend and stack handed the cffi-compiled
-  :class:`~repro.engine.fast_c.CProvider`, which fuses the per-row hot
-  loops (needs cffi and a C compiler).
+* ``fast`` — the default: the same backend and stack handed the
+  compiled :class:`~repro.engine.fast_c.CProvider`, which fuses the
+  per-row hot loops.  Without cffi, or without a C compiler and a cached
+  library, it resolves to the ``batched`` numpy stages instead.
 
 Further backends plug in by registering a new name — and must either
 keep the contract or register under a name that signals the difference.
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
+from .. import obs
 from ..common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # imports kept lazy to avoid core <-> engine cycles
@@ -207,6 +209,12 @@ COUNTER_RESAMPLES = "engine.resamples"
 COUNTER_RESAMPLE_SKIPS = "engine.resample_skips"
 COUNTER_PLAN_HITS = "engine.replay_plan.hits"
 COUNTER_PLAN_MISSES = "engine.replay_plan.misses"
+COUNTER_PROVIDER_C = "engine.provider.c"
+COUNTER_PROVIDER_NUMPY = "engine.provider.numpy"
+EVENT_PROVIDER_FALLBACK = "engine.provider_fallback"
+
+#: The backend every entry point runs unless told otherwise.
+DEFAULT_BACKEND = "fast"
 
 
 # ----------------------------------------------------------------------
@@ -257,16 +265,24 @@ def _fast_backend() -> FilterBackend:
     """The batched backend on the compiled C provider.
 
     ``fast`` always registers, so listings and CLI choices do not depend
-    on the host; building it compiles the C kernels (once per cache) and
-    raises :class:`ConfigurationError` when that is impossible.
+    on the host.  Building it loads the C kernels, compiling them once
+    per cache.  The provider is resolved here, when the backend is
+    built, and not at the first step: a compile spawned from an
+    already-grown process would be charged that process's peak memory.
+    When cffi or the compiler is missing the backend runs the numpy
+    stages and records the fallback; any other build failure raises
+    :class:`ConfigurationError`.
     """
     from .batched import BatchedBackend
-    from .fast_c import CProvider
+    from .fast_c import CProvider, MissingDependency
 
     try:
         provider = CProvider()
+    except MissingDependency as exc:
+        obs.event(EVENT_PROVIDER_FALLBACK, missing=exc.name, reason=str(exc))
+        return BatchedBackend()
     except Exception as exc:  # noqa: BLE001 - reported as a configuration error
         raise ConfigurationError(
-            f"the fast backend needs cffi and a C compiler: {exc}"
+            f"the fast backend's C kernels failed to build: {exc}"
         ) from exc
     return BatchedBackend(provider)

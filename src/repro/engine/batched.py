@@ -83,6 +83,8 @@ from .backend import (
     COUNTER_GATE_TRIGGERS,
     COUNTER_PLAN_HITS,
     COUNTER_PLAN_MISSES,
+    COUNTER_PROVIDER_C,
+    COUNTER_PROVIDER_NUMPY,
     COUNTER_RESAMPLE_SKIPS,
     COUNTER_RESAMPLES,
     COUNTER_STEPS,
@@ -586,6 +588,14 @@ class BatchedBackend:
         self.provider = provider
         self.name = "batched" if provider is None else "fast"
         self._plans: dict[tuple, ReplayPlan] = {}
+        obs.counter(
+            COUNTER_PROVIDER_NUMPY if provider is None else COUNTER_PROVIDER_C
+        ).inc()
+
+    @property
+    def provider_name(self) -> str:
+        """Which kernels the stages run on: ``"c"`` or ``"numpy"``."""
+        return "numpy" if self.provider is None else self.provider.name
 
     def execute(
         self,

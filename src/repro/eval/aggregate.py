@@ -23,6 +23,7 @@ from ..common.errors import EvaluationError
 from ..common.rng import PAPER_SEEDS
 from ..core.config import MclConfig
 from ..dataset.recorder import RecordedSequence
+from ..engine.backend import DEFAULT_BACKEND
 from ..maps.distance_field import DistanceField, FieldKind
 from ..maps.occupancy import OccupancyGrid
 from .metrics import AggregateMetrics
@@ -158,7 +159,7 @@ def run_sweep(
     protocol: SweepProtocol | None = None,
     base_config: MclConfig | None = None,
     progress=None,
-    backend: str = "batched",
+    backend: str = DEFAULT_BACKEND,
     jobs: int = 1,
 ) -> SweepResult:
     """Execute the full evaluation protocol.

@@ -6,11 +6,11 @@ times every (variant, N) cell, checks that the backends agreed run-by-run
 everything into one JSON-serializable report.  The ``bench-backends``
 CLI command and ``benchmarks/bench_backends.py`` both build on it.
 
-The ``fast`` backend joins the comparison wherever a fused-kernel
-provider is available (:func:`default_bench_backends` probes for it);
-the report also records ``cpu_count`` and — on multi-core hosts — one
-process-parallel sweep timing row, so throughput numbers from different
-machines stay interpretable.
+The ``fast`` backend joins the comparison wherever its C kernels load
+(:func:`default_bench_backends` probes for them); the report also
+records the ``provider`` the default backend resolved to, ``cpu_count``
+and — on multi-core hosts — one process-parallel sweep timing row, so
+throughput numbers from different machines stay interpretable.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..common.errors import ConfigurationError, EvaluationError
+from ..common.errors import EvaluationError
 from ..core.config import MclConfig
-from ..engine.backend import get_backend
+from ..engine.backend import DEFAULT_BACKEND, get_backend
 from ..dataset.recorder import RecordedSequence
 from ..maps.occupancy import OccupancyGrid
 from ..viz.export import results_directory
@@ -39,21 +39,19 @@ DEFAULT_VARIANTS = ("fp32", "fp16qm")
 DEFAULT_PARTICLE_COUNTS = (64, 256, 1024)
 
 
-def default_bench_backends() -> tuple[str, ...]:
-    """The backends the bench compares: all of them, where constructible.
+def default_provider() -> str:
+    """The provider the default backend resolves to here: ``"c"`` or ``"numpy"``."""
+    return get_backend(DEFAULT_BACKEND).provider_name
 
-    ``fast`` always *registers* so CLI listings are environment
-    independent, but constructing it raises ``ConfigurationError`` when
-    cffi or a C compiler is missing — probe once here and drop it from
-    the default comparison rather than failing the bench.
+
+def default_bench_backends() -> tuple[str, ...]:
+    """The backends the bench compares: ``fast`` only where its C kernels load.
+
+    Without them ``fast`` runs the ``batched`` numpy stages, so timing
+    it again would compare a backend with itself.
     """
-    backends = ["reference", "batched"]
-    try:
-        get_backend("fast")
-    except ConfigurationError:
-        return tuple(backends)
-    backends.append("fast")
-    return tuple(backends)
+    backends = ("reference", "batched")
+    return backends + ("fast",) if default_provider() == "c" else backends
 
 
 def _run_signature(run: RunResult) -> tuple:
@@ -168,6 +166,7 @@ def compare_backends(
         "variants": variants,
         "particle_counts": particle_counts,
         "backends": list(backends),
+        "provider": default_provider(),
         "cpu_count": cpu_count,
         "timings": timings,
         "equivalent": equivalent,

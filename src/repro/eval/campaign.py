@@ -54,7 +54,7 @@ from ..core.config import (
 from ..scenarios.base import ScenarioSpec
 from ..scenarios.registry import build_scenario, canonical_scenario_id
 from .runner import RunResult
-from ..engine.backend import get_backend
+from ..engine.backend import DEFAULT_BACKEND, get_backend
 from .store import CampaignStore, canonical_json_bytes
 from .sweep_engine import (
     DistanceFieldCache,
@@ -300,7 +300,7 @@ def shard_cells(
 
 def run_campaign(
     spec: CampaignSpec,
-    backend: str = "batched",
+    backend: str = DEFAULT_BACKEND,
     jobs: int = 1,
     resume: bool = False,
     store: CampaignStore | None = None,

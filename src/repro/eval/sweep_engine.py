@@ -40,7 +40,7 @@ from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
 from ..core.config import ConfigSpec, MclConfig
 from ..dataset.recorder import RecordedSequence
-from ..engine.backend import FilterBackend, RunSpec, get_backend
+from ..engine.backend import DEFAULT_BACKEND, FilterBackend, RunSpec, get_backend
 from ..maps.distance_field import DistanceField, FieldKind
 from ..maps.occupancy import OccupancyGrid
 from .aggregate import SweepProtocol, SweepResult
@@ -292,14 +292,14 @@ class SweepEngine:
     """Executes sweep grids cell-by-cell through a filter backend.
 
     ``backend`` names the :class:`FilterBackend` every cell is dispatched
-    through (``"batched"`` by default — bitwise-equivalent to
+    through (``"fast"`` by default — bitwise-equivalent to
     ``"reference"`` and several times faster on multi-run cells).
     ``jobs`` > 1 fans independent cells out across worker processes.
     The ``field_cache`` may be shared between engines to reuse EDTs
     across sweeps of the same map.
     """
 
-    backend: str | FilterBackend = "batched"
+    backend: str | FilterBackend = DEFAULT_BACKEND
     jobs: int = 1
     field_cache: DistanceFieldCache = field(default_factory=DistanceFieldCache)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
 from ..core.config import MclConfig
-from ..engine.backend import RunSpec
+from ..engine.backend import DEFAULT_BACKEND, RunSpec
 from ..engine.replay import ReplayPlan
 from ..eval.metrics import AggregateMetrics
 from ..eval.sweep_engine import DistanceFieldCache
@@ -75,7 +75,7 @@ class SessionManager:
 
     def __init__(
         self,
-        backend: str = "batched",
+        backend: str = DEFAULT_BACKEND,
         base_config: MclConfig | None = None,
         cache: bool = True,
     ) -> None:

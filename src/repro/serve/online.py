@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError, ReproError
 from ..core.config import MclConfig
-from ..engine.backend import RunTrace
+from ..engine.backend import DEFAULT_BACKEND, RunTrace
 from ..eval.metrics import RunMetrics
 from ..scenarios.fleet import FleetSpec
 from .manager import SessionManager
@@ -148,7 +148,7 @@ class OnlineServer:
 
     def __init__(
         self,
-        backend: str = "batched",
+        backend: str = DEFAULT_BACKEND,
         base_config: MclConfig | None = None,
         policy: AdmissionPolicy | None = None,
         manager: SessionManager | None = None,

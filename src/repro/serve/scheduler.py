@@ -40,7 +40,13 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..core.config import MclConfig
-from ..engine.backend import FilterBackend, SessionStack, StepWork, get_backend
+from ..engine.backend import (
+    DEFAULT_BACKEND,
+    FilterBackend,
+    SessionStack,
+    StepWork,
+    get_backend,
+)
 from .session import FilterSession
 
 
@@ -78,7 +84,7 @@ class _Cohort:
 class StepScheduler:
     """Packs pending per-session steps into shared stacked calls."""
 
-    def __init__(self, backend: "str | FilterBackend" = "batched") -> None:
+    def __init__(self, backend: "str | FilterBackend" = DEFAULT_BACKEND) -> None:
         self.backend = get_backend(backend)
         self._cohorts: dict[tuple[str, int], _Cohort] = {}
 

@@ -10,15 +10,14 @@ sequences) lands in the tmpdir and vanishes with the session.
 committed benchmark reports under ``results/``.
 
 The ``fast_backend`` fixture is the one place a test may skip for the
-``fast`` backend: only when cffi or a C compiler is missing.
+``fast`` backend: only when cffi or a C compiler is missing, so that
+``fast`` fell back to the numpy stages.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import shutil
-import sysconfig
 from pathlib import Path
 
 import pytest
@@ -53,26 +52,17 @@ def _isolated_repro_dirs(tmp_path_factory):
                 os.environ[key] = value
 
 
-def _fast_backend_missing_dependency() -> str | None:
-    """Why the ``fast`` backend cannot be built here, or ``None``."""
-    if importlib.util.find_spec("cffi") is None:
-        return "cffi is not installed"
-    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(compiler.split()[0]) is None:
-        return f"no C compiler ({compiler}) on PATH"
-    return None
-
-
 @pytest.fixture
 def fast_backend():
-    """The ``fast`` backend, skipping only when a build dependency is missing.
+    """The ``fast`` backend on its C kernels, skipping only when it fell
+    back to the numpy stages because cffi or a C compiler is missing.
 
-    With cffi and a compiler present, a failed build raises and fails the
-    test: a broken C provider must never pass for an absent one.
+    With both present, a failed build raises ``ConfigurationError`` and
+    fails the test: a broken C provider must never pass for an absent one.
     """
-    missing = _fast_backend_missing_dependency()
-    if missing is not None:
-        pytest.skip(f"the fast backend needs cffi and a C compiler: {missing}")
     from repro.engine import get_backend
 
-    return get_backend("fast")
+    backend = get_backend("fast")
+    if backend.provider is None:
+        pytest.skip("the fast backend needs cffi and a C compiler; it fell back to numpy")
+    return backend

@@ -17,12 +17,13 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.engine import available_backends, get_backend
 from repro.engine import batched as batched_module
-from repro.engine.backend import RunSpec, StepWork
+from repro.engine.backend import DEFAULT_BACKEND, RunSpec, StepWork
 from repro.engine.batched import BatchedBackend, ReplayPlan
 from repro.engine.reference import ReferenceBackend
 from repro.maps.distance_field import DistanceField
@@ -254,9 +255,46 @@ class TestFastEquivalence(_StackEquivalence):
             get_backend("batched").execute(grid, specs, config, field),
         )
 
-    def test_missing_provider_is_configuration_error(self, monkeypatch):
-        """Without cffi, building ``fast`` fails loudly with
-        ConfigurationError, not an ImportError mid-sweep."""
+
+class TestProviderResolution:
+    """How the default backend picks its kernels: C where cffi and a
+    compiler are present, the numpy stages where either is missing, and
+    a configuration error where a present compiler fails."""
+
+    @pytest.fixture
+    def events(self, tmp_path, monkeypatch):
+        """A fresh cache and telemetry registry logging to a fresh directory."""
+        monkeypatch.setenv("REPRO_FAST_CACHE", str(tmp_path / "cache"))
+        obs.reset()
+        obs.enable(tmp_path / "events")
+        yield tmp_path / "events"
+        obs.reset()
+
+    def _assert_numpy_fallback(self, mini_world, events, missing):
+        grid, long_flight, __ = mini_world
+        backend = get_backend(DEFAULT_BACKEND)
+        assert backend.provider is None
+        assert backend.provider_name == "numpy"
+        config = MclConfig(particle_count=64)
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        specs = [RunSpec(long_flight, seed) for seed in (0, 1)]
+        _assert_traces_identical(
+            ReferenceBackend().execute(grid, specs, config, field),
+            backend.execute(grid, specs, config, field),
+        )
+        counters = obs.snapshot()["counters"]
+        assert counters["engine.provider.numpy"] == 1
+        assert "engine.provider.c" not in counters
+        fallbacks = [
+            event
+            for event in obs.read_events(events)
+            if event["event"] == "engine.provider_fallback"
+        ]
+        assert [event["missing"] for event in fallbacks] == [missing]
+
+    def test_missing_cffi_falls_back_to_numpy(self, mini_world, events, monkeypatch):
+        """Without cffi the default backend runs the numpy stages, with
+        the same bits as the reference, and records why."""
         import builtins
 
         real_import = builtins.__import__
@@ -267,8 +305,75 @@ class TestFastEquivalence(_StackEquivalence):
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", no_cffi)
-        with pytest.raises(ConfigurationError, match="cffi"):
+        self._assert_numpy_fallback(mini_world, events, "cffi")
+
+    def test_missing_compiler_falls_back_to_numpy(
+        self, mini_world, events, tmp_path, monkeypatch
+    ):
+        """No compiler on PATH and no library cached for it: the same
+        fallback, naming the compiler."""
+        pytest.importorskip("cffi")
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("CC", "repro-no-such-cc")
+        self._assert_numpy_fallback(mini_world, events, "repro-no-such-cc")
+
+    def test_failing_compiler_is_configuration_error(
+        self, events, request, monkeypatch
+    ):
+        """A compiler that exists but fails is a broken build, not an
+        absent toolchain: no silent fallback, and no skip either."""
+        pytest.importorskip("cffi")
+        monkeypatch.setenv("CC", "false")
+        with pytest.raises(ConfigurationError, match="failed to build"):
             get_backend("fast")
+        assert "engine.provider.numpy" not in obs.snapshot()["counters"]
+        with pytest.raises(ConfigurationError, match="failed to build"):
+            try:
+                request.getfixturevalue("fast_backend")
+            except pytest.skip.Exception:
+                pytest.fail("the fast_backend fixture skipped a broken build")
+
+    def test_every_default_site_is_fast(self, monkeypatch):
+        """Every entry point that defaulted to ``batched`` now defaults
+        to ``fast``."""
+        import argparse
+        import importlib.util
+        import inspect
+        from pathlib import Path
+
+        from repro.cli import build_parser
+        from repro.eval.aggregate import run_sweep
+        from repro.eval.campaign import run_campaign
+        from repro.eval.sweep_engine import SweepEngine
+        from repro.serve.manager import SessionManager
+        from repro.serve.online import OnlineServer
+        from repro.serve.scheduler import StepScheduler
+
+        assert DEFAULT_BACKEND == "fast"
+        assert SweepEngine.__dataclass_fields__["backend"].default == "fast"
+        for site in (run_sweep, run_campaign, StepScheduler, SessionManager, OnlineServer):
+            default = inspect.signature(site).parameters["backend"].default
+            assert default == "fast", site.__name__
+
+        def backend_defaults(parser, path=()):
+            for action in parser._actions:
+                if action.dest == "backend":
+                    yield " ".join(path), action.default
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from backend_defaults(child, path + (name,))
+
+        defaults = dict(backend_defaults(build_parser()))
+        # ``run`` replays one flight through the scalar oracle by design.
+        assert defaults.pop("run") == "reference"
+        assert defaults and set(defaults.values()) == {"fast"}, defaults
+
+        conftest = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("_bench_conftest", conftest)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert module.current_backend() == "fast"
 
 
 class TestScenarioEquivalence:
