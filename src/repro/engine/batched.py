@@ -118,6 +118,13 @@ __all__ = [
 #: runs slower per element than the reference's one-run tiles.
 OBS_CHUNK_ELEMENTS = 1 << 16
 
+#: Replay plans one backend instance keeps; the oldest insertion is
+#: evicted first.  Each plan holds its sequence, so this also bounds how
+#: many flights a long-lived backend (a campaign's, a pool worker's)
+#: keeps alive.  A sweep needs one plan per (sequence, gating signature)
+#: it replays; the paper protocol's six sequences fit well within it.
+_PLAN_CACHE_LIMIT = 16
+
 
 class ParticleStack:
     """``(R, N)`` particle populations with row-deterministic step ops.
@@ -625,13 +632,16 @@ class BatchedBackend:
 
         Keyed by object identity plus the gating/beam signature; the plan
         holds a strong reference to its sequence, which keeps ``id``
-        stable for the cache's lifetime.
+        stable while the plan is cached.  At most
+        :data:`_PLAN_CACHE_LIMIT` plans are kept.
         """
         key = (id(sequence), ReplayPlan.signature(config))
         plan = self._plans.get(key)
         if plan is None or plan.sequence is not sequence:
             obs.counter(COUNTER_PLAN_MISSES).inc()
             plan = ReplayPlan(sequence, config)
+            while len(self._plans) >= _PLAN_CACHE_LIMIT:
+                self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
         else:
             obs.counter(COUNTER_PLAN_HITS).inc()

@@ -1,12 +1,6 @@
 """Evaluation: the paper's metrics, run harness and sweep protocol."""
 
-from .aggregate import (
-    SweepCell,
-    SweepProtocol,
-    SweepResult,
-    build_shared_fields,
-    run_sweep,
-)
+from .aggregate import SweepCell, SweepProtocol, SweepResult, run_sweep
 from .bench import compare_backends, write_backend_report
 from .campaign import (
     CampaignCell,
@@ -58,7 +52,6 @@ __all__ = [
     "SweepCell",
     "SweepProtocol",
     "SweepResult",
-    "build_shared_fields",
     "run_sweep",
     "BeliefMode",
     "FilterTrace",

@@ -24,7 +24,6 @@ from ..common.rng import PAPER_SEEDS
 from ..core.config import MclConfig
 from ..dataset.recorder import RecordedSequence
 from ..engine.backend import DEFAULT_BACKEND
-from ..maps.distance_field import DistanceField, FieldKind
 from ..maps.occupancy import OccupancyGrid
 from .metrics import AggregateMetrics
 from .runner import RunResult
@@ -135,20 +134,6 @@ class RunningCellStats:
     @property
     def mean_ate_m(self) -> float | None:
         return self.ate_sum / self.ate_weight if self.ate_weight else None
-
-
-def build_shared_fields(
-    grid: OccupancyGrid, r_max: float, variants: list[str]
-) -> dict[str, DistanceField]:
-    """One distance field per storage kind used by the requested variants."""
-    fields: dict[str, DistanceField] = {}
-    needs_fp32 = any(v in ("fp32", "fp321tof") for v in variants)
-    needs_quant = any(v in ("fp32qm", "fp16qm") for v in variants)
-    if needs_fp32:
-        fields["float32"] = DistanceField.build(grid, r_max, FieldKind.FLOAT32)
-    if needs_quant:
-        fields["quantized_u8"] = DistanceField.build(grid, r_max, FieldKind.QUANTIZED_U8)
-    return fields
 
 
 def run_sweep(

@@ -16,8 +16,10 @@ survives at paper-study scale:
   their fingerprint into the content key, while pure paper variants at
   default parameters keep the legacy key — old stores resume byte-exactly;
 * **scenario-parallel execution** — cells fan out over a process pool at
-  (scenario, variant, N) granularity via the sweep engine's worker path,
-  each worker holding its own keyed distance-field cache;
+  (scenario, variant, N) granularity through the sweep engine's one pool
+  path (:func:`~repro.eval.sweep_engine.fan_out`): tasks ship scenario
+  ids, one warm task per scenario generates its cache on the pool, and
+  each worker keeps its scenarios, distance fields and backend;
 * **resumability** — a killed campaign restarts with ``resume=True`` and
   re-executes exactly the cells whose files are missing or torn; the
   final store is **byte-identical** to an uninterrupted run;
@@ -36,7 +38,6 @@ canonical JSON — so ``jobs=1`` vs ``jobs=N``, fresh vs resumed, and
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -56,14 +57,7 @@ from ..scenarios.registry import build_scenario, canonical_scenario_id
 from .runner import RunResult
 from ..engine.backend import DEFAULT_BACKEND, get_backend
 from .store import CampaignStore, canonical_json_bytes
-from .sweep_engine import (
-    DistanceFieldCache,
-    SweepCellSpec,
-    _execute_cell,
-    _execute_scenario_cell_by_id,
-    _warm_scenario_cache,
-    drain_futures,
-)
+from .sweep_engine import DistanceFieldCache, SweepCellSpec, _execute_cell, fan_out
 
 
 @lru_cache(maxsize=4096)
@@ -317,13 +311,17 @@ def run_campaign(
     any bytes already stored (a mismatch raises — it would mean the
     determinism contract broke).
 
-    ``jobs > 1`` fans (scenario, variant, N) cells across a process
-    pool.  Tasks ship only the scenario *id*: workers load worlds from
-    the registry's byte-stable ``.npz`` cache (pre-warmed by the parent,
-    so there is no generation race) and keep both scenarios and distance
-    fields cached per process.  Cells are streamed to disk as they
-    finish, in completion order — the store's content addressing makes
-    that order irrelevant.
+    ``jobs=1`` loads one scenario at a time, and the backend it builds
+    keeps at most :data:`repro.engine.batched._PLAN_CACHE_LIMIT` replay
+    plans (each holding its flight), so memory stays bounded however
+    many scenarios the campaign spans.  ``jobs > 1`` fans (scenario, variant, N) cells across
+    :func:`~repro.eval.sweep_engine.fan_out`'s process pool; the parent
+    builds no backend.  Tasks ship only the scenario *id*: one warm task
+    per scenario generates the registry's byte-stable ``.npz`` cache on
+    the pool (so there is no generation race), and workers keep
+    scenarios, distance fields and the backend cached per process.
+    Cells are streamed to disk as they finish, in completion order — the
+    store's content addressing makes that order irrelevant.
 
     ``shard=(index, count)`` executes only shard ``index`` of the
     :func:`shard_cells` split (multi-host scale-out): every shard writes
@@ -368,7 +366,6 @@ def run_campaign(
         progress(f"resume: {skipped}/{len(cells)} cells already stored")
 
     base_config = MclConfig()
-    pending_ids = dict.fromkeys(cell.scenario for cell in pending)
 
     obs.counter("campaign.cells_skipped").inc(skipped)
 
@@ -400,9 +397,9 @@ def run_campaign(
             # Resolve the backend once so its replay-plan cache serves
             # every cell (mirrors SweepEngine.__post_init__); one local
             # field cache shares each EDT across a scenario's cells.
-            # Cells are scenario-major, so only one scenario is held in
-            # memory at a time — campaigns over hundreds of worlds stay
-            # bounded.
+            # Cells are scenario-major, so only one scenario is loaded at
+            # a time — with the backend's bounded plan cache, campaigns
+            # over hundreds of worlds stay bounded.
             executor = get_backend(backend)
             field_cache = DistanceFieldCache()
             loaded_id, scenario = None, None
@@ -424,44 +421,12 @@ def run_campaign(
                 )
                 finish(cell, runs)
         else:
-            # Cold-start as a futures chain: one warm-up task per
-            # scenario generates its byte-stable .npz cache *on the
-            # pool*, and that scenario's cell tasks are submitted the
-            # moment its warm-up completes — generation overlaps both
-            # other scenarios' generation and already-ready scenarios'
-            # cell execution, instead of serializing in the parent.
-            # Exactly one warm task per scenario means workers never
-            # race to generate; cells only ever read the cache.
-            cells_by_scenario: dict[str, list[CampaignCell]] = {}
-            for cell in pending:
-                cells_by_scenario.setdefault(cell.scenario, []).append(cell)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures: dict = {}
-
-                def on_ready(scenario_id: str) -> None:
-                    for cell in cells_by_scenario[scenario_id]:
-                        futures[
-                            pool.submit(
-                                _execute_scenario_cell_by_id,
-                                cell.scenario,
-                                cell.seeds,
-                                cell.sweep_cell(base_config),
-                                backend,
-                            )
-                        ] = cell
-
-                def dispatch(tag, result) -> None:
-                    if isinstance(tag, CampaignCell):
-                        finish(tag, result)
-                    else:  # a scenario warm-up completed; fan its cells out
-                        obs.counter("campaign.scenarios_warmed").inc()
-                        on_ready(result)
-
-                for scenario_id in pending_ids:
-                    futures[
-                        pool.submit(_warm_scenario_cache, scenario_id)
-                    ] = scenario_id
-                drain_futures(futures, dispatch)
+            units = [
+                (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
+                for cell in pending
+            ]
+            for index, runs in fan_out(units, backend, jobs):
+                finish(pending[index], runs)
     finally:
         store.close()  # seal any active packed segment
 

@@ -17,11 +17,14 @@ lacked:
   once per engine, shared across variants and particle counts;
 * **process fan-out** — ``jobs > 1`` spreads independent cells over a
   process pool (cells are embarrassingly parallel; results are
-  reassembled in deterministic cell order).  Scenario sweeps fan out at
-  **scenario x cell** granularity: every (scenario, variant, N) unit is
-  an independent task, and each worker process keeps its own keyed
-  distance-field cache alive across tasks so an EDT is built at most
-  once per worker no matter how many cells share it.
+  reassembled in deterministic cell order).  :func:`fan_out` is the one
+  pool path: cell sweeps, scenario sweeps and campaigns all hand it
+  (world, seeds, cell) units, where a world is a registry scenario id or
+  an in-memory ``(grid, sequences)`` pair.  Each scenario id gets one
+  warm task that generates its ``.npz`` cache on the pool before its
+  cells run.  Worker processes keep their scenarios, distance fields
+  and backend instance across tasks, so an EDT is built at most once
+  per worker no matter how many cells share it.
 
 Every backend is bitwise-equivalent, so cell results do not depend on
 the backend or the job count — only wall-clock does.  That invariant is
@@ -33,6 +36,7 @@ stored result is a pure function of its content key, regardless of how
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -40,7 +44,13 @@ from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
 from ..core.config import ConfigSpec, MclConfig
 from ..dataset.recorder import RecordedSequence
-from ..engine.backend import DEFAULT_BACKEND, FilterBackend, RunSpec, get_backend
+from ..engine.backend import (
+    DEFAULT_BACKEND,
+    FilterBackend,
+    RunSpec,
+    available_backends,
+    get_backend,
+)
 from ..maps.distance_field import DistanceField, FieldKind
 from ..maps.occupancy import OccupancyGrid
 from .aggregate import SweepProtocol, SweepResult
@@ -151,7 +161,8 @@ def _execute_cell(
 ) -> list[RunResult]:
     """Run one cell's R = sequences x seeds runs through the backend.
 
-    Module-level so a process pool can dispatch it by qualified name.
+    The one cell executor: in-process sweeps and campaigns call it
+    directly, pool workers through :func:`_run_unit`.
     """
     specs = [
         RunSpec(sequence=sequence, seed=seed)
@@ -171,26 +182,15 @@ def _execute_cell(
     return runs
 
 
-def drain_futures(pending: dict, on_done) -> None:
-    """Drain a ``{future: context}`` map as completions arrive.
+#: A fan-out world: a registry scenario id, which workers load from its
+#: byte-stable ``.npz`` cache, or an in-memory ``(grid, sequences)`` pair,
+#: which is pickled into every task that runs on it.
+World = str | tuple[OccupancyGrid, list[RecordedSequence]]
 
-    Calls ``on_done(context, result)`` per finished future.  Shared by
-    every process fan-out in the evaluation stack (cell sweeps, scenario
-    sweeps, campaigns) so completion-handling behaves identically
-    everywhere; a failed task raises out of the loop with the remaining
-    futures left to the pool's shutdown handling.
-    """
-    while pending:
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            on_done(pending.pop(future), future.result())
-
-
-#: Per-worker-process caches for scenario-level fan-out.  Worker
-#: processes persist across pool tasks, so every EDT, resolved backend
-#: instance (with its replay-plan cache) and loaded scenario a worker
-#: needs is built once and reused by all later (scenario, cell) tasks
-#: that land on the same worker.
+#: Per-worker-process caches for the pool's tasks.  Worker processes
+#: persist across pool tasks, so every EDT, resolved backend instance
+#: (with its replay-plan cache) and loaded scenario a worker needs is
+#: built once and reused by all later tasks that land on the same worker.
 #: Scenarios (grid + recorded flight) and distance fields are the large
 #: per-worker cache entries; both caches are bounded so campaigns over
 #: hundreds of worlds don't grow worker memory without limit.  LRU-ish:
@@ -204,87 +204,106 @@ _WORKER_BACKENDS: dict[str, FilterBackend] = {}
 _WORKER_SCENARIOS: dict = {}
 
 
-def _worker_backend(backend: str | FilterBackend) -> FilterBackend:
+def _worker_backend(name: str) -> FilterBackend:
     """Resolve a backend name through the per-process instance cache.
 
     Resolving once per process (not once per task) is what lets the
     batched backend's per-sequence replay-plan cache serve every cell a
     worker executes, mirroring ``SweepEngine.__post_init__``.
     """
-    if not isinstance(backend, str):
-        return backend
-    if backend not in _WORKER_BACKENDS:
-        _WORKER_BACKENDS[backend] = get_backend(backend)
-    return _WORKER_BACKENDS[backend]
+    if name not in _WORKER_BACKENDS:
+        _WORKER_BACKENDS[name] = get_backend(name)
+    return _WORKER_BACKENDS[name]
 
 
-def _execute_scenario_cell(
-    grid: OccupancyGrid,
-    sequences: list[RecordedSequence],
+def _run_unit(
+    world: World,
     seeds: tuple[int, ...],
-    cell: SweepCellSpec,
-    backend: str | FilterBackend,
-) -> list[RunResult]:
-    """One (scenario, cell) fan-out unit: resolve the field, run the cell.
+    cell: SweepCellSpec | None,
+    backend: str,
+) -> list[RunResult] | None:
+    """The pool's worker task: run one (world, seeds, cell) unit.
 
-    Unlike :func:`_execute_cell`, the distance field is *not* shipped
-    with the task — it is resolved from the per-process
-    :data:`_WORKER_FIELD_CACHE`, keyed by map content, so parallel
-    scenario sweeps neither pickle EDTs per task nor rebuild them per
-    cell.  This is the pool-worker path only; sequential (``jobs=1``)
-    execution goes through the engine's own ``field_cache`` instead.
+    A scenario id resolves through :data:`_WORKER_SCENARIOS`; the first
+    task to touch it in this worker loads its ``.npz`` (the scenario's
+    warm task generates it).  The distance field comes from
+    :data:`_WORKER_FIELD_CACHE`, keyed by map content, and the backend
+    from :func:`_worker_backend`, so neither is shipped nor rebuilt per
+    task.  ``cell=None`` is a warm task: it resolves the world and
+    returns nothing.
     """
+    if isinstance(world, str):
+        scenario = _WORKER_SCENARIOS.get(world)
+        if scenario is None:
+            from ..scenarios.registry import build_scenario
+
+            scenario = build_scenario(world, cache=True)
+            while len(_WORKER_SCENARIOS) >= _WORKER_SCENARIO_LIMIT:
+                _WORKER_SCENARIOS.pop(next(iter(_WORKER_SCENARIOS)))
+            _WORKER_SCENARIOS[world] = scenario
+        world = (scenario.grid, [scenario.sequence])
+    if cell is None:
+        return None
+    grid, sequences = world
     fld = _WORKER_FIELD_CACHE.get(grid, cell.config.r_max, cell.field_kind)
     return _execute_cell(grid, sequences, seeds, cell, fld, _worker_backend(backend))
 
 
-def _execute_scenario_cell_by_id(
-    scenario_id: str,
-    seeds: tuple[int, ...],
-    cell: SweepCellSpec,
+def fan_out(
+    units: list[tuple[World, tuple[int, ...], SweepCellSpec]],
     backend: str | FilterBackend,
-) -> list[RunResult]:
-    """Like :func:`_execute_scenario_cell`, but shipping only the id.
+    jobs: int,
+) -> Iterator[tuple[int, list[RunResult]]]:
+    """Run (world, seeds, cell) units on a process pool of ``jobs`` workers.
 
-    The task carries a scenario *id* instead of pickled grid/sequence
-    arrays; the worker loads the byte-stable ``.npz`` from the registry
-    cache on first touch and keeps it in :data:`_WORKER_SCENARIOS`
-    (bounded to :data:`_WORKER_SCENARIO_LIMIT` entries) for every later
-    cell of the same scenario.  Callers must have generated the scenario
-    (``cache=True``) before fan-out, so workers only ever read the cache
-    and never race to generate.
+    Yields ``(index into units, runs)`` as each unit finishes, in
+    completion order.  Units on an in-memory world are submitted at
+    once.  Each scenario id first gets exactly one warm task, which
+    generates its ``.npz`` cache on the pool; the scenario's cells are
+    submitted when it completes.  Generation thus overlaps other
+    scenarios' work, and workers never race to generate.
+
+    Tasks carry the backend's name, never an instance: the ``fast``
+    backend holds a cffi library, which cannot be pickled.  Workers
+    resolve the name once per process, and the parent builds no backend
+    here.  An instance whose ``name`` is not a registered backend raises
+    :class:`ConfigurationError` before any task is submitted.
     """
-    scenario = _WORKER_SCENARIOS.get(scenario_id)
-    if scenario is None:
-        from ..scenarios.registry import build_scenario
+    name = backend if isinstance(backend, str) else backend.name
+    if name not in available_backends():
+        raise ConfigurationError(
+            f"backend {name!r} cannot cross the process pool: workers "
+            f"resolve backends by name, one of {', '.join(available_backends())}"
+        )
+    cells_of: dict[str, list[int]] = {}
+    for index, (world, _, _) in enumerate(units):
+        if isinstance(world, str):
+            cells_of.setdefault(world, []).append(index)
 
-        scenario = build_scenario(scenario_id, cache=True)
-        while len(_WORKER_SCENARIOS) >= _WORKER_SCENARIO_LIMIT:
-            _WORKER_SCENARIOS.pop(next(iter(_WORKER_SCENARIOS)))
-        _WORKER_SCENARIOS[scenario_id] = scenario
-    return _execute_scenario_cell(
-        scenario.grid, [scenario.sequence], seeds, cell, backend
-    )
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
 
+        def submit(indices) -> dict:
+            return {
+                pool.submit(_run_unit, *units[index], name): index
+                for index in indices
+            }
 
-def _warm_scenario_cache(scenario_id: str) -> str:
-    """Pool task: generate one scenario into the byte-stable ``.npz`` cache.
-
-    The campaign cold-start chains this ahead of the scenario's cell
-    tasks (generation itself runs on the pool, in parallel across
-    scenarios, instead of serially in the parent).  Exactly one warm
-    task is submitted per scenario, so cache generation never races; the
-    warmed world also lands in this worker's :data:`_WORKER_SCENARIOS`
-    since the worker is likely to execute some of the scenario's cells.
-    Returns the id so the completion handler knows what became ready.
-    """
-    from ..scenarios.registry import build_scenario
-
-    scenario = build_scenario(scenario_id, cache=True)
-    while len(_WORKER_SCENARIOS) >= _WORKER_SCENARIO_LIMIT:
-        _WORKER_SCENARIOS.pop(next(iter(_WORKER_SCENARIOS)))
-    _WORKER_SCENARIOS[scenario_id] = scenario
-    return scenario_id
+        pending = submit(
+            index
+            for index, (world, _, _) in enumerate(units)
+            if not isinstance(world, str)
+        )
+        for scenario_id in cells_of:
+            pending[pool.submit(_run_unit, scenario_id, (), None, name)] = scenario_id
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                tag, runs = pending.pop(future), future.result()
+                if isinstance(tag, str):  # the scenario is warm: fan its cells out
+                    obs.counter("sweep.scenarios_warmed").inc()
+                    pending.update(submit(cells_of[tag]))
+                else:
+                    yield tag, runs
 
 
 @dataclass
@@ -294,9 +313,10 @@ class SweepEngine:
     ``backend`` names the :class:`FilterBackend` every cell is dispatched
     through (``"fast"`` by default — bitwise-equivalent to
     ``"reference"`` and several times faster on multi-run cells).
-    ``jobs`` > 1 fans independent cells out across worker processes.
-    The ``field_cache`` may be shared between engines to reuse EDTs
-    across sweeps of the same map.
+    ``jobs`` > 1 fans independent cells out across worker processes
+    through :func:`fan_out`.  The ``field_cache`` serves in-process
+    (``jobs=1``) execution and may be shared between engines to reuse
+    EDTs across sweeps of the same map; pool workers keep their own.
     """
 
     backend: str | FilterBackend = DEFAULT_BACKEND
@@ -335,16 +355,6 @@ class SweepEngine:
         used_sequences = sequences[: protocol.sequence_count]
         cells = _cell_specs(base_config, variants, particle_counts)
 
-        # Resolve every cell's field up front through the keyed cache:
-        # cells sharing (kind, r_max) share one EDT, and r_max-ablated
-        # cells get their own truncation instead of the base config's.
-        fields = {
-            (cell.field_kind, cell.config.r_max): self.field_cache.get(
-                grid, cell.config.r_max, cell.field_kind
-            )
-            for cell in cells
-        }
-
         result = SweepResult()
         for cell in cells:  # pre-create cells in deterministic order
             result.cell(cell.variant, cell.particle_count)
@@ -361,35 +371,33 @@ class SweepEngine:
                         f"success={metrics.success} ate={metrics.ate_mean_m:.3f}"
                     )
 
-        if self.jobs == 1:
-            for cell in cells:
-                collect(
-                    cell,
-                    _execute_cell(
-                        grid,
-                        used_sequences,
-                        protocol.seeds,
-                        cell,
-                        fields[(cell.field_kind, cell.config.r_max)],
-                        self._executor,
-                    ),
-                )
+        if self.jobs > 1:
+            units = [((grid, used_sequences), protocol.seeds, cell) for cell in cells]
+            for index, runs in fan_out(units, self.backend, self.jobs):
+                collect(cells[index], runs)
             return result
 
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            pending = {
-                pool.submit(
-                    _execute_cell,
+        # Resolve every cell's field up front through the keyed cache:
+        # cells sharing (kind, r_max) share one EDT, and r_max-ablated
+        # cells get their own truncation instead of the base config's.
+        fields = {
+            (cell.field_kind, cell.config.r_max): self.field_cache.get(
+                grid, cell.config.r_max, cell.field_kind
+            )
+            for cell in cells
+        }
+        for cell in cells:
+            collect(
+                cell,
+                _execute_cell(
                     grid,
                     used_sequences,
                     protocol.seeds,
                     cell,
                     fields[(cell.field_kind, cell.config.r_max)],
-                    self.backend,
-                ): cell
-                for cell in cells
-            }
-            drain_futures(pending, collect)
+                    self._executor,
+                ),
+            )
         return result
 
     def run_scenarios(
@@ -417,12 +425,16 @@ class SweepEngine:
         order; duplicate specs are swept once.
 
         With ``jobs > 1`` the fan-out unit is **scenario x cell**: every
-        (scenario, variant, N) triple is an independent pool task, so a
-        sweep spanning dozens of generated worlds saturates the pool
-        even when each world contributes only a few cells.  Worker
-        processes keep their own keyed distance-field cache across
-        tasks.  Results are reassembled in deterministic order and are
-        bitwise identical to the sequential sweep.
+        (scenario, variant, N) triple is an independent :func:`fan_out`
+        unit, so a sweep spanning dozens of generated worlds saturates the
+        pool even when each world contributes only a few cells.  Specs
+        resolved with ``cache=True`` ship as scenario ids: the pool
+        generates or loads them, not the parent.  In-memory
+        :class:`~repro.scenarios.base.Scenario` instances and ``cache=False``
+        resolutions have no ``.npz`` to read back, so their world is
+        pickled into every task.  Results are reassembled in
+        deterministic order and are bitwise identical to the sequential
+        sweep.
 
         Example::
 
@@ -435,33 +447,31 @@ class SweepEngine:
             ate = results["office:3"].ate_series("fp32", [64, 256])
         """
         from ..scenarios.base import Scenario
-        from ..scenarios.registry import build_scenario
+        from ..scenarios.registry import build_scenario, canonical_scenario_id
 
         if not scenarios:
             raise EvaluationError("scenario sweep needs at least one scenario")
-        unique: dict[str, Scenario] = {}
-        cached_ids: set[str] = set()  # resolvable from the .npz cache
+        unique: dict[str, World] = {}  # distinct ids, in input order
         for item in scenarios:
-            if isinstance(item, Scenario):
-                scenario = item
-            else:
-                scenario = build_scenario(item, cache=cache)
-                if cache:
-                    cached_ids.add(scenario.spec.id)
-            unique.setdefault(scenario.spec.id, scenario)
+            if not isinstance(item, Scenario):
+                if cache and self.jobs > 1:  # the pool generates or loads it
+                    scenario_id = canonical_scenario_id(item)
+                    unique.setdefault(scenario_id, scenario_id)
+                    continue
+                item = build_scenario(item, cache=cache)
+            unique.setdefault(item.spec.id, (item.grid, [item.sequence]))
 
         if self.jobs == 1:
             return {
                 scenario_id: self.run(
-                    scenario.grid,
-                    [scenario.sequence],
+                    *world,
                     variants,
                     particle_counts,
                     protocol=protocol,
                     base_config=base_config,
                     progress=progress,
                 )
-                for scenario_id, scenario in unique.items()
+                for scenario_id, world in unique.items()
             }
 
         protocol = protocol or SweepProtocol.from_env()
@@ -478,9 +488,10 @@ class SweepEngine:
             # sequential path, which slices sequences[:0] in run().
             return results
 
-        def collect(
-            scenario_id: str, cell: SweepCellSpec, runs: list[RunResult]
-        ) -> None:
+        targets = [(scenario_id, cell) for scenario_id in unique for cell in cells]
+        units = [(unique[key], protocol.seeds, cell) for key, cell in targets]
+        for index, runs in fan_out(units, self.backend, self.jobs):
+            scenario_id, cell = targets[index]
             target = results[scenario_id].cell(cell.variant, cell.particle_count)
             for run in runs:
                 target.add(run)
@@ -489,38 +500,4 @@ class SweepEngine:
                         f"{scenario_id} {cell.variant} N={cell.particle_count} "
                         f"seed={run.seed}: success={run.metrics.success}"
                     )
-
-        def submit(pool, scenario_id: str, cell: SweepCellSpec):
-            # Registry-cached scenarios ship as ids (workers reload the
-            # byte-stable .npz once per process); raw in-memory Scenario
-            # instances and cache=False resolutions have no cache file
-            # to read back, so they are pickled per task — the price of
-            # asking for no cache writes.
-            if scenario_id in cached_ids:
-                return pool.submit(
-                    _execute_scenario_cell_by_id,
-                    scenario_id,
-                    protocol.seeds,
-                    cell,
-                    self.backend,
-                )
-            scenario = unique[scenario_id]
-            return pool.submit(
-                _execute_scenario_cell,
-                scenario.grid,
-                [scenario.sequence],
-                protocol.seeds,
-                cell,
-                self.backend,
-            )
-
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            pending = {
-                submit(pool, scenario_id, cell): (scenario_id, cell)
-                for scenario_id in unique
-                for cell in cells
-            }
-            drain_futures(
-                pending, lambda context, runs: collect(*context, runs)
-            )
         return results

@@ -268,6 +268,41 @@ class TestRunCampaign:
         assert summary.executed == 0
         assert summary.skipped == summary.total_cells
 
+    def test_backend_keeps_a_bounded_number_of_flights(self, tmp_path, monkeypatch):
+        """Each replay plan holds its flight, so the backend a campaign
+        resolves must evict plans, or every flight stays alive."""
+        import gc
+        import weakref
+
+        import repro.engine.batched as batched
+        import repro.eval.campaign as campaign_module
+
+        monkeypatch.setattr(batched, "_PLAN_CACHE_LIMIT", 2)
+        get_backend = campaign_module.get_backend
+        build_scenario = campaign_module.build_scenario
+        backends, flights = [], []
+
+        def keep_backend(name):
+            backends.append(get_backend(name))
+            return backends[-1]
+
+        def track_flight(spec, cache=True):
+            scenario = build_scenario(spec, cache=cache)
+            flights.append(weakref.ref(scenario.sequence))
+            return scenario
+
+        spec = CampaignSpec(
+            name="plans", scenarios=SCENARIOS + ("corridor:3:flight_s=6.0",),
+            variants=VARIANTS, particle_counts=(16,), seeds=(0,),
+        )
+        monkeypatch.setattr(campaign_module, "get_backend", keep_backend)
+        monkeypatch.setattr(campaign_module, "build_scenario", track_flight)
+        run_campaign(spec, backend="batched", store=CampaignStore("plans", root=tmp_path))
+        gc.collect()
+        assert len(backends) == 1 and len(flights) == 3
+        assert flights[0]() is None  # its plan was evicted
+        assert flights[2]() is not None  # still planned by the live backend
+
     def test_jobs_fanout_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
         fanned = CampaignStore("tiny", root=tmp_path / "jobs2")

@@ -11,11 +11,7 @@ import pytest
 from repro.common.errors import EvaluationError
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
-from repro.eval.aggregate import (
-    SweepProtocol,
-    build_shared_fields,
-    run_sweep,
-)
+from repro.eval.aggregate import SweepProtocol, run_sweep
 from repro.eval.runner import run_localization
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
@@ -116,17 +112,6 @@ class TestProtocol:
         monkeypatch.setenv("REPRO_SCALE", "huge")
         with pytest.raises(EvaluationError):
             SweepProtocol.from_env()
-
-
-class TestSharedFields:
-    def test_builds_only_needed_kinds(self, mini_world):
-        grid, __ = mini_world
-        fields = build_shared_fields(grid, 1.5, ["fp32"])
-        assert set(fields) == {"float32"}
-        fields = build_shared_fields(grid, 1.5, ["fp16qm", "fp32qm"])
-        assert set(fields) == {"quantized_u8"}
-        fields = build_shared_fields(grid, 1.5, ["fp32", "fp16qm"])
-        assert set(fields) == {"float32", "quantized_u8"}
 
 
 class TestRunSweep:

@@ -10,11 +10,16 @@ from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.eval.aggregate import SweepProtocol, run_sweep
 from repro.eval.bench import compare_backends, write_backend_report
-from repro.eval.sweep_engine import DistanceFieldCache, SweepEngine
+from repro.eval.sweep_engine import DistanceFieldCache, SweepEngine, _cell_specs
 from repro.maps.distance_field import FieldKind
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
 from repro.vehicle.crazyflie import CrazyflieSimulator, SimConfig
+
+
+#: Two short generated worlds; their .npz caches live in the session's
+#: tmp data dir, so every scenario test after the first loads them.
+SCENARIOS = ("corridor:2:flight_s=6.0", "office:1:flight_s=6.0")
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,35 @@ def _cell_signatures(result):
             for run in sorted(cell.runs, key=lambda r: (r.sequence_name, r.seed))
         ]
     return signatures
+
+
+def _assert_fanout_matches_inline(backend, grid, sequence):
+    protocol = SweepProtocol(sequence_count=1, seeds=(0, 1))
+    inline = SweepEngine(backend=backend, jobs=1).run(
+        grid, [sequence], ["fp32"], [64, 128], protocol=protocol
+    )
+    fanned = SweepEngine(backend=backend, jobs=2).run(
+        grid, [sequence], ["fp32"], [64, 128], protocol=protocol
+    )
+    assert _cell_signatures(inline) == _cell_signatures(fanned)
+
+
+def _assert_scenario_fanout_matches_inline(scenarios, backend, cache=True):
+    # Scenario sweeps fan out at (scenario, cell) granularity; the
+    # reassembled per-scenario results must match the sequential path
+    # run for run (mirrors _assert_fanout_matches_inline).
+    protocol = SweepProtocol(sequence_count=1, seeds=(0, 1))
+    inline = SweepEngine(backend=backend, jobs=1).run_scenarios(
+        scenarios, ["fp32"], [16, 32], protocol=protocol, cache=cache
+    )
+    fanned = SweepEngine(backend=backend, jobs=2).run_scenarios(
+        scenarios, ["fp32"], [16, 32], protocol=protocol, cache=cache
+    )
+    assert list(inline) == list(fanned)  # same scenarios, same order
+    for scenario_id in inline:
+        assert _cell_signatures(inline[scenario_id]) == _cell_signatures(
+            fanned[scenario_id]
+        )
 
 
 class TestDistanceFieldCache:
@@ -91,33 +125,66 @@ class TestSweepEngine:
         assert engine.field_cache.misses == 2
 
     def test_process_fanout_matches_inline(self, mini_world):
-        grid, sequence = mini_world
-        protocol = SweepProtocol(sequence_count=1, seeds=(0, 1))
-        inline = SweepEngine(backend="batched", jobs=1).run(
-            grid, [sequence], ["fp32"], [64, 128], protocol=protocol
-        )
-        fanned = SweepEngine(backend="batched", jobs=2).run(
-            grid, [sequence], ["fp32"], [64, 128], protocol=protocol
-        )
-        assert _cell_signatures(inline) == _cell_signatures(fanned)
+        _assert_fanout_matches_inline("batched", *mini_world)
+
+    def test_process_fanout_matches_inline_on_fast(self, mini_world, fast_backend):
+        # The instance holds the C provider's cffi library, which cannot
+        # be pickled: only its name may cross the pool.
+        _assert_fanout_matches_inline(fast_backend, *mini_world)
 
     def test_scenario_fanout_matches_inline(self):
-        # Scenario sweeps fan out at (scenario, cell) granularity; the
-        # reassembled per-scenario results must match the sequential path
-        # run for run (mirrors test_process_fanout_matches_inline).
-        scenarios = ["corridor:2:flight_s=6.0", "office:1:flight_s=6.0"]
-        protocol = SweepProtocol(sequence_count=1, seeds=(0, 1))
-        inline = SweepEngine(backend="batched", jobs=1).run_scenarios(
-            scenarios, ["fp32"], [16, 32], protocol=protocol
-        )
-        fanned = SweepEngine(backend="batched", jobs=2).run_scenarios(
-            scenarios, ["fp32"], [16, 32], protocol=protocol
-        )
-        assert list(inline) == list(fanned)  # same scenarios, same order
-        for scenario_id in inline:
-            assert _cell_signatures(inline[scenario_id]) == _cell_signatures(
-                fanned[scenario_id]
-            )
+        _assert_scenario_fanout_matches_inline(SCENARIOS, "batched")
+
+    def test_scenario_fanout_matches_inline_on_fast(self, fast_backend):
+        _assert_scenario_fanout_matches_inline(SCENARIOS, fast_backend)
+
+    def test_scenario_fanout_pickles_in_memory_worlds(self):
+        # An in-memory Scenario rides next to a registry id in one pool;
+        # with cache=False every world is pickled into its tasks.
+        from repro.scenarios.registry import build_scenario
+
+        office = build_scenario(SCENARIOS[1])
+        _assert_scenario_fanout_matches_inline([SCENARIOS[0], office], "batched")
+        _assert_scenario_fanout_matches_inline(SCENARIOS, "batched", cache=False)
+
+    def test_worker_task_resolves_one_backend_per_process(self, monkeypatch):
+        import repro.eval.sweep_engine as sweep_engine
+        from repro.engine.backend import get_backend
+
+        resolved = []
+
+        def resolve(name):
+            resolved.append(get_backend(name))
+            return resolved[-1]
+
+        monkeypatch.setattr(sweep_engine, "get_backend", resolve)
+        monkeypatch.setattr(sweep_engine, "_WORKER_BACKENDS", {})
+        monkeypatch.setattr(sweep_engine, "_WORKER_SCENARIOS", {})
+        monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
+        cells = _cell_specs(MclConfig(), ["fp32"], [16, 32])
+        world = SCENARIOS[0]
+        assert sweep_engine._run_unit(world, (), None, "batched") is None  # warm
+        assert resolved == []
+        for cell in cells:
+            assert len(sweep_engine._run_unit(world, (0,), cell, "batched")) == 1
+        assert len(resolved) == 1
+        assert sweep_engine._WORKER_FIELD_CACHE.misses == 1
+
+    def test_unresolvable_backend_instance_rejected_before_fanout(
+        self, mini_world, monkeypatch
+    ):
+        import repro.eval.sweep_engine as sweep_engine
+        from repro.engine.backend import get_backend
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for an unresolvable backend")
+
+        monkeypatch.setattr(sweep_engine, "ProcessPoolExecutor", no_pool)
+        backend = get_backend("batched")
+        backend.name = "quantum"
+        grid, sequence = mini_world
+        with pytest.raises(ConfigurationError, match="quantum"):
+            SweepEngine(backend=backend, jobs=2).run(grid, [sequence], ["fp32"], [16])
 
     def test_scenario_sweep_dedupes_specs(self):
         protocol = SweepProtocol(sequence_count=1, seeds=(0,))
