@@ -60,11 +60,10 @@ from .runner import RunResult, run_localization_batch
 class DistanceFieldCache:
     """Distance fields keyed by (map content, r_max, storage kind).
 
-    The EDT is by far the most expensive precomputation of a sweep; this
-    cache guarantees each distinct (map, truncation, kind) triple is
-    computed once and shared by reference across every cell that needs
-    it.  Keys fingerprint the grid *content*, so two identical maps in
-    different objects still share one field.
+    Each distinct (map, truncation, kind) triple is computed once and
+    shared by reference across every cell that needs it.  Keys
+    fingerprint the grid *content*, so two identical maps in different
+    objects still share one field.
 
     ``limit`` bounds how many fields are retained (oldest insertion
     evicted first); ``None`` keeps everything — right for single-map

@@ -2,14 +2,30 @@
 
 The observation model (paper Eq. 1) scores a beam endpoint by its distance
 to the nearest obstacle; those distances are precomputed per cell with the
-exact EDT algorithm of Felzenszwalb & Huttenlocher, *Distance Transforms of
-Sampled Functions* (Theory of Computing, 2012) — the very algorithm the
-paper cites ([21]).
+exact EDT of Felzenszwalb & Huttenlocher, *Distance Transforms of Sampled
+Functions* (Theory of Computing, 2012) — the transform the paper cites
+([21]).
 
-The algorithm computes the squared distance transform as the lower envelope
-of parabolas in two separable 1-D passes (columns then rows).  It is exact
-(no chamfer approximation) and O(n) per 1-D pass.  The result is converted
-to metres and truncated at ``r_max`` (paper Sec. III-C1).
+F&H separate the squared transform into a pass over columns and a pass
+over rows: with ``G[r, c]`` the squared distance from cell ``(r, c)`` to the
+nearest obstacle in its own column, the squared distance to the nearest
+obstacle anywhere is ``D[r, c] = min over d of d**2 + G[r, c + d]``.
+:func:`squared_edt` computes exactly that ``D`` — the same integers F&H's
+lower-envelope scans produce, with no chamfer approximation — in two
+whole-array numpy passes:
+
+1. **Columns.** A running ``np.maximum.accumulate`` of obstacle row
+   indices from the top and an ``np.minimum.accumulate`` from the bottom
+   give every cell its nearest obstacle row above and below; the nearer
+   one gives ``G``.
+2. **Rows.** ``D`` starts as ``G`` and takes the minimum with
+   ``d**2 + G[r, c - d]`` and ``d**2 + G[r, c + d]`` for ``d = 1, 2, ...``,
+   stopping once ``d**2 >= D.max()``: no farther column can then lower
+   any cell.
+
+Pass 2 runs one step per cell of the largest distance in the grid.  The
+result is converted to metres and truncated at ``r_max`` (paper
+Sec. III-C1).
 """
 
 from __future__ import annotations
@@ -19,61 +35,51 @@ import numpy as np
 from ..common.errors import MapError
 from .occupancy import OccupancyGrid
 
-#: Squared-distance value representing "no obstacle in this 1-D slice yet".
+#: Squared distance returned for every cell of a mask with no obstacle.
 _INF = np.float64(1e20)
-
-
-def _edt_1d_squared(f: np.ndarray) -> np.ndarray:
-    """1-D squared distance transform of a sampled function ``f``.
-
-    Computes ``d[q] = min_p ((q - p)^2 + f[p])`` via the lower envelope of
-    the parabolas ``y = (q - p)^2 + f[p]``.  This is the exact 1-D kernel
-    from Felzenszwalb & Huttenlocher (2012), Fig. 1.
-    """
-    n = f.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.int64)  # locations of parabolas in the envelope
-    z = np.empty(n + 1, dtype=np.float64)  # boundaries between parabolas
-    k = 0
-    z[0] = -_INF
-    z[1] = _INF
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _INF
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
 
 
 def squared_edt(obstacle_mask: np.ndarray) -> np.ndarray:
     """Exact squared EDT (in cells²) of a boolean obstacle mask.
 
     Cells where ``obstacle_mask`` is True have distance 0.  Returns a
-    float64 array of squared cell distances.  A mask with no obstacles
-    returns ``inf``-like values (``>= 1e20``) everywhere.
+    float64 array of squared cell distances, each an exact integer.  A
+    mask with no obstacles returns ``inf``-like values (``>= 1e20``)
+    everywhere.
     """
     mask = np.asarray(obstacle_mask, dtype=bool)
     if mask.ndim != 2:
         raise MapError(f"obstacle mask must be 2-D, got shape {mask.shape}")
+    if not mask.any():
+        return np.full(mask.shape, _INF)
     rows, cols = mask.shape
-    # Seed: 0 on obstacles, +inf elsewhere.
-    dist_sq = np.where(mask, 0.0, _INF)
-    # Pass 1: transform each column independently.
-    for col in range(cols):
-        dist_sq[:, col] = _edt_1d_squared(dist_sq[:, col])
-    # Pass 2: transform each row of the column result.
-    for row in range(rows):
-        dist_sq[row, :] = _edt_1d_squared(dist_sq[row, :])
-    return dist_sq
+    # Farther than any two cells of the grid: the column distance of a
+    # column with no obstacle.  Every value below stays under
+    # (2 * rows + cols) ** 2 + cols ** 2, which int64 holds for any grid
+    # that fits in memory.
+    far = rows + cols
+    index = np.arange(rows, dtype=np.int64)[:, None]
+    # Pass 1: distance to the nearest obstacle above and below in each
+    # column, from running extrema of the obstacle row indices.
+    up = np.where(mask, index, -far)
+    np.maximum.accumulate(up, axis=0, out=up)
+    np.subtract(index, up, out=up)
+    down = np.where(mask, index, rows + far)
+    np.minimum.accumulate(down[::-1], axis=0, out=down[::-1])
+    down -= index
+    column_sq = np.minimum(up, down, out=up)
+    column_sq *= column_sq
+    # Pass 2: the nearest column, one column offset d at a time.
+    best = column_sq.copy()
+    shifted = down  # spent; holds d**2 + column_sq shifted by d
+    d = 1
+    while d < cols and d * d < best.max():
+        np.add(column_sq[:, d:], d * d, out=shifted[:, :-d])
+        np.minimum(best[:, :-d], shifted[:, :-d], out=best[:, :-d])
+        np.add(column_sq[:, :-d], d * d, out=shifted[:, d:])
+        np.minimum(best[:, d:], shifted[:, d:], out=best[:, d:])
+        d += 1
+    return best.astype(np.float64)
 
 
 def euclidean_distance_field(
@@ -106,8 +112,8 @@ def euclidean_distance_field(
 def brute_force_edt(obstacle_mask: np.ndarray) -> np.ndarray:
     """O(n²) reference EDT in cells, for testing the fast implementation.
 
-    Only suitable for small grids; used by the unit and property tests as
-    an independent oracle alongside ``scipy.ndimage``.
+    Only suitable for small grids; the unit tests use it as an
+    independent oracle.
     """
     mask = np.asarray(obstacle_mask, dtype=bool)
     rows, cols = mask.shape

@@ -40,7 +40,11 @@ def cast_ray(
     row, col = grid.world_to_grid(start_x, start_y)
     row = int(row)
     col = int(col)
-    if bool(grid.in_bounds(row, col)) and grid.cells[row, col] == CellState.OCCUPIED:
+    # The stepping loop below runs per cell: look up the grid once here.
+    cells = grid.cells
+    rows, cols = cells.shape
+    occupied = int(CellState.OCCUPIED)
+    if 0 <= row < rows and 0 <= col < cols and cells[row, col] == occupied:
         return 0.0
 
     dir_x = math.cos(angle)
@@ -86,10 +90,10 @@ def cast_ray(
             row += step_row
         if travelled > max_range:
             break
-        if not (0 <= row < grid.rows and 0 <= col < grid.cols):
+        if not (0 <= row < rows and 0 <= col < cols):
             # Outside the map: nothing left to hit along this ray.
             break
-        if grid.cells[row, col] == CellState.OCCUPIED:
+        if cells[row, col] == occupied:
             return float(travelled)
     return float(max_range)
 

@@ -1,67 +1,97 @@
-"""Tests for the Felzenszwalb–Huttenlocher Euclidean distance transform."""
+"""Tests for the exact Euclidean distance transform.
+
+Squared cell distances are integers, so ``squared_edt`` is compared
+exactly (``array_equal``) with a brute-force minimum over every obstacle.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import ndimage
 
 from repro.common.errors import MapError
 from repro.maps.edt import brute_force_edt, euclidean_distance_field, squared_edt
 from repro.maps.occupancy import CellState, OccupancyGrid
 
+#: Shapes that exercise both passes' edges: single cells, single rows and
+#: columns, and non-square grids either way round.
+SHAPES = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (3, 17), (17, 3), (12, 25)]
+CORNERS = [(0, 0), (0, -1), (-1, 0), (-1, -1)]
 
-def _scipy_reference(mask: np.ndarray) -> np.ndarray:
-    """scipy computes distance of nonzero cells to the nearest zero cell."""
-    return ndimage.distance_transform_edt(~mask)
+
+def _brute_force_squared(mask: np.ndarray) -> np.ndarray:
+    """Integer squared distance from every cell to its nearest obstacle."""
+    obs_r, obs_c = np.nonzero(mask)
+    grid_r, grid_c = np.indices(mask.shape)
+    dr = grid_r[:, :, None] - obs_r
+    dc = grid_c[:, :, None] - obs_c
+    return np.min(dr * dr + dc * dc, axis=2)
+
+
+def _assert_exact(mask: np.ndarray) -> None:
+    ours = squared_edt(mask)
+    assert ours.dtype == np.float64
+    np.testing.assert_array_equal(ours, _brute_force_squared(mask))
 
 
 class TestSquaredEdt:
     def test_single_obstacle(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        dist = np.sqrt(squared_edt(mask))
-        assert dist[2, 2] == 0.0
-        assert dist[2, 3] == pytest.approx(1.0)
-        assert dist[0, 0] == pytest.approx(np.sqrt(8.0))
+        dist_sq = squared_edt(mask)
+        assert dist_sq[2, 2] == 0.0
+        assert dist_sq[2, 3] == 1.0
+        assert dist_sq[0, 0] == 8.0
+        # One obstacle in a corner: the farthest cell is the opposite
+        # corner, so pass 2 runs to the full diagonal.
+        for shape in SHAPES + [(31, 47), (47, 31)]:
+            for corner in CORNERS:
+                mask = np.zeros(shape, dtype=bool)
+                mask[corner] = True
+                _assert_exact(mask)
 
-    def test_matches_scipy_on_random_masks(self):
+    def test_matches_brute_force_on_random_masks(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            mask = rng.random((20, 30)) < 0.1
-            if not mask.any():
-                mask[0, 0] = True
-            ours = np.sqrt(squared_edt(mask))
-            np.testing.assert_allclose(ours, _scipy_reference(mask), atol=1e-9)
+        for shape in [(20, 30)] * 10 + SHAPES * 2:
+            mask = rng.random(shape) < 0.1
+            mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
+            _assert_exact(mask)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         mask = rng.random((12, 9)) < 0.15
         mask[3, 3] = True
-        np.testing.assert_allclose(
-            np.sqrt(squared_edt(mask)), brute_force_edt(mask), atol=1e-9
-        )
+        np.testing.assert_array_equal(np.sqrt(squared_edt(mask)), brute_force_edt(mask))
 
     def test_rejects_non_2d(self):
         with pytest.raises(MapError):
             squared_edt(np.zeros(5, dtype=bool))
 
     def test_all_obstacles_zero_everywhere(self):
-        mask = np.ones((4, 4), dtype=bool)
-        np.testing.assert_array_equal(squared_edt(mask), np.zeros((4, 4)))
+        for shape in SHAPES + [(4, 4)]:
+            np.testing.assert_array_equal(
+                squared_edt(np.ones(shape, dtype=bool)), np.zeros(shape)
+            )
 
     def test_no_obstacles_is_effectively_infinite(self):
-        assert np.all(squared_edt(np.zeros((3, 3), dtype=bool)) >= 1e19)
+        for shape in SHAPES + [(3, 3)]:
+            dist_sq = squared_edt(np.zeros(shape, dtype=bool))
+            assert dist_sq.shape == shape
+            assert np.all(dist_sq >= 1e20)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(2, 16))
-    def test_property_matches_scipy(self, seed, rows, cols):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.sampled_from([0.0, 0.02, 0.25, 0.7, 1.0]),
+    )
+    def test_property_matches_brute_force(self, seed, rows, cols, density):
         rng = np.random.default_rng(seed)
-        mask = rng.random((rows, cols)) < 0.25
-        if not mask.any():
-            mask[rows // 2, cols // 2] = True
-        np.testing.assert_allclose(
-            np.sqrt(squared_edt(mask)), _scipy_reference(mask), atol=1e-9
-        )
+        mask = rng.random((rows, cols)) < density
+        if mask.any():
+            _assert_exact(mask)
+        else:
+            assert np.all(squared_edt(mask) >= 1e20)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
