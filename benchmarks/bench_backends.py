@@ -16,9 +16,10 @@ override it).  Expected shape on one core:
   inherits that run loop, so it must never regress against batched;
 * large N (>= 1024): the per-element EDT/transform math dominates.  The
   batched backend converges to the reference wall-clock there (both are
-  wide-numpy bound), while the fast backend's fused per-row kernels —
-  no ``(R, N, K)`` temporaries, one vectorized transform+gather+tree
-  pass per row — must beat the reference >= 5x at fp32/N=1024.
+  wide-numpy bound), while the fast backend's C stages — no
+  ``(R, N, K)`` temporaries, one vectorized transform+gather+tree pass
+  per row, all rows in one call — must beat the reference >= 5x at
+  fp32/N=1024.
 
 The report also records the ``provider`` the default backend resolved
 to (``c``, or ``numpy`` on a host without cffi or a C compiler),

@@ -5,7 +5,8 @@ small-N sessions (the serving regime — mixed office/corridor worlds,
 fp32/N=64) served
 
 1. **multiplexed** — one ``SessionManager`` stepping all R sessions
-   through the scheduler's packed ``(R, N)``-stacked batched calls;
+   through the scheduler's packed ``(R, N)``-stacked calls on the
+   default backend (``REPRO_BACKEND``, else ``fast``);
 2. **sequential** — the same R (scenario, seed) runs stepped one at a
    time through the reference backend, i.e. one scalar filter loop per
    drone (what serving would cost without the stacking).
@@ -15,20 +16,22 @@ compare pure execution strategy.  Scenario generation and EDT
 construction are excluded from both timings — they are one-time,
 cached costs shared by any strategy.
 
-Results go to ``results/BENCH_serve.json``.
+Results go to ``results/BENCH_serve.json``, with the backend, the
+provider it resolved to and the host's ``cpu_count``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
 
-from conftest import current_scale
+from conftest import current_backend, current_scale
 
 from repro.core.config import MclConfig
-from repro.engine.backend import RunSpec
+from repro.engine.backend import RunSpec, get_backend
 from repro.engine.reference import ReferenceBackend
 from repro.maps.distance_field import DistanceField
 from repro.scenarios import build_scenario
@@ -90,6 +93,9 @@ def test_serve_throughput(benchmark):
         for family, scenario in scenarios.items()
     }
 
+    backend_name = current_backend()
+    provider = getattr(get_backend(backend_name), "provider_name", None)
+
     def run() -> dict:
         report: dict = {
             "protocol": {
@@ -98,13 +104,16 @@ def test_serve_throughput(benchmark):
                 "particle_count": PARTICLES,
                 "flight_s": flight_s,
             },
+            "backend": backend_name,
+            "provider": provider,
+            "cpu_count": os.cpu_count(),
             "fleets": [],
             "equivalent": True,
         }
         for size in sizes:
             specs = _fleet_specs(size, flight_s)
 
-            manager = SessionManager(backend="batched")
+            manager = SessionManager(backend=backend_name)
             for spec in specs:
                 manager.create(spec)
             start = time.perf_counter()
@@ -164,7 +173,7 @@ def test_serve_throughput(benchmark):
             rows,
             title=(
                 f"Online serving — fleet multiplexing vs per-session stepping "
-                f"({VARIANT}/N={PARTICLES})"
+                f"({VARIANT}/N={PARTICLES}, {backend_name} on {provider})"
             ),
             footnote=(
                 "identical traces both ways: "

@@ -47,12 +47,18 @@ transform, estimate) share one evaluation.
 Compiled kernels
 ----------------
 The ``fast`` backend is this backend handed a
-:class:`~repro.engine.fast_c.CProvider`.  The stack then sends the beam
-transform -> EDT gather -> tree reduction, the ESS, the resampling wheel
-and the estimate reductions through fused per-row C kernels (no
-``(R, N, K)`` temporaries), and at float32 storage also fuses the whole
-motion, weight-update and resample row paths.  It stays bitwise because
-only IEEE-exact arithmetic crosses into compiled code: transcendentals
+:class:`~repro.engine.fast_c.CProvider`.  The stack then runs the beam
+transform -> EDT gather -> tree reduction (no ``(R, N, K)``
+temporaries), the ESS, the resampling wheel and gathers, and the
+estimate reductions as C stages, and at float32 storage also the motion
+compose + store and the weight update.  Each stage is one call over the
+int64 list of rows it touches (the beam pass: one per work item), and
+the rows are looped in C.  The stack wraps its arrays for C once
+(:class:`~repro.engine.fast_c.StackKernels`): it writes them only in
+place, and :meth:`ParticleStack.ensure_capacity`, the one place that
+reallocates them, wraps them again.  The per-row RNG draws stay in
+numpy, one stream per row.  It stays bitwise because only IEEE-exact
+arithmetic crosses into compiled code: transcendentals
 (``sin``/``cos``/``exp``) are always evaluated by numpy and passed in,
 every reduction follows the deterministic tree spec, and the wheel
 replicates the sequential scan of
@@ -62,7 +68,6 @@ replicates the sequential scan of
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -100,7 +105,7 @@ from .backend import (
 from .replay import ReplayPlan, ReplayStep
 
 if TYPE_CHECKING:
-    from .fast_c import CProvider
+    from .fast_c import CProvider, StackKernels
 
 __all__ = [
     "OBS_CHUNK_ELEMENTS",
@@ -149,9 +154,11 @@ class ParticleStack:
         self.count = config.particle_count
         self.dtype = config.precision.particle_dtype
         self.provider = provider
-        # The fully fused row paths exist for float32 storage only; other
-        # precisions keep the stacked stages around the provider kernels.
+        # The motion and weight-update C stages exist for float32
+        # storage only; other precisions run those two in numpy.
         self._fused = provider is not None and np.dtype(self.dtype) == np.float32
+        # The C stages over the current arrays, bound by ensure_capacity.
+        self._kernels: StackKernels | None = None
         # The numpy observation stage's (R', N, K) temporaries, kept
         # across steps (see repro.common.scratch).
         self._scratch = Scratch()
@@ -177,7 +184,11 @@ class ParticleStack:
     # Row management
     # ------------------------------------------------------------------
     def ensure_capacity(self, rows: int) -> None:
-        """Grow to at least ``rows`` rows (existing rows untouched)."""
+        """Grow to at least ``rows`` rows (existing rows untouched).
+
+        The only place the stack arrays are rebound: every other write is
+        in place, so the C stages' pointers, wrapped here, stay valid.
+        """
         if rows <= self.rows:
             return
 
@@ -207,6 +218,8 @@ class ParticleStack:
         self.estimates.extend([Pose2D.identity()] * added)
         self.estimate_arrays.extend([None] * added)
         self.rows = rows
+        if self.provider is not None:
+            self._kernels = self.provider.bind(self)
 
     def init_row(self, row: int, grid: OccupancyGrid, spec: RunSpec) -> None:
         """(Re)initialize ``row`` exactly like a fresh reference filter.
@@ -307,6 +320,9 @@ class ParticleStack:
             triggered_list.extend(item.rows)
         if not triggered_list:
             return
+        # The C stages index the arrays unchecked.
+        if min(triggered_list) < 0 or max(triggered_list) >= self.rows:
+            raise IndexError(f"step rows outside the stack's {self.rows} rows")
         triggered = np.array(triggered_list, dtype=np.int64)
         # Stage spans + gate counters (no-ops when telemetry is off);
         # timing reads never feed back into the numeric state below.
@@ -344,25 +360,14 @@ class ParticleStack:
                 i += 1
 
         if self._fused:
-            # Per-row fused compose + wrap + store + shadow refresh, fed
-            # the prior yaw trig from the shadows; the posterior yaw's
-            # trig is the step's single trig evaluation.
-            for i, row in enumerate(triggered.tolist()):
-                self.provider.compose_store_row(
-                    self.cos64[row],
-                    self.sin64[row],
-                    dx[i],
-                    dy[i],
-                    dtheta[i],
-                    self.x[row],
-                    self.y[row],
-                    self.theta[row],
-                    self.x64[row],
-                    self.y64[row],
-                    self.theta64[row],
-                )
-                np.cos(self.theta64[row], out=self.cos64[row])
-                np.sin(self.theta64[row], out=self.sin64[row])
+            # Fused compose + wrap + store + shadow refresh, fed the prior
+            # yaw trig from the shadows; the posterior yaw's trig is the
+            # step's single trig evaluation (stacked trig equals per-row
+            # trig bit for bit: tests/engine/test_stacked_trig.py).
+            self._kernels.compose_store(triggered, dx, dy, dtheta)
+            theta = self.theta64[triggered]
+            self.cos64[triggered] = np.cos(theta)
+            self.sin64[triggered] = np.sin(theta)
             return
         new_x, new_y, new_theta = kernels.compose_increment(
             self.x64[triggered],
@@ -380,10 +385,6 @@ class ParticleStack:
         """Re-weight packed rows; returns the rows that saw usable beams."""
         config = self.config
         inv_count = 1.0 / self.count
-        if self.provider is None:
-            squared_sums = partial(kernels.beam_squared_sums, scratch=self._scratch)
-        else:
-            squared_sums = self.provider.beam_squared_sums
         observed: list[int] = []
         for item in work:
             step = item.step
@@ -391,15 +392,7 @@ class ParticleStack:
                 continue
             for chunk in self._row_chunks(item.rows, step.beams.beam_count):
                 with obs.span(SPAN_GATHER):
-                    log_lik = squared_sums(
-                        self.x64[chunk],
-                        self.y64[chunk],
-                        self.cos64[chunk],
-                        self.sin64[chunk],
-                        step.end_x,
-                        step.end_y,
-                        item.field,
-                    )
+                    log_lik = self._beam_squared_sums(chunk, step, item.field)
                 with obs.span(SPAN_WEIGHT):
                     # The tail of kernels.beam_log_likelihoods, then
                     # kernels.posterior_log_weights split at its exp.
@@ -408,11 +401,8 @@ class ParticleStack:
                     like = kernels.likelihood_ratios(log_lik, config.beam_replication)
                     if self._fused:
                         # Prior multiply + storage cast + normalize +
-                        # shadow refresh, fused per row.
-                        for j, row in enumerate(chunk.tolist()):
-                            self.provider.update_weights_row(
-                                self.w64[row], like[j], self.weights[row], inv_count
-                            )
+                        # shadow refresh, fused.
+                        self._kernels.update_weights(chunk, like, inv_count)
                     else:
                         stored = (self.w64[chunk] * like).astype(self.dtype)
                         kernels.normalize_weights(stored, self.dtype)
@@ -421,8 +411,30 @@ class ParticleStack:
             observed.extend(item.rows)
         return np.array(observed, dtype=np.int64)
 
+    def _beam_squared_sums(
+        self, rows: np.ndarray, step: ReplayStep, field: DistanceField
+    ) -> np.ndarray:
+        if self._kernels is not None:
+            return self._kernels.beam_squared_sums(rows, step.end_x, step.end_y, field)
+        return kernels.beam_squared_sums(
+            self.x64[rows],
+            self.y64[rows],
+            self.cos64[rows],
+            self.sin64[rows],
+            step.end_x,
+            step.end_y,
+            field,
+            scratch=self._scratch,
+        )
+
     def _row_chunks(self, rows: list[int], beam_count: int):
-        """Split rows so one (R', N, K) float64 temporary stays bounded."""
+        """Split rows so one (R', N, K) float64 temporary stays bounded.
+
+        The C beam stage makes no such temporary and takes every row.
+        """
+        if self._kernels is not None:
+            yield np.array(rows, dtype=np.int64)
+            return
         per_row = self.count * max(beam_count, 1)
         chunk_rows = max(1, OBS_CHUNK_ELEMENTS // per_row)
         for start in range(0, len(rows), chunk_rows):
@@ -430,55 +442,43 @@ class ParticleStack:
 
     def _resample(self, observed: np.ndarray) -> None:
         threshold = self.config.resample_ess_fraction * self.count
-        if self.provider is None:
+        if self._kernels is None:
             ess = kernels.effective_sample_size(self.w64[observed])
         else:
-            ess = self.provider.ess_rows(self.w64[observed])
-        uniform = np.asarray(1.0 / self.count, dtype=self.dtype)
-        resampled = 0
-        for i, run in enumerate(observed.tolist()):
-            if ess[i] > threshold:
-                continue
-            resampled += 1
-            u0 = kernels.draw_wheel_offset(self.rngs[run], self.count)
-            if self._fused:
-                # Fused wheel + gather of the three stored rows and their
-                # five shadows.
-                self.provider.resample_row(
-                    self.w64[run],
-                    u0,
-                    self.x[run],
-                    self.y[run],
-                    self.theta[run],
-                    self.x64[run],
-                    self.y64[run],
-                    self.theta64[run],
-                    self.cos64[run],
-                    self.sin64[run],
-                )
+            ess = self._kernels.ess(observed)
+        resampled = observed[ess <= threshold]
+        if resampled.size:
+            # One wheel offset per row, each from the row's own stream.
+            u0 = [
+                kernels.draw_wheel_offset(self.rngs[run], self.count)
+                for run in resampled.tolist()
+            ]
+            if self._kernels is not None:
+                # Wheel + gather of the three stored rows and their five
+                # shadows, every row in one call.
+                self._kernels.resample(resampled, np.array(u0))
             else:
-                if self.provider is None:
+                for run, offset in zip(resampled.tolist(), u0):
                     indices = kernels.systematic_resample(
-                        self.w64[run], u0, validate=False, normalized=True
+                        self.w64[run], offset, validate=False, normalized=True
                     )
-                else:
-                    indices = self.provider.resample_indices(self.w64[run], u0)
-                # Gathers of exact shadows stay exact.
-                for array in (
-                    self.x,
-                    self.y,
-                    self.theta,
-                    self.x64,
-                    self.y64,
-                    self.theta64,
-                    self.cos64,
-                    self.sin64,
-                ):
-                    array[run] = array[run][indices]
-            self.weights[run] = uniform
-            self.w64[run] = uniform  # the stored value, widened
-        obs.counter(COUNTER_RESAMPLES).inc(resampled)
-        obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - resampled)
+                    # Gathers of exact shadows stay exact.
+                    for array in (
+                        self.x,
+                        self.y,
+                        self.theta,
+                        self.x64,
+                        self.y64,
+                        self.theta64,
+                        self.cos64,
+                        self.sin64,
+                    ):
+                        array[run] = array[run][indices]
+            uniform = np.asarray(1.0 / self.count, dtype=self.dtype)
+            self.weights[resampled] = uniform
+            self.w64[resampled] = uniform  # the stored value, widened
+        obs.counter(COUNTER_RESAMPLES).inc(len(resampled))
+        obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - len(resampled))
 
     # ------------------------------------------------------------------
     # State storage and pose estimates
@@ -521,9 +521,16 @@ class ParticleStack:
         reduction runs along a row through the deterministic tree, which
         does not depend on how many rows are stacked.
         """
-        if self.provider is not None:
-            for run in triggered.tolist():
-                self._provider_estimate(run)
+        if self._kernels is not None:
+            sums = self._kernels.estimate(triggered)
+            for run, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(
+                triggered.tolist(), sums.tolist()
+            ):
+                if math.isnan(total):  # degenerate weights (rare)
+                    self._refresh_estimate(run)
+                else:
+                    mean_theta = _circular_mean(sin_sum, cos_sum, total)
+                    self._set_estimate(run, Pose2D(mean_x, mean_y, mean_theta))
             return
         w64 = self.w64[triggered]
         totals = np.asarray(kernels.det_sum(w64))
@@ -543,20 +550,6 @@ class ParticleStack:
             )
             estimate = Pose2D(float(mean_x[i]), float(mean_y[i]), mean_theta)
             self._set_estimate(run, estimate)
-
-    def _provider_estimate(self, row: int) -> None:
-        """One row's estimate through the provider's fused reductions."""
-        w64 = self.w64[row]
-        total = self.provider.det_sum_row(w64)
-        if not (total > 0.0 and math.isfinite(total)):
-            self._refresh_estimate(row)  # rare: the scalar kernel
-            return
-        total, mean_x, mean_y, sin_sum, cos_sum = self.provider.estimate_row(
-            self.x64[row], self.y64[row], self.sin64[row], self.cos64[row], w64, total
-        )
-        self._set_estimate(
-            row, Pose2D(mean_x, mean_y, _circular_mean(sin_sum, cos_sum, total))
-        )
 
     def _refresh_estimate(self, row: int) -> None:
         """Recompute one row's weighted-mean pose with the scalar kernel."""

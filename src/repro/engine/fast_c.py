@@ -1,4 +1,4 @@
-"""C provider of the ``fast`` backend: fused kernels in a compiled C library.
+"""C provider of the ``fast`` backend: stacked stages in a compiled C library.
 
 The paper's GAP9 port wins by restructuring the per-particle likelihood
 loop into one fused C pass (Sec. III-B/C of the paper), and this module
@@ -7,6 +7,19 @@ reduction fused per particle, no ``(R, N, K)`` temporaries.  The
 ``fast`` backend is :class:`~repro.engine.batched.BatchedBackend`
 handed a :class:`CProvider`; its :class:`~repro.engine.batched.ParticleStack`
 decides which stages dispatch here.
+
+One call per stage
+------------------
+Each filter stage is one exported C entry point (``stage_*`` in
+:data:`C_SOURCE`): it takes the stack's 2-D base pointers, the row
+stride N and an int64 array of the stack rows to process, and loops
+those rows in C over ``static`` row kernels.  A stack step therefore
+costs one library call per stage (the beam pass: one per work item,
+since its rows share a distance field), however many rows it packs.
+:class:`StackKernels` wraps a stack's ten arrays once.  The pointers
+stay valid because the stack writes its arrays only in place;
+``ParticleStack.ensure_capacity`` is the one place that rebinds them,
+and it builds a new :class:`StackKernels`.
 
 Bitwise discipline:
 
@@ -23,6 +36,8 @@ Bitwise discipline:
   sum, last entry clamped to 1.0, ``side="right"`` index resolution
   (the monotone two-pointer walk equals numpy's binary search because
   the clamped final entry exceeds every arrow position).
+* Rows share no arithmetic, so a row's bits never depend on which rows
+  a call carries or in what order.
 
 The kernels build into a plain shared library — one ``cc -shared -fPIC``
 call, no ``Python.h``, no generated wrapper, no setuptools — cached under
@@ -46,15 +61,24 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .batched import ParticleStack
 
 C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
 #define DET_CHUNK 8
+
+/* ------------------------------------------------------------------
+ * Row kernels: one particle row of n entries each.
+ * ------------------------------------------------------------------ */
 
 /* Deterministic chunk-of-8 tree sum (repro.engine.reductions spec),
  * destroying the input buffer: each level writes its partials into the
@@ -84,16 +108,9 @@ static double det_dot_scratch(const double *w, const double *v, int64_t n,
     return det_sum_inplace(scratch, n);
 }
 
-/* Fused transform -> EDT gather -> det-tree beam reduction over a flat
- * batch of m particles sharing k body-frame beam end points.  Mirrors
- * kernels.transform_endpoints + DistanceField.lookup_squared_world +
- * det_sum exactly.  The beam loop is split into phases: the transform
- * and index arithmetic are pure elementwise IEEE operations (safe to
- * vectorize — no reassociation), the table gather stays scalar, and
- * only the final tree is order-sensitive.  Out-of-grid beams encode as
- * index -1; numpy's take(mode="clip") gathers a clipped value for them
- * too, but it is overwritten with the border value either way, so
- * skipping the dead gather is value-identical. */
+/* The flat EDT cell of each of one particle's k beam end points, or -1
+ * outside the grid.  Pure elementwise IEEE operations (safe to
+ * vectorize — no reassociation). */
 static void beam_indices(
     double xi, double yi, double ci, double si,
     const double *restrict end_x, const double *restrict end_y,
@@ -114,67 +131,60 @@ static void beam_indices(
     }
 }
 
-void fused_loglik_f64(
+/* Fused transform -> EDT gather -> det-tree beam reduction over one row
+ * of n particles sharing k body-frame beam end points.  Mirrors
+ * kernels.transform_endpoints + DistanceField.lookup_squared_world +
+ * det_sum exactly: the transform and index arithmetic are elementwise,
+ * the table gather stays scalar, and only the final tree is
+ * order-sensitive.  `codes` is NULL for a float field, whose `table`
+ * holds squared metres per cell; a quantized field passes its uint8
+ * codes, and `table` is then the 256-entry decode LUT
+ * (DistanceField.squared_lut).  Out-of-grid beams encode as index -1;
+ * numpy's take(mode="clip") gathers a clipped value for them too, but
+ * it is overwritten with the border value either way, so skipping the
+ * dead gather is value-identical. */
+static void beam_sums_row(
     const double *restrict x, const double *restrict y,
-    const double *restrict cos_t, const double *restrict sin_t,
-    const double *restrict end_x, const double *restrict end_y,
-    const double *restrict sq_table, int64_t rows, int64_t cols,
-    double origin_x, double origin_y, double resolution,
-    double border_sq,
-    int64_t m, int64_t k,
-    int64_t *restrict idx_scratch, double *restrict beam_scratch,
-    double *restrict out)
-{
-    for (int64_t i = 0; i < m; ++i) {
-        beam_indices(x[i], y[i], cos_t[i], sin_t[i], end_x, end_y,
-                     rows, cols, origin_x, origin_y, resolution,
-                     k, idx_scratch);
-        for (int64_t b = 0; b < k; ++b) {
-            int64_t f = idx_scratch[b];
-            beam_scratch[b] = f >= 0 ? sq_table[f] : border_sq;
-        }
-        out[i] = det_sum_inplace(beam_scratch, k);
-    }
-}
-
-/* Quantized-field variant: gather uint8 codes, decode squared metres
- * through the 256-entry float64 LUT (DistanceField.squared_lut). */
-void fused_loglik_u8(
-    const double *restrict x, const double *restrict y,
-    const double *restrict cos_t, const double *restrict sin_t,
-    const double *restrict end_x, const double *restrict end_y,
-    const uint8_t *restrict codes, const double *restrict sq_lut,
+    const double *restrict cos_t, const double *restrict sin_t, int64_t n,
+    const double *restrict end_x, const double *restrict end_y, int64_t k,
+    const uint8_t *restrict codes, const double *restrict table,
     int64_t rows, int64_t cols,
-    double origin_x, double origin_y, double resolution,
-    double border_sq,
-    int64_t m, int64_t k,
+    double origin_x, double origin_y, double resolution, double border_sq,
     int64_t *restrict idx_scratch, double *restrict beam_scratch,
     double *restrict out)
 {
-    for (int64_t i = 0; i < m; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
         beam_indices(x[i], y[i], cos_t[i], sin_t[i], end_x, end_y,
                      rows, cols, origin_x, origin_y, resolution,
                      k, idx_scratch);
         for (int64_t b = 0; b < k; ++b) {
             int64_t f = idx_scratch[b];
-            beam_scratch[b] = f >= 0 ? sq_lut[codes[f]] : border_sq;
+            beam_scratch[b] = f < 0 ? border_sq
+                            : codes ? table[codes[f]] : table[f];
         }
         out[i] = det_sum_inplace(beam_scratch, k);
     }
 }
 
 /* Weighted-mean estimate reductions of one row (kernels.weighted_mean
- * pose semantics, stacked form): normalize by the caller-supplied total
- * (the det-tree sum of w), then det-dot against x, y and the
- * numpy-computed sin/cos of yaw.  out = {wn_total, mean_x, mean_y,
- * sin_sum, cos_sum}.  The caller handles degenerate totals and the
+ * pose semantics): the det-tree total of w, then — unless that total is
+ * not positive and finite, which the caller handles with the scalar
+ * kernel and is flagged by a NaN total — normalize by it and det-dot
+ * against x, y and the numpy-computed sin/cos of yaw.  out =
+ * {wn_total, mean_x, mean_y, sin_sum, cos_sum}; the caller does the
  * atan2 (Python math.atan2, identical to the scalar kernel). */
-void estimate_row(
+static void estimate_row(
     const double *x, const double *y,
     const double *sin_t, const double *cos_t,
-    const double *w, double total, int64_t n,
+    const double *w, int64_t n,
     double *wn, double *scratch, double *out)
 {
+    for (int64_t i = 0; i < n; ++i) scratch[i] = w[i];
+    double total = det_sum_inplace(scratch, n);
+    if (!(total > 0.0 && isfinite(total))) {
+        out[0] = NAN;
+        return;
+    }
     for (int64_t i = 0; i < n; ++i) wn[i] = w[i] / total;
     for (int64_t i = 0; i < n; ++i) scratch[i] = wn[i];
     out[0] = det_sum_inplace(scratch, n);
@@ -184,11 +194,29 @@ void estimate_row(
     out[4] = det_dot_scratch(wn, cos_t, n, scratch);
 }
 
+/* kernels.effective_sample_size of one row: det-tree total, normalize,
+ * det-tree sum of squares, guarded reciprocal.  The guards replicate
+ * the numpy where() chain exactly: non-positive (or NaN) totals yield
+ * 0.0; a valid row's square sum is >= 1/n > 0 so its guard never
+ * fires, but it is kept for bit-faithfulness. */
+static double ess_row(const double *w, int64_t n, double *scratch)
+{
+    for (int64_t i = 0; i < n; ++i) scratch[i] = w[i];
+    double total = det_sum_inplace(scratch, n);
+    if (!(total > 0.0)) return 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        double wn = w[i] / total;
+        scratch[i] = wn * wn;
+    }
+    double sq = det_sum_inplace(scratch, n);
+    return 1.0 / (sq > 0.0 ? sq : 1.0);
+}
+
 /* Systematic wheel: sequential float64 cumulative sum with the final
  * entry clamped to 1.0, arrows at u0 + i/n resolved side="right" by a
  * monotone scan.  Identical indices to kernels.systematic_resample
  * (normalized=True). */
-void wheel_resample(
+static void wheel_resample(
     const double *w, int64_t n, double u0,
     double *cumulative, int64_t *idx)
 {
@@ -203,6 +231,31 @@ void wheel_resample(
         double pos = u0 + (double)i / (double)n;
         while (cumulative[j] <= pos && j < n - 1) ++j;
         idx[i] = j;
+    }
+}
+
+/* Gathers through a bounce buffer: idx[i] can exceed i, so an in-place
+ * forward copy would corrupt.  A gather copies bits, so the stored rows
+ * need only their element width — one routine serves float32 and
+ * float16 storage — and a gather of exact shadows stays exact. */
+static void gather_f64(double *row, const int64_t *idx, int64_t n,
+                       double *bounce)
+{
+    for (int64_t i = 0; i < n; ++i) bounce[i] = row[idx[i]];
+    for (int64_t i = 0; i < n; ++i) row[i] = bounce[i];
+}
+
+static void gather_stored(void *row, int64_t itemsize, const int64_t *idx,
+                          int64_t n, void *bounce)
+{
+    if (itemsize == 4) {
+        uint32_t *a = row, *s = bounce;
+        for (int64_t i = 0; i < n; ++i) s[i] = a[idx[i]];
+        for (int64_t i = 0; i < n; ++i) a[i] = s[i];
+    } else {
+        uint16_t *a = row, *s = bounce;
+        for (int64_t i = 0; i < n; ++i) s[i] = a[idx[i]];
+        for (int64_t i = 0; i < n; ++i) a[i] = s[i];
     }
 }
 
@@ -221,55 +274,19 @@ static double det_wrap(double a)
     return mod - M_PI;
 }
 
-/* Per-row deterministic tree sums of an (r, n) row-major block. */
-void det_sum_rows(const double *a, int64_t r, int64_t n,
-                  double *scratch, double *out)
-{
-    for (int64_t row = 0; row < r; ++row) {
-        const double *ar = a + row * n;
-        for (int64_t i = 0; i < n; ++i) scratch[i] = ar[i];
-        out[row] = det_sum_inplace(scratch, n);
-    }
-}
-
-/* kernels.effective_sample_size, row by row: det-tree total, normalize,
- * det-tree sum of squares, guarded reciprocal.  The guards replicate
- * the numpy where() chain exactly: non-positive (or NaN) totals yield
- * 0.0; a valid row's square sum is >= 1/n > 0 so its guard never
- * fires, but it is kept for bit-faithfulness. */
-void ess_rows(const double *w, int64_t r, int64_t n,
-              double *scratch, double *out)
-{
-    for (int64_t row = 0; row < r; ++row) {
-        const double *wr = w + row * n;
-        for (int64_t i = 0; i < n; ++i) scratch[i] = wr[i];
-        double total = det_sum_inplace(scratch, n);
-        if (!(total > 0.0)) {
-            out[row] = 0.0;
-            continue;
-        }
-        for (int64_t i = 0; i < n; ++i) {
-            double wn = wr[i] / total;
-            scratch[i] = wn * wn;
-        }
-        double sq = det_sum_inplace(scratch, n);
-        out[row] = 1.0 / (sq > 0.0 ? sq : 1.0);
-    }
-}
-
 /* One row's posterior weight update at float32 storage, fused:
  * prior * likelihood (the numpy side supplies like = exp(...)), cast to
  * storage precision, then kernels.normalize_weights on that row —
  * float64 scratch, non-finite entries zeroed, det-tree total, divide or
- * reset-to-uniform, cast back — plus the float64 shadow refresh.
- * ``prior`` may alias ``shadow`` (the caller passes the same w64 row):
- * each index is read before it is written. */
-void update_weights_f32(const double *prior, const double *like, int64_t n,
-                        double inv_count, double *scratch,
-                        float *stored, double *shadow)
+ * reset-to-uniform, cast back — plus the float64 shadow refresh.  The
+ * shadow is both the prior and the output: each index is read before it
+ * is written. */
+static void update_weights_f32(float *stored, double *shadow,
+                               const double *like, int64_t n,
+                               double inv_count, double *scratch)
 {
     for (int64_t i = 0; i < n; ++i) {
-        double u = prior[i] * like[i];
+        double u = shadow[i] * like[i];
         float sf = (float)u;
         double s = (double)sf;
         if (!isfinite(s)) s = 0.0;
@@ -299,11 +316,11 @@ void update_weights_f32(const double *prior, const double *like, int64_t n,
  * wrap again, cast to storage precision — and the shadow refresh.  The
  * shadow rows double as the pose inputs; index i is read before it is
  * written. */
-void compose_store_f32(const double *cos_t, const double *sin_t,
-                       const double *dx, const double *dy, const double *dt,
-                       int64_t n,
-                       float *xs, float *ys, float *ts,
-                       double *x64, double *y64, double *t64)
+static void compose_store_f32(const double *cos_t, const double *sin_t,
+                              const double *dx, const double *dy,
+                              const double *dt, int64_t n,
+                              float *xs, float *ys, float *ts,
+                              double *x64, double *y64, double *t64)
 {
     for (int64_t i = 0; i < n; ++i) {
         double nx = (x64[i] + cos_t[i] * dx[i]) - sin_t[i] * dy[i];
@@ -321,59 +338,135 @@ void compose_store_f32(const double *cos_t, const double *sin_t,
     }
 }
 
-/* One row's wheel resample at float32 storage, fused: wheel indices,
- * then gather the three stored rows, their three float64 shadows and
- * the two trig shadows (cos/sin of yaw: a gather of exact values equals
- * the trig of the gathered yaw) through bounce buffers (idx[i] can
- * exceed i, so in-place forward copies would corrupt).  The caller
- * resets the weight row to uniform afterward, exactly like the numpy
- * path. */
-void resample_f32(const double *w, int64_t n, double u0,
-                  double *cumulative, int64_t *idx,
-                  float *xs, float *ys, float *ts,
-                  double *x64, double *y64, double *t64,
-                  double *c64, double *s64,
-                  float *fscratch, double *dscratch)
+/* ------------------------------------------------------------------
+ * Stage entry points: one call per stage per stack step.
+ *
+ * Each takes the stack's 2-D base pointers (row-major, row stride n)
+ * and `rows`, the nrows stack rows to process.  Per-call inputs and
+ * outputs are (nrows, n) blocks (or nrows-long vectors) in the order of
+ * `rows`.  Rows share no arithmetic, so every row gets the bits of its
+ * row kernel run alone.
+ * ------------------------------------------------------------------ */
+
+/* Motion: compose + wrap + float32 store + shadow refresh; dx/dy/dt are
+ * the noisy increments drawn by numpy. */
+void stage_compose_store_f32(
+    float *xs, float *ys, float *ts,
+    double *x64, double *y64, double *t64,
+    const double *cos64, const double *sin64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    const double *dx, const double *dy, const double *dt)
 {
-    wheel_resample(w, n, u0, cumulative, idx);
-    float *stored[3] = {xs, ys, ts};
-    for (int a = 0; a < 3; ++a) {
-        float *arr = stored[a];
-        for (int64_t i = 0; i < n; ++i) fscratch[i] = arr[idx[i]];
-        for (int64_t i = 0; i < n; ++i) arr[i] = fscratch[i];
+    for (int64_t r = 0; r < nrows; ++r) {
+        int64_t at = rows[r] * n, in = r * n;
+        compose_store_f32(cos64 + at, sin64 + at, dx + in, dy + in, dt + in,
+                          n, xs + at, ys + at, ts + at,
+                          x64 + at, y64 + at, t64 + at);
     }
-    double *shadows[5] = {x64, y64, t64, c64, s64};
-    for (int a = 0; a < 5; ++a) {
-        double *arr = shadows[a];
-        for (int64_t i = 0; i < n; ++i) dscratch[i] = arr[idx[i]];
-        for (int64_t i = 0; i < n; ++i) arr[i] = dscratch[i];
+}
+
+/* Observation: per-particle det-tree sums of squared EDT distances over
+ * the k beams of one work item (its rows share the field). */
+void stage_beam_sums(
+    const double *x64, const double *y64,
+    const double *cos64, const double *sin64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    const double *end_x, const double *end_y, int64_t k,
+    const uint8_t *codes, const double *table,
+    int64_t grid_rows, int64_t grid_cols,
+    double origin_x, double origin_y, double resolution, double border_sq,
+    int64_t *idx_scratch, double *beam_scratch, double *out)
+{
+    for (int64_t r = 0; r < nrows; ++r) {
+        int64_t at = rows[r] * n;
+        beam_sums_row(x64 + at, y64 + at, cos64 + at, sin64 + at, n,
+                      end_x, end_y, k, codes, table, grid_rows, grid_cols,
+                      origin_x, origin_y, resolution, border_sq,
+                      idx_scratch, beam_scratch, out + r * n);
+    }
+}
+
+/* Weight update at float32 storage, given the likelihood ratios. */
+void stage_update_weights_f32(
+    float *ws, double *w64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    const double *like, double inv_count, double *scratch)
+{
+    for (int64_t r = 0; r < nrows; ++r) {
+        int64_t at = rows[r] * n;
+        update_weights_f32(ws + at, w64 + at, like + r * n, n, inv_count,
+                           scratch);
+    }
+}
+
+/* Effective sample size of each row's weights. */
+void stage_ess(
+    const double *w64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    double *scratch, double *out)
+{
+    for (int64_t r = 0; r < nrows; ++r)
+        out[r] = ess_row(w64 + rows[r] * n, n, scratch);
+}
+
+/* Resampling: the wheel at offset u0[r], then the gather of the three
+ * stored rows (`itemsize` bytes per entry) and their five float64
+ * shadows (cos/sin of yaw included: a gather of exact values equals the
+ * trig of the gathered yaw).  The caller resets the weights to uniform,
+ * exactly like the numpy path. */
+void stage_resample(
+    void *xs, void *ys, void *ts, int64_t itemsize,
+    double *x64, double *y64, double *t64, double *cos64, double *sin64,
+    const double *w64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    const double *u0, double *cumulative, int64_t *idx, void *bounce)
+{
+    for (int64_t r = 0; r < nrows; ++r) {
+        int64_t at = rows[r] * n;
+        wheel_resample(w64 + at, n, u0[r], cumulative, idx);
+        void *stored[3] = {xs, ys, ts};
+        for (int a = 0; a < 3; ++a)
+            gather_stored((char *)stored[a] + at * itemsize, itemsize, idx,
+                          n, bounce);
+        double *shadows[5] = {x64, y64, t64, cos64, sin64};
+        for (int a = 0; a < 5; ++a)
+            gather_f64(shadows[a] + at, idx, n, cumulative);
+    }
+}
+
+/* Pose estimate reductions: out is (nrows, 5), see estimate_row. */
+void stage_estimate(
+    const double *x64, const double *y64,
+    const double *sin64, const double *cos64, const double *w64,
+    const int64_t *rows, int64_t nrows, int64_t n,
+    double *wn, double *scratch, double *out)
+{
+    for (int64_t r = 0; r < nrows; ++r) {
+        int64_t at = rows[r] * n;
+        estimate_row(x64 + at, y64 + at, sin64 + at, cos64 + at, w64 + at,
+                     n, wn, scratch, out + 5 * r);
     }
 }
 """
 
 C_DECLARATIONS = """
-void fused_loglik_f64(const double *, const double *, const double *,
-    const double *, const double *, const double *, const double *,
-    int64_t, int64_t, double, double, double, double, int64_t, int64_t,
-    int64_t *, double *, double *);
-void fused_loglik_u8(const double *, const double *, const double *,
-    const double *, const double *, const double *, const uint8_t *,
-    const double *, int64_t, int64_t, double, double, double, double,
-    int64_t, int64_t, int64_t *, double *, double *);
-void estimate_row(const double *, const double *, const double *,
-    const double *, const double *, double, int64_t, double *, double *,
+void stage_compose_store_f32(float *, float *, float *, double *, double *,
+    double *, const double *, const double *, const int64_t *, int64_t,
+    int64_t, const double *, const double *, const double *);
+void stage_beam_sums(const double *, const double *, const double *,
+    const double *, const int64_t *, int64_t, int64_t, const double *,
+    const double *, int64_t, const uint8_t *, const double *, int64_t,
+    int64_t, double, double, double, double, int64_t *, double *, double *);
+void stage_update_weights_f32(float *, double *, const int64_t *, int64_t,
+    int64_t, const double *, double, double *);
+void stage_ess(const double *, const int64_t *, int64_t, int64_t, double *,
     double *);
-void wheel_resample(const double *, int64_t, double, double *, int64_t *);
-void det_sum_rows(const double *, int64_t, int64_t, double *, double *);
-void ess_rows(const double *, int64_t, int64_t, double *, double *);
-void update_weights_f32(const double *, const double *, int64_t, double,
-    double *, float *, double *);
-void compose_store_f32(const double *, const double *, const double *,
-    const double *, const double *, int64_t, float *, float *, float *,
+void stage_resample(void *, void *, void *, int64_t, double *, double *,
+    double *, double *, double *, const double *, const int64_t *, int64_t,
+    int64_t, const double *, double *, int64_t *, void *);
+void stage_estimate(const double *, const double *, const double *,
+    const double *, const double *, const int64_t *, int64_t, int64_t,
     double *, double *, double *);
-void resample_f32(const double *, int64_t, double, double *, int64_t *,
-    float *, float *, float *, double *, double *, double *, double *,
-    double *, float *, double *);
 """
 
 #: Keep the machine-specific flags IEEE-strict: no -ffast-math, ever —
@@ -488,226 +581,156 @@ def load_library():
 
 
 class CProvider:
-    """Fused-kernel provider backed by the compiled kernel library.
+    """The compiled kernel library, loaded once per backend.
 
-    Scratch buffers are cached per length and reused across calls: the
-    provider is driven by one single-threaded stack loop at a time.
+    :meth:`bind` hands each stack its stage entry points.
     """
 
     name = "c"
 
     def __init__(self) -> None:
         self._ffi, self._lib = load_library()
-        self._scratch: dict[tuple[str, int], np.ndarray] = {}
 
-    def _buffer(self, slot: str, size: int, dtype=np.float64) -> np.ndarray:
-        buffer = self._scratch.get((slot, size))
-        if buffer is None:
-            buffer = np.empty(max(size, 1), dtype=dtype)
-            self._scratch[(slot, size)] = buffer
-        return buffer
+    def bind(self, stack: ParticleStack) -> StackKernels:
+        """The C stages over ``stack``'s current arrays."""
+        return StackKernels(self._ffi, self._lib, stack)
 
-    # ``ffi.from_buffer`` is ~6x cheaper per call than casting
-    # ``array.ctypes.data`` (no ctypes interface object), and the
-    # returned cdata owns a reference to the source buffer, so
-    # conversion copies stay alive for the duration of the call.
-    def _dp(self, array: np.ndarray):
-        return self._ffi.from_buffer("double[]", array)
 
-    def _fp(self, array: np.ndarray):
-        return self._ffi.from_buffer("float[]", array)
+class StackKernels:
+    """One call per stage over rows of one stack's arrays.
 
-    def _ip(self, array: np.ndarray):
-        return self._ffi.from_buffer("int64_t[]", array)
+    Holds cffi pointers to the stack's ten arrays (stored ``x, y, theta,
+    weights``; float64 shadows ``x64, y64, theta64, w64``; trig shadows
+    ``cos64, sin64``), wrapped once, and its own scratch rows.  ``rows``
+    arguments are C-contiguous int64 arrays of stack rows, which C
+    indexes unchecked (``ParticleStack.step`` rejects rows outside the
+    stack); per-call inputs and outputs are ``(len(rows), N)`` float64
+    blocks in that order.  Not thread-safe: the scratch rows are shared
+    by every call.
+    """
+
+    def __init__(self, ffi, lib, stack: ParticleStack) -> None:
+        self._ffi = ffi
+        self._lib = lib
+        self._double = partial(ffi.from_buffer, ffi.typeof("double[]"))
+        self._int64 = partial(ffi.from_buffer, ffi.typeof("int64_t[]"))
+        self.count = stack.count
+        self._x64, self._y64, self._theta64, self._w64, self._cos64, self._sin64 = (
+            self._double(array)
+            for array in (
+                stack.x64,
+                stack.y64,
+                stack.theta64,
+                stack.w64,
+                stack.cos64,
+                stack.sin64,
+            )
+        )
+        # ``float`` where the float32 stages write them; otherwise only
+        # the resample stage reads them, as ``void *`` bits.
+        stored = "float[]" if stack.dtype == np.float32 else "char[]"
+        self._x, self._y, self._theta, self._weights = (
+            ffi.from_buffer(stored, array)
+            for array in (stack.x, stack.y, stack.theta, stack.weights)
+        )
+        self._itemsize = stack.x.itemsize
+        self._bounce = ffi.from_buffer(np.empty(stack.count, dtype=stack.dtype))
+        self._scratch_size = 0
+        self._scratch(stack.count)
+
+    def _scratch(self, size: int):
+        """Two float64 and one int64 scratch rows of at least ``size``
+        entries, re-wrapped only when they grow."""
+        if size > self._scratch_size:
+            self._scratch_size = size
+            self._scratch_rows = (
+                self._double(np.empty(size)),
+                self._double(np.empty(size)),
+                self._int64(np.empty(size, dtype=np.int64)),
+            )
+        return self._scratch_rows
+
+    def compose_store(
+        self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dt: np.ndarray
+    ) -> None:
+        """Motion compose + wrap + float32 store + shadow refresh."""
+        self._lib.stage_compose_store_f32(
+            self._x, self._y, self._theta, self._x64, self._y64, self._theta64,
+            self._cos64, self._sin64, self._int64(rows), rows.size, self.count,
+            self._double(dx), self._double(dy), self._double(dt),
+        )
 
     def beam_squared_sums(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        cos_t: np.ndarray,
-        sin_t: np.ndarray,
-        end_x: np.ndarray,
-        end_y: np.ndarray,
-        field,
+        self, rows: np.ndarray, end_x: np.ndarray, end_y: np.ndarray, field
     ) -> np.ndarray:
-        """:func:`repro.engine.kernels.beam_squared_sums`, fused per particle."""
+        """:func:`repro.engine.kernels.beam_squared_sums` of ``rows``,
+        fused per particle: ``(len(rows), N)``."""
         from ..maps.distance_field import FieldKind
 
-        m = x.size
+        out = np.empty((rows.size, self.count))
         k = end_x.size
-        out = np.empty(x.shape, dtype=np.float64)
-        rows, cols = field.data.shape
-        end_x = np.ascontiguousarray(end_x, dtype=np.float64)
-        end_y = np.ascontiguousarray(end_y, dtype=np.float64)
-        args = (
-            self._dp(x),
-            self._dp(y),
-            self._dp(cos_t),
-            self._dp(sin_t),
-            self._dp(end_x),
-            self._dp(end_y),
-        )
-        tail = (
-            rows,
-            cols,
-            field.origin_x,
-            field.origin_y,
-            field.resolution,
-            field.border_squared(),
-            m,
-            k,
-            self._ip(self._buffer("beam_index", k, np.int64)),
-            self._dp(self._buffer("beam", k)),
-            self._dp(out),
-        )
+        beams, _, cells = self._scratch(k)
         if field.kind is FieldKind.QUANTIZED_U8:
-            self._lib.fused_loglik_u8(
-                *args,
-                self._ffi.from_buffer("uint8_t[]", field.data),
-                self._dp(field.squared_lut()),
-                *tail,
-            )
+            codes = self._ffi.from_buffer("uint8_t[]", field.data)
+            table = field.squared_lut()
         else:
-            self._lib.fused_loglik_f64(
-                *args, self._dp(field.squared_table()), *tail
-            )
-        return out
-
-    def estimate_row(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        sin_t: np.ndarray,
-        cos_t: np.ndarray,
-        w: np.ndarray,
-        total: float,
-    ) -> tuple[float, float, float, float, float]:
-        """One row's ``(normalized total, mean_x, mean_y, sin_sum, cos_sum)``."""
-        out = np.empty(5, dtype=np.float64)
-        self._lib.estimate_row(
-            self._dp(x),
-            self._dp(y),
-            self._dp(sin_t),
-            self._dp(cos_t),
-            self._dp(w),
-            float(total),
-            x.size,
-            self._dp(self._buffer("a", x.size)),
-            self._dp(self._buffer("b", x.size)),
-            self._dp(out),
-        )
-        return float(out[0]), float(out[1]), float(out[2]), float(out[3]), float(out[4])
-
-    def resample_indices(self, w: np.ndarray, u0: float) -> np.ndarray:
-        idx = np.empty(w.size, dtype=np.int64)
-        self._lib.wheel_resample(
-            self._dp(w),
-            w.size,
-            float(u0),
-            self._dp(self._buffer("a", w.size)),
-            self._ip(idx),
-        )
-        return idx
-
-    def det_sum_row(self, a: np.ndarray) -> float:
-        out = np.empty(1, dtype=np.float64)
-        self._lib.det_sum_rows(
-            self._dp(a), 1, a.size, self._dp(self._buffer("a", a.size)), self._dp(out)
-        )
-        return float(out[0])
-
-    def ess_rows(self, w: np.ndarray) -> np.ndarray:
-        """Per-row ESS of a C-contiguous ``(R, N)`` float64 block."""
-        r, n = w.shape
-        out = np.empty(r, dtype=np.float64)
-        self._lib.ess_rows(
-            self._dp(w), r, n, self._dp(self._buffer("a", n)), self._dp(out)
+            codes, table = self._ffi.NULL, field.squared_table()
+        height, width = field.data.shape
+        self._lib.stage_beam_sums(
+            self._x64, self._y64, self._cos64, self._sin64,
+            self._int64(rows), rows.size, self.count,
+            self._double(np.ascontiguousarray(end_x, dtype=np.float64)),
+            self._double(np.ascontiguousarray(end_y, dtype=np.float64)),
+            k, codes, self._double(table), height, width,
+            field.origin_x, field.origin_y, field.resolution,
+            field.border_squared(), cells, beams, self._double(out),
         )
         return out
 
-    def update_weights_row(
-        self,
-        w64: np.ndarray,
-        like: np.ndarray,
-        stored: np.ndarray,
-        inv_count: float,
+    def update_weights(
+        self, rows: np.ndarray, like: np.ndarray, inv_count: float
     ) -> None:
-        """Fused posterior multiply + normalize of one float32 row.
+        """Posterior multiply + float32 store + normalize + shadow refresh."""
+        scratch, _, _ = self._scratch(self.count)
+        self._lib.stage_update_weights_f32(
+            self._weights, self._w64, self._int64(rows), rows.size, self.count,
+            self._double(like), inv_count, scratch,
+        )
 
-        ``w64`` is both the prior input and the shadow output.
+    def ess(self, rows: np.ndarray) -> np.ndarray:
+        """Effective sample size of each row, ``(len(rows),)``."""
+        out = np.empty(rows.size)
+        scratch, _, _ = self._scratch(self.count)
+        self._lib.stage_ess(
+            self._w64, self._int64(rows), rows.size, self.count,
+            scratch, self._double(out),
+        )
+        return out
+
+    def resample(self, rows: np.ndarray, u0: np.ndarray) -> None:
+        """Wheel at offset ``u0[i]``, then the eight-array gather, of
+        each row; the weights are left to the caller."""
+        cumulative, _, index = self._scratch(self.count)
+        self._lib.stage_resample(
+            self._x, self._y, self._theta, self._itemsize,
+            self._x64, self._y64, self._theta64, self._cos64, self._sin64,
+            self._w64, self._int64(rows), rows.size, self.count,
+            self._double(u0), cumulative, index, self._bounce,
+        )
+
+    def estimate(self, rows: np.ndarray) -> np.ndarray:
+        """``(len(rows), 5)``: each row's normalized weight total, mean x,
+        mean y and weighted sin and cos sums of yaw.
+
+        A row whose weight total is not positive and finite gets a NaN
+        total (its other entries are unset); the caller falls back to
+        the scalar kernel for it.
         """
-        self._lib.update_weights_f32(
-            self._dp(w64),
-            self._dp(like),
-            w64.size,
-            float(inv_count),
-            self._dp(self._buffer("a", w64.size)),
-            self._fp(stored),
-            self._dp(w64),
+        out = np.empty((rows.size, 5))
+        wn, scratch, _ = self._scratch(self.count)
+        self._lib.stage_estimate(
+            self._x64, self._y64, self._sin64, self._cos64, self._w64,
+            self._int64(rows), rows.size, self.count,
+            wn, scratch, self._double(out),
         )
-
-    def compose_store_row(
-        self,
-        cos_t: np.ndarray,
-        sin_t: np.ndarray,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        dt: np.ndarray,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        ts: np.ndarray,
-        x64: np.ndarray,
-        y64: np.ndarray,
-        t64: np.ndarray,
-    ) -> None:
-        """Fused motion compose + wrap + store of one float32 row.
-
-        The shadow rows are the pose inputs and are updated in place.
-        """
-        self._lib.compose_store_f32(
-            self._dp(cos_t),
-            self._dp(sin_t),
-            self._dp(dx),
-            self._dp(dy),
-            self._dp(dt),
-            xs.size,
-            self._fp(xs),
-            self._fp(ys),
-            self._fp(ts),
-            self._dp(x64),
-            self._dp(y64),
-            self._dp(t64),
-        )
-
-    def resample_row(
-        self,
-        w64: np.ndarray,
-        u0: float,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        ts: np.ndarray,
-        x64: np.ndarray,
-        y64: np.ndarray,
-        t64: np.ndarray,
-        c64: np.ndarray,
-        s64: np.ndarray,
-    ) -> None:
-        """Fused wheel + eight-array gather of one float32 row."""
-        n = w64.size
-        self._lib.resample_f32(
-            self._dp(w64),
-            n,
-            float(u0),
-            self._dp(self._buffer("a", n)),
-            self._ip(self._buffer("index", n, np.int64)),
-            self._fp(xs),
-            self._fp(ys),
-            self._fp(ts),
-            self._dp(x64),
-            self._dp(y64),
-            self._dp(t64),
-            self._dp(c64),
-            self._dp(s64),
-            self._fp(self._buffer("f32", n, np.float32)),
-            self._dp(self._buffer("b", n)),
-        )
+        return out

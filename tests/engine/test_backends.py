@@ -85,6 +85,29 @@ def _assert_shadows_exact(stack):
         np.testing.assert_array_equal(shadow.view(np.uint64), expected.view(np.uint64))
 
 
+def _row_bytes(stack, row):
+    """Every byte of one stack row's state: stored arrays, shadows,
+    estimate, update count and RNG position."""
+    arrays = (
+        stack.x,
+        stack.y,
+        stack.theta,
+        stack.weights,
+        stack.x64,
+        stack.y64,
+        stack.theta64,
+        stack.w64,
+        stack.cos64,
+        stack.sin64,
+    )
+    return (
+        [array[row].tobytes() for array in arrays],
+        stack.estimate_array(row).tobytes(),
+        stack.updates(row),
+        stack.rngs[row].bit_generator.state,
+    )
+
+
 def _metrics_signature(result):
     metrics = result.metrics
     return (
@@ -234,6 +257,55 @@ class _StackEquivalence:
 
         stack.ensure_capacity(5)
         _assert_shadows_exact(stack)
+
+    @pytest.mark.parametrize("variant", ["fp32", "fp16qm"])
+    def test_unsorted_sparse_rows_match_rows_stepped_alone(
+        self, mini_world, backend, variant
+    ):
+        """Steps over rows [5, 0, 3] of a 6-row stack leave each of those
+        rows with the bytes of that row stepped alone, and rows 1, 2 and
+        4 untouched: neither row order nor the gaps between rows reach
+        any row's state."""
+        grid, long_flight, __ = mini_world
+        # At half the ESS the rows resample on different steps.
+        config = dataclasses.replace(
+            MclConfig(particle_count=64).with_variant(variant),
+            resample_ess_fraction=0.5,
+        )
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        steps = [step for step in backend.plan(long_flight, config).steps if step.fires]
+        steps = steps[:12]
+
+        def stepped(rows, seeds):
+            stack = backend.open_stack(config, len(seeds))
+            for row, seed in enumerate(seeds):
+                stack.init_row(row, grid, RunSpec(long_flight, seed))
+            for step in steps:
+                stack.step([StepWork(rows=rows, step=step, field=field)])
+            return stack
+
+        packed = stepped([5, 0, 3], range(6))
+        for row in (5, 0, 3):
+            assert _row_bytes(packed, row) == _row_bytes(stepped([0], [row]), 0), row
+        untouched = stepped([], range(6))
+        for row in (1, 2, 4):
+            assert _row_bytes(packed, row) == _row_bytes(untouched, row), row
+
+    def test_rows_outside_the_stack_are_rejected(self, mini_world, backend):
+        """The C stages index the stack unchecked, so a step naming a row
+        the stack does not have must fail before any stage runs."""
+        grid, long_flight, __ = mini_world
+        config = MclConfig(particle_count=64)
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        step = next(s for s in backend.plan(long_flight, config).steps if s.fires)
+        stack = backend.open_stack(config, 2)
+        for row in range(2):
+            stack.init_row(row, grid, RunSpec(long_flight, row))
+        before = [_row_bytes(stack, row) for row in range(2)]
+        for rows in ([0, 2], [-1]):
+            with pytest.raises(IndexError):
+                stack.step([StepWork(rows=rows, step=step, field=field)])
+        assert [_row_bytes(stack, row) for row in range(2)] == before
 
 
 class TestBatchedEquivalence(_StackEquivalence):

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import MclConfig
 from repro.engine import fast_c
+from repro.engine.batched import ParticleStack
 
 pytestmark = pytest.mark.usefixtures("fast_backend")  # skips without cffi or cc
 
@@ -34,7 +36,11 @@ def test_cold_build_leaves_one_library_and_no_build_directory(cache):
     entries = sorted(cache.iterdir())
     assert len(entries) == 1, entries
     assert entries[0].suffix == ".so" and entries[0].is_file()
-    assert provider.det_sum_row(np.arange(20, dtype=float)) == 190.0
+    # The loaded library computes: the ESS of a uniform row is exactly N
+    # (N = 16, so every weight, square and sum is exact).
+    stack = ParticleStack(MclConfig(particle_count=16), rows=3, provider=provider)
+    stack.w64[:] = 1.0 / 16
+    assert provider.bind(stack).ess(np.array([2, 0])).tolist() == [16.0, 16.0]
 
 
 def test_second_provider_in_the_same_cache_spawns_no_compiler(cache, monkeypatch):
@@ -58,12 +64,12 @@ def test_drifted_declaration_fails_the_build(cache, monkeypatch):
     """A declaration that no longer matches its definition must stop the
     build: ABI mode would otherwise pass wrong arguments silently."""
     drifted = fast_c.C_DECLARATIONS.replace(
-        "void wheel_resample(const double *, int64_t, double,",
-        "void wheel_resample(const double *, int32_t, double,",
+        "void stage_ess(const double *, const int64_t *, int64_t,",
+        "void stage_ess(const double *, const int64_t *, int32_t,",
     )
     assert drifted != fast_c.C_DECLARATIONS
     monkeypatch.setattr(fast_c, "C_DECLARATIONS", drifted)
-    with pytest.raises(RuntimeError, match="conflicting types for .wheel_resample"):
+    with pytest.raises(RuntimeError, match="conflicting types for .stage_ess"):
         fast_c.CProvider()
     assert list(cache.iterdir()) == []
 

@@ -10,6 +10,8 @@ particle filters amplify 1-ulp differences into divergent resampling,
 so tolerances would hide real nonequivalence.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,11 +112,14 @@ class TestFleetEquivalence:
             result = manager.close(spec.session_id)
             assert_trace_equal(result.trace, solo_traces[spec.session_id])
 
-    def test_irregular_flush_pacing_is_invisible(self, solo_traces):
+    @pytest.mark.parametrize("backend", ["batched", "fast"])
+    def test_irregular_flush_pacing_is_invisible(self, solo_traces, backend, request):
         """Ragged per-session queues (sessions at wildly different replay
         positions, packed with whoever happens to be pending) cannot
         change any session's numbers."""
-        manager = SessionManager(backend="batched")
+        if backend == "fast":
+            request.getfixturevalue("fast_backend")
+        manager = SessionManager(backend=backend)
         specs = fleet_specs()
         for spec in specs:
             manager.create(spec)
@@ -131,6 +136,57 @@ class TestFleetEquivalence:
         for spec in specs:
             result = manager.close(spec.session_id)
             assert_trace_equal(result.trace, solo_traces[spec.session_id])
+
+    @pytest.mark.usefixtures("fast_backend")
+    def test_fast_fleet_created_in_waves(self, solo_traces):
+        """Sessions admitted after others have ticked grow their cohort's
+        stack between steps, and a session closed mid-flight hands its
+        row to a later one.  The C stages must follow both: a stale array
+        pointer would corrupt memory without raising."""
+        specs = {spec.session_id: spec for spec in fleet_specs()}
+        quitter = dataclasses.replace(specs["006.degraded"], session_id="zzz.quitter")
+        manager = SessionManager(backend="fast")
+
+        def admit(*session_ids):
+            for sid in session_ids:
+                manager.create(specs[sid])
+
+        def serve(frames):
+            for sid in manager.session_ids():
+                manager.submit(sid, frames)
+            manager.flush()
+
+        admit("000.maze", "002.office", "005.corridor")
+        manager.create(quitter)  # shares the fp32/64 cohort with 000.maze
+        serve(10)
+        partial = manager.close(quitter.session_id).trace
+        solo = solo_traces["006.degraded"]
+        frames = len(partial.timestamps)
+        assert frames == 10
+        np.testing.assert_array_equal(partial.timestamps, solo.timestamps[:frames])
+        np.testing.assert_array_equal(
+            partial.estimate_trace, solo.estimate_trace[:frames]
+        )
+
+        before = manager.scheduler.occupancy()
+        admit("001.maze", "006.degraded", "003.office", "004.corridor")
+        after = manager.scheduler.occupancy()
+        grown = [
+            key
+            for key in before
+            if after[key]["rows_allocated"] > before[key]["rows_allocated"]
+        ]
+        reused = [
+            key
+            for key in before
+            if before[key]["rows_free"] and not after[key]["rows_free"]
+        ]
+        assert grown and reused
+        serve(15)
+        admit("007.degraded")  # grows the fp16qm/64 cohort after 25 frames
+        manager.run_to_completion(frames_per_flush=11)
+        for sid in specs:
+            assert_trace_equal(manager.close(sid).trace, solo_traces[sid])
 
     def test_metrics_match_offline_evaluation(self, solo_traces):
         """Served metrics equal the offline evaluation of the solo run."""
