@@ -50,8 +50,11 @@ The ``fast`` backend is this backend handed a
 :class:`~repro.engine.fast_c.CProvider`.  The stack then runs the beam
 transform -> EDT gather -> tree reduction (no ``(R, N, K)``
 temporaries), the ESS, the resampling wheel and gathers, and the
-estimate reductions as C stages, and at float32 storage also the motion
-compose + store and the weight update.  Each stage is one call over the
+estimate reductions as C stages.  The motion compose + store and the
+weight update run in C too, at every storage dtype the loaded library
+stores (:attr:`~repro.engine.fast_c.CProvider.storage_dtypes`): float32
+always, float16 where the compiler has ``_Float16``; without it, fp16qm
+runs those two stages in numpy.  Each stage is one call over the
 int64 list of rows it touches (the beam pass: one per work item), and
 the rows are looped in C.  The stack wraps its arrays for C once
 (:class:`~repro.engine.fast_c.StackKernels`): it writes them only in
@@ -154,9 +157,10 @@ class ParticleStack:
         self.count = config.particle_count
         self.dtype = config.precision.particle_dtype
         self.provider = provider
-        # The motion and weight-update C stages exist for float32
-        # storage only; other precisions run those two in numpy.
-        self._fused = provider is not None and np.dtype(self.dtype) == np.float32
+        # The motion and weight-update C stages store the dtypes the
+        # loaded library was built for (float32, and float16 where the
+        # compiler has _Float16); any other runs those two in numpy.
+        self._fused = provider is not None and self.dtype in provider.storage_dtypes
         # The C stages over the current arrays, bound by ensure_capacity.
         self._kernels: StackKernels | None = None
         # The numpy observation stage's (R', N, K) temporaries, kept
@@ -358,33 +362,39 @@ class ParticleStack:
                 np.add(pending.y, noise_y, out=dy[i])
                 np.add(pending.theta, noise_theta, out=dtheta[i])
                 i += 1
+        self._compose_store(triggered, dx, dy, dtheta)
 
+    def _compose_store(
+        self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dtheta: np.ndarray
+    ) -> None:
+        """Apply ``(len(rows), N)`` noisy body-frame increments to ``rows``
+        and store the poses (:func:`kernels.compose_increment`, then
+        :meth:`_store`)."""
         if self._fused:
             # Fused compose + wrap + store + shadow refresh, fed the prior
             # yaw trig from the shadows; the posterior yaw's trig is the
             # step's single trig evaluation (stacked trig equals per-row
             # trig bit for bit: tests/engine/test_stacked_trig.py).
-            self._kernels.compose_store(triggered, dx, dy, dtheta)
-            theta = self.theta64[triggered]
-            self.cos64[triggered] = np.cos(theta)
-            self.sin64[triggered] = np.sin(theta)
+            self._kernels.compose_store(rows, dx, dy, dtheta)
+            theta = self.theta64[rows]
+            self.cos64[rows] = np.cos(theta)
+            self.sin64[rows] = np.sin(theta)
             return
         new_x, new_y, new_theta = kernels.compose_increment(
-            self.x64[triggered],
-            self.y64[triggered],
-            self.theta64[triggered],
+            self.x64[rows],
+            self.y64[rows],
+            self.theta64[rows],
             dx,
             dy,
             dtheta,
-            cos_t=self.cos64[triggered],
-            sin_t=self.sin64[triggered],
+            cos_t=self.cos64[rows],
+            sin_t=self.sin64[rows],
         )
-        self._store(triggered, new_x, new_y, new_theta)
+        self._store(rows, new_x, new_y, new_theta)
 
     def _observation_update(self, work: Sequence[StepWork]) -> np.ndarray:
         """Re-weight packed rows; returns the rows that saw usable beams."""
         config = self.config
-        inv_count = 1.0 / self.count
         observed: list[int] = []
         for item in work:
             step = item.step
@@ -399,17 +409,20 @@ class ParticleStack:
                     np.negative(log_lik, out=log_lik)
                     log_lik /= 2.0 * config.sigma_obs**2
                     like = kernels.likelihood_ratios(log_lik, config.beam_replication)
-                    if self._fused:
-                        # Prior multiply + storage cast + normalize +
-                        # shadow refresh, fused.
-                        self._kernels.update_weights(chunk, like, inv_count)
-                    else:
-                        stored = (self.w64[chunk] * like).astype(self.dtype)
-                        kernels.normalize_weights(stored, self.dtype)
-                        self.weights[chunk] = stored
-                        self.w64[chunk] = stored.astype(np.float64)
+                    self._update_weights(chunk, like)
             observed.extend(item.rows)
         return np.array(observed, dtype=np.int64)
+
+    def _update_weights(self, rows: np.ndarray, like: np.ndarray) -> None:
+        """Posterior weights of ``rows`` from ``(len(rows), N)`` likelihood
+        ratios: prior multiply, storage cast, normalize, shadow refresh."""
+        if self._fused:
+            self._kernels.update_weights(rows, like)
+            return
+        stored = (self.w64[rows] * like).astype(self.dtype)
+        kernels.normalize_weights(stored, self.dtype)
+        self.weights[rows] = stored
+        self.w64[rows] = stored.astype(np.float64)
 
     def _beam_squared_sums(
         self, rows: np.ndarray, step: ReplayStep, field: DistanceField

@@ -38,6 +38,15 @@ Bitwise discipline:
   the clamped final entry exceeds every arrow position).
 * Rows share no arithmetic, so a row's bits never depend on which rows
   a call carries or in what order.
+* The motion and weight-update row kernels are written once and
+  instantiated per storage type: ``float`` and ``_Float16``.  Each store
+  casts a double straight to the storage type, one IEEE
+  round-to-nearest-even like numpy's ``astype``; a double -> float ->
+  ``_Float16`` path would round twice.  Widening back to double is
+  exact.  The ``_Float16`` instantiation is compiled only where the
+  compiler has the type (``__FLT16_MAX__``); the library reports it
+  through :attr:`CProvider.storage_dtypes`, and without it fp16 stacks
+  run those two stages in numpy.
 
 The kernels build into a plain shared library — one ``cc -shared -fPIC``
 call, no ``Python.h``, no generated wrapper, no setuptools — cached under
@@ -274,68 +283,91 @@ static double det_wrap(double a)
     return mod - M_PI;
 }
 
-/* One row's posterior weight update at float32 storage, fused:
+/* ------------------------------------------------------------------
+ * Storage-typed row kernels, defined once and instantiated below per
+ * storage type T: `float` (fp32, fp32qm) and, where the compiler has
+ * it, `_Float16` (fp16qm).  Every store is the one conversion `(T)d`
+ * from double, a single IEEE round-to-nearest-even like numpy's
+ * astype(T); it never goes through float, which would round twice at
+ * _Float16.  Every widening `(double)t` is exact.  The row kernels take
+ * the stored row as `void *` so the stage entry points can pick an
+ * instantiation by the entry width (STORAGE_KERNEL).
+ *
+ * update_weights_<S>: one row's posterior weight update, fused:
  * prior * likelihood (the numpy side supplies like = exp(...)), cast to
  * storage precision, then kernels.normalize_weights on that row —
  * float64 scratch, non-finite entries zeroed, det-tree total, divide or
  * reset-to-uniform, cast back — plus the float64 shadow refresh.  The
  * shadow is both the prior and the output: each index is read before it
- * is written. */
-static void update_weights_f32(float *stored, double *shadow,
-                               const double *like, int64_t n,
-                               double inv_count, double *scratch)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        double u = shadow[i] * like[i];
-        float sf = (float)u;
-        double s = (double)sf;
-        if (!isfinite(s)) s = 0.0;
-        shadow[i] = s;
-        scratch[i] = s;
-    }
-    double total = det_sum_inplace(scratch, n);
-    if (total > 0.0) {
-        for (int64_t i = 0; i < n; ++i) {
-            float o = (float)(shadow[i] / total);
-            stored[i] = o;
-            shadow[i] = (double)o;
-        }
-    } else {
-        float o = (float)inv_count;
-        double od = (double)o;
-        for (int64_t i = 0; i < n; ++i) {
-            stored[i] = o;
-            shadow[i] = od;
-        }
-    }
-}
-
-/* One row's motion update at float32 storage, fused: compose the noisy
+ * is written.
+ *
+ * compose_store_<S>: one row's motion update, fused: compose the noisy
  * body-frame increment (kernels.compose_increment op order; cos/sin of
  * the prior yaw come from numpy), wrap yaw, then the _store step —
  * wrap again, cast to storage precision — and the shadow refresh.  The
  * shadow rows double as the pose inputs; index i is read before it is
- * written. */
-static void compose_store_f32(const double *cos_t, const double *sin_t,
-                              const double *dx, const double *dy,
-                              const double *dt, int64_t n,
-                              float *xs, float *ys, float *ts,
-                              double *x64, double *y64, double *t64)
+ * written.
+ * ------------------------------------------------------------------ */
+#define STORAGE_ROW_KERNELS(T, S)                                           \
+static void update_weights_##S(void *row, double *shadow,                  \
+                               const double *like, int64_t n,              \
+                               double inv_count, double *scratch)          \
+{                                                                           \
+    T *stored = row;                                                        \
+    for (int64_t i = 0; i < n; ++i) {                                       \
+        double s = (double)(T)(shadow[i] * like[i]);                        \
+        if (!isfinite(s)) s = 0.0;                                          \
+        shadow[i] = s;                                                      \
+        scratch[i] = s;                                                     \
+    }                                                                       \
+    double total = det_sum_inplace(scratch, n);                             \
+    for (int64_t i = 0; i < n; ++i) {                                       \
+        T o = (T)(total > 0.0 ? shadow[i] / total : inv_count);             \
+        stored[i] = o;                                                      \
+        shadow[i] = (double)o;                                              \
+    }                                                                       \
+}                                                                           \
+                                                                            \
+static void compose_store_##S(const double *cos_t, const double *sin_t,    \
+                              const double *dx, const double *dy,          \
+                              const double *dt, int64_t n,                 \
+                              void *x_row, void *y_row, void *t_row,       \
+                              double *x64, double *y64, double *t64)       \
+{                                                                           \
+    T *xs = x_row, *ys = y_row, *ts = t_row;                                \
+    for (int64_t i = 0; i < n; ++i) {                                       \
+        T fx = (T)((x64[i] + cos_t[i] * dx[i]) - sin_t[i] * dy[i]);         \
+        T fy = (T)((y64[i] + sin_t[i] * dx[i]) + cos_t[i] * dy[i]);         \
+        T ft = (T)det_wrap(det_wrap(t64[i] + dt[i]));                       \
+        xs[i] = fx;                                                         \
+        ys[i] = fy;                                                         \
+        ts[i] = ft;                                                         \
+        x64[i] = (double)fx;                                                \
+        y64[i] = (double)fy;                                                \
+        t64[i] = (double)ft;                                                \
+    }                                                                       \
+}
+
+STORAGE_ROW_KERNELS(float, f32)
+
+/* The _Float16 instantiation needs a compiler with the type; without
+ * it, only float storage may call the two stages below. */
+#ifdef __FLT16_MAX__
+STORAGE_ROW_KERNELS(_Float16, f16)
+#define STORAGE_KERNEL(kernel, itemsize) \
+    ((itemsize) == 2 ? kernel##_f16 : kernel##_f32)
+#else
+#define STORAGE_KERNEL(kernel, itemsize) kernel##_f32
+#endif
+
+/* Whether the _Float16 row kernels were compiled in. */
+int has_f16_stages(void)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        double nx = (x64[i] + cos_t[i] * dx[i]) - sin_t[i] * dy[i];
-        double ny = (y64[i] + sin_t[i] * dx[i]) + cos_t[i] * dy[i];
-        double nt = det_wrap(det_wrap(t64[i] + dt[i]));
-        float fx = (float)nx;
-        float fy = (float)ny;
-        float ft = (float)nt;
-        xs[i] = fx;
-        ys[i] = fy;
-        ts[i] = ft;
-        x64[i] = (double)fx;
-        y64[i] = (double)fy;
-        t64[i] = (double)ft;
-    }
+#ifdef __FLT16_MAX__
+    return 1;
+#else
+    return 0;
+#endif
 }
 
 /* ------------------------------------------------------------------
@@ -348,20 +380,22 @@ static void compose_store_f32(const double *cos_t, const double *sin_t,
  * row kernel run alone.
  * ------------------------------------------------------------------ */
 
-/* Motion: compose + wrap + float32 store + shadow refresh; dx/dy/dt are
- * the noisy increments drawn by numpy. */
-void stage_compose_store_f32(
-    float *xs, float *ys, float *ts,
+/* Motion: compose + wrap + store (`itemsize` bytes per stored entry:
+ * 4 for float, 2 for _Float16) + shadow refresh; dx/dy/dt are the
+ * noisy increments drawn by numpy. */
+void stage_compose_store(
+    void *xs, void *ys, void *ts, int64_t itemsize,
     double *x64, double *y64, double *t64,
     const double *cos64, const double *sin64,
     const int64_t *rows, int64_t nrows, int64_t n,
     const double *dx, const double *dy, const double *dt)
 {
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n, in = r * n;
-        compose_store_f32(cos64 + at, sin64 + at, dx + in, dy + in, dt + in,
-                          n, xs + at, ys + at, ts + at,
-                          x64 + at, y64 + at, t64 + at);
+        int64_t at = rows[r] * n, in = r * n, off = at * itemsize;
+        STORAGE_KERNEL(compose_store, itemsize)(
+            cos64 + at, sin64 + at, dx + in, dy + in, dt + in, n,
+            (char *)xs + off, (char *)ys + off, (char *)ts + off,
+            x64 + at, y64 + at, t64 + at);
     }
 }
 
@@ -386,16 +420,18 @@ void stage_beam_sums(
     }
 }
 
-/* Weight update at float32 storage, given the likelihood ratios. */
-void stage_update_weights_f32(
-    float *ws, double *w64,
+/* Weight update at `itemsize` bytes per stored entry, given the
+ * likelihood ratios. */
+void stage_update_weights(
+    void *ws, int64_t itemsize, double *w64,
     const int64_t *rows, int64_t nrows, int64_t n,
     const double *like, double inv_count, double *scratch)
 {
     for (int64_t r = 0; r < nrows; ++r) {
         int64_t at = rows[r] * n;
-        update_weights_f32(ws + at, w64 + at, like + r * n, n, inv_count,
-                           scratch);
+        STORAGE_KERNEL(update_weights, itemsize)(
+            (char *)ws + at * itemsize, w64 + at, like + r * n, n, inv_count,
+            scratch);
     }
 }
 
@@ -450,15 +486,15 @@ void stage_estimate(
 """
 
 C_DECLARATIONS = """
-void stage_compose_store_f32(float *, float *, float *, double *, double *,
+void stage_compose_store(void *, void *, void *, int64_t, double *, double *,
     double *, const double *, const double *, const int64_t *, int64_t,
     int64_t, const double *, const double *, const double *);
 void stage_beam_sums(const double *, const double *, const double *,
     const double *, const int64_t *, int64_t, int64_t, const double *,
     const double *, int64_t, const uint8_t *, const double *, int64_t,
     int64_t, double, double, double, double, int64_t *, double *, double *);
-void stage_update_weights_f32(float *, double *, const int64_t *, int64_t,
-    int64_t, const double *, double, double *);
+void stage_update_weights(void *, int64_t, double *, const int64_t *,
+    int64_t, int64_t, const double *, double, double *);
 void stage_ess(const double *, const int64_t *, int64_t, int64_t, double *,
     double *);
 void stage_resample(void *, void *, void *, int64_t, double *, double *,
@@ -467,6 +503,7 @@ void stage_resample(void *, void *, void *, int64_t, double *, double *,
 void stage_estimate(const double *, const double *, const double *,
     const double *, const double *, const int64_t *, int64_t, int64_t,
     double *, double *, double *);
+int has_f16_stages(void);
 """
 
 #: Keep the machine-specific flags IEEE-strict: no -ffast-math, ever —
@@ -590,6 +627,12 @@ class CProvider:
 
     def __init__(self) -> None:
         self._ffi, self._lib = load_library()
+        #: The storage dtypes the motion and weight-update stages write:
+        #: float32, plus float16 where the compiler has ``_Float16``.
+        #: A stack of any other dtype runs those two stages in numpy.
+        self.storage_dtypes = (np.dtype(np.float32),)
+        if self._lib.has_f16_stages():
+            self.storage_dtypes += (np.dtype(np.float16),)
 
     def bind(self, stack: ParticleStack) -> StackKernels:
         """The C stages over ``stack``'s current arrays."""
@@ -605,8 +648,10 @@ class StackKernels:
     arguments are C-contiguous int64 arrays of stack rows, which C
     indexes unchecked (``ParticleStack.step`` rejects rows outside the
     stack); per-call inputs and outputs are ``(len(rows), N)`` float64
-    blocks in that order.  Not thread-safe: the scratch rows are shared
-    by every call.
+    blocks in that order.  :meth:`compose_store` and
+    :meth:`update_weights` write the stored arrays, so they are only for
+    stacks of a dtype in :attr:`CProvider.storage_dtypes`.  Not
+    thread-safe: the scratch rows are shared by every call.
     """
 
     def __init__(self, ffi, lib, stack: ParticleStack) -> None:
@@ -626,11 +671,9 @@ class StackKernels:
                 stack.sin64,
             )
         )
-        # ``float`` where the float32 stages write them; otherwise only
-        # the resample stage reads them, as ``void *`` bits.
-        stored = "float[]" if stack.dtype == np.float32 else "char[]"
+        # The stored arrays cross as ``void *`` plus their itemsize.
         self._x, self._y, self._theta, self._weights = (
-            ffi.from_buffer(stored, array)
+            ffi.from_buffer(array)
             for array in (stack.x, stack.y, stack.theta, stack.weights)
         )
         self._itemsize = stack.x.itemsize
@@ -653,10 +696,11 @@ class StackKernels:
     def compose_store(
         self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dt: np.ndarray
     ) -> None:
-        """Motion compose + wrap + float32 store + shadow refresh."""
-        self._lib.stage_compose_store_f32(
-            self._x, self._y, self._theta, self._x64, self._y64, self._theta64,
-            self._cos64, self._sin64, self._int64(rows), rows.size, self.count,
+        """Motion compose + wrap + store + shadow refresh."""
+        self._lib.stage_compose_store(
+            self._x, self._y, self._theta, self._itemsize,
+            self._x64, self._y64, self._theta64, self._cos64, self._sin64,
+            self._int64(rows), rows.size, self.count,
             self._double(dx), self._double(dy), self._double(dt),
         )
 
@@ -687,14 +731,13 @@ class StackKernels:
         )
         return out
 
-    def update_weights(
-        self, rows: np.ndarray, like: np.ndarray, inv_count: float
-    ) -> None:
-        """Posterior multiply + float32 store + normalize + shadow refresh."""
+    def update_weights(self, rows: np.ndarray, like: np.ndarray) -> None:
+        """Posterior multiply + store + normalize + shadow refresh."""
         scratch, _, _ = self._scratch(self.count)
-        self._lib.stage_update_weights_f32(
-            self._weights, self._w64, self._int64(rows), rows.size, self.count,
-            self._double(like), inv_count, scratch,
+        self._lib.stage_update_weights(
+            self._weights, self._itemsize, self._w64,
+            self._int64(rows), rows.size, self.count,
+            self._double(like), 1.0 / self.count, scratch,
         )
 
     def ess(self, rows: np.ndarray) -> np.ndarray:
