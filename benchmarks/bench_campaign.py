@@ -42,13 +42,6 @@ def campaign_grid() -> tuple[tuple[int, ...], tuple[int, ...], float]:
     return (32, 64), (0, 1), 20.0
 
 
-def _store_bytes(store: CampaignStore) -> dict[str, bytes]:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(store.cells_dir.glob("*.json"))
-    }
-
-
 def test_campaign_layer(benchmark, tmp_path):
     counts, seeds, flight_s = campaign_grid()
     scenarios = tuple(f"{spec}:flight_s={flight_s}" for spec in SCENARIOS)
@@ -80,6 +73,9 @@ def test_campaign_layer(benchmark, tmp_path):
         run_campaign(spec("bench"), backend="reference", store=reference_store)
         reference_s = time.perf_counter() - start
 
+        cells = dict(batched_store.iter_cell_bytes())
+        every_cell = set(cells) == {cell.key for cell in spec("bench").cells()}
+
         return {
             "grid": {
                 "scenarios": list(scenarios),
@@ -93,8 +89,8 @@ def test_campaign_layer(benchmark, tmp_path):
             "reference_s": reference_s,
             "resume_skipped": resumed.skipped,
             "resume_executed": resumed.executed,
-            "stores_identical": _store_bytes(batched_store)
-            == _store_bytes(reference_store),
+            "stores_identical": every_cell
+            and cells == dict(reference_store.iter_cell_bytes()),
         }
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,18 +1,21 @@
-"""Store-tier benchmark: file vs packed at campaign scale.
+"""Store benchmark: packed segments vs legacy cell files at campaign scale.
 
 Builds the *same* synthetic campaign (cell payload bytes a pure function
-of the cell key, exactly as real campaigns guarantee) in both store
-tiers, then measures the three operations the packed tier exists for:
+of the cell key, exactly as real campaigns guarantee) twice: through
+``put_cell_bytes`` into packed segments, the store's one write path, and
+as legacy ``cells/<key>.json`` files, the layout stores written before
+segments still hold.  Then it measures the three operations segments
+exist for:
 
 1. **resume scan** — ``completed_keys()`` on a cold store: a directory
-   walk with per-file JSON validation (file tier) vs sealed-segment
-   index sidecar reads (packed tier),
+   walk with per-file JSON validation (legacy cells) vs sealed-segment
+   index sidecar reads (packed),
 2. **streaming report** — a full ``stream_cells()`` +
    :class:`~repro.eval.aggregate.RunningCellStats` fold, the
    ``campaign report`` hot path,
-3. **byte equivalence** — every cell read back from both tiers must be
-   byte-identical (the cross-tier contract ``campaign compact`` and
-   tier-mixed shard merges rest on).
+3. **byte equivalence** — every cell read back from both layouts must be
+   byte-identical (the contract ``campaign compact`` and merges of
+   legacy stores rest on).
 
 Every measured phase runs in its own subprocess so the reported peak
 RSS (``ru_maxrss``) belongs to that phase alone; the streaming report is
@@ -74,24 +77,24 @@ def synthetic_payload_bytes(index: int) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def _phase_write_file(root: Path, cells: int) -> dict:
-    """Populate the file tier (setup only — writes are never compared)."""
+def _phase_write_legacy(root: Path, cells: int) -> dict:
+    """Lay out legacy cell files (setup only: nothing writes them any more)."""
     from repro.eval.store import CampaignStore
 
-    store = CampaignStore("bench", root=root, tier="file")
+    store = CampaignStore("bench", root=root)
     store.cells_dir.mkdir(parents=True, exist_ok=True)
     elapsed = _timed()
     for index in range(cells):
-        # Plain writes, not the atomic tmp+rename path: setup speed only.
-        path = store.cells_dir / f"{synthetic_key(index)}.json"
-        path.write_bytes(synthetic_payload_bytes(index))
+        store.cell_path(synthetic_key(index)).write_bytes(
+            synthetic_payload_bytes(index)
+        )
     return {"seconds": elapsed(), "cells": cells}
 
 
 def _phase_write_packed(root: Path, cells: int) -> dict:
     from repro.eval.store import CampaignStore
 
-    store = CampaignStore("bench", root=root, tier="packed")
+    store = CampaignStore("bench", root=root)
     elapsed = _timed()
     with store:
         for index in range(cells):
@@ -126,7 +129,7 @@ def _phase_report(root: Path, cells: int) -> dict:
 
 
 def _phase_verify(roots: list[Path], cells: int) -> dict:
-    """Byte equivalence: the two tiers answer every key identically."""
+    """Byte equivalence: both layouts answer every key identically."""
     from repro.eval.store import CampaignStore
 
     elapsed = _timed()
@@ -146,7 +149,7 @@ def _timed():
 
 
 PHASES = {
-    "write-file": _phase_write_file,
+    "write-legacy": _phase_write_legacy,
     "write-packed": _phase_write_packed,
     "scan": _phase_scan,
     "report": _phase_report,
@@ -189,7 +192,7 @@ def store_cells() -> int:
     return 20_000
 
 
-def test_store_tiers(benchmark, tmp_path):
+def test_store_layouts(benchmark, tmp_path):
     from conftest import current_scale
 
     from repro.viz.export import results_directory
@@ -197,25 +200,25 @@ def test_store_tiers(benchmark, tmp_path):
 
     cells = store_cells()
     small = max(cells // 10, 100)
-    file_root = tmp_path / "file"
+    legacy_root = tmp_path / "legacy"
     packed_root = tmp_path / "packed"
     small_root = tmp_path / "packed-small"
 
     def run() -> dict:
         report: dict = {"scale": current_scale(), "cells": cells}
-        report["write_file"] = _run_phase("write-file", [file_root], cells)
+        report["write_legacy"] = _run_phase("write-legacy", [legacy_root], cells)
         report["write_packed"] = _run_phase("write-packed", [packed_root], cells)
         report["write_packed_small"] = _run_phase(
             "write-packed", [small_root], small
         )
-        report["scan_file"] = _run_phase("scan", [file_root], cells)
+        report["scan_legacy"] = _run_phase("scan", [legacy_root], cells)
         report["scan_packed"] = _run_phase("scan", [packed_root], cells)
-        report["report_file"] = _run_phase("report", [file_root], cells)
+        report["report_legacy"] = _run_phase("report", [legacy_root], cells)
         report["report_packed"] = _run_phase("report", [packed_root], cells)
         report["report_packed_small"] = _run_phase("report", [small_root], small)
-        report["verify"] = _run_phase("verify", [file_root, packed_root], cells)
+        report["verify"] = _run_phase("verify", [legacy_root, packed_root], cells)
         report["scan_speedup"] = (
-            report["scan_file"]["seconds"] / report["scan_packed"]["seconds"]
+            report["scan_legacy"]["seconds"] / report["scan_packed"]["seconds"]
         )
         report["report_rss_ratio_10x_cells"] = (
             report["report_packed"]["ru_maxrss_kb"]
@@ -237,15 +240,16 @@ def test_store_tiers(benchmark, tmp_path):
         format_table(
             ["phase", "seconds", "peak MiB"],
             [
-                row(f"resume scan, file ({cells} cells)", report["scan_file"]),
+                row(f"write, packed ({cells} cells)", report["write_packed"]),
+                row("resume scan, legacy cells", report["scan_legacy"]),
                 row("resume scan, packed", report["scan_packed"]),
-                row("report, file", report["report_file"]),
+                row("report, legacy cells", report["report_legacy"]),
                 row("report, packed", report["report_packed"]),
                 row(f"report, packed ({small} cells)", report["report_packed_small"]),
             ],
-            title="Store tiers — cold resume scan and streaming report",
+            title="Campaign store — packed write, cold resume scan, streaming report",
             footnote=(
-                f"scan speedup {report['scan_speedup']:.1f}x; cross-tier "
+                f"scan speedup {report['scan_speedup']:.1f}x; legacy/packed "
                 f"byte equivalence: {report['verify']['equivalent']}; each "
                 "phase is its own subprocess (RSS is per-phase)"
             ),
@@ -258,8 +262,8 @@ def test_store_tiers(benchmark, tmp_path):
         handle.write("\n")
     print(f"report: {path}")
 
-    assert report["verify"]["equivalent"], "tiers disagree on cell bytes"
-    assert report["scan_file"]["keys"] == cells
+    assert report["verify"]["equivalent"], "layouts disagree on cell bytes"
+    assert report["scan_legacy"]["keys"] == cells
     assert report["scan_packed"]["keys"] == cells
     assert report["report_packed"]["cells"] == cells
     # The index must beat the validating directory scan by a wide margin

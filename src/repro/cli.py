@@ -81,7 +81,7 @@ from .eval.campaign import (
     run_campaign,
 )
 from .eval.runner import run_localization
-from .eval.store import STORE_TIERS, CampaignStore, list_campaigns
+from .eval.store import CampaignStore, list_campaigns
 from .eval.sweep_engine import SweepEngine
 from .maps.maze import build_drone_maze_world
 from .scenarios import (
@@ -392,7 +392,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         resume=args.resume,
         progress=print if args.verbose else None,
-        store_tier=args.store_tier,
     )
     _print_campaign_summary(summary)
     return 0
@@ -439,7 +438,7 @@ def _cmd_campaign_shard(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    store = CampaignStore(f"{spec.name}-shard{args.index}", tier=args.store_tier)
+    store = CampaignStore(f"{spec.name}-shard{args.index}")
     summary = run_campaign(
         spec,
         backend=args.backend,
@@ -1339,18 +1338,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="skip cells already completed in the store (by content key)",
         )
         parser_.add_argument(
-            "--store-tier",
-            choices=list(STORE_TIERS),
-            default="auto",
-            help=(
-                "storage layout for a fresh store: 'packed' appends cells "
-                "into indexed segment files (the 10^5-cell shape), 'file' "
-                "writes one JSON file per cell; 'auto' (default) keeps "
-                "whatever tier the store already has (file for new stores). "
-                "Cell bytes are identical in every tier."
-            ),
-        )
-        parser_.add_argument(
             "--verbose", action="store_true", help="print one line per completed cell"
         )
 
@@ -1424,14 +1411,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_compact = campaign_sub.add_parser(
         "compact",
-        help="fold a file-per-cell store into packed segments",
+        help="fold a legacy store's cell files into packed segments",
         description=(
-            "Migrate a campaign store to the packed tier: every cell file "
+            "Retire the one-file-per-cell layout of stores written before "
+            "packed segments became the only write path: every cell file "
             "is appended into indexed segment files, byte-verified back "
             "out of the segments, and only then removed. Interrupting at "
-            "any point leaves the file tier authoritative; cell bytes "
-            "never change. Subsequent runs of the campaign append packed "
-            "automatically."
+            "any point leaves the cell files authoritative; cell bytes "
+            "never change. Takes the store's single-writer lock, so it "
+            "refuses a store that a run is writing."
         ),
     )
     campaign_compact.add_argument("name", help="campaign name")

@@ -1,9 +1,10 @@
 """Atomic filesystem publication primitives (tmp + rename / link).
 
-Every on-disk cache in this repository — campaign cell files, the
-scenario ``.npz`` cache, serve-layer snapshots written by callers — has
-the same durability need: a reader (or a concurrently spawning worker)
-must observe either a *complete* file or *no* file, never a torn one.
+Every on-disk cache in this repository — campaign manifests and
+segment indexes, the scenario ``.npz`` cache, serve-layer snapshots
+written by callers — has the same durability need: a reader (or a
+concurrently spawning worker) must observe either a *complete* file or
+*no* file, never a torn one.
 These helpers are the one implementation of that pattern:
 
 * :func:`write_scratch` — write bytes to a unique ``*.tmp`` sibling

@@ -21,7 +21,7 @@ survives at paper-study scale:
   ids, one warm task per scenario generates its cache on the pool, and
   each worker keeps its scenarios, distance fields and backend;
 * **resumability** — a killed campaign restarts with ``resume=True`` and
-  re-executes exactly the cells whose files are missing or torn; the
+  re-executes exactly the cells that are missing or torn; the
   final store is **byte-identical** to an uninterrupted run;
 * **queryability** — :func:`campaign_status` and
   :func:`aggregate_report` answer progress and accuracy questions from
@@ -38,6 +38,7 @@ canonical JSON — so ``jobs=1`` vs ``jobs=N``, fresh vs resumed, and
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -300,12 +301,11 @@ def run_campaign(
     store: CampaignStore | None = None,
     progress=None,
     shard: tuple[int, int] | None = None,
-    store_tier: str = "auto",
 ) -> CampaignRunSummary:
     """Execute a campaign, streaming each finished cell into the store.
 
-    With ``resume=True``, cells whose files already exist (and parse)
-    are skipped by content key — only the missing remainder is executed,
+    With ``resume=True``, cells already stored (and parseable) are
+    skipped by content key — only the missing remainder is executed,
     and the completed store is byte-identical to an uninterrupted run.
     Without ``resume``, every cell is recomputed and verified against
     any bytes already stored (a mismatch raises — it would mean the
@@ -335,21 +335,14 @@ def run_campaign(
     (which folds in the config fingerprint for ablated specs) fully
     determines its numbers.
 
-    ``store_tier`` selects the storage layout when the store is created
-    here (``"packed"`` for segment files — the 10^5-cell shape; the
-    ``"auto"`` default keeps whatever tier the store already has, file
-    tier for fresh stores).  The tier never affects cell bytes, only
-    where they live.  Even with ``jobs > 1``, all writes funnel through
-    this parent process — the packed tier's single-writer contract holds
-    by construction.
+    Cells are appended to the store's packed segments.  The run holds
+    the store's single-writer lock from :meth:`CampaignStore.recover`
+    to the end (a store with a live writer raises
+    :class:`EvaluationError` before anything runs), and even with
+    ``jobs > 1`` every write funnels through this parent process.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if store is None:
-        store = CampaignStore(spec.name, tier=store_tier)
-    recovered = store.recover()
-    store.write_manifest(spec.to_manifest())
-
     if shard is None:
         cells = spec.cells()
     else:
@@ -359,15 +352,9 @@ def run_campaign(
                 f"shard index must be in [0, {count}), got {index}"
             )
         cells = shard_cells(spec, count)[index]
-    completed = store.completed_keys() if resume else set()
-    pending = [cell for cell in cells if cell.key not in completed]
-    skipped = len(cells) - len(pending)
-    if progress is not None and skipped:
-        progress(f"resume: {skipped}/{len(cells)} cells already stored")
-
+    if store is None:
+        store = CampaignStore(spec.name)
     base_config = MclConfig()
-
-    obs.counter("campaign.cells_skipped").inc(skipped)
 
     def finish(cell: CampaignCell, runs: list[RunResult]) -> None:
         with obs.span("campaign.cell_store"):
@@ -388,7 +375,15 @@ def run_campaign(
                 f"{done}/{len(runs)} successful runs -> {cell.key}"
             )
 
-    try:
+    with store:  # close() seals the active segment and releases the lock
+        recovered = store.recover()
+        store.write_manifest(spec.to_manifest())
+        completed = store.completed_keys() if resume else set()
+        pending = [cell for cell in cells if cell.key not in completed]
+        skipped = len(cells) - len(pending)
+        if progress is not None and skipped:
+            progress(f"resume: {skipped}/{len(cells)} cells already stored")
+        obs.counter("campaign.cells_skipped").inc(skipped)
         if not pending:
             # A complete resume builds no backend and no pool: resolving
             # ``fast`` alone would compile the C kernels for nothing.
@@ -421,14 +416,16 @@ def run_campaign(
                 )
                 finish(cell, runs)
         else:
+            # Forked workers share the lock's file description; closing
+            # the generator shuts the pool down before the lock is
+            # released, on error paths too.
             units = [
                 (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
                 for cell in pending
             ]
-            for index, runs in fan_out(units, backend, jobs):
-                finish(pending[index], runs)
-    finally:
-        store.close()  # seal any active packed segment
+            with closing(fan_out(units, backend, jobs)) as finished:
+                for index, runs in finished:
+                    finish(pending[index], runs)
 
     return CampaignRunSummary(
         name=spec.name,
@@ -472,10 +469,10 @@ def merge_campaign_stores(
     files (unparseable JSON) are skipped and counted, exactly as
     :meth:`CampaignStore.completed_keys` would ignore them.
 
-    Both stores may be either tier (or mid-migration mixes): the source
-    streams records via :meth:`CampaignStore.iter_cell_bytes` and the
-    destination appends through its own write tier, so shard hosts can
-    choose layouts independently and still merge byte-identically.
+    The source streams its cells — packed records and any legacy cell
+    files — via :meth:`CampaignStore.iter_cell_bytes`, and the
+    destination appends them to its segments under its single-writer
+    lock, released when the merge returns.
     """
     source_manifest = source.manifest_path
     if not source_manifest.exists():
@@ -516,7 +513,7 @@ def merge_campaign_stores(
             else:
                 copied += 1
     finally:
-        dest.close()  # seal any packed segment the merge appended
+        dest.close()  # seal the segment the merge appended, release the lock
     return MergeSummary(
         dest=dest.name,
         source=source.name,
@@ -538,7 +535,7 @@ def campaign_status(name: str, store: CampaignStore | None = None) -> dict:
     """Progress of a campaign: completed vs expected cells, by scenario.
 
     One pass: the store answers :meth:`~CampaignStore.completed_keys`
-    from its segment index (O(segments) reads on the packed tier), and
+    from its segment index (O(segments) sidecar reads), and
     the expected grid is walked once with each cell's cached key — the
     whole query is index-speed even at 10^5 cells.
     """

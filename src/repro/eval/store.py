@@ -4,72 +4,70 @@ A campaign's results live under ``REPRO_RESULTS_DIR/campaigns/<name>/``:
 
 * ``manifest.json`` — the declarative campaign spec, written once when
   the campaign starts; resumed runs must present an identical spec.
-* ``cells/<key>.json`` — the **file tier**: one file per completed cell,
-  keyed by the cell's stable content key (scenario spec id, canonical
+* ``segments/seg-NNNNNN.seg`` — append-only segment files of
+  length-prefixed cell records, each with a write-once
+  ``*.seg.idx.json`` sidecar mapping content keys to byte ranges.  A
+  cell's key is its stable content key (scenario spec id, canonical
   config spec, particle count and protocol seeds; ablated configs
   additionally fold in their
   :meth:`~repro.core.config.MclConfig.fingerprint`, while pure paper
   variants at default parameters keep the legacy key so old stores stay
   resumable; never the backend or job count — those only pick an
-  execution strategy).
-* ``segments/seg-NNNNNN.seg`` — the **packed tier**: append-only segment
-  files of length-prefixed cell records, each with a write-once
-  ``*.seg.idx.json`` sidecar mapping content keys to byte ranges.  This
-  is the million-cell shape: ``put_cell`` is an append instead of a file
-  create, ``completed_keys`` reads one sidecar per segment instead of
-  statting and parsing every cell, and :meth:`CampaignStore.stream_cells`
-  scans segments sequentially in memory bounded by one segment, not by
-  the store.
-
-**Two tiers, one contract.**  A record's payload bytes are exactly the
-canonical JSON the file tier would write for the same key, so the two
-tiers are byte-interchangeable: reads merge both, ``merge`` and
-``compact`` move cells between them byte-for-byte, and every invariant
-below holds regardless of tier.  Tier selection: ``tier="file"`` and
-``tier="packed"`` force a write tier; the default ``tier="auto"``
-appends packed iff ``segments/`` already exists — so legacy stores keep
-their layout and a store created packed stays packed, with no flag
-re-required on resume.
+  execution strategy).  ``put_cell`` is an append, ``completed_keys``
+  reads one sidecar per segment instead of parsing every cell, and
+  :meth:`CampaignStore.stream_cells` scans segments sequentially in
+  memory bounded by one segment, not by the store.
+* ``segments/writer.lock`` — the single-writer lock (see below).
+* ``cells/<key>.json`` — **legacy cells**, one file per cell, as stores
+  written before segments became the only write path hold them.
+  Nothing writes them any more.  A record's payload bytes are exactly
+  the legacy file's bytes for the same key, so every read merges both
+  layouts, resume counts legacy cells as done, :meth:`CampaignStore.recover`
+  sweeps torn ones and :meth:`CampaignStore.compact` folds them into
+  segments byte-for-byte.
 
 **Invariants** (these are what make campaigns resumable and the store
 byte-comparable):
 
-* *Atomicity* — file-tier cells and index sidecars are written to a
-  ``*.tmp`` sibling and ``os.replace``-d into place; segments are
-  appended as ``seg-NNNNNN.open`` and renamed to ``.seg`` once sealed.
-  A killed campaign leaves either a complete record or a torn tail that
-  recovery truncates — completed cells are never lost, partial ones
-  never count.  Leftover ``*.tmp`` files, unparseable cell files and
-  torn segment tails are swept by :meth:`CampaignStore.recover`.
+* *Atomicity* — segments are appended as ``seg-NNNNNN.open`` and
+  renamed to ``.seg`` once sealed; index sidecars are written to a
+  ``*.tmp`` sibling and ``os.replace``-d into place.  A killed campaign
+  leaves either a complete record or a torn tail that recovery
+  truncates — completed cells are never lost, partial ones never count.
 * *Determinism* — payloads are serialized as canonical JSON (sorted
   keys, fixed indentation, NaN mapped to ``null`` before encoding, one
   trailing newline).  Because the filter backends are bitwise
   equivalent and run order inside a cell is fixed, the bytes of every
   cell payload are a pure function of the cell key: ``jobs=1`` vs
-  ``jobs=N``, fresh vs resumed, ``reference`` vs ``batched``, file tier
-  vs packed tier all produce **byte-identical** cells.
+  ``jobs=N``, fresh vs resumed, ``reference`` vs ``batched``, legacy
+  cell vs packed record all hold **byte-identical** cells.
 * *Append-only* — a completed cell is never rewritten; re-putting an
   existing key verifies the bytes instead (a mismatch means the
   equivalence contract was broken and raises).
 
-The packed tier is **single-writer by contract**: ``run_campaign``
-funnels every ``put_cell`` through the parent process even when cells
-execute on a pool, and shards write disjoint stores that merge later.
-A second concurrent packed writer is detected (the ``.open`` segment is
-created with ``O_EXCL``) and refused.  Multi-process *readers* are
-always safe: sealed segments and sidecars are immutable once published.
+**One writer per store, enforced.**  The segment writer takes a
+non-blocking exclusive ``flock`` on ``segments/writer.lock`` before it
+touches anything and holds it until :meth:`CampaignStore.close`.  A
+second writer — another process, or another :class:`CampaignStore` on
+the same root — gets :class:`EvaluationError`.  The kernel drops the
+lock when its holder dies, so a crash never wedges the store, and every
+``.open`` segment or ``*.tmp`` file found under the lock is a dead
+writer's.  ``run_campaign`` funnels every ``put_cell`` through the
+parent process even when cells execute on a pool, and shards write
+separate stores that merge later.  Readers take no lock: sealed
+segments and sidecars are immutable once published.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import IO, Any, Iterator
 
 from .. import obs
 from ..common.atomics import atomic_create, atomic_write
@@ -78,17 +76,6 @@ from ..viz.export import results_directory
 
 #: Store format version, recorded in every manifest.
 STORE_VERSION = 1
-
-#: Minimum age before :meth:`CampaignStore.recover` treats a ``*.tmp``
-#: file (or a torn ``*.open`` segment) as abandoned.  Younger ones may
-#: belong to a concurrently running writer mid-publish (several
-#: processes may legally share one *file-tier* store); deleting those
-#: would crash that writer's publish.
-TMP_GRACE_S = 300.0
-
-#: The write tiers a store can be asked for.  ``auto`` resolves to
-#: ``packed`` iff the store already has a ``segments/`` directory.
-STORE_TIERS = ("auto", "file", "packed")
 
 #: Seal thresholds for packed segments.  Small enough that a segment
 #: scan stays cache-friendly and a torn tail forfeits little work,
@@ -139,7 +126,7 @@ def canonical_json_bytes(payload: dict) -> bytes:
 # Packed-segment record format
 # ----------------------------------------------------------------------
 # One record per cell:  b"CELL <key> <payload_len>\n" + payload.  The
-# payload is byte-identical to the file the file tier would write for
+# payload is byte-identical to a legacy ``cells/<key>.json`` file for
 # the same key, so slicing a record out of a segment *is* reading the
 # cell file.  The header is self-delimiting ASCII: a sequential scan
 # needs no index, and a torn tail (crash mid-append) is detected as the
@@ -232,54 +219,91 @@ def _load_sidecar(segment: Path) -> dict[str, tuple[int, int]] | None:
         return None
 
 
+def _write_sidecar(
+    segment: Path, records: list[tuple[str, int, int]], total_bytes: int
+) -> None:
+    sidecar = {
+        "bytes": total_bytes,
+        "records": {key: [offset, length] for key, offset, length in records},
+    }
+    atomic_write(_sidecar_path(segment), canonical_json_bytes(sidecar))
+
+
 def _seal_segment(
     open_path: Path, records: list[tuple[str, int, int]], total_bytes: int
 ) -> Path:
     """Publish an ``.open`` segment: rename to ``.seg``, write its index."""
     final = open_path.with_suffix(".seg")
     os.replace(open_path, final)
-    sidecar = {
-        "bytes": total_bytes,
-        "records": {key: [offset, length] for key, offset, length in records},
-    }
-    atomic_write(_sidecar_path(final), canonical_json_bytes(sidecar))
+    _write_sidecar(final, records, total_bytes)
     obs.counter("store.segments_sealed").inc()
     return final
 
 
-class _SegmentWriter:
-    """Appender for the packed tier (single-writer by contract).
+def _truncate(path: Path, size: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+        os.fsync(handle.fileno())
 
+
+def _lock_writer(segments_dir: Path, name: str) -> IO[bytes]:
+    """Take a store's single-writer lock; returns the file holding it.
+
+    A non-blocking exclusive ``flock`` conflicts with every other open
+    of the lock file, in this process too.  The kernel drops it when the
+    last descriptor sharing it closes: on ``close()``, or when the
+    holder dies.
+    """
+    lock = open(segments_dir / "writer.lock", "ab")
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        lock.close()
+        raise EvaluationError(
+            f"campaign store {name!r} already has a live writer — a store "
+            "is single-writer; wait for that run to finish, or shard the "
+            "campaign into separate stores and merge them"
+        ) from None
+    return lock
+
+
+class _SegmentWriter:
+    """A store's one appender; it holds the single-writer lock until closed.
+
+    Opening takes the lock, then repairs what dead writers left: each
+    abandoned ``.open`` segment's valid record prefix is sealed and its
+    torn tail truncated away (one with no intact record is removed).
     Records go to a ``seg-NNNNNN.open`` file, flushed per append so a
     crash loses at most the torn tail of the last record; the segment is
     fsynced and renamed to ``.seg`` (then indexed) when it reaches the
-    seal thresholds or the writer closes.  On open, any abandoned
-    ``.open`` segment from a crashed predecessor is recovered: its valid
-    record prefix is sealed, its torn tail truncated away.
+    seal thresholds or the writer closes.
     """
 
     def __init__(self, store: "CampaignStore") -> None:
         self._store = store
         self._dir = store.segments_dir
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._lock = _lock_writer(self._dir, store.name)
         self._handle = None
         self._path: Path | None = None
         self._records: list[tuple[str, int, int]] = []
         self._bytes = 0
-        self._recover_open_segments()
+        #: Names of the dead writers' ``.open`` segments repaired on open.
+        self.recovered = self._recover_open_segments()
 
-    def _recover_open_segments(self) -> None:
+    def _recover_open_segments(self) -> list[str]:
+        recovered = []
         for path in sorted(self._dir.glob("seg-*.open")):
             blob = path.read_bytes()
             records, valid = _scan_records(blob, validate_json=True)
+            recovered.append(path.name)
             if not records:
-                path.unlink(missing_ok=True)
+                path.unlink()
                 continue
             if valid != len(blob):
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid)
-                    os.fsync(handle.fileno())
+                _truncate(path, valid)
             _seal_segment(path, records, valid)
+        return recovered
 
     def _next_sequence(self) -> int:
         highest = -1
@@ -290,16 +314,8 @@ class _SegmentWriter:
         return highest + 1
 
     def _open_segment(self) -> None:
-        path = self._dir / f"seg-{self._next_sequence():06d}.open"
-        try:
-            self._handle = open(path, "xb")
-        except FileExistsError:
-            raise EvaluationError(
-                f"packed store {self._store.name!r} already has an active "
-                f"writer ({path.name} exists) — the packed tier is "
-                "single-writer; shard the campaign instead"
-            ) from None
-        self._path = path
+        self._path = self._dir / f"seg-{self._next_sequence():06d}.open"
+        self._handle = open(self._path, "xb")
         self._records = []
         self._bytes = 0
 
@@ -336,16 +352,21 @@ class _SegmentWriter:
         self._bytes = 0
         return final
 
-    def close(self) -> None:
-        if self._handle is None:
-            return
+    def seal_active(self) -> None:
+        """Publish the active segment, or drop it if it holds no record."""
         if self._records:
             self.seal()
-        else:
+        elif self._handle is not None:
             self._handle.close()
             self._path.unlink(missing_ok=True)
-            self._handle = None
-            self._path = None
+            self._handle = self._path = None
+
+    def close(self) -> None:
+        """Seal the active segment, then release the lock."""
+        try:
+            self.seal_active()
+        finally:
+            self._lock.close()
 
 
 @dataclass
@@ -362,28 +383,29 @@ class CompactSummary:
 class CampaignStore:
     """One campaign's on-disk results: a manifest plus keyed cells.
 
-    Cells live in one or both of two tiers (file-per-cell and packed
-    segments — see the module docstring); every read merges them and
-    every cell's payload bytes are identical in either, so the tier is
-    an implementation detail of throughput, never of content.
+    New cells are appended to packed segments; legacy ``cells/`` files of
+    older stores stay readable (see the module docstring).  Every read
+    merges both, and a cell's payload bytes are identical in either.
+    ``tier`` remains for callers that name the write path: ``"packed"``
+    is its only legal value.
     """
 
     def __init__(
         self,
         name: str,
         root: str | Path | None = None,
-        tier: str = "auto",
+        tier: str = "packed",
     ) -> None:
         if not name or "/" in name or name.startswith("."):
             raise ConfigurationError(
                 f"campaign name must be a plain directory name, got {name!r}"
             )
-        if tier not in STORE_TIERS:
+        if tier != "packed":
             raise ConfigurationError(
-                f"store tier must be one of {STORE_TIERS}, got {tier!r}"
+                f"store tier must be 'packed' (the only write path), "
+                f"got {tier!r}"
             )
         self.name = name
-        self.tier = tier
         self.root = Path(root) if root is not None else campaigns_root() / name
         self._index_cache: dict[str, tuple[Path, int, int]] | None = None
         self._writer: _SegmentWriter | None = None
@@ -404,25 +426,14 @@ class CampaignStore:
         return self.root / "segments"
 
     def cell_path(self, key: str) -> Path:
+        """Path of ``key``'s legacy cell file; nothing writes one."""
         return self.cells_dir / f"{key}.json"
 
     def exists(self) -> bool:
         return self.manifest_path.exists()
 
-    def write_tier(self) -> str:
-        """The tier :meth:`put_cell` appends to (``file`` or ``packed``).
-
-        ``auto`` sticks to whatever the store already is: packed iff
-        ``segments/`` exists.  The marker directory (not the manifest)
-        carries the tier so shard stores of one campaign may mix tiers
-        and still merge — manifests stay byte-comparable.
-        """
-        if self.tier != "auto":
-            return self.tier
-        return "packed" if self.segments_dir.is_dir() else "file"
-
     # ------------------------------------------------------------------
-    # Writer lifecycle (packed tier)
+    # Writer lifecycle
     # ------------------------------------------------------------------
     def _segment_writer(self) -> _SegmentWriter:
         if self._writer is None:
@@ -431,10 +442,13 @@ class CampaignStore:
         return self._writer
 
     def close(self) -> None:
-        """Seal any active segment.  Idempotent; reads need no close."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        """Seal any active segment and release the writer lock.
+
+        Idempotent; reads need no close.
+        """
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -443,7 +457,7 @@ class CampaignStore:
         self.close()
 
     # ------------------------------------------------------------------
-    # Packed-tier index
+    # Segment index
     # ------------------------------------------------------------------
     def _packed_index(self) -> dict[str, tuple[Path, int, int]]:
         if self._index_cache is None:
@@ -537,10 +551,6 @@ class CampaignStore:
         """
         manifest = dict(manifest, store_version=STORE_VERSION)
         data = canonical_json_bytes(manifest)
-        if self.tier == "packed":
-            # Publish the tier marker with the manifest so resumed runs
-            # (tier="auto") keep appending packed without the flag.
-            self.segments_dir.mkdir(parents=True, exist_ok=True)
         if atomic_create(self.manifest_path, data):
             return
         # Exactly one racing creator wins; everyone else (including this
@@ -599,33 +609,26 @@ class CampaignStore:
     def _put_bytes(self, key: str, data: bytes, mismatch: str) -> Path:
         location = self._packed_index().get(key)
         if location is not None:
-            if self._read_packed(location) != data:
-                raise EvaluationError(
-                    f"cell {key} already stored with different bytes — "
-                    f"{mismatch}"
-                )
-            return location[0]
-        path = self.cell_path(key)
-        if path.exists():
-            if path.read_bytes() != data:
-                raise EvaluationError(
-                    f"cell {key} already stored with different bytes — "
-                    f"{mismatch}"
-                )
-            return path
-        if self.write_tier() == "packed":
+            stored, path = self._read_packed(location), location[0]
+        elif (path := self.cell_path(key)).exists():  # a legacy cell
+            stored = path.read_bytes()
+        else:
             segment, offset, length = self._segment_writer().append(key, data)
             self._packed_index()[key] = (segment, offset, length)
             return segment
-        atomic_write(path, data)
+        if stored != data:
+            raise EvaluationError(
+                f"cell {key} already stored with different bytes — {mismatch}"
+            )
         return path
 
     def get_cell_bytes(self, key: str) -> bytes | None:
-        """One cell's raw payload bytes from either tier, or ``None``.
+        """One cell's raw payload bytes, or ``None``.
 
-        Packed records are preferred (both tiers hold identical bytes
-        for any key present in both); file-tier bytes are returned as-is
-        even if torn — callers that need validity use :meth:`get_cell`.
+        Packed records are preferred (a key that is also a legacy cell
+        file holds identical bytes there); legacy bytes are returned
+        as-is even if torn — callers that need validity use
+        :meth:`get_cell`.
         """
         location = self._packed_index().get(key)
         if location is not None:
@@ -651,15 +654,14 @@ class CampaignStore:
         return self.get_cell(key) is not None
 
     def completed_keys(self) -> set[str]:
-        """Keys of every *valid* completed cell, across both tiers.
+        """Keys of every *valid* completed cell, packed or legacy.
 
-        On the packed tier this is one sidecar read per sealed segment —
+        For segments this is one sidecar read per sealed segment —
         O(segments), not O(cells) — which is what keeps ``--resume`` on
         a 10^5-cell store at milliseconds instead of a directory scan.
-        File-tier cells are still parse-validated individually:
-        unparseable files (torn writes from a crashed process that
-        somehow bypassed the atomic path) do not count as completed, so
-        a resumed campaign re-executes them.
+        Legacy cell files are parse-validated individually: unparseable
+        ones (torn writes) do not count as completed, so a resumed
+        campaign re-executes them.
         """
         keys = self._packed_keys()
         if not self.cells_dir.is_dir():
@@ -702,12 +704,12 @@ class CampaignStore:
                 handle.close()
 
     def iter_cell_bytes(self) -> Iterator[tuple[str, bytes]]:
-        """Stream ``(key, raw payload bytes)`` across both tiers.
+        """Stream ``(key, raw payload bytes)`` for every stored cell.
 
         Packed records come first via sequential segment scans (memory
-        bounded by one segment); file-tier cells follow, skipping keys
-        the packed tier already yielded (their bytes are identical by
-        the append-only verify).  Torn *file* cells are yielded raw so
+        bounded by one segment); legacy cell files follow, skipping keys
+        the segments already yielded (their bytes are identical by the
+        append-only verify).  Torn legacy files are yielded raw so
         merge accounting can count them; torn *segment tails* never
         yield — a record either scans whole or does not exist yet.
         """
@@ -736,8 +738,8 @@ class CampaignStore:
 
         The workhorse of streaming ``status``/``report``: sequential
         segment scans, peak memory bounded by one segment (plus, only
-        for transitional mixed-tier stores, a set of packed keys for
-        cross-tier dedup).  Unparseable cells are skipped, matching
+        for stores that still hold legacy cell files, a set of packed
+        keys for dedup).  Unparseable cells are skipped, matching
         :meth:`completed_keys`.
         """
         for key, data in self.iter_cell_bytes():
@@ -746,155 +748,124 @@ class CampaignStore:
                 yield key, payload
 
     # ------------------------------------------------------------------
-    # Maintenance: recovery and tier migration
+    # Maintenance: recovery and legacy compaction
     # ------------------------------------------------------------------
-    def recover(self, tmp_grace_s: float = TMP_GRACE_S) -> list[str]:
-        """Sweep partial artifacts; returns the names of repaired files.
+    def recover(self) -> list[str]:
+        """Repair what dead writers left; returns the repaired files' names.
 
-        Removes abandoned ``*.tmp`` leftovers (interrupted atomic writes
-        older than ``tmp_grace_s`` — younger ones may belong to a live
-        concurrent writer and are left alone) and cell files that no
-        longer parse as JSON.  Packed-tier repairs: torn segment tails
-        are truncated to the valid record prefix (same grace rule for
-        ``.open`` segments, which a live writer may be appending), empty
-        torn segments are removed, and missing or stale index sidecars
-        are rebuilt from a rescan.  Safe to call at the start of every
-        run — a healthy store loses nothing.
+        Takes the writer lock (raising :class:`EvaluationError` while
+        another writer is live) and holds it until :meth:`close`, so
+        every leftover is a dead writer's.  Taking the lock seals each
+        abandoned ``.open`` segment's valid record prefix; this then
+        removes ``*.tmp`` scratch files, truncates torn tails of sealed
+        segments (removing one with no intact record), rebuilds missing
+        or stale index sidecars, and removes legacy cell files that no
+        longer parse.  Safe to call at the start of every run — a healthy
+        store loses nothing.
         """
-        removed = []
-        now = time.time()
+        writer = self._segment_writer()
+        removed, writer.recovered = writer.recovered, []
         tmp_dirs = [
             d
             for d in (self.root, self.cells_dir, self.segments_dir)
             if d.is_dir()
         ]
         for path in sorted(p for d in tmp_dirs for p in d.glob("*.tmp")):
-            try:
-                if now - path.stat().st_mtime < tmp_grace_s:
-                    continue
-                path.unlink()
-            except OSError:
-                continue  # already published or swept by another process
+            path.unlink(missing_ok=True)
             removed.append(path.name)
-        removed.extend(self._recover_segments(now, tmp_grace_s))
-        if not self.cells_dir.is_dir():
-            return removed
-        for path in sorted(self.cells_dir.glob("*.json")):
-            if self._load(path) is None:
-                path.unlink(missing_ok=True)
-                removed.append(path.name)
+        removed.extend(self._recover_segments())
+        if self.cells_dir.is_dir():
+            for path in sorted(self.cells_dir.glob("*.json")):
+                if self._load(path) is None:
+                    path.unlink()
+                    removed.append(path.name)
         return removed
 
-    def _recover_segments(self, now: float, tmp_grace_s: float) -> list[str]:
+    def _recover_segments(self) -> list[str]:
         repaired = []
-        for segment in self._segment_paths():
-            is_open = segment.suffix == ".open"
-            try:
-                if is_open and now - segment.stat().st_mtime < tmp_grace_s:
-                    continue  # may be a live writer's active segment
-                blob = segment.read_bytes()
-            except OSError:
-                continue
+        for segment in sorted(self.segments_dir.glob("seg-*.seg")):
+            blob = segment.read_bytes()
             records, valid = _scan_records(blob, validate_json=True)
-            torn = valid != len(blob)
-            if torn:
-                if not records:
-                    segment.unlink(missing_ok=True)
-                    _sidecar_path(segment).unlink(missing_ok=True)
-                    repaired.append(segment.name)
-                    continue
-                with open(segment, "r+b") as handle:
-                    handle.truncate(valid)
-                    os.fsync(handle.fileno())
+            if valid != len(blob):
                 repaired.append(segment.name)
-            if not is_open and _load_sidecar(segment) is None:
-                sidecar = {
-                    "bytes": valid,
-                    "records": {
-                        key: [offset, length]
-                        for key, offset, length in records
-                    },
-                }
-                atomic_write(
-                    _sidecar_path(segment), canonical_json_bytes(sidecar)
-                )
-                if segment.name not in repaired:
-                    repaired.append(_sidecar_path(segment).name)
+                if not records:
+                    segment.unlink()
+                    _sidecar_path(segment).unlink(missing_ok=True)
+                    continue
+                _truncate(segment, valid)
+                _write_sidecar(segment, records, valid)
+            elif _load_sidecar(segment) is None:
+                _write_sidecar(segment, records, valid)
+                repaired.append(_sidecar_path(segment).name)
         if repaired:
             self._index_cache = None
         return repaired
 
     def compact(self) -> CompactSummary:
-        """Fold file-tier cells into packed segments (tier migration).
+        """Fold legacy cell files into segments, then remove the files.
 
-        Interruption-safe by ordering: every file cell is appended to
-        segments and **byte-verified back out of the packed tier before
-        any file is removed** — a crash at any point leaves the file
-        tier authoritative and the packed copies byte-equal, so rerunning
+        Runs under the writer lock and releases it when done.
+        Interruption-safe by ordering: every legacy cell is appended,
+        sealed and **byte-verified back out of the segments before any
+        file is removed** — a crash at any point leaves the legacy files
+        authoritative and the packed copies byte-equal, so rerunning
         ``compact`` (or just reading the store) is always correct.
-        Unparseable file cells are left for :meth:`recover`.
+        Unparseable cell files are left for :meth:`recover`.
         """
         with obs.span("store.compact"):
-            packed = already = skipped = 0
-            names: list[str] = []
-            cell_files = (
-                sorted(self.cells_dir.glob("*.json"))
-                if self.cells_dir.is_dir()
-                else []
-            )
-            index = self._packed_index()
-            for path in cell_files:
-                data = path.read_bytes()
-                if self._parse(data) is None:
-                    skipped += 1
-                    continue
-                key = path.stem
-                names.append(key)
-                location = index.get(key)
-                if location is not None:
-                    if self._read_packed(location) != data:
+            writer = self._segment_writer()
+            try:
+                packed = already = skipped = 0
+                names: list[str] = []
+                cell_files = (
+                    sorted(self.cells_dir.glob("*.json"))
+                    if self.cells_dir.is_dir()
+                    else []
+                )
+                index = self._packed_index()
+                for path in cell_files:
+                    data = path.read_bytes()
+                    if self._parse(data) is None:
+                        skipped += 1
+                        continue
+                    key = path.stem
+                    names.append(key)
+                    location = index.get(key)
+                    if location is not None:
+                        if self._read_packed(location) != data:
+                            raise EvaluationError(
+                                f"cell {key} already packed with different "
+                                "bytes — determinism violation"
+                            )
+                        already += 1
+                        continue
+                    index[key] = writer.append(key, data)
+                    packed += 1
+                writer.seal_active()  # durable before removing any source
+                for key in names:
+                    location = index.get(key)
+                    data = self._read_packed(location) if location else None
+                    if data is None or data != self.cell_path(key).read_bytes():
                         raise EvaluationError(
-                            f"cell {key} already packed with different "
-                            "bytes — determinism violation"
+                            f"compaction verify failed for cell {key} — "
+                            "legacy cell files left authoritative"
                         )
-                    already += 1
-                    continue
-                segment, offset, length = self._segment_writer().append(
-                    key, data
-                )
-                index[key] = (segment, offset, length)
-                packed += 1
-            self.close()  # seal: everything durable before removing sources
-            verified = 0
-            for key in names:
-                location = self._packed_index().get(key)
-                data = (
-                    self._read_packed(location)
-                    if location is not None
-                    else None
-                )
-                if data is None or data != self.cell_path(key).read_bytes():
-                    raise EvaluationError(
-                        f"compaction verify failed for cell {key} — file "
-                        "tier left authoritative"
-                    )
-                verified += 1
-            removed = 0
-            for key in names:
-                self.cell_path(key).unlink(missing_ok=True)
-                removed += 1
+                for key in names:
+                    self.cell_path(key).unlink()
+            finally:
+                self.close()
             obs.event(
                 "store.compact",
                 campaign=self.name,
                 packed=packed,
-                verified=verified,
-                removed_files=removed,
+                verified=len(names),
+                removed_files=len(names),
             )
             return CompactSummary(
                 packed=packed,
                 already_packed=already,
-                verified=verified,
-                removed_files=removed,
+                verified=len(names),
+                removed_files=len(names),
                 skipped_invalid=skipped,
             )
 

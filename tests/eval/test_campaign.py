@@ -37,11 +37,11 @@ def tiny_spec(name: str = "tiny") -> CampaignSpec:
     )
 
 
-def store_bytes(store: CampaignStore) -> dict[str, bytes]:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(store.cells_dir.glob("*.json"))
-    }
+def store_bytes(store: CampaignStore, spec: CampaignSpec) -> dict[str, bytes]:
+    """Every stored cell's bytes by key; the store must hold all of ``spec``."""
+    cells = dict(store.iter_cell_bytes())
+    assert set(cells) == {cell.key for cell in spec.cells()}
+    return cells
 
 
 class TestCampaignSpec:
@@ -212,42 +212,42 @@ class TestRunCampaign:
         assert set(run) == {"sequence", "seed", "update_count", "metrics"}
         assert payload["aggregate"]["runs"] == len(SEEDS)
 
-    def test_resume_skips_exactly_the_completed_keys(self, fresh, tmp_path):
+    def test_resume_skips_exactly_the_completed_keys(
+        self, fresh, tmp_path, write_cell_files
+    ):
         store, __ = fresh
         partial = CampaignStore("tiny", root=tmp_path / "partial")
-        baseline = store_bytes(store)
+        baseline = store_bytes(store, tiny_spec())
         # Copy all but two cells, then resume: exactly those two execute.
         missing = sorted(baseline)[:2]
         partial.write_manifest(tiny_spec().to_manifest())
-        for name, data in baseline.items():
-            if name not in missing:
-                partial.cell_path(name.removesuffix(".json")).parent.mkdir(
-                    parents=True, exist_ok=True
-                )
-                partial.cell_path(name.removesuffix(".json")).write_bytes(data)
+        write_cell_files(
+            partial,
+            {key: data for key, data in baseline.items() if key not in missing},
+        )
         summary = run_campaign(tiny_spec(), store=partial, resume=True)
         assert summary.executed == 2
         assert summary.skipped == summary.total_cells - 2
-        assert store_bytes(partial) == baseline  # fresh vs resumed: identical
+        # fresh vs resumed: identical
+        assert store_bytes(partial, tiny_spec()) == baseline
 
-    def test_resume_reexecutes_torn_cells(self, fresh, tmp_path):
+    def test_resume_reexecutes_torn_cells(self, fresh, tmp_path, write_cell_files):
         store, __ = fresh
         broken = CampaignStore("tiny", root=tmp_path / "broken")
-        baseline = store_bytes(store)
+        baseline = store_bytes(store, tiny_spec())
         broken.write_manifest(tiny_spec().to_manifest())
-        for index, (name, data) in enumerate(sorted(baseline.items())):
-            stem = name.removesuffix(".json")
-            broken.cell_path(stem).parent.mkdir(parents=True, exist_ok=True)
-            if index == 0:  # simulate a torn write
-                broken.cell_path(stem).write_bytes(data[: len(data) // 2])
-            else:
-                broken.cell_path(stem).write_bytes(data)
+        cells = dict(baseline)
+        torn = sorted(cells)[0]
+        cells[torn] = cells[torn][: len(cells[torn]) // 2]  # a torn write
+        write_cell_files(broken, cells)
         summary = run_campaign(tiny_spec(), store=broken, resume=True)
         assert summary.executed == 1
         assert summary.recovered_files  # the torn file was swept first
-        assert store_bytes(broken) == baseline
+        assert store_bytes(broken, tiny_spec()) == baseline
 
-    def test_complete_resume_builds_no_backend(self, fresh, tmp_path, monkeypatch):
+    def test_complete_resume_builds_no_backend(
+        self, fresh, tmp_path, monkeypatch, write_cell_files
+    ):
         """Resuming a complete store never resolves the backend (for
         ``fast`` that would compile the C kernels for nothing)."""
         import repro.eval.campaign as campaign_module
@@ -255,10 +255,7 @@ class TestRunCampaign:
         store, __ = fresh
         complete = CampaignStore("tiny", root=tmp_path / "complete")
         complete.write_manifest(tiny_spec().to_manifest())
-        for name, data in store_bytes(store).items():
-            path = complete.cell_path(name.removesuffix(".json"))
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
+        write_cell_files(complete, store_bytes(store, tiny_spec()))
 
         def no_backend(name):
             raise AssertionError(f"backend {name!r} resolved with no cell pending")
@@ -307,13 +304,15 @@ class TestRunCampaign:
         store, __ = fresh
         fanned = CampaignStore("tiny", root=tmp_path / "jobs2")
         run_campaign(tiny_spec(), store=fanned, jobs=2)
-        assert store_bytes(fanned) == store_bytes(store)
+        assert store_bytes(fanned, tiny_spec()) == store_bytes(store, tiny_spec())
 
     def test_backends_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
         reference = CampaignStore("tiny", root=tmp_path / "reference")
         run_campaign(tiny_spec(), store=reference, backend="reference")
-        assert store_bytes(reference) == store_bytes(store)
+        assert store_bytes(reference, tiny_spec()) == store_bytes(
+            store, tiny_spec()
+        )
 
     def test_manifest_mismatch_rejected(self, fresh):
         store, __ = fresh
@@ -389,17 +388,19 @@ class TestAblationCampaign:
 
     def test_resume_skips_everything_byte_identically(self, fresh):
         store, __ = fresh
-        before = store_bytes(store)
+        before = store_bytes(store, ablation_spec())
         summary = run_campaign(ablation_spec(), store=store, resume=True)
         assert summary.executed == 0
         assert summary.skipped == summary.total_cells
-        assert store_bytes(store) == before
+        assert store_bytes(store, ablation_spec()) == before
 
     def test_backends_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
         reference = CampaignStore("ablation", root=tmp_path / "reference")
         run_campaign(ablation_spec(), store=reference, backend="reference")
-        assert store_bytes(reference) == store_bytes(store)
+        assert store_bytes(reference, ablation_spec()) == store_bytes(
+            store, ablation_spec()
+        )
 
     def test_default_sigma_cell_shares_bytes_with_plain_variant_campaign(
         self, fresh, tmp_path
@@ -414,9 +415,9 @@ class TestAblationCampaign:
             particle_counts=(16,), seeds=(0,),
         )
         run_campaign(plain_spec, store=plain)
-        ablation_bytes = store_bytes(store)
-        for name, data in store_bytes(plain).items():
-            assert ablation_bytes[name] == data
+        ablation_bytes = store_bytes(store, ablation_spec())
+        for key, data in store_bytes(plain, plain_spec).items():
+            assert ablation_bytes[key] == data
 
     def test_sharded_run_merges_back_byte_identically(self, fresh, tmp_path):
         store, __ = fresh
@@ -435,7 +436,7 @@ class TestAblationCampaign:
         merged = CampaignStore("ablation", root=tmp_path / "merged")
         for shard_store in shard_stores:
             merge_campaign_stores(merged, shard_store)
-        assert store_bytes(merged) == store_bytes(store)
+        assert store_bytes(merged, spec) == store_bytes(store, spec)
 
     def test_invalid_shard_index_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -41,11 +41,12 @@ def sharded_stores(tmp_path_factory):
     run_campaign(full_spec, store=reference)
     for shard, own in ((shard_a, SCENARIO_A), (shard_b, SCENARIO_B)):
         shard.write_manifest(full_spec.to_manifest())
-        for cell in full_spec.cells():
-            if cell.scenario == own:
-                shard.put_cell_bytes(
-                    cell.key, reference.cell_path(cell.key).read_bytes()
-                )
+        with shard:
+            for cell in full_spec.cells():
+                if cell.scenario == own:
+                    shard.put_cell_bytes(
+                        cell.key, reference.get_cell_bytes(cell.key)
+                    )
     return root, full_spec, shard_a, shard_b, reference
 
 
@@ -57,10 +58,10 @@ class TestMerge:
         second = merge_campaign_stores(dest, shard_b)
         assert first.copied == 1 and second.copied == 1
         assert dest.manifest_path.read_bytes() == reference.manifest_path.read_bytes()
+        assert dict(dest.iter_cell_bytes()) == dict(reference.iter_cell_bytes())
         for cell in full_spec.cells():
-            assert (
-                dest.cell_path(cell.key).read_bytes()
-                == reference.cell_path(cell.key).read_bytes()
+            assert dest.get_cell_bytes(cell.key) == reference.get_cell_bytes(
+                cell.key
             )
 
     def test_byte_equal_collisions_are_verified(self, sharded_stores, tmp_path):
@@ -78,9 +79,17 @@ class TestMerge:
         key = next(
             cell.key for cell in full_spec.cells() if cell.scenario == SCENARIO_A
         )
-        dest.cell_path(key).write_text('{"tampered": true}\n')
+        # Tamper with the packed record itself (still valid JSON, same
+        # length): a key in a segment is never read from a cells/ file.
+        segment, offset, length = dest._packed_index()[key]
+        blob = bytearray(segment.read_bytes())
+        record = bytes(blob[offset : offset + length])
+        blob[offset : offset + length] = record.replace(b'"runs"', b'"rune"')
+        segment.write_bytes(bytes(blob))
+        tampered = CampaignStore("merge-test", root=dest.root)
+        assert tampered.get_cell_bytes(key) != record
         with pytest.raises(EvaluationError, match="different bytes"):
-            merge_campaign_stores(dest, shard_a)
+            merge_campaign_stores(tampered, shard_a)
 
     def test_mismatched_manifests_rejected(self, sharded_stores, tmp_path):
         __, __, shard_a, __, __ = sharded_stores

@@ -1,7 +1,6 @@
 """Tests for the campaign result store: atomicity, recovery, determinism."""
 
 import json
-import os
 
 import pytest
 
@@ -64,29 +63,29 @@ class TestCampaignStore:
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         store = CampaignStore("c", root=tmp_path / "c")
-        store.put_cell("k1", {"v": 1})
-        assert list(store.cells_dir.glob("*.tmp")) == []
+        with store:
+            store.write_manifest({"name": "c"})
+            store.put_cell("k1", {"v": 1})
+        assert list(store.root.rglob("*.tmp")) == []
 
-    def test_partial_files_do_not_count_as_completed(self, tmp_path):
+    def test_partial_files_do_not_count_as_completed(
+        self, tmp_path, write_cell_files
+    ):
         store = CampaignStore("c", root=tmp_path / "c")
         store.put_cell("good", {"v": 1})
-        store.cells_dir.joinpath("torn.json").write_text('{"v": 1')  # truncated
+        write_cell_files(store, {"torn": b'{"v": 1'})  # a truncated legacy cell
         store.cells_dir.joinpath("leftover.json.tmp").write_text("{}")
         assert store.completed_keys() == {"good"}
         assert store.get_cell("torn") is None
         assert not store.has_cell("torn")
         assert dict(store.iter_cells()) == {"good": {"v": 1}}
 
-    def test_recover_sweeps_partials_only(self, tmp_path):
+    def test_recover_sweeps_partials_only(self, tmp_path, write_cell_files):
         store = CampaignStore("c", root=tmp_path / "c")
         store.put_cell("good", {"v": 1})
-        store.cells_dir.joinpath("torn.json").write_text('{"v": 1')
-        leftover = store.cells_dir / "leftover.json.tmp"
-        leftover.write_text("{}")
-        os.utime(leftover, (0, 0))  # abandoned long ago
-        stale_manifest = store.root / "manifest.json.abc123.tmp"
-        stale_manifest.write_text("{}")
-        os.utime(stale_manifest, (0, 0))
+        write_cell_files(store, {"torn": b'{"v": 1'})
+        store.cells_dir.joinpath("leftover.json.tmp").write_text("{}")
+        store.root.joinpath("manifest.json.abc123.tmp").write_text("{}")
         removed = store.recover()
         assert sorted(removed) == [
             "leftover.json.tmp",
@@ -97,13 +96,20 @@ class TestCampaignStore:
         assert store.recover() == []  # healthy store loses nothing
 
     def test_recover_spares_fresh_tmp_of_live_writers(self, tmp_path):
-        store = CampaignStore("c", root=tmp_path / "c")
-        store.cells_dir.mkdir(parents=True)
-        fresh = store.cells_dir / "inflight.json.tmp"
-        fresh.write_text("{}")  # a concurrent writer mid-publish
-        assert store.recover() == []
-        assert fresh.exists()
-        assert store.recover(tmp_grace_s=0.0) == ["inflight.json.tmp"]
+        # Recovery needs the writer lock, so it refuses to run while a
+        # live writer could still publish its scratch files.
+        live = CampaignStore("c", root=tmp_path / "c")
+        live.put_cell("k1", {"v": 1})
+        inflight = live.segments_dir / "seg-000000.seg.idx.json.x1.tmp"
+        inflight.write_text("{}")  # the live writer mid-publish
+        other = CampaignStore("c", root=tmp_path / "c")
+        with pytest.raises(EvaluationError, match="single-writer"):
+            other.recover()
+        assert inflight.exists()
+        live.close()  # the writer is gone: its leftovers are abandoned
+        with other:
+            assert other.recover() == [inflight.name]
+        assert other.get_cell("k1") == {"v": 1}
 
     def test_manifest_written_once_and_verified(self, tmp_path):
         store = CampaignStore("c", root=tmp_path / "c")

@@ -1,22 +1,31 @@
-"""Packed store tier: segments, index sidecars, crash-safety, tier mixes.
+"""Packed segments: the one write path, its lock, crash-safety, legacy cells.
 
 The contract under test: cell payload bytes are a pure function of the
-cell key in *either* tier, resume is exact (zero recomputation for
-intact cells, re-execution only of lost ones), and every crash mode —
-torn segment tail, lost sidecar, interrupted compaction — degrades to a
-recoverable state where the surviving tier is authoritative.
+cell key whether they sit in a segment or in a legacy ``cells/`` file,
+resume is exact (zero recomputation for intact cells, re-execution only
+of lost ones), one writer at a time holds a store, and every crash
+mode — killed writer, torn segment tail, lost sidecar, interrupted
+compaction — degrades to a recoverable state where the surviving copy
+is authoritative.
 """
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError, EvaluationError
 from repro.core.config import MclConfig, format_override_value
 from repro.eval.campaign import (
     CampaignSpec,
+    aggregate_report,
+    campaign_status,
     merge_campaign_stores,
     pivot_report,
     run_campaign,
@@ -39,88 +48,138 @@ def tiny_spec(name: str, scenarios=SCENARIOS) -> CampaignSpec:
     )
 
 
+#: The grid of the committed legacy store (see conftest.py).
+LEGACY_SPEC = tiny_spec("legacy")
+
+
 def cell_bytes(store: CampaignStore) -> dict[str, bytes]:
     return dict(store.iter_cell_bytes())
 
 
 @pytest.fixture(scope="module")
-def reference_stores(tmp_path_factory):
-    """One tiny campaign executed twice: once per write tier."""
+def packed_store(tmp_path_factory):
+    """The legacy store's grid, executed afresh into segments."""
     root = tmp_path_factory.mktemp("packed-ref")
-    spec = tiny_spec("packed-ref")
-    file_store = CampaignStore(spec.name, root=root / "file", tier="file")
-    packed_store = CampaignStore(spec.name, root=root / "packed", tier="packed")
-    run_campaign(spec, store=file_store)
-    run_campaign(spec, store=packed_store)
-    return spec, file_store, packed_store
+    store = CampaignStore(LEGACY_SPEC.name, root=root / "packed")
+    run_campaign(LEGACY_SPEC, store=store)
+    return store
 
 
 class TestPackedTier:
-    def test_cell_bytes_identical_across_tiers(self, reference_stores):
-        spec, file_store, packed_store = reference_stores
-        file_cells = cell_bytes(file_store)
-        packed_cells = cell_bytes(packed_store)
-        assert file_cells == packed_cells
-        assert set(file_cells) == {cell.key for cell in spec.cells()}
-        # The packed run wrote segments, not cell files ...
+    def test_cell_bytes_identical_across_tiers(self, packed_store, legacy_cells):
+        assert cell_bytes(packed_store) == legacy_cells
+        assert set(legacy_cells) == {cell.key for cell in LEGACY_SPEC.cells()}
+        # The run wrote segments, not cell files.
         assert list(packed_store.segments_dir.glob("seg-*.seg"))
-        assert not list(packed_store.cells_dir.glob("*.json"))
-        # ... and the file run did the inverse.
-        assert not file_store.segments_dir.exists()
+        assert not packed_store.cells_dir.exists()
 
-    def test_completed_keys_and_gets_match(self, reference_stores):
-        spec, file_store, packed_store = reference_stores
-        expected = {cell.key for cell in spec.cells()}
+    def test_completed_keys_and_gets_match(self, packed_store, legacy_store):
+        expected = {cell.key for cell in LEGACY_SPEC.cells()}
         assert packed_store.completed_keys() == expected
-        assert file_store.completed_keys() == expected
-        for cell in spec.cells():
-            assert packed_store.get_cell(cell.key) == file_store.get_cell(
+        assert legacy_store.completed_keys() == expected
+        for cell in LEGACY_SPEC.cells():
+            assert packed_store.get_cell(cell.key) == legacy_store.get_cell(
                 cell.key
             )
 
-    def test_iter_cells_sorted(self, reference_stores):
-        __, __, packed_store = reference_stores
+    def test_iter_cells_sorted(self, packed_store):
         keys = [key for key, __ in packed_store.iter_cells()]
         assert keys == sorted(keys) and keys
 
-    def test_auto_tier_sticks_to_existing_layout(self, reference_stores):
-        __, file_store, packed_store = reference_stores
-        assert CampaignStore("x", root=file_store.root).write_tier() == "file"
-        assert (
-            CampaignStore("x", root=packed_store.root).write_tier() == "packed"
-        )
+    def test_new_cells_append_packed_on_legacy_stores(self, legacy_store):
+        files = sorted(legacy_store.cells_dir.glob("*.json"))
+        with legacy_store:
+            path = legacy_store.put_cell("k-new", {"v": 1})
+        assert path.parent == legacy_store.segments_dir
+        assert sorted(legacy_store.cells_dir.glob("*.json")) == files
+        reread = CampaignStore("legacy", root=legacy_store.root)
+        assert reread.get_cell("k-new") == {"v": 1}
+        assert len(reread) == len(files) + 1
 
     def test_invalid_tier_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="store tier"):
-            CampaignStore("c", root=tmp_path, tier="zip")
+        for tier in ("auto", "file", "zip"):
+            with pytest.raises(ConfigurationError, match="store tier"):
+                CampaignStore("c", root=tmp_path, tier=tier)
+        CampaignStore("c", root=tmp_path, tier="packed")
 
-    def test_resume_is_exact_zero_recomputation(self, reference_stores):
-        spec, __, packed_store = reference_stores
-        summary = run_campaign(spec, store=packed_store, resume=True)
+    def test_resume_is_exact_zero_recomputation(self, packed_store):
+        summary = run_campaign(LEGACY_SPEC, store=packed_store, resume=True)
         assert summary.executed == 0
-        assert summary.skipped == summary.total_cells == len(spec.cells())
+        assert summary.skipped == summary.total_cells == len(LEGACY_SPEC.cells())
 
     def test_put_mismatch_raises_in_packed_tier(self, tmp_path):
-        store = CampaignStore("c", root=tmp_path / "c", tier="packed")
+        store = CampaignStore("c", root=tmp_path / "c")
         store.put_cell("k-1", {"v": 1})
         store.put_cell("k-1", {"v": 1})  # byte-equal re-put is a no-op
         with pytest.raises(EvaluationError, match="different bytes"):
             store.put_cell("k-1", {"v": 2})
 
-    def test_single_writer_conflict_detected(self, tmp_path, monkeypatch):
-        store = CampaignStore("c", root=tmp_path / "c", tier="packed")
-        writer = store._segment_writer()
-        # Simulate a racing writer grabbing the same sequence number
-        # between recovery and open.
-        (store.segments_dir / "seg-000000.open").write_bytes(b"")
-        monkeypatch.setattr(writer, "_next_sequence", lambda: 0)
+    def test_single_writer_conflict_detected(self, tmp_path):
+        root = tmp_path / "c"
+        first = CampaignStore("c", root=root)
+        first.put_cell("k-1", {"v": 1})
+        second = CampaignStore("c", root=root)
         with pytest.raises(EvaluationError, match="single-writer"):
-            store.put_cell("k-1", {"v": 1})
+            second.put_cell("k-2", {"v": 2})
+        with pytest.raises(EvaluationError, match="single-writer"):
+            second.recover()
+        # The refused writer touched nothing: the first keeps appending
+        # and closes cleanly.
+        first.put_cell("k-3", {"v": 3})
+        first.close()
+        reread = CampaignStore("c", root=root)
+        assert reread.get_cell("k-1") == {"v": 1}
+        assert reread.get_cell("k-3") == {"v": 3}
+        assert reread.completed_keys() == {"k-1", "k-3"}
+        assert not list(reread.segments_dir.glob("seg-*.open"))
+
+    def test_killed_writer_segment_sealed_without_waiting(self, tmp_path):
+        root = tmp_path / "c"
+        writer = (
+            "import time\n"
+            "from repro.eval.store import CampaignStore\n"
+            f"store = CampaignStore('c', root={str(root)!r})\n"
+            "store.put_cell('k-1', {'v': 1})\n"
+            "store.put_cell('k-2', {'v': 2})\n"
+            "print('appended', flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-c", writer],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert child.stdout.readline().strip() == "appended"
+            with pytest.raises(EvaluationError, match="single-writer"):
+                CampaignStore("c", root=root).recover()
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            child.stdout.close()
+        (active,) = root.joinpath("segments").glob("seg-*.open")
+        store = CampaignStore("c", root=root)
+        with store:
+            assert store.recover() == [active.name]
+        assert not active.exists()
+        assert active.with_suffix(".seg").exists()
+        assert CampaignStore("c", root=root).completed_keys() == {"k-1", "k-2"}
+
+    def test_lock_released_after_parallel_run(self, tmp_path):
+        spec = tiny_spec("fanned", scenarios=SCENARIOS[:1])
+        store = CampaignStore(spec.name, root=tmp_path / "s")
+        run_campaign(spec, store=store, jobs=2)
+        with CampaignStore(spec.name, root=store.root) as after:
+            assert after.recover() == []
+            after.put_cell("k-after", {"v": 1})
+        assert len(CampaignStore(spec.name, root=store.root)) == 3
 
 
 class TestCrashSafety:
     def build(self, root: Path, cells: int = 40) -> CampaignStore:
-        store = CampaignStore("crash", root=root, tier="packed")
+        store = CampaignStore("crash", root=root)
         with store:
             for index in range(cells):
                 store.put_cell(f"cell-{index:04d}", {"index": index})
@@ -136,19 +195,22 @@ class TestCrashSafety:
         fresh = CampaignStore("crash", root=store.root)
         assert "cell-9999" not in fresh.completed_keys()
         assert len(fresh.completed_keys()) == 40
-        repaired = fresh.recover(tmp_grace_s=0.0)
+        with fresh:
+            repaired = fresh.recover()
         assert segment.name in repaired
         assert segment.read_bytes() == intact
         assert len(CampaignStore("crash", root=store.root)) == 40
 
     def test_torn_open_segment_sealed_by_next_writer(self, tmp_path):
         root = tmp_path / "s"
-        store = CampaignStore("crash", root=root, tier="packed")
+        store = CampaignStore("crash", root=root)
         for index in range(5):
             store.put_cell(f"cell-{index:04d}", {"index": index})
-        # Crash: writer never closed; its .open segment gets a torn tail.
+        # Crash: the writer dies without closing (the kernel drops its
+        # lock), leaving its .open segment with a torn tail.
         active = next(store.segments_dir.glob("seg-*.open"))
         store._writer._handle.close()
+        store._writer._lock.close()
         store._writer = None
         active.write_bytes(active.read_bytes() + b"CELL half 999\n{")
         resumed = CampaignStore("crash", root=root)
@@ -168,19 +230,22 @@ class TestCrashSafety:
         sidecar.unlink()
         fresh = CampaignStore("crash", root=store.root)
         assert len(fresh.completed_keys()) == 40  # rescan fallback
-        fresh.recover(tmp_grace_s=0.0)
+        with fresh:
+            fresh.recover()
         payload = json.loads(sidecar.read_text())
         assert payload["bytes"] == segment.stat().st_size
         assert len(payload["records"]) > 0
 
     def test_interrupted_compaction_leaves_source_authoritative(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, write_cell_files
     ):
         root = tmp_path / "s"
-        store = CampaignStore("crash", root=root, tier="file")
+        store = CampaignStore("crash", root=root)
         payloads = {f"cell-{index:04d}": {"index": index} for index in range(12)}
-        for key, payload in payloads.items():
-            store.put_cell(key, payload)
+        write_cell_files(
+            store,
+            {key: canonical_json_bytes(value) for key, value in payloads.items()},
+        )
         before = cell_bytes(store)
 
         # Crash mid-deletion: verification has passed, some (but not
@@ -217,69 +282,113 @@ class TestCrashSafety:
         assert cell_bytes(compacted) == before
         assert not list(compacted.cells_dir.glob("*.json"))
 
-    def test_partially_packed_store_reads_consistently(self, tmp_path):
-        # The moment *before* compaction deletes anything: every cell in
-        # the file tier, half also packed.  Reads dedupe and agree.
+    def test_partially_packed_store_reads_consistently(
+        self, tmp_path, write_cell_files
+    ):
+        # The moment *before* compaction deletes anything: every cell a
+        # legacy file, half also packed.  Reads dedupe and agree.
         root = tmp_path / "s"
-        store = CampaignStore("crash", root=root, tier="file")
-        for index in range(10):
-            store.put_cell(f"cell-{index:04d}", {"index": index})
-        before = cell_bytes(store)
-        half = CampaignStore("crash", root=root, tier="packed")
-        with half:
-            for index in range(5):
-                half.put_cell_bytes(
-                    f"cell-{index:04d}",
-                    canonical_json_bytes({"index": index}),
-                )
+        cells = {
+            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            for index in range(10)
+        }
+        with CampaignStore("crash", root=root) as half:
+            for key in sorted(cells)[:5]:
+                half.put_cell_bytes(key, cells[key])
         mixed = CampaignStore("crash", root=root)
-        assert cell_bytes(mixed) == before
+        write_cell_files(mixed, cells)
+        assert len(mixed._packed_keys()) == 5
+        assert cell_bytes(mixed) == cells
         assert len(mixed.completed_keys()) == 10
+
+
+class TestLegacyStore:
+    """A store written by the retired file-per-cell writer stays usable."""
+
+    def test_resume_executes_nothing(self, legacy_store):
+        summary = run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)
+        assert summary.executed == 0
+        assert summary.skipped == summary.total_cells == 4
+        assert not list(legacy_store.segments_dir.glob("seg-*"))
+
+    def test_status_and_report_match_a_packed_copy(self, legacy_store, tmp_path):
+        packed = CampaignStore("legacy", root=tmp_path / "packed")
+        merge_campaign_stores(packed, legacy_store)
+        assert not packed.cells_dir.exists()
+        status = campaign_status("legacy", store=legacy_store)
+        packed_status = campaign_status("legacy", store=packed)
+        assert status.pop("store_root") != packed_status.pop("store_root")
+        assert status == packed_status
+        assert status["completed"] == status["total"] == 4
+        assert aggregate_report("legacy", store=legacy_store) == aggregate_report(
+            "legacy", store=packed
+        )
+
+    def test_compact_packs_verifies_and_retires_every_file(
+        self, legacy_store, legacy_cells
+    ):
+        summary = legacy_store.compact()
+        assert summary.packed == summary.verified == summary.removed_files == 4
+        assert summary.already_packed == summary.skipped_invalid == 0
+        assert not list(legacy_store.cells_dir.glob("*.json"))
+        assert cell_bytes(legacy_store) == legacy_cells
+
+    def test_lost_cell_file_re_executes_into_a_segment(
+        self, legacy_store, legacy_cells
+    ):
+        lost = sorted(legacy_cells)[1]
+        legacy_store.cell_path(lost).unlink()
+        summary = run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)
+        assert summary.executed == 1 and summary.skipped == 3
+        assert not legacy_store.cell_path(lost).exists()
+        assert set(legacy_store._packed_keys()) == {lost}
+        assert cell_bytes(legacy_store) == legacy_cells
 
 
 class TestTierMixes:
     def test_shard_merge_round_trip_across_tiers(
-        self, reference_stores, tmp_path
+        self, legacy_cells, tmp_path, write_cell_files
     ):
-        spec, file_store, __ = reference_stores
-        reference = cell_bytes(file_store)
+        spec = LEGACY_SPEC
         shards = shard_cells(spec, 2)
-        shard_stores = []
-        for index, tier in enumerate(("file", "packed")):
-            shard_store = CampaignStore(
-                spec.name, root=tmp_path / f"shard{index}", tier=tier
-            )
-            run_campaign(spec, store=shard_store, shard=(index, 2))
-            shard_stores.append(shard_store)
-            assert len(cell_bytes(shard_store)) == len(shards[index])
-        for tier in ("file", "packed"):
-            dest = CampaignStore(
-                spec.name, root=tmp_path / f"dest-{tier}", tier=tier
-            )
-            first = merge_campaign_stores(dest, shard_stores[0])
-            second = merge_campaign_stores(dest, shard_stores[1])
-            assert first.copied == len(shards[0])
-            assert second.copied == len(shards[1])
-            assert cell_bytes(dest) == reference
+        # Shard 0 is a legacy store, shard 1 a fresh packed run.
+        legacy_shard = CampaignStore(spec.name, root=tmp_path / "shard0")
+        legacy_shard.write_manifest(spec.to_manifest())
+        write_cell_files(
+            legacy_shard, {cell.key: legacy_cells[cell.key] for cell in shards[0]}
+        )
+        packed_shard = CampaignStore(spec.name, root=tmp_path / "shard1")
+        run_campaign(spec, store=packed_shard, shard=(1, 2))
+        for store, shard in zip((legacy_shard, packed_shard), shards):
+            assert len(cell_bytes(store)) == len(shard)
+        dest = CampaignStore(spec.name, root=tmp_path / "dest")
+        first = merge_campaign_stores(dest, legacy_shard)
+        second = merge_campaign_stores(dest, packed_shard)
+        assert first.copied == len(shards[0])
+        assert second.copied == len(shards[1])
+        assert cell_bytes(dest) == legacy_cells
+        # A legacy store is a merge destination too: new cells land in
+        # its segments, next to its cell files.
+        into_legacy = merge_campaign_stores(legacy_shard, packed_shard)
+        assert into_legacy.copied == len(shards[1])
+        assert cell_bytes(legacy_shard) == legacy_cells
 
     def test_resume_after_partial_segment_loss(
-        self, reference_stores, tmp_path
+        self, packed_store, legacy_cells, tmp_path
     ):
-        spec, file_store, packed_store = reference_stores
-        reference = cell_bytes(file_store)
         root = tmp_path / "lossy"
         shutil.copytree(packed_store.root, root)
-        store = CampaignStore(spec.name, root=root)
+        store = CampaignStore(LEGACY_SPEC.name, root=root)
         segment = sorted(store.segments_dir.glob("seg-*.seg"))[-1]
         blob = segment.read_bytes()
         segment.write_bytes(blob[: len(blob) - 10])  # tear the last record
         segment.with_name(segment.name + ".idx.json").unlink()
-        lost = len(reference) - len(store.completed_keys())
+        lost = len(legacy_cells) - len(store.completed_keys())
         assert lost >= 1
-        summary = run_campaign(spec, store=store, resume=True)
+        summary = run_campaign(LEGACY_SPEC, store=store, resume=True)
         assert summary.executed == lost
-        assert summary.skipped == len(reference) - lost
-        assert cell_bytes(CampaignStore(spec.name, root=root)) == reference
+        assert summary.skipped == len(legacy_cells) - lost
+        assert cell_bytes(CampaignStore(LEGACY_SPEC.name, root=root)) == legacy_cells
 
 
 class TestPivotReport:
@@ -293,7 +402,7 @@ class TestPivotReport:
             particle_counts=(16,),
             seeds=(0,),
         )
-        store = CampaignStore(spec.name, root=root / "s", tier="packed")
+        store = CampaignStore(spec.name, root=root / "s")
         run_campaign(spec, store=store)
         return spec, store
 

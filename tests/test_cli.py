@@ -212,6 +212,20 @@ class TestCommands:
                      "--shards", "2", "--index", "5"]) == 2
         assert "--index must be in [0, 2)" in capsys.readouterr().err
 
+    def test_campaign_run_refuses_a_store_with_a_live_writer(self, capsys):
+        from repro.common.errors import EvaluationError
+        from repro.eval.store import CampaignStore
+
+        base = ["campaign", "run", "cli-locked", "--scenarios",
+                "corridor:2:flight_s=6.0", "--variants", "fp32",
+                "--particles", "16", "--seeds", "0"]
+        with CampaignStore("cli-locked") as live:
+            live.recover()  # takes the writer lock
+            with pytest.raises(EvaluationError, match="single-writer"):
+                main(base)
+        assert main(base) == 0
+        assert "1 cells executed" in capsys.readouterr().out
+
     def test_serve_sim(self, capsys):
         fleet = "corridor:2:flight_s=6.0@fp32@32*2,office:2:flight_s=6.0@fp16qm@32*2~2"
         assert main(["serve-sim", "--fleet", fleet]) == 0
