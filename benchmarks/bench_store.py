@@ -12,7 +12,8 @@ exist for:
    index sidecar reads (packed),
 2. **streaming report** — a full ``stream_cells()`` +
    :class:`~repro.eval.aggregate.RunningCellStats` fold, the
-   ``campaign report`` hot path,
+   ``campaign report`` hot path; both layouts must report identical
+   ``success_rate`` and ``mean_ate_m`` floats,
 3. **byte equivalence** — every cell read back from both layouts must be
    byte-identical (the contract ``campaign compact`` and merges of
    legacy stores rest on).
@@ -266,6 +267,14 @@ def test_store_layouts(benchmark, tmp_path):
     assert report["scan_legacy"]["keys"] == cells
     assert report["scan_packed"]["keys"] == cells
     assert report["report_packed"]["cells"] == cells
+    # The fold's sums are exact, so the two layouts' different cell
+    # orders (sorted file names vs append order) give identical totals.
+    for total in ("success_rate", "mean_ate_m"):
+        assert report["report_legacy"][total] == report["report_packed"][total], (
+            f"report {total} differs between layouts: "
+            f"{report['report_legacy'][total]!r} vs "
+            f"{report['report_packed'][total]!r}"
+        )
     # The index must beat the validating directory scan by a wide margin
     # (>=10x at report scale; the floor is looser at smoke scale where
     # both sides are milliseconds).

@@ -276,37 +276,56 @@ def _expand_ablations(
     return list(dict.fromkeys(spec.id for spec in specs))
 
 
-def _print_sweep_tables(result, variants, particles, title_suffix, footnote) -> None:
-    columns = [str(count) for count in particles]
+def _print_rate_tables(
+    row_header: str,
+    rows: list[str],
+    columns: list[str],
+    cells: dict[tuple[str, str], tuple[float | None, float | None]],
+    ate_title: str,
+    success_title: str,
+    footnote: str = "",
+) -> None:
+    """Print the ATE and success-rate matrices of a sweep or campaign.
+
+    ``cells`` maps ``(row, column)`` to ``(mean ATE in m, success rate in
+    [0, 1])``; a ``None`` or NaN value prints as n/a.
+    """
     ate_cells: dict[tuple[str, str], str] = {}
     success_cells: dict[tuple[str, str], str] = {}
-    for variant in variants:
-        ates = result.ate_series(variant, particles)
-        successes = result.success_series(variant, particles)
-        for column, ate, success in zip(columns, ates, successes):
-            if not math.isnan(ate):
-                ate_cells[(variant, column)] = f"{ate:.3f}"
-            success_cells[(variant, column)] = f"{success:.0f}%"
-    runs = next(iter(result.cells.values())).aggregate.run_count
-    print(
-        format_matrix(
-            "variant",
-            list(variants),
-            columns,
-            ate_cells,
-            title=f"ATE (m) vs particle number{title_suffix}  [{runs} runs/cell]",
-            footnote=footnote,
-        )
+    for cell, (ate, rate) in cells.items():
+        if ate is not None and not math.isnan(ate):
+            ate_cells[cell] = f"{ate:.3f}"
+        if rate is not None:
+            success_cells[cell] = f"{100 * rate:.0f}%"
+    ate_table = format_matrix(
+        row_header, rows, columns, ate_cells, title=ate_title, footnote=footnote
     )
+    success_table = format_matrix(
+        row_header, rows, columns, success_cells, title=success_title
+    )
+    print(ate_table)
     print()
-    print(
-        format_matrix(
-            "variant",
-            list(variants),
-            columns,
-            success_cells,
-            title=f"success rate vs particle number{title_suffix}",
-        )
+    print(success_table)
+
+
+def _print_sweep_tables(result, variants, particles, title_suffix, footnote) -> None:
+    cells = {}
+    for variant in variants:
+        for count in particles:
+            aggregate = result.cells[(variant, count)].aggregate
+            cells[(variant, str(count))] = (
+                aggregate.mean_ate_m,
+                aggregate.success_rate,
+            )
+    runs = next(iter(result.cells.values())).aggregate.run_count
+    _print_rate_tables(
+        "variant",
+        list(variants),
+        [str(count) for count in particles],
+        cells,
+        f"ATE (m) vs particle number{title_suffix}  [{runs} runs/cell]",
+        f"success rate vs particle number{title_suffix}",
+        footnote,
     )
 
 
@@ -497,41 +516,22 @@ def _cmd_campaign_pivot_report(args: argparse.Namespace) -> int:
         if printed:
             print()
         printed = True
-        row_names = [
-            f"{base} N={count}" for base, count in sorted(rows.keys())
-        ]
-        columns = _pivot_column_order(
-            {value for cells in rows.values() for value in cells}
-        )
-        ate_cells: dict[tuple[str, str], str] = {}
-        success_cells: dict[tuple[str, str], str] = {}
-        for (base, count), cells in rows.items():
-            row = f"{base} N={count}"
-            for value, aggregate in cells.items():
-                ate = aggregate["mean_ate_m"]
-                if ate is not None:
-                    ate_cells[(row, value)] = f"{ate:.3f}"
-                rate = aggregate["success_rate"]
-                if rate is not None:
-                    success_cells[(row, value)] = f"{100 * rate:.0f}%"
-        print(
-            format_matrix(
-                "config",
-                row_names,
-                columns,
-                ate_cells,
-                title=f"ATE (m) vs {args.pivot} — {scenario}",
-            )
-        )
-        print()
-        print(
-            format_matrix(
-                "config",
-                row_names,
-                columns,
-                success_cells,
-                title=f"success rate vs {args.pivot} — {scenario}",
-            )
+        _print_rate_tables(
+            "config",
+            [f"{base} N={count}" for base, count in sorted(rows.keys())],
+            _pivot_column_order(
+                {value for cells in rows.values() for value in cells}
+            ),
+            {
+                (f"{base} N={count}", value): (
+                    aggregate["mean_ate_m"],
+                    aggregate["success_rate"],
+                )
+                for (base, count), cells in rows.items()
+                for value, aggregate in cells.items()
+            },
+            f"ATE (m) vs {args.pivot} — {scenario}",
+            f"success rate vs {args.pivot} — {scenario}",
         )
     return 0
 
@@ -543,7 +543,6 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         return _cmd_campaign_pivot_report(args)
     spec = load_campaign(args.name)
     report = aggregate_report(args.name)
-    columns = [str(count) for count in spec.particle_counts]
     overall = RunningCellStats()
     printed = False
     for scenario in spec.scenarios:
@@ -553,36 +552,22 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         if printed:
             print()
         printed = True
-        ate_cells: dict[tuple[str, str], str] = {}
-        success_cells: dict[tuple[str, str], str] = {}
-        runs = 0
-        for (variant, count), aggregate in cells.items():
+        for aggregate in cells.values():
             overall.add(aggregate)
-            runs = max(runs, aggregate["runs"])
-            ate = aggregate["mean_ate_m"]
-            if ate is not None:
-                ate_cells[(variant, str(count))] = f"{ate:.3f}"
-            rate = aggregate["success_rate"]
-            if rate is not None:
-                success_cells[(variant, str(count))] = f"{100 * rate:.0f}%"
-        print(
-            format_matrix(
-                "variant",
-                list(spec.variants),
-                columns,
-                ate_cells,
-                title=f"ATE (m) vs particle number — {scenario}  [{runs} runs/cell]",
-            )
-        )
-        print()
-        print(
-            format_matrix(
-                "variant",
-                list(spec.variants),
-                columns,
-                success_cells,
-                title=f"success rate vs particle number — {scenario}",
-            )
+        runs = max(aggregate["runs"] for aggregate in cells.values())
+        _print_rate_tables(
+            "variant",
+            list(spec.variants),
+            [str(count) for count in spec.particle_counts],
+            {
+                (variant, str(count)): (
+                    aggregate["mean_ate_m"],
+                    aggregate["success_rate"],
+                )
+                for (variant, count), aggregate in cells.items()
+            },
+            f"ATE (m) vs particle number — {scenario}  [{runs} runs/cell]",
+            f"success rate vs particle number — {scenario}",
         )
     if printed:
         rate = overall.success_rate

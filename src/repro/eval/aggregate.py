@@ -16,6 +16,7 @@ protocol scale is controlled by ``REPRO_SCALE``:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -93,6 +94,26 @@ class SweepResult:
         return self.cells[(variant, particle_count)].aggregate.convergence_times
 
 
+def _fsum_add(partials: list[float], value: float) -> None:
+    """Add ``value`` to Shewchuk's non-overlapping partials, in place.
+
+    ``math.fsum(partials)`` is then the correctly rounded sum of every
+    value added, whatever their order; the list stays a few entries long
+    (it cannot outgrow the float exponent range), not one per value.
+    """
+    count = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[count] = low
+            count += 1
+        value = high
+    partials[count:] = [value]
+
+
 @dataclass
 class RunningCellStats:
     """O(1)-memory streaming fold over stored cell aggregates.
@@ -102,15 +123,18 @@ class RunningCellStats:
     campaign-level totals without holding any cell: this is what lets
     ``campaign report`` summarize a 10^5-cell packed store in memory
     bounded by one segment.  Means are weighted by run count, matching
-    what a batch recomputation over all runs would produce.
+    what a batch recomputation over all runs would produce.  The two
+    weighted sums are exact (Shewchuk partials, as in :func:`math.fsum`),
+    so the totals do not depend on the order cells arrive in: store
+    layout, append order, job count or merge order.
     """
 
     cells: int = 0
     runs: int = 0
     converged: int = 0
-    success_weight: float = 0.0
+    success_partials: list[float] = field(default_factory=list)
     ate_weight: int = 0
-    ate_sum: float = 0.0
+    ate_partials: list[float] = field(default_factory=list)
 
     def add(self, aggregate: dict) -> None:
         runs = int(aggregate.get("runs") or 0)
@@ -120,20 +144,24 @@ class RunningCellStats:
         self.converged += converged
         success_rate = aggregate.get("success_rate")
         if success_rate is not None:
-            self.success_weight += float(success_rate) * runs
+            _fsum_add(self.success_partials, float(success_rate) * runs)
         mean_ate = aggregate.get("mean_ate_m")
         if mean_ate is not None:
             # mean_ate_m averages the *converged* runs of the cell.
             self.ate_weight += converged
-            self.ate_sum += float(mean_ate) * converged
+            _fsum_add(self.ate_partials, float(mean_ate) * converged)
 
     @property
     def success_rate(self) -> float | None:
-        return self.success_weight / self.runs if self.runs else None
+        if not self.runs:
+            return None
+        return math.fsum(self.success_partials) / self.runs
 
     @property
     def mean_ate_m(self) -> float | None:
-        return self.ate_sum / self.ate_weight if self.ate_weight else None
+        if not self.ate_weight:
+            return None
+        return math.fsum(self.ate_partials) / self.ate_weight
 
 
 def run_sweep(

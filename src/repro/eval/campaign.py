@@ -658,6 +658,7 @@ def pivot_report(
     report: dict[str, dict[tuple[str, int], dict[str, dict]]] = {
         scenario: {} for scenario in spec.scenarios
     }
+    splits: dict[str, tuple[str, str]] = {}
     found = 0
     with obs.span("campaign.report"):
         for _key, payload in store.stream_cells():
@@ -667,19 +668,22 @@ def pivot_report(
             scenario, variant, count = identity
             if scenario not in scenarios:
                 continue
-            config_spec = _parse_spec(variant)
-            base = ConfigSpec(
-                config_spec.variant,
-                tuple(
-                    (key, value)
-                    for key, value in config_spec.overrides
-                    if key != field
-                ),
-            )
-            value = format_override_value(
-                getattr(config_spec.config(), field)
-            )
-            row = report[scenario].setdefault((base.id, count), {})
+            if variant not in splits:  # a handful of variants, many cells
+                config_spec = _parse_spec(variant)
+                base = ConfigSpec(
+                    config_spec.variant,
+                    tuple(
+                        (key, value)
+                        for key, value in config_spec.overrides
+                        if key != field
+                    ),
+                )
+                splits[variant] = (
+                    base.id,
+                    format_override_value(getattr(config_spec.config(), field)),
+                )
+            base_id, value = splits[variant]
+            row = report[scenario].setdefault((base_id, count), {})
             if value in row:
                 continue  # duplicate spelling cannot happen post-canonicalization
             row[value] = payload["aggregate"]

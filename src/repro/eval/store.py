@@ -56,6 +56,18 @@ writer's.  ``run_campaign`` funnels every ``put_cell`` through the
 parent process even when cells execute on a pool, and shards write
 separate stores that merge later.  Readers take no lock: sealed
 segments and sidecars are immutable once published.
+
+**One read rule.**  A sealed ``.seg`` whose sidecar records the
+segment's current size and parses as key -> ``[offset, length]`` spans
+inside it is *trusted*: resume, the key index, streaming reads and
+:meth:`CampaignStore.recover` all read it through the sidecar and never
+re-parse its payloads (the writer fsynced and sealed it under the lock
+before publishing the sidecar).  ``.open`` segments and sealed segments
+without a trusted sidecar go through the one validating record scan,
+which stops at the first torn or unparseable record; ``recover()``
+truncates such a segment to that prefix and rewrites its sidecar.
+Streaming reads yield a segment's records in storage order (sidecar
+spans sorted by offset).
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, Sequence
 
 from .. import obs
 from ..common.atomics import atomic_create, atomic_write
@@ -142,15 +154,15 @@ def _encode_record(key: str, data: bytes) -> bytes:
     return b"CELL %s %d\n" % (key.encode("ascii"), len(data)) + data
 
 
-def _scan_records(
-    blob: bytes, validate_json: bool = False
-) -> tuple[list[tuple[str, int, int]], int]:
-    """Parse the valid record prefix of a segment blob.
+def _scan_records(blob: bytes) -> tuple[list[tuple[str, int, int]], int]:
+    """Parse and validate the intact record prefix of a segment blob.
 
     Returns ``([(key, payload_offset, payload_length), ...], valid_bytes)``
     — the scan stops at the first structural break (torn header, short
-    payload, or, with ``validate_json``, an unparseable payload), so
-    ``valid_bytes`` is the length recovery may truncate the segment to.
+    payload, or a payload that is not JSON), so ``valid_bytes`` is the
+    length recovery may truncate the segment to.  This is the one record
+    scanner: ``.open`` segments and sealed segments without a trusted
+    sidecar are read through it.
     """
     records: list[tuple[str, int, int]] = []
     pos = 0
@@ -171,11 +183,10 @@ def _scan_records(
         end = start + length
         if length < 0 or end > size:
             break
-        if validate_json:
-            try:
-                json.loads(blob[start:end])
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break
+        try:
+            json.loads(blob[start:end])
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            break
         records.append((key, start, length))
         pos = end
     return records, pos
@@ -185,38 +196,57 @@ def _sidecar_path(segment: Path) -> Path:
     return segment.with_name(segment.name + ".idx.json")
 
 
-def _load_sidecar_payload(segment: Path) -> dict | None:
-    """A sealed segment's raw sidecar payload, size-checked.
+def _load_sidecar(segment: Path) -> dict[str, list[int]] | None:
+    """A sealed segment's key -> ``[offset, length]`` spans, if trusted.
 
-    The sidecar is trusted only when its recorded size matches the
-    segment on disk — a mismatch (or a missing/torn sidecar, e.g. a
-    crash between seal and index publish) silently degrades to a
-    sequential rescan, so the index is a pure accelerator and never an
-    additional source of truth.
+    Trusted means the sidecar records the segment's current size and
+    every span lies inside the segment (the module's one read rule).  A
+    missing or torn sidecar (a crash between seal and publish), a size
+    mismatch (a tail appended after sealing) or a malformed span returns
+    ``None``, and the caller rescans the segment.
     """
     try:
-        payload = json.loads(_sidecar_path(segment).read_text())
-        if payload.get("bytes") != segment.stat().st_size:
-            return None
-        if not isinstance(payload.get("records"), dict):
-            return None
-        return payload
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError):
+        payload = json.loads(_sidecar_path(segment).read_bytes())
+        size = segment.stat().st_size
+    except (OSError, ValueError):
         return None
-
-
-def _load_sidecar(segment: Path) -> dict[str, tuple[int, int]] | None:
-    """A sealed segment's key index, or ``None`` when it must be rescanned."""
-    payload = _load_sidecar_payload(segment)
-    if payload is None:
+    if not isinstance(payload, dict) or payload.get("bytes") != size:
+        return None
+    spans = payload.get("records")
+    if not isinstance(spans, dict):
         return None
     try:
-        return {
-            key: (int(span[0]), int(span[1]))
-            for key, span in payload["records"].items()
-        }
-    except (ValueError, TypeError, IndexError):
+        for offset, length in spans.values():
+            if not (
+                type(offset) is int
+                and type(length) is int
+                and 0 <= offset <= offset + length <= size
+            ):
+                return None
+    except (TypeError, ValueError):  # a span that is not a pair
         return None
+    return spans
+
+
+def _segment_spans(
+    segment: Path,
+) -> tuple[dict[str, Sequence[int]], bytes | None]:
+    """A segment's key -> ``(offset, length)`` spans, by the trust rule.
+
+    A sealed segment with a trusted sidecar is answered from the sidecar
+    alone (``blob`` is ``None``: no byte of the segment was read); an
+    ``.open`` or untrusted sealed segment is read and scanned with
+    :func:`_scan_records`, and its ``blob`` is returned with the spans.
+    """
+    if segment.suffix == ".seg":
+        spans = _load_sidecar(segment)
+        if spans is not None:
+            obs.counter("store.index_hits").inc()
+            return spans, None
+        obs.counter("store.index_rescans").inc()
+    blob = segment.read_bytes()
+    records, _ = _scan_records(blob)
+    return {key: (offset, length) for key, offset, length in records}, blob
 
 
 def _write_sidecar(
@@ -295,7 +325,7 @@ class _SegmentWriter:
         recovered = []
         for path in sorted(self._dir.glob("seg-*.open")):
             blob = path.read_bytes()
-            records, valid = _scan_records(blob, validate_json=True)
+            records, valid = _scan_records(blob)
             recovered.append(path.name)
             if not records:
                 path.unlink()
@@ -466,52 +496,11 @@ class CampaignStore:
 
     def _build_packed_index(self) -> dict[str, tuple[Path, int, int]]:
         index: dict[str, tuple[Path, int, int]] = {}
-        if not self.segments_dir.is_dir():
-            return index
-        for segment in sorted(self.segments_dir.glob("seg-*.seg")):
-            sidecar = _load_sidecar(segment)
-            if sidecar is not None:
-                obs.counter("store.index_hits").inc()
-                for key, (offset, length) in sidecar.items():
-                    index[key] = (segment, offset, length)
-                continue
-            obs.counter("store.index_rescans").inc()
-            records, _ = _scan_records(segment.read_bytes(), validate_json=True)
-            for key, offset, length in records:
-                index[key] = (segment, offset, length)
-        for segment in sorted(self.segments_dir.glob("seg-*.open")):
-            records, _ = _scan_records(segment.read_bytes(), validate_json=True)
-            for key, offset, length in records:
+        for segment in self._segment_paths():
+            spans, _ = _segment_spans(segment)
+            for key, (offset, length) in spans.items():
                 index[key] = (segment, offset, length)
         return index
-
-    def _packed_keys(self) -> set[str]:
-        """Keys of every packed record, without building the full index.
-
-        The resume-scan fast path: reads each sealed segment's sidecar
-        for its key set only, skipping the per-record ``(path, offset,
-        length)`` materialization of :meth:`_packed_index`.  Falls back
-        to the same sequential rescan on any untrusted sidecar, and to
-        the cached index when one is already built.
-        """
-        if self._index_cache is not None:
-            return set(self._index_cache)
-        keys: set[str] = set()
-        if not self.segments_dir.is_dir():
-            return keys
-        for segment in sorted(self.segments_dir.glob("seg-*.seg")):
-            payload = _load_sidecar_payload(segment)
-            if payload is not None:
-                obs.counter("store.index_hits").inc()
-                keys.update(payload["records"])
-                continue
-            obs.counter("store.index_rescans").inc()
-            records, _ = _scan_records(segment.read_bytes(), validate_json=True)
-            keys.update(key for key, _, _ in records)
-        for segment in sorted(self.segments_dir.glob("seg-*.open")):
-            records, _ = _scan_records(segment.read_bytes(), validate_json=True)
-            keys.update(key for key, _, _ in records)
-        return keys
 
     def _relocate_index(
         self, records: list[tuple[str, int, int]], segment: Path
@@ -656,14 +645,19 @@ class CampaignStore:
     def completed_keys(self) -> set[str]:
         """Keys of every *valid* completed cell, packed or legacy.
 
-        For segments this is one sidecar read per sealed segment —
-        O(segments), not O(cells) — which is what keeps ``--resume`` on
-        a 10^5-cell store at milliseconds instead of a directory scan.
-        Legacy cell files are parse-validated individually: unparseable
-        ones (torn writes) do not count as completed, so a resumed
-        campaign re-executes them.
+        For sealed segments this is one sidecar read each — O(segments),
+        not O(cells) — which is what keeps ``--resume`` on a 10^5-cell
+        store at milliseconds instead of a directory scan.  Legacy cell
+        files are parse-validated individually: unparseable ones (torn
+        writes) do not count as completed, so a resumed campaign
+        re-executes them.
         """
-        keys = self._packed_keys()
+        if self._index_cache is not None:
+            keys = set(self._index_cache)
+        else:
+            keys = set()
+            for segment in self._segment_paths():
+                keys.update(_segment_spans(segment)[0])
         if not self.cells_dir.is_dir():
             return keys
         for path in sorted(self.cells_dir.glob("*.json")):
@@ -671,47 +665,17 @@ class CampaignStore:
                 keys.add(path.stem)
         return keys
 
-    def iter_cells(self) -> Iterator[tuple[str, dict]]:
-        """Yield ``(key, payload)`` for every valid cell, sorted by key.
-
-        Key-sorted means random access into segments; a per-call handle
-        cache keeps that at one open file per segment.  Prefer
-        :meth:`stream_cells` when order does not matter — it scans
-        sequentially in memory bounded by one segment.
-        """
-        index = self._packed_index()
-        keys = set(index)
-        if self.cells_dir.is_dir():
-            keys.update(path.stem for path in self.cells_dir.glob("*.json"))
-        handles: dict[Path, Any] = {}
-        try:
-            for key in sorted(keys):
-                location = index.get(key)
-                if location is not None:
-                    segment, offset, length = location
-                    handle = handles.get(segment)
-                    if handle is None:
-                        handle = handles[segment] = open(segment, "rb")
-                    handle.seek(offset)
-                    data = handle.read(length)
-                    payload = self._parse(data)
-                else:
-                    payload = self._load(self.cell_path(key))
-                if payload is not None:
-                    yield key, payload
-        finally:
-            for handle in handles.values():
-                handle.close()
-
     def iter_cell_bytes(self) -> Iterator[tuple[str, bytes]]:
         """Stream ``(key, raw payload bytes)`` for every stored cell.
 
-        Packed records come first via sequential segment scans (memory
-        bounded by one segment); legacy cell files follow, skipping keys
-        the segments already yielded (their bytes are identical by the
-        append-only verify).  Torn legacy files are yielded raw so
-        merge accounting can count them; torn *segment tails* never
-        yield — a record either scans whole or does not exist yet.
+        Packed records come first, segment by segment in storage order
+        (memory bounded by one segment); a trusted segment's payloads
+        are sliced out by its sidecar spans, unparsed.  Legacy cell files
+        follow, skipping keys the segments already yielded (their bytes
+        are identical by the append-only verify).  Torn legacy files are
+        yielded raw so merge accounting can count them; torn *segment
+        tails* never yield — a record either scans whole or does not
+        exist yet.
         """
         has_files = self.cells_dir.is_dir() and any(
             self.cells_dir.glob("*.json")
@@ -721,9 +685,12 @@ class CampaignStore:
             set() if (has_files and segments) else None
         )
         for segment in segments:
-            blob = segment.read_bytes()
-            records, _ = _scan_records(blob, validate_json=True)
-            for key, offset, length in records:
+            spans, blob = _segment_spans(segment)
+            if blob is None:
+                blob = segment.read_bytes()
+            for key, (offset, length) in sorted(
+                spans.items(), key=lambda item: item[1][0]
+            ):
                 if packed_keys is not None:
                     packed_keys.add(key)
                 yield key, blob[offset : offset + length]
@@ -757,11 +724,12 @@ class CampaignStore:
         another writer is live) and holds it until :meth:`close`, so
         every leftover is a dead writer's.  Taking the lock seals each
         abandoned ``.open`` segment's valid record prefix; this then
-        removes ``*.tmp`` scratch files, truncates torn tails of sealed
-        segments (removing one with no intact record), rebuilds missing
-        or stale index sidecars, and removes legacy cell files that no
-        longer parse.  Safe to call at the start of every run — a healthy
-        store loses nothing.
+        removes ``*.tmp`` scratch files, rescans every sealed segment
+        without a trusted sidecar — truncating a torn tail (removing a
+        segment with no intact record) and rewriting the sidecar — and
+        removes legacy cell files that no longer parse.  A sealed segment
+        whose sidecar is trusted is not read at all.  Safe to call at the
+        start of every run — a healthy store loses nothing.
         """
         writer = self._segment_writer()
         removed, writer.recovered = writer.recovered, []
@@ -784,19 +752,20 @@ class CampaignStore:
     def _recover_segments(self) -> list[str]:
         repaired = []
         for segment in sorted(self.segments_dir.glob("seg-*.seg")):
+            if _load_sidecar(segment) is not None:
+                continue  # trusted: no payload needs reading
             blob = segment.read_bytes()
-            records, valid = _scan_records(blob, validate_json=True)
-            if valid != len(blob):
+            records, valid = _scan_records(blob)
+            if valid == len(blob):
+                repaired.append(_sidecar_path(segment).name)
+            else:
                 repaired.append(segment.name)
                 if not records:
                     segment.unlink()
                     _sidecar_path(segment).unlink(missing_ok=True)
                     continue
                 _truncate(segment, valid)
-                _write_sidecar(segment, records, valid)
-            elif _load_sidecar(segment) is None:
-                _write_sidecar(segment, records, valid)
-                repaired.append(_sidecar_path(segment).name)
+            _write_sidecar(segment, records, valid)
         if repaired:
             self._index_cache = None
         return repaired

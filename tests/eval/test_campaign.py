@@ -205,7 +205,7 @@ class TestRunCampaign:
 
     def test_cell_payload_shape(self, fresh):
         store, __ = fresh
-        key, payload = next(iter(store.iter_cells()))
+        key, payload = next(store.stream_cells())
         assert set(payload) == {"cell", "runs", "aggregate"}
         assert len(payload["runs"]) == len(SEEDS)
         run = payload["runs"][0]

@@ -5,13 +5,16 @@ protocol machinery is exercised in seconds; the real paper-scale numbers
 come from the benchmark harness.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import EvaluationError
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
-from repro.eval.aggregate import SweepProtocol, run_sweep
+from repro.eval.aggregate import RunningCellStats, SweepProtocol, run_sweep
 from repro.eval.runner import run_localization
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
@@ -152,3 +155,48 @@ class TestRunSweep:
         grid, __ = mini_world
         with pytest.raises(EvaluationError):
             run_sweep(grid, [], ["fp32"], [64])
+
+
+@st.composite
+def cell_aggregates(draw) -> dict:
+    """A stored cell's ``aggregate`` block, ATEs spread over decades."""
+    runs = draw(st.integers(1, 12))
+    converged = draw(st.integers(0, runs))
+    successes = draw(st.integers(0, converged))
+    return {
+        "runs": runs,
+        "converged": converged,
+        "success_rate": successes / runs,
+        "mean_ate_m": draw(st.floats(1e-6, 1e3)) if converged else None,
+    }
+
+
+class TestRunningCellStats:
+    @staticmethod
+    def fold(aggregates: list[dict]) -> RunningCellStats:
+        stats = RunningCellStats()
+        for aggregate in aggregates:
+            stats.add(aggregate)
+        return stats
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(cell_aggregates(), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_totals_are_exact_in_any_order(self, cells, data):
+        shuffled = data.draw(st.permutations(cells))
+        forward, permuted = self.fold(cells), self.fold(shuffled)
+        runs = sum(cell["runs"] for cell in cells)
+        success = math.fsum(cell["success_rate"] * cell["runs"] for cell in cells)
+        assert forward.success_rate == permuted.success_rate == success / runs
+        timed = [cell for cell in cells if cell["mean_ate_m"] is not None]
+        weight = sum(cell["converged"] for cell in timed)
+        ate = math.fsum(cell["mean_ate_m"] * cell["converged"] for cell in timed)
+        expected = ate / weight if weight else None
+        assert forward.mean_ate_m == permuted.mean_ate_m == expected
+        assert (forward.cells, forward.runs) == (len(cells), runs)
+
+    def test_empty_fold_has_no_rates(self):
+        stats = RunningCellStats()
+        assert stats.success_rate is None and stats.mean_ate_m is None

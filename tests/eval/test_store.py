@@ -78,7 +78,7 @@ class TestCampaignStore:
         assert store.completed_keys() == {"good"}
         assert store.get_cell("torn") is None
         assert not store.has_cell("torn")
-        assert dict(store.iter_cells()) == {"good": {"v": 1}}
+        assert dict(store.stream_cells()) == {"good": {"v": 1}}
 
     def test_recover_sweeps_partials_only(self, tmp_path, write_cell_files):
         store = CampaignStore("c", root=tmp_path / "c")

@@ -15,6 +15,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.eval.campaign import (
     run_campaign,
     shard_cells,
 )
+from repro.eval import store as store_module
 from repro.eval.store import CampaignStore, canonical_json_bytes
 
 #: Same tiny worlds as test_campaign.py, so the session-cached .npz
@@ -81,10 +83,6 @@ class TestPackedTier:
             assert packed_store.get_cell(cell.key) == legacy_store.get_cell(
                 cell.key
             )
-
-    def test_iter_cells_sorted(self, packed_store):
-        keys = [key for key, __ in packed_store.iter_cells()]
-        assert keys == sorted(keys) and keys
 
     def test_new_cells_append_packed_on_legacy_stores(self, legacy_store):
         files = sorted(legacy_store.cells_dir.glob("*.json"))
@@ -297,9 +295,104 @@ class TestCrashSafety:
                 half.put_cell_bytes(key, cells[key])
         mixed = CampaignStore("crash", root=root)
         write_cell_files(mixed, cells)
-        assert len(mixed._packed_keys()) == 5
+        assert len(mixed._packed_index()) == 5
         assert cell_bytes(mixed) == cells
         assert len(mixed.completed_keys()) == 10
+
+
+class TestOneReadRule:
+    """A sealed segment whose sidecar is trusted is read through it alone."""
+
+    KEYS = [f"cell-{index:04d}" for index in range(40)]
+
+    def build(self, root: Path, monkeypatch) -> CampaignStore:
+        monkeypatch.setattr(store_module, "SEGMENT_MAX_RECORDS", 16)
+        with CampaignStore("rule", root=root) as store:
+            for index, key in enumerate(self.KEYS):
+                store.put_cell(key, {"index": index})
+        fresh = CampaignStore("rule", root=root)
+        assert len(list(fresh.segments_dir.glob("seg-*.seg"))) == 3
+        return fresh
+
+    def test_recover_reads_no_payload_of_a_healthy_store(
+        self, tmp_path, monkeypatch
+    ):
+        store = self.build(tmp_path / "s", monkeypatch)
+        scans = []
+        scan = store_module._scan_records
+
+        def counting_scan(blob):
+            scans.append(len(blob))
+            return scan(blob)
+
+        monkeypatch.setattr(store_module, "_scan_records", counting_scan)
+        with store:
+            assert store.recover() == []
+        assert store.completed_keys() == set(self.KEYS)
+        assert scans == []
+
+    def test_stream_cells_parses_each_payload_once(self, tmp_path, monkeypatch):
+        store = self.build(tmp_path / "s", monkeypatch)
+        payloads = dict(store.iter_cell_bytes())
+        expected = {key: json.loads(data) for key, data in payloads.items()}
+        parsed: Counter = Counter()
+        loads = json.loads
+
+        def counting_loads(data, *args, **kwargs):
+            parsed[data] += 1
+            return loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert dict(store.stream_cells()) == expected
+        assert [parsed[data] for data in payloads.values()] == [1] * 40
+
+    def test_storage_order_survives_sealing(self, tmp_path):
+        with CampaignStore("rule", root=tmp_path / "s") as store:
+            for key in ("c", "a", "b"):
+                store.put_cell(key, {"key": key})
+        sealed = CampaignStore("rule", root=store.root)
+        assert list(sealed.segments_dir.glob("seg-*.seg.idx.json"))
+        assert [key for key, __ in sealed.iter_cell_bytes()] == ["c", "a", "b"]
+        assert [key for key, __ in sealed.stream_cells()] == ["c", "a", "b"]
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"bogus": [0]},
+            {"bogus": ["0", 5]},
+            {"bogus": [-1, 5]},
+            {"bogus": [0, 10**9]},
+            {"bogus": 7},
+            [[0, 5]],
+            "array",
+        ],
+        ids=["short", "string", "negative", "past-end", "scalar", "list", "array"],
+    )
+    def test_malformed_sidecar_is_rescanned_and_rewritten(
+        self, tmp_path, monkeypatch, malformed
+    ):
+        store = self.build(tmp_path / "s", monkeypatch)
+        before = dict(store.iter_cell_bytes())
+        segment = sorted(store.segments_dir.glob("seg-*.seg"))[0]
+        sidecar = segment.with_name(segment.name + ".idx.json")
+        intact = sidecar.read_bytes()
+        # The sidecar still records the segment's size, but its spans are
+        # malformed ("array": the whole sidecar is a JSON array).
+        size = segment.stat().st_size
+        sidecar.write_bytes(
+            canonical_json_bytes(
+                [size]
+                if malformed == "array"
+                else {"bytes": size, "records": malformed}
+            )
+        )
+        fresh = CampaignStore("rule", root=store.root)
+        assert fresh.completed_keys() == set(self.KEYS)
+        assert dict(fresh.iter_cell_bytes()) == before
+        assert fresh.get_cell(self.KEYS[0]) == {"index": 0}
+        with fresh:
+            assert fresh.recover() == [sidecar.name]
+        assert sidecar.read_bytes() == intact
 
 
 class TestLegacyStore:
@@ -341,7 +434,7 @@ class TestLegacyStore:
         summary = run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)
         assert summary.executed == 1 and summary.skipped == 3
         assert not legacy_store.cell_path(lost).exists()
-        assert set(legacy_store._packed_keys()) == {lost}
+        assert set(legacy_store._packed_index()) == {lost}
         assert cell_bytes(legacy_store) == legacy_cells
 
 

@@ -207,6 +207,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2/2 cells completed" in out
 
+    def test_campaign_report_pivot_sigma(self, capsys):
+        assert main(["campaign", "run", "cli-pivot", "--scenarios",
+                     "corridor:2:flight_s=6.0", "--variants", "fp32",
+                     "--ablate", "sigma=1.0,4.0", "--particles", "16",
+                     "--seeds", "0"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", "cli-pivot", "--pivot", "sigma"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        scenario = "corridor:2:flight_s=6.0"
+        assert f"ATE (m) vs sigma — {scenario}" in lines
+        assert f"success rate vs sigma — {scenario}" in lines
+        # One base row, both ablated values as columns, in each table.
+        table = [
+            [cell.strip() for cell in line.split("|")]
+            for line in lines
+            if line.startswith(("config", "fp32"))
+        ]
+        header = ["config", "1.0", "4.0"]
+        assert [row[0] for row in table] == ["config", "fp32 N=16"] * 2
+        assert table[0] == table[2] == header
+        assert all(cell.endswith("%") for cell in table[3][1:])
+
     def test_campaign_shard_rejects_bad_index(self, capsys):
         assert main(["campaign", "shard", "x", "--scenarios", "office:3",
                      "--shards", "2", "--index", "5"]) == 2
