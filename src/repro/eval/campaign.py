@@ -63,13 +63,37 @@ from .sweep_engine import DistanceFieldCache, SweepCellSpec, _execute_cell, fan_
 
 @lru_cache(maxsize=4096)
 def _parse_spec(variant: str) -> ConfigSpec:
-    """Memoized config-spec parse for streaming paths.
+    """Memoized config-spec parse.
 
-    A 10^5-cell scan sees each canonical variant id thousands of times;
-    parsing (which eagerly materializes and validates a config) is pure,
-    so one cache entry per distinct spec turns it into a dict hit.
+    Parsing (which eagerly materializes and validates a config) is pure,
+    and a campaign repeats each variant in many cells, so one cache
+    entry per distinct spec turns every later parse into a dict hit.
+    Key derivation memoizes one step further, in
+    :func:`_variant_key_parts`.
     """
     return ConfigSpec.parse(variant)
+
+
+@lru_cache(maxsize=4096)
+def _variant_key_parts(variant: str) -> tuple[str, str, str | None]:
+    """``(canonical spec id, filename label, fingerprint or None)``.
+
+    The variant's share of :attr:`CampaignCell.key`.  The fingerprint
+    materializes and hashes a config, and a grid repeats each spec in
+    every (scenario, N) cell, so it is computed once per distinct
+    variant string per process; pure paper variants carry none.
+    """
+    spec = _parse_spec(variant)
+    if spec.is_default:
+        return spec.id, spec.variant, None
+    fingerprint = spec.fingerprint()
+    return spec.id, f"{spec.variant}-{fingerprint}", fingerprint
+
+
+@lru_cache(maxsize=4096)
+def _scenario_stem(scenario: str) -> str:
+    """The scenario's share of :attr:`CampaignCell.key` (its cache stem)."""
+    return ScenarioSpec.parse(scenario).cache_stem
 
 
 @dataclass(frozen=True)
@@ -97,24 +121,25 @@ class CampaignCell:
         Pure paper variants at default parameters keep the exact key
         (identity dict *and* filename) the pre-config-axis store used,
         so existing campaign stores resume with zero recomputation;
-        ablated configs add the config fingerprint to both.  Cached per
-        cell instance (the digest is pure): status/resume paths touch
-        every key at least twice, and at 10^5 cells the repeated hashing
-        would otherwise dominate the index read it gates.
+        ablated configs add the config fingerprint to both.  A grid
+        repeats each variant and scenario in many cells, so their parts
+        come from per-process memos keyed by the variant string and the
+        scenario id (:func:`_variant_key_parts`, :func:`_scenario_stem`)
+        and a cell pays only for its identity digest — which is still
+        what bounds a resume or status query, well above the store's
+        index read.  Cached per cell instance too (the digest is pure).
         """
-        spec = _parse_spec(self.variant)
+        spec_id, label, fingerprint = _variant_key_parts(self.variant)
         identity = {
             "scenario": self.scenario,
-            "variant": spec.id,
+            "variant": spec_id,
             "particle_count": self.particle_count,
             "seeds": list(self.seeds),
         }
-        label = spec.variant
-        if not spec.is_default:
-            identity["config_fingerprint"] = spec.fingerprint()
-            label = f"{spec.variant}-{spec.fingerprint()}"
+        if fingerprint is not None:
+            identity["config_fingerprint"] = fingerprint
         digest = hashlib.sha256(canonical_json_bytes(identity)).hexdigest()[:12]
-        stem = ScenarioSpec.parse(self.scenario).cache_stem
+        stem = _scenario_stem(self.scenario)
         return f"{stem}-{label}-n{self.particle_count}-{digest}"
 
     def sweep_cell(self, base_config: MclConfig) -> SweepCellSpec:
@@ -535,9 +560,11 @@ def campaign_status(name: str, store: CampaignStore | None = None) -> dict:
     """Progress of a campaign: completed vs expected cells, by scenario.
 
     One pass: the store answers :meth:`~CampaignStore.completed_keys`
-    from its segment index (O(segments) sidecar reads), and
-    the expected grid is walked once with each cell's cached key — the
-    whole query is index-speed even at 10^5 cells.
+    from its segment index (O(segments) sidecar reads), and the expected
+    grid is walked once, deriving each cell's key.  Key derivation, not
+    the index read, bounds the query: one identity digest per cell, with
+    each fingerprint and scenario stem computed once per distinct value
+    (see :attr:`CampaignCell.key`).
     """
     if store is None:
         store = CampaignStore(name)

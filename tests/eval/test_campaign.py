@@ -5,11 +5,14 @@ import hashlib
 import pytest
 
 from repro.common.errors import ConfigurationError, EvaluationError
+from repro.core.config import ConfigSpec, MclConfig
+from repro.eval import campaign
 from repro.eval.campaign import (
     CampaignCell,
     CampaignSpec,
     aggregate_report,
     campaign_status,
+    cell_payload,
     load_campaign,
     merge_campaign_stores,
     run_campaign,
@@ -164,12 +167,39 @@ class TestCampaignSpec:
         assert cell.key == f"{stem}-fp32-n64-{digest}"
 
     def test_ablated_cells_fold_in_the_fingerprint(self):
-        from repro.core.config import ConfigSpec
-
         cell = CampaignCell("office:1", "fp32+sigma_obs=0.5", 64, (0, 1))
         fingerprint = ConfigSpec.parse("fp32+sigma_obs=0.5").fingerprint()
         assert fingerprint in cell.key
         assert cell.key != CampaignCell("office:1", "fp32", 64, (0, 1)).key
+
+    @pytest.mark.parametrize(
+        "cell, key",
+        [
+            (
+                CampaignCell("office:1", "fp32+sigma_obs=0.5", 64, (0, 1)),
+                "office-s1-fp32-fe1f4b7b9c42-n64-ef8b84903d9c",
+            ),
+            # Non-canonical spelling (alias, unsorted overrides and rows),
+            # a tuple override and a parameterised scenario stem.
+            (
+                CampaignCell(
+                    "maze:7:cells=9",
+                    "fp16qm+sigma=1.0+beam_rows=5/2/3/4",
+                    1024,
+                    (3, 9),
+                ),
+                "maze-s7-1a882d7965-fp16qm-aecc26a80bdc-n1024-e2a43de3b636",
+            ),
+            (
+                CampaignCell("corridor:2", "fp32qm", 256, (4,)),
+                "corridor-s2-fp32qm-n256-49b5087ccaa2",
+            ),
+        ],
+    )
+    def test_keys_pinned_byte_for_byte(self, cell, key):
+        # Literal keys: stores on disk name their cells by them, so no
+        # change to how a key part is derived may move a byte.
+        assert cell.key == key
 
     def test_shard_cells_partition_round_robin(self):
         spec = tiny_spec()
@@ -441,3 +471,65 @@ class TestAblationCampaign:
     def test_invalid_shard_index_rejected(self):
         with pytest.raises(ConfigurationError):
             run_campaign(ablation_spec(), shard=(2, 2))
+
+
+class TestKeyDerivationCost:
+    """Resume and status derive each fingerprint once per distinct spec.
+
+    A finished grid of synthetic cells (keys derived exactly as a run
+    would) stands in for an executed campaign: a complete resume builds
+    no scenario, so only key derivation and the index read run.
+    """
+
+    SPEC = CampaignSpec(
+        name="keys",
+        scenarios=("office:1", "corridor:2", "maze:7"),
+        variants=("fp32", "fp32+sigma=1.0", "fp16qm+sigma=1.0"),
+        particle_counts=(16, 32),
+        seeds=(0, 1),
+    )
+
+    @pytest.fixture
+    def finished(self, tmp_path):
+        store = CampaignStore("keys", root=tmp_path / "keys")
+        store.write_manifest(self.SPEC.to_manifest())
+        with store:
+            for cell in self.SPEC.cells():
+                store.put_cell(cell.key, cell_payload(cell, []))
+        return store
+
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch):
+        calls = []
+        original = MclConfig.fingerprint
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(MclConfig, "fingerprint", counting)
+        return calls
+
+    def test_resume_and_status_fingerprint_each_ablated_spec_once(
+        self, finished, fingerprint_calls
+    ):
+        ablated = sum(
+            not ConfigSpec.parse(variant).is_default
+            for variant in self.SPEC.variants
+        )
+        assert ablated == 2
+        cells = len(self.SPEC.cells())
+
+        def resume():
+            summary = run_campaign(self.SPEC, store=finished, resume=True)
+            assert (summary.executed, summary.skipped) == (0, cells)
+
+        def status():
+            assert campaign_status("keys", store=finished)["completed"] == cells
+
+        for query in (resume, status):
+            campaign._variant_key_parts.cache_clear()
+            campaign._scenario_stem.cache_clear()
+            fingerprint_calls.clear()
+            query()
+            assert len(fingerprint_calls) <= ablated, query.__name__
