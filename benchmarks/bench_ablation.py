@@ -13,8 +13,9 @@ Beyond timing, it asserts the identity invariants the grid relies on:
   (injectivity over the grid),
 * the paper-default combination canonicalizes to the bare variant and
   reproduces the default fingerprint (legacy identity preserved),
-* reference and batched backends agree run-for-run on one ablated cell
-  (the bitwise contract covers ablations, not just paper variants).
+* the reference and the default backend agree run-for-run on one
+  ablated cell (the bitwise contract covers ablations, not just paper
+  variants).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def test_ablation_grid(benchmark):
     # One ablated cell must agree across backends run-for-run.
     probe = specs[0]
     engines = {
-        name: SweepEngine(backend=name) for name in ("reference", "batched")
+        name: SweepEngine(backend=name) for name in ("reference", current_backend())
     }
     probes = {
         name: engine.run_scenarios(
@@ -127,7 +128,7 @@ def test_ablation_grid(benchmark):
             for run in cell.runs
         ]
 
-    assert signature(probes["reference"]) == signature(probes["batched"])
+    assert signature(probes["reference"]) == signature(probes[current_backend()])
 
     print()
     cells = {}

@@ -1,30 +1,29 @@
-"""Backend throughput: reference vs batched vs fast on the Fig. 6/7 grid.
+"""Backend throughput: reference vs fast on the Fig. 6/7 grid.
 
-Times the same sweep cells under the sequential ``reference`` backend,
-the ``(R, N)``-stacked ``batched`` backend and — when its C kernels
-load — the ``fast`` backend, verifies they produced
-identical per-run metrics, prints the per-cell table, and writes the
-machine-readable report to ``results/BENCH_backends.json``.
+Times the same sweep cells under the sequential ``reference`` backend
+and — when its C kernels load — the ``(R, N)``-stacked ``fast`` backend,
+verifies they produced identical per-run metrics, prints the per-cell
+table, and writes the machine-readable report to
+``results/BENCH_backends.json``.
 
 The cell grid covers the lower half of the paper's particle sweep with
 the full 6-seed repetition (``REPRO_BACKEND_COUNTS`` / ``REPRO_SCALE``
 override it).  Expected shape on one core:
 
 * small N (64): evaluation throughput is dispatch/replay bound — the
-  batched backend amortizes beam extraction, frame materialization and
-  kernel dispatch over all seeds and wins >= 3x; the fast backend
-  inherits that run loop, so it must never regress against batched;
-* large N (>= 1024): the per-element EDT/transform math dominates.  The
-  batched backend converges to the reference wall-clock there (both are
-  wide-numpy bound), while the fast backend's C stages — no
-  ``(R, N, K)`` temporaries, one vectorized transform+gather+tree pass
-  per row, all rows in one call — must beat the reference >= 5x at
-  fp32/N=1024.
+  fast backend amortizes beam extraction, frame materialization and
+  kernel dispatch over all seeds;
+* large N (>= 1024): the per-element EDT/transform math dominates, and
+  the fast backend's C stages — no ``(R, N, K)`` temporaries, one
+  vectorized transform+gather+tree pass per row, all rows in one call —
+  must beat the reference >= 5x at fp32/N=1024.
 
-The report also records the ``provider`` the default backend resolved
-to (``c``, or ``numpy`` on a host without cffi or a C compiler),
-``cpu_count`` and, on multi-core hosts, one process-parallel
-(``jobs > 1``) sweep timing row for the fastest backend.
+``fast`` must beat the reference on every cell.  The report also
+records the ``provider`` the default backend resolved to (``c``, or
+``reference`` on a host without cffi or a C compiler, where only the
+reference is timed), ``cpu_count`` and, on multi-core hosts, one
+process-parallel (``jobs > 1``) sweep timing row for the fastest
+backend.
 """
 
 from __future__ import annotations
@@ -135,31 +134,18 @@ def test_backend_throughput(benchmark, world, sequences):
     # that makes the throughput comparison meaningful at all.
     assert report["equivalent"], "backends disagreed on per-run metrics"
 
-    # Throughput shape: the smallest-N cells are evaluation-bound and the
-    # batched engine must win decisively there; overall it must never be
-    # slower.  (Margins are loose: shared-machine timing jitter.)
-    smallest = min(counts)
-    small_cells = [c for c in cells if c.endswith(f"N={smallest}")]
-    bat_total = report["timings"]["batched"]["total_s"]
-    for cell in small_cells:
-        ratio = cells[cell] / report["timings"]["batched"]["cells_s"][cell]
-        assert ratio > 1.5, f"batched should clearly win {cell}, got {ratio:.2f}x"
-    assert bat_total < ref_total * 1.05, "batched must not lose overall"
-
     if "fast" not in backends:
         return
 
-    # The fused backend inherits the batched run loop, so its small-N
-    # dispatch cost must stay within noise of batched (no regression
-    # beyond 5%)...
-    for cell in small_cells:
+    # The stacked C stages beat the scalar loop on every cell (they win
+    # by 3x or more; the bar only has to clear shared-machine jitter)...
+    for cell, ref_s in cells.items():
         fast_s = report["timings"]["fast"]["cells_s"][cell]
-        bat_s = report["timings"]["batched"]["cells_s"][cell]
-        assert fast_s < bat_s * 1.05, (
-            f"fast regressed vs batched on {cell}: {fast_s:.2f}s vs {bat_s:.2f}s"
+        assert fast_s < ref_s, (
+            f"fast lost to reference on {cell}: {fast_s:.2f}s vs {ref_s:.2f}s"
         )
     # ...and the big dual-precision cell is where the fused kernels must
-    # earn their keep against the reference loop.
+    # earn their keep.
     if FAST_SPEEDUP_CELL in cells:
         speedup = cells[FAST_SPEEDUP_CELL] / report["timings"]["fast"]["cells_s"][
             FAST_SPEEDUP_CELL

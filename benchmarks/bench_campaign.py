@@ -9,9 +9,10 @@ Times three things about the campaign layer on one small scenario grid:
 3. **reference** — the same campaign under the ``reference`` backend
    into a second store.
 
-It then asserts the store-level determinism contract: the resume touched
-nothing, and the ``reference`` store is **byte-identical** to the
-``batched`` one, cell file by cell file.
+The fresh run and the resume use the default backend
+(``REPRO_BACKEND``).  It then asserts the store-level determinism
+contract: the resume touched nothing, and the ``reference`` store is
+**byte-identical** to the default backend's, cell by cell.
 
 Results go to ``results/BENCH_campaign.json``.
 """
@@ -22,7 +23,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import current_scale
+from conftest import current_backend, current_scale
 
 from repro.eval.campaign import CampaignSpec, run_campaign
 from repro.eval.store import CampaignStore
@@ -56,16 +57,16 @@ def test_campaign_layer(benchmark, tmp_path):
         )
 
     def run() -> dict:
-        batched_store = CampaignStore("bench", root=tmp_path / "batched")
+        store = CampaignStore("bench", root=tmp_path / "default")
         reference_store = CampaignStore("bench", root=tmp_path / "reference")
 
         start = time.perf_counter()
-        fresh = run_campaign(spec("bench"), backend="batched", store=batched_store)
+        fresh = run_campaign(spec("bench"), backend=current_backend(), store=store)
         fresh_s = time.perf_counter() - start
 
         start = time.perf_counter()
         resumed = run_campaign(
-            spec("bench"), backend="batched", store=batched_store, resume=True
+            spec("bench"), backend=current_backend(), store=store, resume=True
         )
         resume_s = time.perf_counter() - start
 
@@ -73,7 +74,7 @@ def test_campaign_layer(benchmark, tmp_path):
         run_campaign(spec("bench"), backend="reference", store=reference_store)
         reference_s = time.perf_counter() - start
 
-        cells = dict(batched_store.iter_cell_bytes())
+        cells = dict(store.iter_cell_bytes())
         every_cell = set(cells) == {cell.key for cell in spec("bench").cells()}
 
         return {
@@ -100,7 +101,11 @@ def test_campaign_layer(benchmark, tmp_path):
         format_table(
             ["phase", "seconds", "cells"],
             [
-                ["fresh (batched)", f"{report['fresh_s']:.2f}", report["cells"]],
+                [
+                    f"fresh ({current_backend()})",
+                    f"{report['fresh_s']:.2f}",
+                    report["cells"],
+                ],
                 [
                     "resume (all cached)",
                     f"{report['resume_s']:.2f}",
@@ -111,7 +116,7 @@ def test_campaign_layer(benchmark, tmp_path):
             title="Campaign layer — fresh vs resume vs reference backend",
             footnote=(
                 "fresh includes one-time scenario generation (cached for the "
-                "later phases); reference/batched stores byte-identical: "
+                "later phases); reference/default stores byte-identical: "
                 f"{report['stores_identical']}"
             ),
         )

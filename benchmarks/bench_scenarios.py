@@ -4,15 +4,16 @@ For every built-in scenario family this bench
 
 1. times the full deterministic generation pipeline (layout -> plan ->
    simulate -> record),
-2. sweeps the generated scenario's (fp32, N) cells through both filter
-   backends, timing each, and
+2. sweeps the generated scenario's (fp32, N) cells through the
+   reference and the default backend (``REPRO_BACKEND``), timing each,
+   and
 3. asserts the backends produced identical per-run metrics (generated
    scenarios are first-class citizens of the bitwise-equivalence
    contract).
 
 Results go to ``results/BENCH_scenarios.json``: per family the
-generation seconds, per-backend sweep seconds, and the batched sweep's
-accuracy (mean ATE / success rate per cell).
+generation seconds, per-backend sweep seconds, and the default
+backend's accuracy (mean ATE / success rate per cell).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import time
 
-from conftest import current_scale
+from conftest import current_backend, current_scale
 
 from repro.common.rng import PAPER_SEEDS
 from repro.eval.aggregate import SweepProtocol
@@ -73,7 +74,7 @@ def test_scenario_families(benchmark):
             timings: dict[str, float] = {}
             sweeps = {}
             signatures = {}
-            for backend in ("reference", "batched"):
+            for backend in ("reference", current_backend()):
                 engine = SweepEngine(backend=backend, field_cache=field_cache)
                 start = time.perf_counter()
                 result = engine.run(
@@ -91,9 +92,8 @@ def test_scenario_families(benchmark):
                     for run_result in cell.runs
                 ]
 
-            batched = sweeps["batched"]
             cells = {}
-            for (variant, count), cell in batched.cells.items():
+            for (variant, count), cell in sweeps[current_backend()].cells.items():
                 ate = cell.aggregate.mean_ate_m
                 cells[f"{variant}/N={count}"] = {
                     "ate_m": None if math.isnan(ate) else ate,
@@ -105,7 +105,7 @@ def test_scenario_families(benchmark):
                 "frames": len(scenario.sequence),
                 "generation_s": generation_s,
                 "sweep_s": timings,
-                "equivalent": signatures["reference"] == signatures["batched"],
+                "equivalent": signatures["reference"] == signatures[current_backend()],
                 "cells": cells,
             }
         return report
@@ -114,7 +114,8 @@ def test_scenario_families(benchmark):
 
     rows = []
     for family, entry in report["families"].items():
-        ref_s, bat_s = entry["sweep_s"]["reference"], entry["sweep_s"]["batched"]
+        ref_s = entry["sweep_s"]["reference"]
+        backend_s = entry["sweep_s"][current_backend()]
         accuracy = entry["cells"].get("fp32/N=256", {})
         ate = accuracy.get("ate_m")
         rows.append(
@@ -122,7 +123,7 @@ def test_scenario_families(benchmark):
                 family,
                 f"{entry['generation_s']:.2f}s",
                 f"{ref_s:.2f}s",
-                f"{bat_s:.2f}s",
+                f"{backend_s:.2f}s",
                 "n/a" if ate is None else f"{ate:.3f}",
                 f"{100 * accuracy.get('success_rate', 0.0):.0f}%",
                 "yes" if entry["equivalent"] else "NO",
@@ -131,7 +132,15 @@ def test_scenario_families(benchmark):
     print()
     print(
         format_table(
-            ["family", "generate", "ref sweep", "bat sweep", "ate@256", "succ@256", "bitwise"],
+            [
+                "family",
+                "generate",
+                "ref sweep",
+                f"{current_backend()} sweep",
+                "ate@256",
+                "succ@256",
+                "bitwise",
+            ],
             rows,
             title=(
                 f"Scenario families — {len(report['protocol']['seeds'])} seeds, "

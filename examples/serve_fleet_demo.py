@@ -26,7 +26,7 @@ FLEET = "office:1:flight_s=12@fp32@64*2,corridor:2:flight_s=12@fp16qm@96*2~2"
 
 
 def main() -> None:
-    manager = SessionManager(backend="batched")
+    manager = SessionManager()
     session_ids = manager.create_fleet(FLEET)
     print(f"fleet open: {len(session_ids)} sessions")
 
@@ -50,7 +50,7 @@ def main() -> None:
     # Snapshot the probe session and migrate it to a second manager.
     blob = manager.snapshot(probe)
     print(f"snapshot: {len(blob)} bytes (byte-stable, content-addressable)")
-    migrated = SessionManager(backend="batched")
+    migrated = SessionManager()
     migrated.restore(blob)
 
     # Finish both copies; migration must be invisible.

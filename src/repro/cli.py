@@ -26,8 +26,8 @@ Subcommands:
   explicit session moves, whole-peer eviction (``--evict``) or a
   fleet-wide cohort-aware rebalance (``--rebalance``), each handoff
   bitwise-invisible to the migrated session's trace
-* ``bench-backends``  — time reference vs batched vs fast backends on
-  one sweep (``fast`` joins wherever its C kernels load)
+* ``bench-backends``  — time the reference and fast backends on one
+  sweep (``fast`` joins wherever its C kernels load)
 * ``perf``            — print the Table I / Table II model predictions
 * ``obs``             — inspect telemetry: ``obs report`` renders a
   metrics/span snapshot (live registry, snapshot file, or a running
@@ -41,11 +41,12 @@ not to change any numeric result (see ``docs/observability.md``).
 
 Commands that execute the filter accept ``--backend
 {reference,batched,fast}`` to pick the
-:class:`~repro.engine.backend.FilterBackend`; all backends produce
-bitwise-identical results, so the flag only affects throughput.  ``fast``,
-the default outside ``run``, compiles its C kernels on first use; without
-cffi or a C compiler it runs the ``batched`` numpy stages, and a compiler
-that fails is a configuration error.  Every
+:class:`~repro.engine.backend.FilterBackend` (``batched`` is an older name
+for ``fast``); all backends produce bitwise-identical results, so the flag
+only affects throughput.  ``fast``, the default outside ``run``, compiles
+its C kernels on first use; without cffi or a C compiler it runs the
+``reference`` backend, and a compiler that fails is a configuration
+error.  Every
 ``--variant``/``--variants`` flag speaks the config-spec grammar
 ``variant[+key=value...]`` (:class:`~repro.core.config.ConfigSpec`), so
 paper variants and ablated configurations are interchangeable.
@@ -1634,7 +1635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-backends",
-        help="time reference vs batched (vs fast, where its C kernels load)",
+        help="time reference vs fast (where its C kernels load)",
     )
     bench.add_argument("--variants", type=_parse_variants, default=None)
     bench.add_argument("--particles", type=_parse_particles, default=None)

@@ -3,7 +3,7 @@
 ``repro.engine`` owns the filter's arithmetic (``kernels``) and the
 :class:`FilterBackend` seam that the evaluation stack dispatches runs
 through.  The ``core`` modules delegate their math to the kernels; the
-concrete backends (``reference``, ``batched``, ``fast``) are loaded
+concrete backends (``reference``, ``fast``) are loaded
 lazily because they build on ``core`` — see :mod:`repro.engine.backend`.
 """
 

@@ -24,18 +24,17 @@ operations.  See docs/architecture.md for the full rules.  The contract
 is what makes backend choice and process fan-out pure throughput
 decisions, and what lets the campaign result store be content-addressed.
 
-Three backends ship today:
+Two backends ship today:
 
 * ``reference`` — the original scalar-per-run loop
   (:class:`~repro.engine.reference.ReferenceBackend`), one
-  :class:`~repro.core.mcl.MonteCarloLocalization` per run;
-* ``batched`` — :class:`~repro.engine.batched.BatchedBackend`, which
-  stacks all R runs' particle populations into ``(R, N)`` arrays and
-  advances them in single vectorized numpy passes;
-* ``fast`` — the default: the same backend and stack handed the
-  compiled :class:`~repro.engine.fast_c.CProvider`, which fuses the
-  per-row hot loops.  Without cffi, or without a C compiler and a cached
-  library, it resolves to the ``batched`` numpy stages instead.
+  :class:`~repro.core.mcl.MonteCarloLocalization` per run: the oracle;
+* ``fast`` — the default: :class:`~repro.engine.batched.BatchedBackend`,
+  which stacks all R runs' particle populations into ``(R, N)`` arrays
+  and advances them through the compiled stages of
+  :class:`~repro.engine.fast_c.CProvider`.  Without cffi, or without a C
+  compiler and a cached library, it resolves to ``reference`` instead:
+  the same bits, slower.  ``batched`` is an older name for ``fast``.
 
 Further backends plug in by registering a new name — and must either
 keep the contract or register under a name that signals the difference.
@@ -96,7 +95,7 @@ class RunTrace:
 class StepWork:
     """One packed observation update: rows that share one replay step.
 
-    The serve scheduler (and the batched backend's own run loop) hand a
+    The serve scheduler (and the stacked backend's own run loop) hand a
     :class:`SessionStack` a list of these per step call: every listed row
     fires its movement gate now, consuming the same accumulated motion
     and — when ``step.beams`` is set — the same preprocessed observation
@@ -210,7 +209,6 @@ COUNTER_RESAMPLE_SKIPS = "engine.resample_skips"
 COUNTER_PLAN_HITS = "engine.replay_plan.hits"
 COUNTER_PLAN_MISSES = "engine.replay_plan.misses"
 COUNTER_PROVIDER_C = "engine.provider.c"
-COUNTER_PROVIDER_NUMPY = "engine.provider.numpy"
 EVENT_PROVIDER_FALLBACK = "engine.provider_fallback"
 
 #: The backend every entry point runs unless told otherwise.
@@ -253,34 +251,35 @@ def _ensure_builtin_backends() -> None:
     engine kernels)."""
     if "reference" in _FACTORIES and "batched" in _FACTORIES and "fast" in _FACTORIES:
         return
-    from .batched import BatchedBackend
     from .reference import ReferenceBackend
 
     _FACTORIES.setdefault("reference", ReferenceBackend)
-    _FACTORIES.setdefault("batched", BatchedBackend)
     _FACTORIES.setdefault("fast", _fast_backend)
+    # The stacked backend's older name, kept for callers that still pass it.
+    _FACTORIES.setdefault("batched", _fast_backend)
 
 
 def _fast_backend() -> FilterBackend:
-    """The batched backend on the compiled C provider.
+    """The stacked backend on the compiled C provider.
 
     ``fast`` always registers, so listings and CLI choices do not depend
     on the host.  Building it loads the C kernels, compiling them once
     per cache.  The provider is resolved here, when the backend is
     built, and not at the first step: a compile spawned from an
     already-grown process would be charged that process's peak memory.
-    When cffi or the compiler is missing the backend runs the numpy
-    stages and records the fallback; any other build failure raises
-    :class:`ConfigurationError`.
+    When cffi or the compiler is missing it returns the ``reference``
+    backend (the same bits) and records the fallback; any other build
+    failure raises :class:`ConfigurationError`.
     """
     from .batched import BatchedBackend
     from .fast_c import CProvider, MissingDependency
+    from .reference import ReferenceBackend
 
     try:
         provider = CProvider()
     except MissingDependency as exc:
         obs.event(EVENT_PROVIDER_FALLBACK, missing=exc.name, reason=str(exc))
-        return BatchedBackend()
+        return ReferenceBackend()
     except Exception as exc:  # noqa: BLE001 - reported as a configuration error
         raise ConfigurationError(
             f"the fast backend's C kernels failed to build: {exc}"

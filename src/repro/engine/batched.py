@@ -1,4 +1,4 @@
-"""The batched backend: R independent runs stepped as ``(R, N)`` stacks.
+"""The stacked backend (``fast``): R independent runs stepped as ``(R, N)`` stacks.
 
 The sweep protocol replays the same filter configuration over many
 (sequence, seed) pairs.  The reference backend walks them one at a time,
@@ -16,9 +16,9 @@ once per seed.  This backend instead keeps all R particle populations in
   poses) are computed once per (sequence, config signature) and shared
   by every seed of every sweep cell that replays that sequence — see
   :mod:`repro.engine.replay`;
-* **one vectorized observation pass** — the beam transform, EDT lookup
-  and log-likelihood reduction run on ``(R', N, K)`` stacks (chunked to
-  bound temporary memory);
+* **one compiled observation pass per work item** — the beam transform,
+  EDT lookup and beam reduction run fused per particle over every row
+  of the item, with no ``(R', N, K)`` temporaries;
 * **per-run resampling via row-wise wheel offsets** — each run draws its
   own ``u0`` from its own RNG stream and gathers its own row.
 
@@ -46,20 +46,16 @@ transform, estimate) share one evaluation.
 
 Compiled kernels
 ----------------
-The ``fast`` backend is this backend handed a
-:class:`~repro.engine.fast_c.CProvider`.  The stack then runs the beam
-transform -> EDT gather -> tree reduction (no ``(R, N, K)``
-temporaries), the ESS, the resampling wheel and gathers, and the
-estimate reductions as C stages.  The motion compose + store and the
-weight update run in C too, at every storage dtype the loaded library
-stores (:attr:`~repro.engine.fast_c.CProvider.storage_dtypes`): float32
-always, float16 where the compiler has ``_Float16``; without it, fp16qm
-runs those two stages in numpy.  Each stage is one call over the
-int64 list of rows it touches (the beam pass: one per work item), and
-the rows are looped in C.  The stack wraps its arrays for C once
-(:class:`~repro.engine.fast_c.StackKernels`): it writes them only in
-place, and :meth:`ParticleStack.ensure_capacity`, the one place that
-reallocates them, wraps them again.  The per-row RNG draws stay in
+The stack runs every filter stage in C, through the
+:class:`~repro.engine.fast_c.CProvider` it is handed: the motion
+compose + store, the beam transform -> EDT gather -> tree reduction,
+the weight update, the ESS, the resampling wheel and gathers, and the
+estimate reductions, at float32 and float16 storage alike.  Each stage
+is one call over the int64 list of rows it touches (the beam pass: one
+per work item), and the rows are looped in C.  The stack wraps its
+arrays for C once (:class:`~repro.engine.fast_c.StackKernels`): it
+writes them only in place, and :meth:`ParticleStack.ensure_capacity`,
+the one place that reallocates them, wraps them again.  The per-row RNG draws stay in
 numpy, one stream per row.  It stays bitwise because only IEEE-exact
 arithmetic crosses into compiled code: transcendentals
 (``sin``/``cos``/``exp``) are always evaluated by numpy and passed in,
@@ -79,7 +75,6 @@ from .. import obs
 from ..common.errors import ConfigurationError
 from ..common.geometry import Pose2D, wrap_angle
 from ..common.rng import make_rng
-from ..common.scratch import Scratch
 from ..core.config import MclConfig
 from ..core.pose_estimate import pose_error
 from ..core.snapshot import FilterStateSnapshot
@@ -92,7 +87,6 @@ from .backend import (
     COUNTER_PLAN_HITS,
     COUNTER_PLAN_MISSES,
     COUNTER_PROVIDER_C,
-    COUNTER_PROVIDER_NUMPY,
     COUNTER_RESAMPLE_SKIPS,
     COUNTER_RESAMPLES,
     COUNTER_STEPS,
@@ -111,20 +105,11 @@ if TYPE_CHECKING:
     from .fast_c import CProvider, StackKernels
 
 __all__ = [
-    "OBS_CHUNK_ELEMENTS",
     "BatchedBackend",
     "ParticleStack",
     "ReplayPlan",
     "ReplayStep",
 ]
-
-#: Upper bound on elements of one (R', N, K) observation temporary; row
-#: chunks are sized so R' * N * K stays below this.  Tuned so a chunk's
-#: float64 intermediates (~0.5 MB each) stay cache-resident — stacking
-#: more rows per numpy call saves dispatch overhead only while the
-#: working set still fits near the core; beyond that the batched pass
-#: runs slower per element than the reference's one-run tiles.
-OBS_CHUNK_ELEMENTS = 1 << 16
 
 #: Replay plans one backend instance keeps; the oldest insertion is
 #: evicted first.  Each plan holds its sequence, so this also bounds how
@@ -137,7 +122,7 @@ _PLAN_CACHE_LIMIT = 16
 class ParticleStack:
     """``(R, N)`` particle populations with row-deterministic step ops.
 
-    This is the batched backend's :class:`SessionStack`: the one
+    This is the stacked backend's :class:`SessionStack`: the one
     implementation of the stacked motion / observation / resampling /
     estimation math, shared by the offline :class:`_RunBatch` driver and
     the serve layer's online scheduler.  Rows are independent filter
@@ -146,26 +131,18 @@ class ParticleStack:
     the stack, order-sensitive reductions along each row), so a row's
     evolution never depends on which rows it was packed with.
 
-    ``provider`` (the C provider, or ``None`` for numpy stages) only
-    changes how fast the stages run, never a bit of their results.
+    ``provider`` runs the stages: the compiled C library.
     """
 
     def __init__(
-        self, config: MclConfig, rows: int = 0, provider: CProvider | None = None
+        self, config: MclConfig, rows: int = 0, *, provider: CProvider
     ) -> None:
         self.config = config
         self.count = config.particle_count
         self.dtype = config.precision.particle_dtype
         self.provider = provider
-        # The motion and weight-update C stages store the dtypes the
-        # loaded library was built for (float32, and float16 where the
-        # compiler has _Float16); any other runs those two in numpy.
-        self._fused = provider is not None and self.dtype in provider.storage_dtypes
         # The C stages over the current arrays, bound by ensure_capacity.
         self._kernels: StackKernels | None = None
-        # The numpy observation stage's (R', N, K) temporaries, kept
-        # across steps (see repro.common.scratch).
-        self._scratch = Scratch()
 
         self.rows = 0
         self.x = np.zeros((0, self.count), dtype=self.dtype)
@@ -222,8 +199,7 @@ class ParticleStack:
         self.estimates.extend([Pose2D.identity()] * added)
         self.estimate_arrays.extend([None] * added)
         self.rows = rows
-        if self.provider is not None:
-            self._kernels = self.provider.bind(self)
+        self._kernels = self.provider.bind(self)
 
     def init_row(self, row: int, grid: OccupancyGrid, spec: RunSpec) -> None:
         """(Re)initialize ``row`` exactly like a fresh reference filter.
@@ -368,29 +344,14 @@ class ParticleStack:
         self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dtheta: np.ndarray
     ) -> None:
         """Apply ``(len(rows), N)`` noisy body-frame increments to ``rows``
-        and store the poses (:func:`kernels.compose_increment`, then
-        :meth:`_store`)."""
-        if self._fused:
-            # Fused compose + wrap + store + shadow refresh, fed the prior
-            # yaw trig from the shadows; the posterior yaw's trig is the
-            # step's single trig evaluation (stacked trig equals per-row
-            # trig bit for bit: tests/engine/test_stacked_trig.py).
-            self._kernels.compose_store(rows, dx, dy, dtheta)
-            theta = self.theta64[rows]
-            self.cos64[rows] = np.cos(theta)
-            self.sin64[rows] = np.sin(theta)
-            return
-        new_x, new_y, new_theta = kernels.compose_increment(
-            self.x64[rows],
-            self.y64[rows],
-            self.theta64[rows],
-            dx,
-            dy,
-            dtheta,
-            cos_t=self.cos64[rows],
-            sin_t=self.sin64[rows],
-        )
-        self._store(rows, new_x, new_y, new_theta)
+        and store the poses: the C compose + wrap + store + shadow
+        refresh, fed the prior yaw trig from the shadows.  The posterior
+        yaw's trig is the step's single trig evaluation (stacked trig
+        equals per-row trig bit for bit: tests/engine/test_stacked_trig.py)."""
+        self._kernels.compose_store(rows, dx, dy, dtheta)
+        theta = self.theta64[rows]
+        self.cos64[rows] = np.cos(theta)
+        self.sin64[rows] = np.sin(theta)
 
     def _observation_update(self, work: Sequence[StepWork]) -> np.ndarray:
         """Re-weight packed rows; returns the rows that saw usable beams."""
@@ -400,93 +361,33 @@ class ParticleStack:
             step = item.step
             if step.beams is None:
                 continue
-            for chunk in self._row_chunks(item.rows, step.beams.beam_count):
-                with obs.span(SPAN_GATHER):
-                    log_lik = self._beam_squared_sums(chunk, step, item.field)
-                with obs.span(SPAN_WEIGHT):
-                    # The tail of kernels.beam_log_likelihoods, then
-                    # kernels.posterior_log_weights split at its exp.
-                    np.negative(log_lik, out=log_lik)
-                    log_lik /= 2.0 * config.sigma_obs**2
-                    like = kernels.likelihood_ratios(log_lik, config.beam_replication)
-                    self._update_weights(chunk, like)
+            rows = np.array(item.rows, dtype=np.int64)
+            with obs.span(SPAN_GATHER):
+                log_lik = self._kernels.beam_squared_sums(
+                    rows, step.end_x, step.end_y, item.field
+                )
+            with obs.span(SPAN_WEIGHT):
+                # The tail of kernels.beam_log_likelihoods, then
+                # kernels.posterior_log_weights split at its exp.
+                np.negative(log_lik, out=log_lik)
+                log_lik /= 2.0 * config.sigma_obs**2
+                like = kernels.likelihood_ratios(log_lik, config.beam_replication)
+                self._kernels.update_weights(rows, like)
             observed.extend(item.rows)
         return np.array(observed, dtype=np.int64)
 
-    def _update_weights(self, rows: np.ndarray, like: np.ndarray) -> None:
-        """Posterior weights of ``rows`` from ``(len(rows), N)`` likelihood
-        ratios: prior multiply, storage cast, normalize, shadow refresh."""
-        if self._fused:
-            self._kernels.update_weights(rows, like)
-            return
-        stored = (self.w64[rows] * like).astype(self.dtype)
-        kernels.normalize_weights(stored, self.dtype)
-        self.weights[rows] = stored
-        self.w64[rows] = stored.astype(np.float64)
-
-    def _beam_squared_sums(
-        self, rows: np.ndarray, step: ReplayStep, field: DistanceField
-    ) -> np.ndarray:
-        if self._kernels is not None:
-            return self._kernels.beam_squared_sums(rows, step.end_x, step.end_y, field)
-        return kernels.beam_squared_sums(
-            self.x64[rows],
-            self.y64[rows],
-            self.cos64[rows],
-            self.sin64[rows],
-            step.end_x,
-            step.end_y,
-            field,
-            scratch=self._scratch,
-        )
-
-    def _row_chunks(self, rows: list[int], beam_count: int):
-        """Split rows so one (R', N, K) float64 temporary stays bounded.
-
-        The C beam stage makes no such temporary and takes every row.
-        """
-        if self._kernels is not None:
-            yield np.array(rows, dtype=np.int64)
-            return
-        per_row = self.count * max(beam_count, 1)
-        chunk_rows = max(1, OBS_CHUNK_ELEMENTS // per_row)
-        for start in range(0, len(rows), chunk_rows):
-            yield np.array(rows[start : start + chunk_rows], dtype=np.int64)
-
     def _resample(self, observed: np.ndarray) -> None:
         threshold = self.config.resample_ess_fraction * self.count
-        if self._kernels is None:
-            ess = kernels.effective_sample_size(self.w64[observed])
-        else:
-            ess = self._kernels.ess(observed)
-        resampled = observed[ess <= threshold]
+        resampled = observed[self._kernels.ess(observed) <= threshold]
         if resampled.size:
             # One wheel offset per row, each from the row's own stream.
             u0 = [
                 kernels.draw_wheel_offset(self.rngs[run], self.count)
                 for run in resampled.tolist()
             ]
-            if self._kernels is not None:
-                # Wheel + gather of the three stored rows and their five
-                # shadows, every row in one call.
-                self._kernels.resample(resampled, np.array(u0))
-            else:
-                for run, offset in zip(resampled.tolist(), u0):
-                    indices = kernels.systematic_resample(
-                        self.w64[run], offset, validate=False, normalized=True
-                    )
-                    # Gathers of exact shadows stay exact.
-                    for array in (
-                        self.x,
-                        self.y,
-                        self.theta,
-                        self.x64,
-                        self.y64,
-                        self.theta64,
-                        self.cos64,
-                        self.sin64,
-                    ):
-                        array[run] = array[run][indices]
+            # Wheel + gather of the three stored rows and their five
+            # shadows, every row in one call.
+            self._kernels.resample(resampled, np.array(u0))
             uniform = np.asarray(1.0 / self.count, dtype=self.dtype)
             self.weights[resampled] = uniform
             self.w64[resampled] = uniform  # the stored value, widened
@@ -530,39 +431,19 @@ class ParticleStack:
 
         Each row's pose is bitwise identical to
         :func:`repro.engine.kernels.weighted_mean_pose` on that run
-        alone: the elementwise stages read the shadows, and every
-        reduction runs along a row through the deterministic tree, which
-        does not depend on how many rows are stacked.
+        alone: the C stage reads the shadows and reduces along each row
+        through the deterministic tree.  A row with degenerate weights
+        (rare) takes the scalar kernel.
         """
-        if self._kernels is not None:
-            sums = self._kernels.estimate(triggered)
-            for run, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(
-                triggered.tolist(), sums.tolist()
-            ):
-                if math.isnan(total):  # degenerate weights (rare)
-                    self._refresh_estimate(run)
-                else:
-                    mean_theta = _circular_mean(sin_sum, cos_sum, total)
-                    self._set_estimate(run, Pose2D(mean_x, mean_y, mean_theta))
-            return
-        w64 = self.w64[triggered]
-        totals = np.asarray(kernels.det_sum(w64))
-        if not ((totals > 0) & np.isfinite(totals)).all():
-            for run in triggered.tolist():  # rare: the scalar kernel
+        sums = self._kernels.estimate(triggered)
+        for run, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(
+            triggered.tolist(), sums.tolist()
+        ):
+            if math.isnan(total):  # degenerate weights (rare)
                 self._refresh_estimate(run)
-            return
-        w64 /= totals[:, None]
-        sums = kernels.det_sum(w64)
-        mean_x = kernels.det_dot(w64, self.x64[triggered])
-        mean_y = kernels.det_dot(w64, self.y64[triggered])
-        sin_sums = kernels.det_dot(w64, self.sin64[triggered])
-        cos_sums = kernels.det_dot(w64, self.cos64[triggered])
-        for i, run in enumerate(triggered.tolist()):
-            mean_theta = _circular_mean(
-                float(sin_sums[i]), float(cos_sums[i]), float(sums[i])
-            )
-            estimate = Pose2D(float(mean_x[i]), float(mean_y[i]), mean_theta)
-            self._set_estimate(run, estimate)
+            else:
+                mean_theta = _circular_mean(sin_sum, cos_sum, total)
+                self._set_estimate(run, Pose2D(mean_x, mean_y, mean_theta))
 
     def _refresh_estimate(self, row: int) -> None:
         """Recompute one row's weighted-mean pose with the scalar kernel."""
@@ -591,24 +472,23 @@ def _circular_mean(sin_sum: float, cos_sum: float, total: float) -> float:
 
 
 class BatchedBackend:
-    """Vectorized executor advancing all runs of a batch simultaneously.
+    """Stacked executor advancing all runs of a batch simultaneously on
+    the compiled :class:`~repro.engine.fast_c.CProvider`.
 
-    Registered twice: as ``batched`` with numpy stages, and as ``fast``
-    handed the compiled :class:`~repro.engine.fast_c.CProvider`.
+    Registered as ``fast`` (and under the older name ``batched``).
     """
 
-    def __init__(self, provider: CProvider | None = None) -> None:
+    name = "fast"
+
+    def __init__(self, provider: CProvider) -> None:
         self.provider = provider
-        self.name = "batched" if provider is None else "fast"
         self._plans: dict[tuple, ReplayPlan] = {}
-        obs.counter(
-            COUNTER_PROVIDER_NUMPY if provider is None else COUNTER_PROVIDER_C
-        ).inc()
+        obs.counter(COUNTER_PROVIDER_C).inc()
 
     @property
     def provider_name(self) -> str:
-        """Which kernels the stages run on: ``"c"`` or ``"numpy"``."""
-        return "numpy" if self.provider is None else self.provider.name
+        """Which kernels the stages run on: ``"c"``."""
+        return self.provider.name
 
     def execute(
         self,
@@ -631,7 +511,7 @@ class BatchedBackend:
 
     def open_stack(self, config: MclConfig, rows: int = 0) -> ParticleStack:
         """Open the step-level entry point: a stacked session container."""
-        return ParticleStack(config, rows, self.provider)
+        return ParticleStack(config, rows, provider=self.provider)
 
     def plan(self, sequence: RecordedSequence, config: MclConfig) -> ReplayPlan:
         """Build (or reuse) the replay plan of one sequence.

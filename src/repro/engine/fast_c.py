@@ -6,7 +6,7 @@ does the same on the host — transform -> EDT gather -> squared-distance
 reduction fused per particle, no ``(R, N, K)`` temporaries.  The
 ``fast`` backend is :class:`~repro.engine.batched.BatchedBackend`
 handed a :class:`CProvider`; its :class:`~repro.engine.batched.ParticleStack`
-decides which stages dispatch here.
+runs every filter stage here.
 
 One call per stage
 ------------------
@@ -39,14 +39,14 @@ Bitwise discipline:
 * Rows share no arithmetic, so a row's bits never depend on which rows
   a call carries or in what order.
 * The motion and weight-update row kernels are written once and
-  instantiated per storage type: ``float`` and ``_Float16``.  Each store
-  casts a double straight to the storage type, one IEEE
-  round-to-nearest-even like numpy's ``astype``; a double -> float ->
-  ``_Float16`` path would round twice.  Widening back to double is
-  exact.  The ``_Float16`` instantiation is compiled only where the
-  compiler has the type (``__FLT16_MAX__``); the library reports it
-  through :attr:`CProvider.storage_dtypes`, and without it fp16 stacks
-  run those two stages in numpy.
+  instantiated per storage type: ``float`` rows, and float16 rows held
+  as ``uint16_t`` binary16 bit patterns.  Each store narrows a double
+  straight to the storage type in one IEEE round to nearest even, like
+  numpy's ``astype``; a double -> float -> half path would round twice.
+  Widening back to double is exact.  The half conversions are two
+  portable ``static inline`` functions on the bits, so the library
+  needs no ``_Float16`` and one build serves every storage dtype on
+  every C compiler.
 
 The kernels build into a plain shared library — one ``cc -shared -fPIC``
 call, no ``Python.h``, no generated wrapper, no setuptools — cached under
@@ -57,8 +57,8 @@ benignly: each compiles in its own directory inside the cache and
 publishes by atomic rename.  A missing dependency (cffi, or a compiler
 when the cache holds no library) raises :class:`MissingDependency`, on
 which the backend registry (:mod:`repro.engine.backend`) falls back to
-the numpy stages; any other failure is a broken build and surfaces there
-as a ``ConfigurationError``.
+the ``reference`` backend; any other failure is a broken build and
+surfaces there as a ``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ if TYPE_CHECKING:
 C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define DET_CHUNK 8
 
@@ -284,14 +285,72 @@ static double det_wrap(double a)
 }
 
 /* ------------------------------------------------------------------
+ * Storage conversions.  A float16 row is stored as uint16_t binary16
+ * bit patterns, converted by portable C on the bits (no _Float16, so
+ * every C compiler builds the same library).  half_from_double rounds a
+ * double to the nearest half, ties to even, in one step, as numpy's
+ * astype does: overflow gives a signed inf and a NaN stays a NaN with
+ * its top payload bits.  double_from_half widens exactly.  Both are
+ * branch-free, so the loops that call them vectorize.
+ * ------------------------------------------------------------------ */
+
+static inline uint64_t bits_of(double d)
+{
+    uint64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    return bits;
+}
+
+static inline double double_of(uint64_t bits)
+{
+    double d;
+    memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+static inline uint16_t half_from_double(double d)
+{
+    uint64_t bits = bits_of(d);
+    uint64_t mag = bits & 0x7fffffffffffffffull;
+    /* A normal half (|d| >= 2^-14) is the double's bits rebiased with 42
+     * of them rounded off: the bias is one short of half a unit, plus
+     * one when the kept part is odd.  A carry may reach 0x7c00, inf. */
+    uint64_t rebiased = mag - ((uint64_t)1008 << 52);
+    uint64_t normal =
+        (rebiased + ((uint64_t)1 << 41) - 1 + ((rebiased >> 42) & 1)) >> 42;
+    /* A subnormal half counts units of 2^-24.  Adding 2^52 rounds
+     * |d| * 2^24 (exact) to an integer k, ties to even (the default
+     * rounding mode, which numpy assumes too), and leaves k in the
+     * sum's low bits. */
+    uint64_t subnormal = bits_of(fabs(d) * 0x1p24 + 0x1p52) & 0x7ffu;
+    uint64_t h = mag >= (uint64_t)1009 << 52 ? normal : subnormal;
+    h = mag >= (uint64_t)1039 << 52 ? 0x7c00u : h;   /* |d| >= 2^16: inf */
+    /* A NaN keeps its top payload bits, and stays a NaN. */
+    uint64_t payload = (mag >> 42) & 0x3ffu;
+    h = mag > 0x7ff0000000000000ull ? 0x7c00u | payload | (payload == 0) : h;
+    return (uint16_t)((bits >> 48) & 0x8000u) | (uint16_t)h;
+}
+
+static inline double double_from_half(uint16_t h)
+{
+    uint64_t exp = (h >> 10) & 0x1fu, frac = h & 0x3ffu;
+    uint64_t bits = exp == 0x1f ? 0x7ff0000000000000ull | frac << 42 /* inf, NaN */
+                  : exp == 0 ? bits_of((double)frac * 0x1p-24)   /* exact */
+                  : (exp + 1008) << 52 | frac << 42;
+    return double_of(bits | (uint64_t)(h & 0x8000u) << 48);
+}
+
+static inline float float_from_double(double d) { return (float)d; }
+static inline double double_from_float(float f) { return (double)f; }
+
+/* ------------------------------------------------------------------
  * Storage-typed row kernels, defined once and instantiated below per
- * storage type T: `float` (fp32, fp32qm) and, where the compiler has
- * it, `_Float16` (fp16qm).  Every store is the one conversion `(T)d`
- * from double, a single IEEE round-to-nearest-even like numpy's
- * astype(T); it never goes through float, which would round twice at
- * _Float16.  Every widening `(double)t` is exact.  The row kernels take
- * the stored row as `void *` so the stage entry points can pick an
- * instantiation by the entry width (STORAGE_KERNEL).
+ * storage type T with its conversions: NARROW(double) -> T, a single
+ * IEEE round-to-nearest-even like numpy's astype, and WIDEN(T) ->
+ * double, exact.  `float` rows serve fp32 and fp32qm, binary16 rows
+ * fp16qm.  The row kernels take the stored row as `void *` so the stage
+ * entry points can pick an instantiation by the entry width
+ * (STORAGE_KERNEL).
  *
  * update_weights_<S>: one row's posterior weight update, fused:
  * prior * likelihood (the numpy side supplies like = exp(...)), cast to
@@ -301,30 +360,42 @@ static double det_wrap(double a)
  * shadow is both the prior and the output: each index is read before it
  * is written.
  *
- * compose_store_<S>: one row's motion update, fused: compose the noisy
+ * compose_store_<S>: one row's motion update: compose the noisy
  * body-frame increment (kernels.compose_increment op order; cos/sin of
- * the prior yaw come from numpy), wrap yaw, then the _store step —
- * wrap again, cast to storage precision — and the shadow refresh.  The
- * shadow rows double as the pose inputs; index i is read before it is
- * written.
+ * the prior yaw come from numpy) and wrap yaw, then the store — wrap
+ * again, cast to storage precision — and the shadow refresh.  The
+ * shadow rows hold the pose inputs, then the composed poses, then their
+ * stored values.  The store (store_row_<S>) is a loop of its own: the
+ * wrap's fmod keeps the compose loop scalar, while the store loop
+ * vectorizes.
  * ------------------------------------------------------------------ */
-#define STORAGE_ROW_KERNELS(T, S)                                           \
-static void update_weights_##S(void *row, double *shadow,                  \
-                               const double *like, int64_t n,              \
-                               double inv_count, double *scratch)          \
+#define STORAGE_ROW_KERNELS(T, S, NARROW, WIDEN)                            \
+static void store_row_##S(T *restrict stored, double *restrict shadow,     \
+                          int64_t n)                                        \
 {                                                                           \
-    T *stored = row;                                                        \
     for (int64_t i = 0; i < n; ++i) {                                       \
-        double s = (double)(T)(shadow[i] * like[i]);                        \
+        T o = NARROW(shadow[i]);                                            \
+        stored[i] = o;                                                      \
+        shadow[i] = WIDEN(o);                                               \
+    }                                                                       \
+}                                                                           \
+                                                                            \
+static void update_weights_##S(void *row, double *restrict shadow,         \
+                               const double *restrict like, int64_t n,     \
+                               double inv_count, double *restrict scratch) \
+{                                                                           \
+    T *restrict stored = row;                                               \
+    for (int64_t i = 0; i < n; ++i) {                                       \
+        double s = WIDEN(NARROW(shadow[i] * like[i]));                      \
         if (!isfinite(s)) s = 0.0;                                          \
         shadow[i] = s;                                                      \
         scratch[i] = s;                                                     \
     }                                                                       \
     double total = det_sum_inplace(scratch, n);                             \
     for (int64_t i = 0; i < n; ++i) {                                       \
-        T o = (T)(total > 0.0 ? shadow[i] / total : inv_count);             \
+        T o = NARROW(total > 0.0 ? shadow[i] / total : inv_count);          \
         stored[i] = o;                                                      \
-        shadow[i] = (double)o;                                              \
+        shadow[i] = WIDEN(o);                                               \
     }                                                                       \
 }                                                                           \
                                                                             \
@@ -334,41 +405,20 @@ static void compose_store_##S(const double *cos_t, const double *sin_t,    \
                               void *x_row, void *y_row, void *t_row,       \
                               double *x64, double *y64, double *t64)       \
 {                                                                           \
-    T *xs = x_row, *ys = y_row, *ts = t_row;                                \
     for (int64_t i = 0; i < n; ++i) {                                       \
-        T fx = (T)((x64[i] + cos_t[i] * dx[i]) - sin_t[i] * dy[i]);         \
-        T fy = (T)((y64[i] + sin_t[i] * dx[i]) + cos_t[i] * dy[i]);         \
-        T ft = (T)det_wrap(det_wrap(t64[i] + dt[i]));                       \
-        xs[i] = fx;                                                         \
-        ys[i] = fy;                                                         \
-        ts[i] = ft;                                                         \
-        x64[i] = (double)fx;                                                \
-        y64[i] = (double)fy;                                                \
-        t64[i] = (double)ft;                                                \
+        x64[i] = (x64[i] + cos_t[i] * dx[i]) - sin_t[i] * dy[i];            \
+        y64[i] = (y64[i] + sin_t[i] * dx[i]) + cos_t[i] * dy[i];            \
+        t64[i] = det_wrap(det_wrap(t64[i] + dt[i]));                        \
     }                                                                       \
+    store_row_##S(x_row, x64, n);                                           \
+    store_row_##S(y_row, y64, n);                                           \
+    store_row_##S(t_row, t64, n);                                           \
 }
 
-STORAGE_ROW_KERNELS(float, f32)
-
-/* The _Float16 instantiation needs a compiler with the type; without
- * it, only float storage may call the two stages below. */
-#ifdef __FLT16_MAX__
-STORAGE_ROW_KERNELS(_Float16, f16)
+STORAGE_ROW_KERNELS(float, f32, float_from_double, double_from_float)
+STORAGE_ROW_KERNELS(uint16_t, f16, half_from_double, double_from_half)
 #define STORAGE_KERNEL(kernel, itemsize) \
     ((itemsize) == 2 ? kernel##_f16 : kernel##_f32)
-#else
-#define STORAGE_KERNEL(kernel, itemsize) kernel##_f32
-#endif
-
-/* Whether the _Float16 row kernels were compiled in. */
-int has_f16_stages(void)
-{
-#ifdef __FLT16_MAX__
-    return 1;
-#else
-    return 0;
-#endif
-}
 
 /* ------------------------------------------------------------------
  * Stage entry points: one call per stage per stack step.
@@ -381,7 +431,7 @@ int has_f16_stages(void)
  * ------------------------------------------------------------------ */
 
 /* Motion: compose + wrap + store (`itemsize` bytes per stored entry:
- * 4 for float, 2 for _Float16) + shadow refresh; dx/dy/dt are the
+ * 4 for float, 2 for binary16) + shadow refresh; dx/dy/dt are the
  * noisy increments drawn by numpy. */
 void stage_compose_store(
     void *xs, void *ys, void *ts, int64_t itemsize,
@@ -448,8 +498,7 @@ void stage_ess(
 /* Resampling: the wheel at offset u0[r], then the gather of the three
  * stored rows (`itemsize` bytes per entry) and their five float64
  * shadows (cos/sin of yaw included: a gather of exact values equals the
- * trig of the gathered yaw).  The caller resets the weights to uniform,
- * exactly like the numpy path. */
+ * trig of the gathered yaw).  The caller resets the weights to uniform. */
 void stage_resample(
     void *xs, void *ys, void *ts, int64_t itemsize,
     double *x64, double *y64, double *t64, double *cos64, double *sin64,
@@ -503,7 +552,6 @@ void stage_resample(void *, void *, void *, int64_t, double *, double *,
 void stage_estimate(const double *, const double *, const double *,
     const double *, const double *, const int64_t *, int64_t, int64_t,
     double *, double *, double *);
-int has_f16_stages(void);
 """
 
 #: Keep the machine-specific flags IEEE-strict: no -ffast-math, ever —
@@ -545,7 +593,7 @@ class MissingDependency(ImportError):
     """cffi, or the C compiler the library needs, is not installed.
 
     ``name`` is the missing dependency.  This is the one failure on
-    which the backend registry falls back to the numpy stages.
+    which the backend registry falls back to the ``reference`` backend.
     """
 
 
@@ -627,12 +675,6 @@ class CProvider:
 
     def __init__(self) -> None:
         self._ffi, self._lib = load_library()
-        #: The storage dtypes the motion and weight-update stages write:
-        #: float32, plus float16 where the compiler has ``_Float16``.
-        #: A stack of any other dtype runs those two stages in numpy.
-        self.storage_dtypes = (np.dtype(np.float32),)
-        if self._lib.has_f16_stages():
-            self.storage_dtypes += (np.dtype(np.float16),)
 
     def bind(self, stack: ParticleStack) -> StackKernels:
         """The C stages over ``stack``'s current arrays."""
@@ -648,9 +690,8 @@ class StackKernels:
     arguments are C-contiguous int64 arrays of stack rows, which C
     indexes unchecked (``ParticleStack.step`` rejects rows outside the
     stack); per-call inputs and outputs are ``(len(rows), N)`` float64
-    blocks in that order.  :meth:`compose_store` and
-    :meth:`update_weights` write the stored arrays, so they are only for
-    stacks of a dtype in :attr:`CProvider.storage_dtypes`.  Not
+    blocks in that order.  The stored arrays are float32 or float16 (the
+    stage kernels pick their storage type by the entry width).  Not
     thread-safe: the scratch rows are shared by every call.
     """
 

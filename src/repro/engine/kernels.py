@@ -4,8 +4,9 @@ Every arithmetic step of the filter loop — motion sampling, beam
 transform + EDT lookup + log-likelihood, weight update, ESS, systematic
 resampling, weighted pose estimate — lives here as a pure function over
 raw arrays.  The ``core`` modules keep their public APIs but delegate the
-math to these kernels; the batched backend calls the same kernels on
-``(R, N)`` stacks of R independent runs.
+math to these kernels, and the reference backend runs them; the
+``fast`` backend's compiled stages (:mod:`repro.engine.fast_c`) restate
+them row by row and are tested against them bit for bit.
 
 Bitwise-reproducibility contract
 --------------------------------
@@ -25,8 +26,7 @@ applied to one run's ``(N,)`` arrays or to a row of an ``(R, N)`` stack:
   wheel) are only ever invoked per run.
 
 This contract is what lets the equivalence tests assert exact equality
-between the reference, batched and fast backends instead of fragile
-tolerances.
+between the reference and fast backends instead of fragile tolerances.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.geometry import wrap_angle
-from ..common.scratch import Scratch, scratch_array
 from ..maps.distance_field import DistanceField
 from .reductions import det_dot, det_sum, det_sum_squares
 
@@ -82,20 +81,14 @@ def compose_increment(
     dx: np.ndarray,
     dy: np.ndarray,
     dtheta: np.ndarray,
-    *,
-    cos_t: np.ndarray | None = None,
-    sin_t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply body-frame increments to pose arrays of any leading shape.
 
     All inputs broadcast together; yaw is wrapped to ``[-pi, pi)``.  For
     ``(N,)`` inputs this is exactly :func:`repro.common.geometry.compose_arrays`.
-    Callers that already hold ``cos(theta)`` and ``sin(theta)`` (a stack's
-    trig shadows) pass them in; the result is identical.
     """
-    if cos_t is None or sin_t is None:
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
     new_x = x + cos_t * dx - sin_t * dy
     new_y = y + sin_t * dx + cos_t * dy
     new_theta = wrap_angle(np.asarray(theta + dtheta))
@@ -112,7 +105,6 @@ def transform_endpoints(
     sin_t: np.ndarray,
     end_x: np.ndarray,
     end_y: np.ndarray,
-    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map body-frame beam end points into the world frame.
 
@@ -123,24 +115,17 @@ def transform_endpoints(
     The in-place formulation needs three full-size arrays instead of
     eight while producing bit-identical results: the only reassociation
     is ``x + cos*ex`` -> ``cos*ex + x``, and IEEE-754 addition is
-    commutative.  With ``scratch`` (float64 inputs) all three come from
-    it, so the results live until its next use.
+    commutative.
     """
     cos_t = cos_t[..., None]
     sin_t = sin_t[..., None]
-    shape = np.broadcast_shapes(cos_t.shape, np.shape(end_x))
-
-    def array(name: str) -> np.ndarray | None:
-        return scratch_array(scratch, "transform." + name, shape, np.float64)
-
-    product = array("product")
     # world_x = (x + cos_t * end_x) - sin_t * end_y
-    world_x = np.multiply(cos_t, end_x, out=array("world_x"))
+    world_x = cos_t * end_x
     world_x += x[..., None]
-    product = np.multiply(sin_t, end_y, out=product)
+    product = sin_t * end_y
     world_x -= product
     # world_y = (y + sin_t * end_x) + cos_t * end_y
-    world_y = np.multiply(sin_t, end_x, out=array("world_y"))
+    world_y = sin_t * end_x
     world_y += y[..., None]
     world_y += np.multiply(cos_t, end_y, out=product)
     return world_x, world_y
@@ -154,16 +139,14 @@ def beam_squared_sums(
     end_x: np.ndarray,
     end_y: np.ndarray,
     field: DistanceField,
-    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """Det-tree sum over beams of squared EDT distances, shape ``(..., N)``.
 
     Transforms every (pose, beam) end point into the map and looks up
-    the truncated EDT; the yaw trig comes in already evaluated.  A
-    ``scratch`` supplies the ``(..., N, K)`` temporaries (float64 inputs).
+    the truncated EDT; the yaw trig comes in already evaluated.
     """
-    world_x, world_y = transform_endpoints(x, y, cos_t, sin_t, end_x, end_y, scratch)
-    squared = field.lookup_squared_world(world_x, world_y, scratch)
+    world_x, world_y = transform_endpoints(x, y, cos_t, sin_t, end_x, end_y)
+    squared = field.lookup_squared_world(world_x, world_y)
     return np.asarray(det_sum(squared))
 
 

@@ -4,9 +4,9 @@ This is the original evaluation inner loop, bit-for-bit: each
 :class:`RunSpec` replays its sequence through a fresh
 :class:`~repro.core.mcl.MonteCarloLocalization`, feeding odometry
 increments and ToF frames and recording the estimate-vs-mocap errors at
-every frame instant.  It is the ground truth the batched backend is
-tested against, and the fallback for configurations a fancier backend
-does not support.
+every frame instant.  It is the ground truth the stacked ``fast``
+backend is tested against, and what ``fast`` resolves to on a host
+without cffi or a C compiler.
 
 :class:`ReferenceStack` is the backend's step-level entry point
 (:class:`~repro.engine.backend.SessionStack`): one scalar

@@ -7,7 +7,7 @@ odometry accumulation, the movement-trigger trace, frame
 materialization, beam extraction, ground-truth poses.  A
 :class:`ReplayPlan` precomputes the latter once, operation-for-operation
 identical to the reference loop, so it can be shared by every seed of
-every sweep cell (batched backend) and by every live session replaying
+every sweep cell (stacked backend) and by every live session replaying
 that sequence (serve layer).
 
 This module is backend-neutral on purpose: the plan describes *what the

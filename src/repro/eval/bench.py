@@ -1,4 +1,4 @@
-"""Backend throughput comparison: reference vs batched vs fast timing.
+"""Backend throughput comparison: reference vs fast timing.
 
 :func:`compare_backends` runs the same sweep grid through each backend,
 times every (variant, N) cell, checks that the backends agreed run-by-run
@@ -40,18 +40,19 @@ DEFAULT_PARTICLE_COUNTS = (64, 256, 1024)
 
 
 def default_provider() -> str:
-    """The provider the default backend resolves to here: ``"c"`` or ``"numpy"``."""
-    return get_backend(DEFAULT_BACKEND).provider_name
+    """The kernels the default backend runs here: ``"c"``, or
+    ``"reference"`` where it fell back to the reference backend."""
+    backend = get_backend(DEFAULT_BACKEND)
+    return getattr(backend, "provider_name", backend.name)
 
 
 def default_bench_backends() -> tuple[str, ...]:
     """The backends the bench compares: ``fast`` only where its C kernels load.
 
-    Without them ``fast`` runs the ``batched`` numpy stages, so timing
-    it again would compare a backend with itself.
+    Without them ``fast`` resolves to ``reference``, so timing it again
+    would compare a backend with itself.
     """
-    backends = ("reference", "batched")
-    return backends + ("fast",) if default_provider() == "c" else backends
+    return ("reference", "fast") if default_provider() == "c" else ("reference",)
 
 
 def _run_signature(run: RunResult) -> tuple:
@@ -99,8 +100,8 @@ def compare_backends(
     """
     if backends is None:
         backends = default_bench_backends()
-    if len(backends) < 2:
-        raise EvaluationError("need at least two backends to compare")
+    if not backends:
+        raise EvaluationError("need at least one backend to time")
     variants = list(variants or DEFAULT_VARIANTS)
     particle_counts = list(particle_counts or DEFAULT_PARTICLE_COUNTS)
     protocol = protocol or SweepProtocol.from_env()
@@ -125,8 +126,8 @@ def compare_backends(
     signatures: dict[str, list[tuple]] = {}
     for backend in backends:
         # One executor instance per backend, shared across cells — the
-        # batched backend's replay-plan cache then works exactly as it
-        # does under SweepEngine.
+        # fast backend's replay-plan cache then works exactly as it does
+        # under SweepEngine.
         executor = get_backend(backend)
         cell_seconds: dict[str, float] = {}
         backend_signatures: list[tuple] = []

@@ -31,7 +31,7 @@ Determinism contract: a cell's stored bytes are a pure function of its
 content key.  The filter backends are bitwise-equivalent, run order
 inside a cell is fixed (sequence-major, then seed), and serialization is
 canonical JSON — so ``jobs=1`` vs ``jobs=N``, fresh vs resumed, and
-``reference`` vs ``batched`` all write identical stores (asserted in
+``reference`` vs ``fast`` all write identical stores (asserted in
 ``tests/eval/test_campaign.py``).
 """
 

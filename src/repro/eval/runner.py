@@ -4,7 +4,7 @@ This module is the thin evaluation shim over the
 :class:`~repro.engine.backend.FilterBackend` seam: it turns (sequence,
 seed) pairs into :class:`~repro.engine.backend.RunSpec` batches, hands
 them to the selected backend — ``reference`` replays one scalar filter
-per run, ``batched`` advances all runs as ``(R, N)`` stacks — and
+per run, ``fast`` advances all runs as ``(R, N)`` stacks — and
 reduces the returned traces to the paper's metrics.
 """
 

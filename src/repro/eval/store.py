@@ -39,7 +39,7 @@ byte-comparable):
   trailing newline).  Because the filter backends are bitwise
   equivalent and run order inside a cell is fixed, the bytes of every
   cell payload are a pure function of the cell key: ``jobs=1`` vs
-  ``jobs=N``, fresh vs resumed, ``reference`` vs ``batched``, legacy
+  ``jobs=N``, fresh vs resumed, ``reference`` vs ``fast``, legacy
   cell vs packed record all hold **byte-identical** cells.
 * *Append-only* — a completed cell is never rewritten; re-putting an
   existing key verifies the bytes instead (a mismatch means the

@@ -10,7 +10,7 @@ four paper variants.  Three levers the per-run loop in older revisions
 lacked:
 
 * **backend dispatch** — a whole cell goes to one
-  :class:`~repro.engine.backend.FilterBackend` call, so the ``batched``
+  :class:`~repro.engine.backend.FilterBackend` call, so the ``fast``
   backend can advance all R runs as ``(R, N)`` stacks;
 * **keyed distance-field cache** — cells are grouped by
   (map, r_max, precision kind) and each distinct EDT is built exactly
@@ -207,7 +207,7 @@ def _worker_backend(name: str) -> FilterBackend:
     """Resolve a backend name through the per-process instance cache.
 
     Resolving once per process (not once per task) is what lets the
-    batched backend's per-sequence replay-plan cache serve every cell a
+    stacked backend's per-sequence replay-plan cache serve every cell a
     worker executes, mirroring ``SweepEngine.__post_init__``.
     """
     if name not in _WORKER_BACKENDS:
@@ -326,7 +326,7 @@ class SweepEngine:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         # Resolve once and reuse the instance for in-process execution:
-        # this is what lets the batched backend's replay-plan cache serve
+        # this is what lets the stacked backend's replay-plan cache serve
         # every cell of a sweep (also fails fast on unknown names).
         self._executor = get_backend(self.backend)
 
@@ -437,7 +437,7 @@ class SweepEngine:
 
         Example::
 
-            engine = SweepEngine(backend="batched", jobs=4)
+            engine = SweepEngine(backend="fast", jobs=4)
             results = engine.run_scenarios(
                 ["office:3", "maze:1:cells=7", "hall:7"],
                 variants=["fp32", "fp16qm"],

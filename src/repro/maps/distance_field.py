@@ -27,7 +27,6 @@ from ..common.precision import (
     dequantize_distances,
     quantize_distances,
 )
-from ..common.scratch import Scratch, scratch_array
 from .edt import euclidean_distance_field
 from .occupancy import CellState, OccupancyGrid
 
@@ -191,28 +190,14 @@ class DistanceField:
         np.copyto(dist, np.float32(self.r_max), where=~inside)
         return dist
 
-    def _world_to_index(
-        self,
-        coord: np.ndarray,
-        origin: float,
-        out: np.ndarray | None = None,
-        scaled: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``floor((coord - origin) / resolution)`` as int64, via one temp.
-
-        ``out`` (int64) and the temp ``scaled`` (float64) may be given.
-        """
-        scaled = np.subtract(coord, origin, out=scaled)
+    def _world_to_index(self, coord: np.ndarray, origin: float) -> np.ndarray:
+        """``floor((coord - origin) / resolution)`` as int64, via one temp."""
+        scaled = np.subtract(coord, origin)
         scaled /= self.resolution
         np.floor(scaled, out=scaled)
-        if out is None:
-            return scaled.astype(np.int64)
-        np.copyto(out, scaled, casting="unsafe")  # the cast astype makes
-        return out
+        return scaled.astype(np.int64)
 
-    def lookup_squared_world(
-        self, x: np.ndarray, y: np.ndarray, scratch: Scratch | None = None
-    ) -> np.ndarray:
+    def lookup_squared_world(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``lookup_world(x, y) ** 2`` in float64, without the wide passes.
 
         The observation model only ever consumes ``d**2`` in float64.
@@ -222,34 +207,22 @@ class DistanceField:
         quantized field) yields bit-identical results to gathering,
         widening and squaring every beam end point — while skipping two
         full-size array passes per observation.
-
-        With ``scratch`` (float64 ``x, y``) every temporary, and the
-        returned array, comes from it; the result then lives until the
-        next call with the same scratch.
         """
-        shape = np.shape(x)
-
-        def array(name: str, dtype) -> np.ndarray | None:
-            return scratch_array(scratch, "lookup." + name, shape, dtype)
-
-        scaled = array("scaled", np.float64)
-        col = self._world_to_index(x, self.origin_x, array("col", np.int64), scaled)
-        row = self._world_to_index(y, self.origin_y, array("row", np.int64), scaled)
+        col = self._world_to_index(x, self.origin_x)
+        row = self._world_to_index(y, self.origin_y)
         rows, cols = self.data.shape
-        mask = array("mask", np.bool_)
-        inside = np.greater_equal(row, 0, out=array("inside", np.bool_))
-        inside &= np.less(row, rows, out=mask)
-        inside &= np.greater_equal(col, 0, out=mask)
-        inside &= np.less(col, cols, out=mask)
+        inside = row >= 0
+        inside &= row < rows
+        inside &= col >= 0
+        inside &= col < cols
         row *= cols
         row += col
-        # ``scaled`` is spent: the squared distances take its storage.
         if self.kind is FieldKind.QUANTIZED_U8:
-            raw = self.data.take(row, mode="clip", out=array("codes", np.uint8))
-            sq = self.squared_lut().take(raw, mode="clip", out=scaled)
+            raw = self.data.take(row, mode="clip")
+            sq = self.squared_lut().take(raw, mode="clip")
         else:
-            sq = self.squared_table().take(row, mode="clip", out=scaled)
-        np.copyto(sq, self.border_squared(), where=np.logical_not(inside, out=mask))
+            sq = self.squared_table().take(row, mode="clip")
+        np.copyto(sq, self.border_squared(), where=~inside)
         return sq
 
     def squared_lut(self) -> np.ndarray:

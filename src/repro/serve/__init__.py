@@ -5,7 +5,7 @@ This package turns the filter into a *service*: a
 one per simulated drone, mixing scenarios, precision variants, particle
 counts and seeds — and a deterministic :class:`StepScheduler` packs
 their pending observation steps into shared ``(R, N)``-stacked backend
-calls, so fleet throughput inherits the batched backend's small-N win
+calls, so fleet throughput inherits the stacked backend's small-N win
 instead of paying one scalar filter loop per drone.
 
 Sessions support create / step (submit + flush) / query / close plus

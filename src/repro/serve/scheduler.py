@@ -3,8 +3,8 @@
 Every scheduler *tick* advances a set of pending sessions by one
 observation frame each.  Sessions whose movement gate fires are packed
 into shared stacked-kernel calls so a fleet of small-N filters pays one
-numpy dispatch per stage instead of one per drone — the same
-amortization that makes the batched backend ~3x faster than the scalar
+kernel call per stage instead of one per drone — the same
+amortization that makes the stacked backend ~3x faster than the scalar
 loop on small-N sweep cells, now applied to *live, heterogeneous*
 sessions at arbitrary replay positions.
 

@@ -1,9 +1,9 @@
 """Backend equivalence: the stacked engine must match the reference.
 
 The contract under test is strict: for matching seeds, the stacked
-backends (``batched`` and ``fast``, one stack with and without the C
-provider) produce **bitwise identical** per-run estimate traces, error
-traces and metrics to running the reference backend sequentially — for
+``fast`` backend (its C stages) produces **bitwise identical** per-run
+estimate traces, error traces and metrics to running the reference
+backend sequentially — for
 every precision variant, for stacked runs over *different* sequences
 (per-run gating masks), and for partial resampling (per-run wheel
 offsets).  Exact equality is deliberate: particle filters amplify
@@ -22,9 +22,8 @@ from repro.common.errors import ConfigurationError
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.engine import available_backends, get_backend
-from repro.engine import batched as batched_module
 from repro.engine.backend import DEFAULT_BACKEND, RunSpec, StepWork
-from repro.engine.batched import BatchedBackend, ReplayPlan
+from repro.engine.replay import ReplayPlan
 from repro.engine.reference import ReferenceBackend
 from repro.maps.distance_field import DistanceField
 from repro.maps.maze import generate_maze
@@ -60,9 +59,9 @@ def mini_world():
     return grid, long_flight, short_flight
 
 
-def _assert_traces_identical(reference, batched):
-    assert len(reference) == len(batched)
-    for ref, bat in zip(reference, batched):
+def _assert_traces_identical(reference, stacked):
+    assert len(reference) == len(stacked)
+    for ref, bat in zip(reference, stacked):
         assert ref.update_count == bat.update_count
         np.testing.assert_array_equal(ref.timestamps, bat.timestamps)
         np.testing.assert_array_equal(ref.position_errors, bat.position_errors)
@@ -120,20 +119,20 @@ def _metrics_signature(result):
 
 
 class _StackEquivalence:
-    """One suite for every stacked backend: bitwise-identical traces and
-    metrics to sequential reference runs.
+    """One suite for the stacked backend on its C stages:
+    bitwise-identical traces and metrics to sequential reference runs.
 
-    The subclasses below pin :attr:`backend_name` — ``batched`` (numpy
-    stages) and ``fast`` (the same stack handed the C provider) — so
-    both run every test here.
+    The subclasses below pin :attr:`backend_name` — ``fast`` and
+    ``batched``, its older name — so the stack built under either name
+    runs every test here.
     """
 
     backend_name: str
 
     @pytest.fixture
-    def backend(self, request):
+    def backend(self, fast_backend):
         if self.backend_name == "fast":
-            return request.getfixturevalue("fast_backend")
+            return fast_backend
         return get_backend(self.backend_name)
 
     @pytest.mark.parametrize("variant", ["fp32", "fp321tof", "fp32qm", "fp16qm"])
@@ -215,18 +214,6 @@ class _StackEquivalence:
             grid, [RunSpec(long_flight, 0)], MclConfig(particle_count=128), field
         )
         _assert_traces_identical(reference, results[-1])
-
-    def test_tiny_observation_chunks_agree(self, mini_world, backend, monkeypatch):
-        """A one-element observation chunk budget only changes the row
-        tiling; tiling must never leak into results."""
-        grid, long_flight, __ = mini_world
-        config = MclConfig(particle_count=96)
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [RunSpec(long_flight, seed) for seed in (0, 1, 2)]
-        whole = backend.execute(grid, specs, config, field)
-        monkeypatch.setattr(batched_module, "OBS_CHUNK_ELEMENTS", 1)
-        tiled = backend.execute(grid, specs, config, field)
-        _assert_traces_identical(whole, tiled)
 
     @pytest.mark.parametrize("variant", ["fp32", "fp16qm"])
     def test_shadow_invariant(self, mini_world, backend, variant):
@@ -315,23 +302,11 @@ class TestBatchedEquivalence(_StackEquivalence):
 class TestFastEquivalence(_StackEquivalence):
     backend_name = "fast"
 
-    def test_numpy_fallback_matches_compiled_provider(self, mini_world, backend):
-        """Hosts without cffi fall back to ``batched``: its numpy stages
-        and the C kernels land on the same bits."""
-        grid, long_flight, __ = mini_world
-        config = MclConfig(particle_count=128).with_variant("fp32")
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [RunSpec(long_flight, seed) for seed in (0, 1)]
-        _assert_traces_identical(
-            backend.execute(grid, specs, config, field),
-            get_backend("batched").execute(grid, specs, config, field),
-        )
-
 
 class TestProviderResolution:
-    """How the default backend picks its kernels: C where cffi and a
-    compiler are present, the numpy stages where either is missing, and
-    a configuration error where a present compiler fails."""
+    """How the default backend resolves: the C stages where cffi and a
+    compiler are present, the reference backend where either is missing,
+    and a configuration error where a present compiler fails."""
 
     @pytest.fixture
     def events(self, tmp_path, monkeypatch):
@@ -342,11 +317,10 @@ class TestProviderResolution:
         yield tmp_path / "events"
         obs.reset()
 
-    def _assert_numpy_fallback(self, mini_world, events, missing):
+    def _assert_reference_fallback(self, mini_world, events, missing):
         grid, long_flight, __ = mini_world
         backend = get_backend(DEFAULT_BACKEND)
-        assert backend.provider is None
-        assert backend.provider_name == "numpy"
+        assert isinstance(backend, ReferenceBackend)
         config = MclConfig(particle_count=64)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
         specs = [RunSpec(long_flight, seed) for seed in (0, 1)]
@@ -354,9 +328,7 @@ class TestProviderResolution:
             ReferenceBackend().execute(grid, specs, config, field),
             backend.execute(grid, specs, config, field),
         )
-        counters = obs.snapshot()["counters"]
-        assert counters["engine.provider.numpy"] == 1
-        assert "engine.provider.c" not in counters
+        assert "engine.provider.c" not in obs.snapshot()["counters"]
         fallbacks = [
             event
             for event in obs.read_events(events)
@@ -364,9 +336,9 @@ class TestProviderResolution:
         ]
         assert [event["missing"] for event in fallbacks] == [missing]
 
-    def test_missing_cffi_falls_back_to_numpy(self, mini_world, events, monkeypatch):
-        """Without cffi the default backend runs the numpy stages, with
-        the same bits as the reference, and records why."""
+    def test_missing_cffi_falls_back_to_reference(self, mini_world, events, monkeypatch):
+        """Without cffi the default backend is the reference backend, with
+        the same bits, and the fallback records why."""
         import builtins
 
         real_import = builtins.__import__
@@ -377,9 +349,9 @@ class TestProviderResolution:
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", no_cffi)
-        self._assert_numpy_fallback(mini_world, events, "cffi")
+        self._assert_reference_fallback(mini_world, events, "cffi")
 
-    def test_missing_compiler_falls_back_to_numpy(
+    def test_missing_compiler_falls_back_to_reference(
         self, mini_world, events, tmp_path, monkeypatch
     ):
         """No compiler on PATH and no library cached for it: the same
@@ -387,7 +359,7 @@ class TestProviderResolution:
         pytest.importorskip("cffi")
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setenv("CC", "repro-no-such-cc")
-        self._assert_numpy_fallback(mini_world, events, "repro-no-such-cc")
+        self._assert_reference_fallback(mini_world, events, "repro-no-such-cc")
 
     def test_failing_compiler_is_configuration_error(
         self, events, request, monkeypatch
@@ -398,7 +370,7 @@ class TestProviderResolution:
         monkeypatch.setenv("CC", "false")
         with pytest.raises(ConfigurationError, match="failed to build"):
             get_backend("fast")
-        assert "engine.provider.numpy" not in obs.snapshot()["counters"]
+        assert "engine.provider.c" not in obs.snapshot()["counters"]
         with pytest.raises(ConfigurationError, match="failed to build"):
             try:
                 request.getfixturevalue("fast_backend")
@@ -406,8 +378,7 @@ class TestProviderResolution:
                 pytest.fail("the fast_backend fixture skipped a broken build")
 
     def test_every_default_site_is_fast(self, monkeypatch):
-        """Every entry point that defaulted to ``batched`` now defaults
-        to ``fast``."""
+        """Every entry point defaults to ``fast``."""
         import argparse
         import importlib.util
         import inspect
@@ -463,7 +434,9 @@ class TestScenarioEquivalence:
         }
 
     @pytest.mark.parametrize("family", ["office", "hall"])
-    def test_scenario_stacks_match_sequential_reference(self, scenarios, family):
+    def test_scenario_stacks_match_sequential_reference(
+        self, scenarios, family, fast_backend
+    ):
         scenario = scenarios[family]
         config = MclConfig(particle_count=96)
         field = DistanceField.build_for_mode(
@@ -471,10 +444,10 @@ class TestScenarioEquivalence:
         )
         specs = [RunSpec(scenario.sequence, seed) for seed in (0, 1, 2)]
         reference = ReferenceBackend().execute(scenario.grid, specs, config, field)
-        batched = BatchedBackend().execute(scenario.grid, specs, config, field)
-        _assert_traces_identical(reference, batched)
+        stacked = fast_backend.execute(scenario.grid, specs, config, field)
+        _assert_traces_identical(reference, stacked)
 
-    def test_mixed_scenario_sequences_in_one_stack(self, scenarios):
+    def test_mixed_scenario_sequences_in_one_stack(self, scenarios, fast_backend):
         """Two different scenario flights stacked in one batch still match
         (per-run gating masks over sequences from *different* worlds is
         invalid — each batch shares one grid — so stack per-world)."""
@@ -485,8 +458,8 @@ class TestScenarioEquivalence:
         )
         specs = [RunSpec(scenario.sequence, seed) for seed in (3, 4)]
         reference = ReferenceBackend().execute(scenario.grid, specs, config, field)
-        batched = BatchedBackend().execute(scenario.grid, specs, config, field)
-        _assert_traces_identical(reference, batched)
+        stacked = fast_backend.execute(scenario.grid, specs, config, field)
+        _assert_traces_identical(reference, stacked)
 
 
 class TestReplayPlan:
@@ -518,26 +491,30 @@ class TestBackendRegistry:
 
     def test_get_backend_resolves_names(self):
         assert get_backend("reference").name == "reference"
-        assert get_backend("batched").name == "batched"
+
+    def test_batched_and_fast_build_the_same_class(self):
+        """``batched`` is an older name of ``fast``: one factory, one
+        class (the stacked backend, or ``reference`` on the fallback)."""
+        assert type(get_backend("batched")) is type(get_backend("fast"))
 
     def test_get_backend_passthrough(self):
-        backend = BatchedBackend()
+        backend = ReferenceBackend()
         assert get_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             get_backend("tpu")
 
-    def test_empty_specs_are_trivial(self, mini_world):
+    def test_empty_specs_are_trivial(self, mini_world, fast_backend):
         grid, __, __ = mini_world
-        assert BatchedBackend().execute(grid, [], MclConfig(particle_count=8)) == []
+        assert fast_backend.execute(grid, [], MclConfig(particle_count=8)) == []
 
-    def test_field_resolution_mismatch_rejected(self, mini_world):
+    def test_field_resolution_mismatch_rejected(self, mini_world, fast_backend):
         grid, long_flight, __ = mini_world
         other = generate_maze(size_m=3.0, cells=4, seed=5)
         field = DistanceField.build(other, r_max=1.5)
         field.resolution = field.resolution * 2  # force a mismatch
         with pytest.raises(ConfigurationError):
-            BatchedBackend().execute(
+            fast_backend.execute(
                 grid, [RunSpec(long_flight, 0)], MclConfig(particle_count=8), field
             )

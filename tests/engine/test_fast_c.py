@@ -5,10 +5,10 @@ with one compiler call and load through cffi's ABI mode.  These tests pin
 the cache discipline (one library, no build directory left behind, no
 second compile), the signature guard that ABI mode needs, and that a
 build never pulls setuptools into the process.  They also pin the
-storage-typed motion and weight stages: at float32 and float16 storage
-they leave the numpy stages' bits on inputs at every rounding boundary
-of half, with hardware and with software half conversion, and a library
-built without ``_Float16`` keeps fp16 stacks on the numpy stages.
+storage-typed motion and weight stages to the reference math of
+:mod:`repro.engine.kernels`: at float32 and float16 storage they leave
+its bits on inputs at every rounding boundary of half, and a library
+built where the compiler has no ``_Float16`` gives the same bits.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.common.geometry import wrap_angle
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
-from repro.engine import fast_c
+from repro.engine import fast_c, kernels
 from repro.engine.backend import RunSpec
 from repro.engine.batched import BatchedBackend, ParticleStack
 from repro.engine.reference import ReferenceBackend
@@ -130,46 +131,67 @@ STAGE_N = 1000
 DTYPES = [np.dtype(np.float32), np.dtype(np.float16)]
 
 
-@pytest.fixture(scope="module", params=["default", "no-avx512fp16"])
+@pytest.fixture(scope="module", params=["default", "no-float16"])
 def stage_provider(request, tmp_path_factory):
-    """The default library, and one built with ``-mno-avx512fp16``.
-
-    On a host with AVX512-FP16 the default build narrows double to half
-    in hardware (``vcvtsd2sh``); the second build calls libgcc's
-    ``__truncdfhf2``, which is what hosts without that extension run.
-    """
+    """The default library, and one built with the compiler's
+    ``__FLT16_MAX__`` undefined, as on a compiler without ``_Float16``:
+    the library stores binary16 in portable C, so both must give the
+    same bits."""
     if request.param == "default":
         return fast_c.CProvider()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_FAST_CACHE", str(tmp_path_factory.mktemp("no-fp16-hw")))
-        patch.setattr(fast_c, "COMPILE_ARGS", [*fast_c.COMPILE_ARGS, "-mno-avx512fp16"])
-        try:
-            return fast_c.CProvider()
-        except RuntimeError as exc:
-            if "-mno-avx512fp16" not in str(exc):
-                raise
-            pytest.skip(f"the compiler rejects -mno-avx512fp16: {exc}")
+        patch.setenv("REPRO_FAST_CACHE", str(tmp_path_factory.mktemp("no-float16")))
+        patch.setattr(fast_c, "COMPILE_ARGS", [*fast_c.COMPILE_ARGS, "-U__FLT16_MAX__"])
+        return fast_c.CProvider()
 
 
-def _stage_stacks(provider, dtype, rows):
-    """A numpy-stage and a C-stage stack of one storage dtype."""
-    if dtype not in provider.storage_dtypes:
-        pytest.skip(f"the library has no {dtype} stages (no _Float16 in the compiler)")
+def _stage_stack(provider, dtype, rows):
+    """A C-stage stack of one storage dtype."""
     variant = "fp16qm" if dtype == np.float16 else "fp32"
     config = MclConfig(particle_count=STAGE_N).with_variant(variant)
-    numpy_stack = ParticleStack(config, rows)
-    c_stack = ParticleStack(config, rows, provider=provider)
-    assert c_stack._fused and not numpy_stack._fused
-    return numpy_stack, c_stack
+    stack = ParticleStack(config, rows, provider=provider)
+    assert stack.dtype == dtype
+    return stack
 
 
-def _assert_same_bits(numpy_stack, c_stack, names):
+def _assert_same_bits(expected, stack, names):
     for name in names:
-        expected, actual = getattr(numpy_stack, name), getattr(c_stack, name)
-        unsigned = f"u{expected.itemsize}"
+        actual = getattr(stack, name)
+        unsigned = f"u{actual.itemsize}"
         np.testing.assert_array_equal(
-            actual.view(unsigned), expected.view(unsigned), err_msg=name
+            actual.view(unsigned), expected[name].view(unsigned), err_msg=name
         )
+
+
+MOTION_ARRAYS = ["x", "y", "theta", "x64", "y64", "theta64", "cos64", "sin64"]
+
+
+def _reference_motion(stack, rows, dx, dy, dt):
+    """The motion stage by the reference kernels, on copies of ``stack``'s
+    arrays: compose, wrap, store at storage precision, shadow refresh."""
+    out = {name: getattr(stack, name).copy() for name in MOTION_ARRAYS}
+    new_x, new_y, new_theta = kernels.compose_increment(
+        out["x64"][rows], out["y64"][rows], out["theta64"][rows], dx, dy, dt
+    )
+    out["x"][rows] = new_x.astype(stack.dtype)
+    out["y"][rows] = new_y.astype(stack.dtype)
+    out["theta"][rows] = wrap_angle(new_theta).astype(stack.dtype)
+    for name in ("x", "y", "theta"):
+        out[name + "64"][rows] = out[name][rows].astype(np.float64)
+    out["cos64"][rows] = np.cos(out["theta64"][rows])
+    out["sin64"][rows] = np.sin(out["theta64"][rows])
+    return out
+
+
+def _reference_weights(stack, rows, like):
+    """The weight stage by the reference kernels, on copies of ``stack``'s
+    arrays: prior multiply, storage cast, normalize, shadow refresh."""
+    stored = (stack.w64[rows] * like).astype(stack.dtype)
+    kernels.normalize_weights(stored, stack.dtype)
+    out = {"weights": stack.weights.copy(), "w64": stack.w64.copy()}
+    out["weights"][rows] = stored
+    out["w64"][rows] = stored.astype(np.float64)
+    return out
 
 
 def _rows_of(values, rows):
@@ -213,26 +235,25 @@ def _yaw_doubles() -> np.ndarray:
 @pytest.mark.parametrize("dtype", DTYPES, ids=str)
 def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     """The C compose + store leaves the stored bytes and float64 shadows
-    of the numpy stage on x/y at every half and half midpoint (with the
-    doubles one ulp either side), half overflows and subnormals, and on
-    yaws at and around ±π and many turns away."""
+    of the reference kernels on x/y at every half and half midpoint (with
+    the doubles one ulp either side), half overflows and subnormals, and
+    on yaws at and around ±π and many turns away."""
     values = _half_boundary_doubles()
     rows = -(-values.size // STAGE_N)
-    numpy_stack, c_stack = _stage_stacks(stage_provider, dtype, rows)
+    stack = _stage_stack(stage_provider, dtype, rows)
     # Fresh rows have zero poses and cos = 1, sin = 0, so the increments
     # land on x and y exactly: x = 0 + dx, y = 0 + dy.
     order = np.random.default_rng(1).permutation(rows)
     dx = _rows_of(values, rows)
     dy = _rows_of(values[::-1], rows)
     dt = _rows_of(_yaw_doubles(), rows)
-    for stack in (numpy_stack, c_stack):
-        stack._compose_store(order, dx, dy, dt)
-    names = ["x", "y", "theta", "x64", "y64", "theta64", "cos64", "sin64"]
-    _assert_same_bits(numpy_stack, c_stack, names)
+    expected = _reference_motion(stack, order, dx, dy, dt)
+    stack._compose_store(order, dx, dy, dt)
+    _assert_same_bits(expected, stack, MOTION_ARRAYS)
     # The stores round each double once, as numpy's astype does.
     unsigned = f"u{dtype.itemsize}"
     np.testing.assert_array_equal(
-        c_stack.x[order].view(unsigned), (dx + 0.0).astype(dtype).view(unsigned)
+        stack.x[order].view(unsigned), (dx + 0.0).astype(dtype).view(unsigned)
     )
 
     # Then steps from the stored poses, with real yaw trig in the compose.
@@ -240,9 +261,9 @@ def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     for _ in range(3):
         shape = (rows, STAGE_N)
         increments = [rng.normal(0, s, shape) for s in (0.3, 0.3, 0.5)]
-        for stack in (numpy_stack, c_stack):
-            stack._compose_store(order, *increments)
-        _assert_same_bits(numpy_stack, c_stack, names)
+        expected = _reference_motion(stack, order, *increments)
+        stack._compose_store(order, *increments)
+        _assert_same_bits(expected, stack, MOTION_ARRAYS)
 
 
 def _exact_pieces(total: float, dtype: np.dtype) -> list[float]:
@@ -342,23 +363,23 @@ def _weight_cases(dtype: np.dtype) -> list[tuple[str, np.ndarray, np.ndarray]]:
 @pytest.mark.parametrize("dtype", DTYPES, ids=str)
 def test_weight_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     """The C weight update leaves the stored bytes and float64 shadow of
-    the numpy stage: rows that underflow to zero (reset to uniform), rows
-    with a NaN or inf likelihood, rows whose normalized weights are
-    subnormal at storage precision, rows that overflow it, and products
-    and quotients at the rounding boundaries of half."""
+    the reference kernels: rows that underflow to zero (reset to
+    uniform), rows with a NaN or inf likelihood, rows whose normalized
+    weights are subnormal at storage precision, rows that overflow it,
+    and products and quotients at the rounding boundaries of half."""
     cases = _weight_cases(dtype)
     names = [name for name, _, _ in cases]
-    numpy_stack, c_stack = _stage_stacks(stage_provider, dtype, len(cases) + 2)
+    stack = _stage_stack(stage_provider, dtype, len(cases) + 2)
     order = np.arange(len(cases))[::-1] + 1  # rows 0 and len+1 stay unused
     prior = np.stack([case[1] for case in cases]).astype(dtype)
     like = np.stack([case[2] for case in cases])
-    for stack in (numpy_stack, c_stack):
-        stack.weights[order] = prior
-        stack.w64[order] = prior.astype(np.float64)
-        stack._update_weights(order, like)
-    _assert_same_bits(numpy_stack, c_stack, ["weights", "w64"])
+    stack.weights[order] = prior
+    stack.w64[order] = prior.astype(np.float64)
+    expected = _reference_weights(stack, order, like)
+    stack._kernels.update_weights(order, like)
+    _assert_same_bits(expected, stack, ["weights", "w64"])
 
-    weights = dict(zip(names, c_stack.weights[order]))
+    weights = dict(zip(names, stack.weights[order]))
     uniform = np.asarray(1.0 / STAGE_N, dtype=dtype)
     assert (weights["underflow-to-zero"] == uniform).all()
     assert (weights["all-nan"] == uniform).all()
@@ -390,17 +411,15 @@ def flight():
     return grid, RecordedSequence.from_sim_steps("no-f16", sim.run())
 
 
-def test_library_without_float16_keeps_fp16_motion_and_weights_in_numpy(
+def test_library_without_float16_runs_fp16_motion_and_weights_in_c(
     cache, monkeypatch, flight
 ):
     """A library built where ``_Float16`` is missing (here: with the
-    compiler's ``__FLT16_MAX__`` undefined) reports no float16 stages.  An
-    fp16qm ``fast`` stack on it runs the numpy motion and weight stages,
-    the C stages for the rest, and still matches the reference bit for
-    bit; fp32 stacks keep every stage in C."""
+    compiler's ``__FLT16_MAX__`` undefined) runs fp16qm's motion and
+    weight stages in C on binary16 storage, fp32's on float storage, and
+    both variants match the reference bit for bit."""
     monkeypatch.setattr(fast_c, "COMPILE_ARGS", [*fast_c.COMPILE_ARGS, "-U__FLT16_MAX__"])
     provider = fast_c.CProvider()
-    assert provider.storage_dtypes == (np.dtype(np.float32),)
 
     widths = []
     for name in ("compose_store", "update_weights"):
@@ -413,7 +432,7 @@ def test_library_without_float16_keeps_fp16_motion_and_weights_in_numpy(
     grid, sequence = flight
     backend = BatchedBackend(provider)
     specs = [RunSpec(sequence, seed) for seed in (0, 1)]
-    for variant, stage_widths in (("fp16qm", set()), ("fp32", {4})):
+    for variant, stage_widths in (("fp16qm", {2}), ("fp32", {4})):
         config = MclConfig(particle_count=128).with_variant(variant)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
         widths.clear()

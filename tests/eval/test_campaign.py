@@ -324,7 +324,7 @@ class TestRunCampaign:
         )
         monkeypatch.setattr(campaign_module, "get_backend", keep_backend)
         monkeypatch.setattr(campaign_module, "build_scenario", track_flight)
-        run_campaign(spec, backend="batched", store=CampaignStore("plans", root=tmp_path))
+        run_campaign(spec, backend="fast", store=CampaignStore("plans", root=tmp_path))
         gc.collect()
         assert len(backends) == 1 and len(flights) == 3
         assert flights[0]() is None  # its plan was evicted

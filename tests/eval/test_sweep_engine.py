@@ -105,18 +105,18 @@ class TestSweepEngine:
         grid, sequence = mini_world
         protocol = SweepProtocol(sequence_count=1, seeds=(0, 1, 2))
         results = {}
-        for backend in ("reference", "batched"):
+        for backend in ("reference", "fast"):
             engine = SweepEngine(backend=backend)
             results[backend] = engine.run(
                 grid, [sequence], ["fp32", "fp16qm"], [64, 128], protocol=protocol
             )
         assert _cell_signatures(results["reference"]) == _cell_signatures(
-            results["batched"]
+            results["fast"]
         )
 
     def test_field_cache_shared_across_cells(self, mini_world):
         grid, sequence = mini_world
-        engine = SweepEngine(backend="batched")
+        engine = SweepEngine(backend="fast")
         protocol = SweepProtocol(sequence_count=1, seeds=(0,))
         engine.run(grid, [sequence], ["fp32", "fp32qm", "fp16qm"], [64, 128],
                    protocol=protocol)
@@ -125,7 +125,7 @@ class TestSweepEngine:
         assert engine.field_cache.misses == 2
 
     def test_process_fanout_matches_inline(self, mini_world):
-        _assert_fanout_matches_inline("batched", *mini_world)
+        _assert_fanout_matches_inline("fast", *mini_world)
 
     def test_process_fanout_matches_inline_on_fast(self, mini_world, fast_backend):
         # The instance holds the C provider's cffi library, which cannot
@@ -133,7 +133,7 @@ class TestSweepEngine:
         _assert_fanout_matches_inline(fast_backend, *mini_world)
 
     def test_scenario_fanout_matches_inline(self):
-        _assert_scenario_fanout_matches_inline(SCENARIOS, "batched")
+        _assert_scenario_fanout_matches_inline(SCENARIOS, "fast")
 
     def test_scenario_fanout_matches_inline_on_fast(self, fast_backend):
         _assert_scenario_fanout_matches_inline(SCENARIOS, fast_backend)
@@ -144,8 +144,8 @@ class TestSweepEngine:
         from repro.scenarios.registry import build_scenario
 
         office = build_scenario(SCENARIOS[1])
-        _assert_scenario_fanout_matches_inline([SCENARIOS[0], office], "batched")
-        _assert_scenario_fanout_matches_inline(SCENARIOS, "batched", cache=False)
+        _assert_scenario_fanout_matches_inline([SCENARIOS[0], office], "fast")
+        _assert_scenario_fanout_matches_inline(SCENARIOS, "fast", cache=False)
 
     def test_worker_task_resolves_one_backend_per_process(self, monkeypatch):
         import repro.eval.sweep_engine as sweep_engine
@@ -163,10 +163,10 @@ class TestSweepEngine:
         monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
         cells = _cell_specs(MclConfig(), ["fp32"], [16, 32])
         world = SCENARIOS[0]
-        assert sweep_engine._run_unit(world, (), None, "batched") is None  # warm
+        assert sweep_engine._run_unit(world, (), None, "fast") is None  # warm
         assert resolved == []
         for cell in cells:
-            assert len(sweep_engine._run_unit(world, (0,), cell, "batched")) == 1
+            assert len(sweep_engine._run_unit(world, (0,), cell, "fast")) == 1
         assert len(resolved) == 1
         assert sweep_engine._WORKER_FIELD_CACHE.misses == 1
 
@@ -180,7 +180,7 @@ class TestSweepEngine:
             raise AssertionError("a pool started for an unresolvable backend")
 
         monkeypatch.setattr(sweep_engine, "ProcessPoolExecutor", no_pool)
-        backend = get_backend("batched")
+        backend = get_backend("fast")
         backend.name = "quantum"
         grid, sequence = mini_world
         with pytest.raises(ConfigurationError, match="quantum"):
@@ -188,7 +188,7 @@ class TestSweepEngine:
 
     def test_scenario_sweep_dedupes_specs(self):
         protocol = SweepProtocol(sequence_count=1, seeds=(0,))
-        results = SweepEngine(backend="batched").run_scenarios(
+        results = SweepEngine(backend="fast").run_scenarios(
             ["corridor:2:flight_s=6.0", "corridor:2:flight_s=6.0"],
             ["fp32"],
             [16],
@@ -214,7 +214,7 @@ class TestSweepEngine:
             [64],
             protocol=SweepProtocol(sequence_count=1, seeds=(0, 1)),
             progress=messages.append,
-            backend="batched",
+            backend="fast",
         )
         assert len(messages) == 2
         assert all("fp32 N=64" in message for message in messages)
@@ -236,14 +236,14 @@ class TestCompareBackends:
             protocol=SweepProtocol(sequence_count=1, seeds=(0, 1)),
         )
         assert report["equivalent"] is True
-        # The default comparison is reference + batched, plus fast where
-        # its C kernels load; the report names the provider either way.
+        # The default comparison is reference, plus fast where its C
+        # kernels load; the report names the provider either way.
         assert set(report["timings"]) == set(report["backends"])
-        assert {"reference", "batched"} <= set(report["backends"])
-        assert report["provider"] in ("c", "numpy")
-        assert ("fast" in report["backends"]) == (report["provider"] == "c")
+        assert report["provider"] in ("c", "reference")
+        fast = report["provider"] == "c"
+        assert report["backends"] == (["reference", "fast"] if fast else ["reference"])
         assert report["timings"]["reference"]["total_s"] > 0
-        assert "batched" in report["speedup_vs_reference"]
+        assert ("fast" in report["speedup_vs_reference"]) == fast
         assert report["cpu_count"] >= 1
 
         path = write_backend_report(report, tmp_path / "BENCH_backends.json")
@@ -261,11 +261,11 @@ class TestCompareBackends:
             variants=["fp32"],
             particle_counts=[64],
             protocol=SweepProtocol(sequence_count=1, seeds=(0,)),
-            backends=("reference", "batched"),
+            backends=("reference", "fast"),
             jobs=1,
         )
-        assert report["backends"] == ["reference", "batched"]
-        assert set(report["timings"]) == {"reference", "batched"}
+        assert report["backends"] == ["reference", "fast"]
+        assert set(report["timings"]) == {"reference", "fast"}
         assert "parallel" not in report
 
     def test_ablated_r_max_uses_its_own_field(self, mini_world):

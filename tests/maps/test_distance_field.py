@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import MapError
 from repro.common.precision import PrecisionMode
-from repro.common.scratch import Scratch
 from repro.maps.distance_field import DistanceField, FieldKind
 from repro.maps.occupancy import CellState, OccupancyGrid
 
@@ -124,18 +123,17 @@ class TestLookup:
             assert out.dtype == np.float32
 
     @pytest.mark.parametrize("kind", list(FieldKind))
-    def test_squared_lookup_from_scratch_is_bitwise(self, wall_grid, kind):
+    def test_squared_lookup_is_the_widened_lookup_squared(self, wall_grid, kind):
+        """Squaring each cell once up front equals widening and squaring
+        every looked-up distance, bit for bit, off-map points included."""
         field = DistanceField.build(wall_grid, R_MAX, kind)
         rng = np.random.default_rng(3)
-        scratch = Scratch()
-        # Shrinking then growing shapes reuse and then replace the buffers.
-        for shape in [(4, 5, 6), (2, 3, 4), (5, 6, 7)]:
-            x = rng.uniform(-1.0, 3.0, shape)
-            y = rng.uniform(-1.0, 3.0, shape)
-            expected = field.lookup_squared_world(x, y)
-            got = field.lookup_squared_world(x, y, scratch)
-            assert got.shape == shape and got.dtype == np.float64
-            assert got.tobytes() == expected.tobytes()
+        x = rng.uniform(-1.0, 3.0, (5, 6, 7))
+        y = rng.uniform(-1.0, 3.0, (5, 6, 7))
+        got = field.lookup_squared_world(x, y)
+        expected = np.square(field.lookup_world(x, y).astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,13 +1,17 @@
-"""Lint: every metric name the eval layer emits is in the catalog.
+"""Lint: every metric name the program emits is in the catalog.
 
 ``docs/observability.md``'s "What is instrumented" table is where an
 operator looks up what a span, counter or event means.  This test reads
-every literal name passed to ``obs.span`` / ``counter`` / ``gauge`` /
+the name passed to every ``obs.span`` / ``counter`` / ``gauge`` /
 ``histogram`` / ``event`` (and ``obs.timed``, which records a span)
-under ``src/repro/eval/`` — from the syntax tree, so calls split over
-several lines count — and fails unless the table names each one.
-Brace forms in the table expand: ``sweep.{cells,runs}`` names
-``sweep.cells`` and ``sweep.runs``.
+under ``src/repro/`` — from the syntax tree, so calls split over
+several lines count — and fails unless the table names each one.  A
+name is a string literal, or a module-level constant bound to one
+(``SPAN_MOTION = "engine.step.motion"``), in the calling module or
+imported from another module of the package; any other first argument
+fails the lint, since no table could be checked against it.  Brace
+forms in the table expand: ``sweep.{cells,runs}`` names ``sweep.cells``
+and ``sweep.runs``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-EVAL = ROOT / "src" / "repro" / "eval"
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
 CATALOG = ROOT / "docs" / "observability.md"
 
 #: ``obs`` calls whose first argument names a metric, span or event.
@@ -50,11 +55,56 @@ def catalog_names() -> set[str]:
     }
 
 
-def emitted_names() -> dict[str, list[str]]:
-    """Literal name -> the ``path:line`` sites under ``eval/`` that emit it."""
+def _module_name(path: Path) -> str:
+    """``src/repro/engine/batched.py`` -> ``repro.engine.batched``."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _string_constants(tree: ast.Module) -> dict[str, str]:
+    """Module-level ``NAME = "literal"`` bindings."""
+    return {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _imported_names(
+    tree: ast.Module, module: str, is_package: bool
+) -> dict[str, tuple[str, str]]:
+    """Module-level ``from X import NAME [as ALIAS]``: alias -> (X, NAME),
+    with relative imports resolved against ``module``."""
+    package = module if is_package else module.rpartition(".")[0]
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+        source = ".".join(part for part in (base, node.module) if part)
+        for alias in node.names:
+            imported[alias.asname or alias.name] = (source, alias.name)
+    return imported
+
+
+def emitted_names() -> tuple[dict[str, list[str]], list[str]]:
+    """Name -> the ``path:line`` sites under ``src/repro/`` that emit it,
+    and the sites whose name the lint cannot resolve."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    constants = {_module_name(path): _string_constants(tree) for path, tree in trees.items()}
     sites: dict[str, list[str]] = {}
-    for path in sorted(EVAL.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    unresolved: list[str] = []
+    for path, tree in trees.items():
+        module = _module_name(path)
+        local = constants[module]
+        imported = _imported_names(tree, module, path.name == "__init__.py")
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -63,13 +113,23 @@ def emitted_names() -> dict[str, list[str]]:
                 and node.func.value.id == "obs"
                 and node.func.attr in NAMED_CALLS
                 and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
             ):
                 continue
             site = f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
-            sites.setdefault(node.args[0].value, []).append(site)
-    return sites
+            first = node.args[0]
+            name = None
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                name = first.value
+            elif isinstance(first, ast.Name):
+                name = local.get(first.id)
+                if name is None and first.id in imported:
+                    source, attribute = imported[first.id]
+                    name = constants.get(source, {}).get(attribute)
+            if name is None:
+                unresolved.append(f"{site} ({ast.unparse(first)})")
+            else:
+                sites.setdefault(name, []).append(site)
+    return sites, unresolved
 
 
 def test_brace_expansion():
@@ -84,21 +144,34 @@ def test_brace_expansion():
 
 
 def test_reads_names_from_multiline_calls():
-    emitted = emitted_names()
+    emitted, _ = emitted_names()
     # Both are ``obs.event(`` calls whose name sits on the next line.
     assert "campaign.cell" in emitted
     assert "store.compact" in emitted
 
 
+def test_resolves_names_bound_to_module_constants():
+    emitted, _ = emitted_names()
+    # backend.py emits its own EVENT_PROVIDER_FALLBACK; batched.py emits
+    # SPAN_MOTION, which it imports from backend.py.
+    assert "src/repro/engine/backend.py" in emitted["engine.provider_fallback"][0]
+    assert any("engine/batched.py" in site for site in emitted["engine.step.motion"])
+
+
+def test_every_emitted_name_resolves():
+    _, unresolved = emitted_names()
+    assert not unresolved, (
+        "obs calls whose name is neither a string literal nor a module "
+        "constant bound to one:\n" + "\n".join(unresolved)
+    )
+
+
 def test_every_eval_name_is_in_the_catalog():
     catalog = catalog_names()
-    missing = {
-        name: sites
-        for name, sites in emitted_names().items()
-        if name not in catalog
-    }
+    emitted, _ = emitted_names()
+    missing = {name: sites for name, sites in emitted.items() if name not in catalog}
     assert not missing, (
-        "names emitted under src/repro/eval/ but missing from the "
+        "names emitted under src/repro/ but missing from the "
         "'What is instrumented' table in docs/observability.md:\n"
         + "\n".join(
             f"{name} ({', '.join(sites)})" for name, sites in sorted(missing.items())

@@ -37,7 +37,7 @@ def _digest(array) -> str:
 
 def _cell_digests() -> list[tuple]:
     scenario = build_scenario(SCENARIO_SPEC)
-    engine = SweepEngine(backend="batched")
+    engine = SweepEngine(backend="fast")
     result = engine.run(
         scenario.grid,
         [scenario.sequence],

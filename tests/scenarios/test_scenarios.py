@@ -219,7 +219,7 @@ class TestSweepIntegration:
         from repro.eval.aggregate import SweepProtocol
         from repro.eval.sweep_engine import SweepEngine
 
-        engine = SweepEngine(backend="batched")
+        engine = SweepEngine(backend="fast")
         results = engine.run_scenarios(
             [generated["maze"], f"corridor:1:flight_s={FAST['flight_s']}"],
             variants=["fp32"],

@@ -102,8 +102,8 @@ class TestFleetEquivalence:
 
     @pytest.mark.usefixtures("fast_backend")
     def test_fast_backend_fleet_matches_solo_reference(self, solo_traces):
-        """The C-provider ``fast`` backend serves the same mixed fleet
-        bit-for-bit."""
+        """The ``fast`` backend on its C stages serves the same mixed
+        fleet bit-for-bit."""
         manager = SessionManager(backend="fast")
         for spec in fleet_specs():
             manager.create(spec)
@@ -112,7 +112,7 @@ class TestFleetEquivalence:
             result = manager.close(spec.session_id)
             assert_trace_equal(result.trace, solo_traces[spec.session_id])
 
-    @pytest.mark.parametrize("backend", ["batched", "fast"])
+    @pytest.mark.parametrize("backend", ["batched", "fast", "reference"])
     def test_irregular_flush_pacing_is_invisible(self, solo_traces, backend, request):
         """Ragged per-session queues (sessions at wildly different replay
         positions, packed with whoever happens to be pending) cannot
@@ -192,7 +192,7 @@ class TestFleetEquivalence:
         """Served metrics equal the offline evaluation of the solo run."""
         from repro.eval.metrics import evaluate_run
 
-        manager = SessionManager(backend="batched")
+        manager = SessionManager(backend="fast")
         for spec in fleet_specs():
             manager.create(spec)
         manager.run_to_completion()
@@ -220,7 +220,7 @@ class TestFleetEquivalence:
         ]
         scenario_id = "maze:1:flight_s=8"
         scenario = build_scenario(scenario_id)
-        manager = SessionManager(backend="batched")
+        manager = SessionManager(backend="fast")
         for sid, variant, seed in members:
             manager.create(
                 SessionSpec(
@@ -245,7 +245,7 @@ class TestFleetEquivalence:
 
     def test_session_ids_do_not_affect_results(self, solo_traces):
         """Renaming sessions permutes the packing order, not the numbers."""
-        manager = SessionManager(backend="batched")
+        manager = SessionManager(backend="fast")
         renamed = {}
         for spec in fleet_specs():
             flipped = SessionSpec(

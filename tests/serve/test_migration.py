@@ -116,7 +116,7 @@ class TestMigrationBitwise:
 
     @pytest.mark.parametrize(
         "source_backend,target_backend",
-        [("batched", "reference"), ("reference", "batched")],
+        [("batched", "reference"), ("reference", "fast")],
     )
     def test_migration_across_backends_is_bitwise(
         self, source_backend, target_backend

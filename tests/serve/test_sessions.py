@@ -143,17 +143,17 @@ class TestSchedulerDeterminism:
 
     def test_backend_choice_is_invisible(self):
         results = {}
-        for backend in ("batched", "reference"):
+        for backend in ("fast", "reference"):
             manager = SessionManager(backend=backend)
             manager.create(make_spec("a", seed=3))
             manager.run_to_completion(frames_per_flush=11)
             results[backend] = manager.close("a")
         np.testing.assert_array_equal(
-            results["batched"].trace.estimate_trace,
+            results["fast"].trace.estimate_trace,
             results["reference"].trace.estimate_trace,
         )
         np.testing.assert_array_equal(
-            results["batched"].trace.position_errors,
+            results["fast"].trace.position_errors,
             results["reference"].trace.position_errors,
         )
 

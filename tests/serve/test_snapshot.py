@@ -98,8 +98,8 @@ class TestServeSnapshots:
         )
 
     def test_restore_into_other_backend_is_exact(self, variant):
-        """Migration across backends: batched snapshot, reference resume."""
-        source = SessionManager(backend="batched")
+        """Migration across backends: fast snapshot, reference resume."""
+        source = SessionManager(backend="fast")
         source.create(make_spec(variant))
         source.submit("snap", 30)
         source.flush()
@@ -206,8 +206,7 @@ class TestScalarFilterSnapshot:
         """A scalar snapshot taken mid-accumulation cannot enter a stack
         row — the ungated motion has nowhere to live and silently
         dropping it would diverge from the scalar continuation."""
-        from repro.engine.backend import RunSpec
-        from repro.engine.batched import ParticleStack
+        from repro.engine.backend import RunSpec, get_backend
         from repro.engine.reference import ReferenceStack
 
         scenario = build_scenario(SCENARIO)
@@ -215,7 +214,8 @@ class TestScalarFilterSnapshot:
         mcl = MonteCarloLocalization(scenario.grid, config, seed=1)
         mcl.add_odometry(Pose2D(0.05, 0.0, 0.0))  # below the gate: pending
         snapshot = mcl.export_state()
-        for stack in (ParticleStack(config, 1), ReferenceStack(config, 1)):
+        stacked = get_backend("fast").open_stack(config, 1)
+        for stack in (stacked, ReferenceStack(config, 1)):
             stack.init_row(0, scenario.grid, RunSpec(scenario.sequence, 1))
             with pytest.raises(ConfigurationError, match="pending odometry"):
                 stack.import_row(0, snapshot)
