@@ -51,9 +51,9 @@ Bitwise discipline:
 The kernels build into a plain shared library — one ``cc -shared -fPIC``
 call, no ``Python.h``, no generated wrapper, no setuptools — cached under
 ``$REPRO_FAST_CACHE`` (default ``~/.cache/repro-fastc``) by source,
-declarations, flags and compiler, and are called through cffi's ABI mode
-(``ffi.dlopen`` over :data:`C_DECLARATIONS`).  Concurrent builds race
-benignly: each compiles in its own directory inside the cache and
+declarations, flags, compiler and CPU, and are called through cffi's ABI
+mode (``ffi.dlopen`` over :data:`C_DECLARATIONS`).  Concurrent builds
+race benignly: each compiles in its own directory inside the cache and
 publishes by atomic rename.  A missing dependency (cffi, or a compiler
 when the cache holds no library) raises :class:`MissingDependency`, on
 which the backend registry (:mod:`repro.engine.backend`) falls back to
@@ -63,8 +63,10 @@ surfaces there as a ``ConfigurationError``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -603,6 +605,31 @@ def _compiler_command() -> list[str]:
     return shlex.split(command) or ["cc"]
 
 
+@functools.cache
+def _cpu_identity() -> str:
+    """The host CPU, as the library cache key names it.
+
+    ``-march=native`` builds the library for the CPU that compiles it,
+    so a cache shared by hosts with different CPUs (a network home
+    directory, a cache baked into an image) must hold one library per
+    CPU: a host that loaded another's could die with SIGILL.  On Linux
+    this is the first ``model name`` and ``flags`` lines of
+    ``/proc/cpuinfo``; elsewhere ``platform.machine()`` and
+    ``platform.processor()``.  Read once per process, because pool
+    workers resolve the provider on every campaign call.
+    """
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
+            lines = info.read().splitlines()
+    except OSError:
+        lines = []
+    first: dict[str, str] = {}
+    for line in lines:
+        first.setdefault(line.partition(":")[0].strip(), line)
+    found = [first[name] for name in ("model name", "flags") if name in first]
+    return "\n".join(found) or f"{platform.machine()} {platform.processor()}"
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_FAST_CACHE")
     if override:
@@ -620,7 +647,9 @@ def library_path() -> Path:
     and it is removed whatever happens.
     """
     compiler = _compiler_command()
-    key = "\0".join([C_SOURCE, C_DECLARATIONS, *COMPILE_ARGS, *compiler])
+    key = "\0".join(
+        [C_SOURCE, C_DECLARATIONS, *COMPILE_ARGS, *compiler, _cpu_identity()]
+    )
     cache = _cache_dir()
     target = cache / f"repro_fastc_{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
     if target.is_file():

@@ -34,9 +34,12 @@ byte-comparable):
   ``*.tmp`` sibling and ``os.replace``-d into place.  A killed campaign
   leaves either a complete record or a torn tail that recovery
   truncates — completed cells are never lost, partial ones never count.
-* *Determinism* — payloads are serialized as canonical JSON (sorted
-  keys, fixed indentation, NaN mapped to ``null`` before encoding, one
-  trailing newline).  Because the filter backends are bitwise
+* *Determinism* — payloads are serialized as canonical JSON
+  (:func:`canonical_json_bytes`: sorted ``str`` keys, two-space indent,
+  NaN and ±inf as ``null``, one trailing newline — byte-equal to
+  ``json.dumps(sort_keys=True, indent=2)``, but written by a one-pass
+  encoder here because the stdlib's indent path is pure Python).
+  Because the filter backends are bitwise
   equivalent and run order inside a cell is fixed, the bytes of every
   cell payload are a pure function of the cell key: ``jobs=1`` vs
   ``jobs=N``, fresh vs resumed, ``reference`` vs ``fast``, legacy
@@ -105,33 +108,84 @@ def campaigns_root() -> Path:
     return results_directory() / "campaigns"
 
 
-def sanitize_nan(value: Any) -> Any:
-    """Recursively map NaN/inf floats to ``None`` for canonical JSON.
+#: ``json.dumps``'s own C string escaper under its default
+#: ``ensure_ascii=True``: escapes, non-ASCII text and lone surrogates
+#: come out as the stdlib writes them.
+_escape = json.encoder.encode_basestring_ascii
 
-    ``json`` would happily emit the non-standard tokens ``NaN`` and
-    ``Infinity``; mapping them to ``null`` keeps cell files valid JSON
-    and keeps "no value" representable in every reader.
+
+def _encode(value: Any, indent: str, chunks: list[str]) -> None:
+    """Append ``value``'s canonical JSON text to ``chunks``.
+
+    ``indent`` is the newline and indentation that close ``value`` if it
+    is a non-empty container; its items go one level (two spaces)
+    deeper.  ``True``/``False``/``None`` are tested before ``int``, ints
+    and finite floats are written by ``int.__repr__``/``float.__repr__``
+    as ``json`` writes them (subclasses such as ``numpy.float64``
+    included), and NaN and ±inf become ``null``.
     """
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: sanitize_nan(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [sanitize_nan(item) for item in value]
-    return value
+    if isinstance(value, str):
+        chunks.append(_escape(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        chunks.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = indent + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"canonical JSON keys must be str, not {type(key).__name__}"
+                )
+            chunks.append(separator + _escape(key) + ": ")
+            _encode(value[key], inner, chunks)
+            separator = comma
+        chunks.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = indent + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            chunks.append(separator)
+            _encode(item, inner, chunks)
+            separator = comma
+        chunks.append(indent + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 def canonical_json_bytes(payload: dict) -> bytes:
     """Encode a payload as canonical (byte-stable) JSON.
 
-    Sorted keys and fixed indentation make the encoding independent of
-    construction order; :func:`sanitize_nan` runs first so the encoder
-    can reject any remaining non-finite float (``allow_nan=False``).
+    The contract: ``str`` keys in sorted order, two-space indentation,
+    NaN and ±inf written as ``null``, one trailing newline — byte-equal
+    to ``json.dumps(payload, sort_keys=True, indent=2)`` plus ``"\\n"``
+    with non-finite floats first mapped to ``None``.  Every stored cell,
+    key digest, sidecar and manifest is these bytes, so they must never
+    move.  The encoder is written out here because ``json`` runs its C
+    encoder only without ``indent``; with it, it takes a pure-Python
+    generator path that was most of a campaign resume.  Raises
+    ``TypeError`` for a value ``json`` cannot encode and for a key that
+    is not a ``str``.
     """
-    text = json.dumps(
-        sanitize_nan(payload), sort_keys=True, indent=2, allow_nan=False
-    )
-    return (text + "\n").encode("utf-8")
+    chunks: list[str] = []
+    _encode(payload, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -474,11 +528,14 @@ class CampaignStore:
     def close(self) -> None:
         """Seal any active segment and release the writer lock.
 
-        Idempotent; reads need no close.
+        Also drops the key index, so a closed store holds nothing per
+        cell; a later read rebuilds it from the sidecars.  Idempotent;
+        reads need no close.
         """
         writer, self._writer = self._writer, None
         if writer is not None:
             writer.close()
+        self._index_cache = None
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -728,8 +785,10 @@ class CampaignStore:
         without a trusted sidecar — truncating a torn tail (removing a
         segment with no intact record) and rewriting the sidecar — and
         removes legacy cell files that no longer parse.  A sealed segment
-        whose sidecar is trusted is not read at all.  Safe to call at the
-        start of every run — a healthy store loses nothing.
+        whose sidecar is trusted is not read at all, and each sidecar is
+        loaded once: the key index is left built from the spans read
+        here, so ``completed_keys`` and ``put_cell`` reuse it.  Safe to
+        call at the start of every run — a healthy store loses nothing.
         """
         writer = self._segment_writer()
         removed, writer.recovered = writer.recovered, []
@@ -750,24 +809,39 @@ class CampaignStore:
         return removed
 
     def _recover_segments(self) -> list[str]:
+        """Repair sealed segments without a trusted sidecar; returns the
+        repaired files' names.
+
+        Leaves the key index built from the spans this pass loaded or
+        rescanned, so the resume that follows reads no sidecar again.
+        Under the lock the only ``.open`` segment is this writer's own
+        active one; it is scanned, as every reader scans one.
+        """
         repaired = []
-        for segment in sorted(self.segments_dir.glob("seg-*.seg")):
-            if _load_sidecar(segment) is not None:
-                continue  # trusted: no payload needs reading
-            blob = segment.read_bytes()
-            records, valid = _scan_records(blob)
-            if valid == len(blob):
-                repaired.append(_sidecar_path(segment).name)
+        index: dict[str, tuple[Path, int, int]] = {}
+        for segment in self._segment_paths():
+            if segment.suffix == ".open":
+                spans, _ = _segment_spans(segment)
+            elif (spans := _load_sidecar(segment)) is not None:
+                obs.counter("store.index_hits").inc()
             else:
-                repaired.append(segment.name)
-                if not records:
-                    segment.unlink()
-                    _sidecar_path(segment).unlink(missing_ok=True)
-                    continue
-                _truncate(segment, valid)
-            _write_sidecar(segment, records, valid)
-        if repaired:
-            self._index_cache = None
+                obs.counter("store.index_rescans").inc()
+                blob = segment.read_bytes()
+                records, valid = _scan_records(blob)
+                if valid == len(blob):
+                    repaired.append(_sidecar_path(segment).name)
+                else:
+                    repaired.append(segment.name)
+                    if not records:
+                        segment.unlink()
+                        _sidecar_path(segment).unlink(missing_ok=True)
+                        continue
+                    _truncate(segment, valid)
+                _write_sidecar(segment, records, valid)
+                spans = {key: (offset, length) for key, offset, length in records}
+            for key, (offset, length) in spans.items():
+                index[key] = (segment, offset, length)
+        self._index_cache = index
         return repaired
 
     def compact(self) -> CompactSummary:

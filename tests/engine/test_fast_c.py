@@ -65,6 +65,24 @@ def test_second_provider_in_the_same_cache_spawns_no_compiler(cache, monkeypatch
     fast_c.CProvider()
 
 
+def test_library_is_keyed_by_the_cpu(cache, monkeypatch):
+    """``-march=native`` ties a library to the CPU that built it, so hosts
+    sharing one cache must not share a library."""
+    monkeypatch.setattr(fast_c, "_cpu_identity", lambda: "model name: cpu a")
+    first = fast_c.library_path()
+    monkeypatch.setattr(fast_c, "_cpu_identity", lambda: "model name: cpu b")
+    second = fast_c.library_path()
+    assert first != second
+    assert sorted(cache.glob("*.so")) == sorted([first, second])
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError(f"compiler spawned: {args}")
+
+    monkeypatch.setattr(fast_c.subprocess, "run", no_compiler)
+    monkeypatch.setattr(fast_c, "_cpu_identity", lambda: "model name: cpu a")
+    assert fast_c.library_path() == first
+
+
 def test_failed_compile_leaves_no_library_and_no_build_directory(cache, monkeypatch):
     monkeypatch.setenv("CC", "false")
     with pytest.raises(RuntimeError, match="exited 1"):

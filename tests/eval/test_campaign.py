@@ -1,6 +1,7 @@
 """Tests for the campaign layer: spec expansion, resume, determinism."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.eval.campaign import (
     run_campaign,
     shard_cells,
 )
-from repro.eval.store import CampaignStore, canonical_json_bytes
+from repro.eval.store import CampaignStore
 from repro.scenarios.base import ScenarioSpec
 
 #: Deliberately tiny: two worlds, one variant, two cells per world, short
@@ -149,7 +150,8 @@ class TestCampaignSpec:
 
     def test_default_variant_cells_keep_legacy_keys(self):
         # Pre-config-axis key algorithm, reproduced verbatim: content
-        # digest over {scenario, variant, particle_count, seeds} and a
+        # digest over {scenario, variant, particle_count, seeds}, encoded
+        # by the stdlib as the store did then, and a
         # `<stem>-<variant>-n<N>-<digest>` filename.  Pure paper
         # variants at default params must still produce exactly this,
         # or existing stores would re-execute everything on resume.
@@ -160,9 +162,8 @@ class TestCampaignSpec:
             "particle_count": 64,
             "seeds": [0, 1],
         }
-        digest = hashlib.sha256(
-            canonical_json_bytes(identity)
-        ).hexdigest()[:12]
+        encoded = json.dumps(identity, sort_keys=True, indent=2) + "\n"
+        digest = hashlib.sha256(encoded.encode()).hexdigest()[:12]
         stem = ScenarioSpec.parse("office:1").cache_stem
         assert cell.key == f"{stem}-fp32-n64-{digest}"
 

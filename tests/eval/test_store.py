@@ -1,8 +1,11 @@
 """Tests for the campaign result store: atomicity, recovery, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, EvaluationError
 from repro.eval.store import (
@@ -10,11 +13,76 @@ from repro.eval.store import (
     campaigns_root,
     canonical_json_bytes,
     list_campaigns,
-    sanitize_nan,
+)
+
+
+def _nan_to_none(value):
+    """Non-finite floats -> ``None``, tuples -> lists: the store's
+    canonical form before encoding, written out independently here."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _nan_to_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_none(item) for item in value]
+    return value
+
+
+def _stdlib_bytes(value) -> bytes:
+    """The byte contract: the stdlib's indented, key-sorted encoding."""
+    text = json.dumps(_nan_to_none(value), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode()
+
+
+#: Any code point: control characters, non-ASCII, lone surrogates.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1.5e300,
+         math.nan, math.inf, -math.inf]
+    ),
+    st.floats().map(np.float64),  # a float subclass
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    _FLOATS,
+    _TEXT,
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=3),
+    ),
+    max_leaves=6,
 )
 
 
 class TestCanonicalJson:
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(value=_JSON)
+    def test_bytes_match_the_stdlib_encoding(self, value):
+        assert canonical_json_bytes(value) == _stdlib_bytes(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, b"bytes", np.int64(3), {"nested": [np.bool_(True)]}],
+        ids=["set", "bytes", "numpy-int64", "numpy-bool"],
+    )
+    def test_unencodable_values_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json_bytes(value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_non_str_keys_raise_type_error(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_json_bytes({"ok": {key: 1}})
+
     def test_key_order_is_irrelevant(self):
         a = canonical_json_bytes({"b": 1, "a": [1, 2], "c": {"y": 1, "x": 2}})
         b = canonical_json_bytes({"c": {"x": 2, "y": 1}, "a": [1, 2], "b": 1})
@@ -31,12 +99,11 @@ class TestCanonicalJson:
         )
         assert data == {"nan": None, "inf": None, "nested": [None]}
 
-    def test_sanitize_preserves_finite_values(self):
-        assert sanitize_nan({"x": 1.5, "y": [0, "s"], "z": (1,)}) == {
-            "x": 1.5,
-            "y": [0, "s"],
-            "z": [1],
-        }
+    def test_finite_values_kept_and_tuples_written_as_arrays(self):
+        assert canonical_json_bytes({"x": 1.5, "y": [0, "s"], "z": (1,)}) == (
+            b'{\n  "x": 1.5,\n  "y": [\n    0,\n    "s"\n  ],\n'
+            b'  "z": [\n    1\n  ]\n}\n'
+        )
 
 
 class TestCampaignStore:

@@ -331,6 +331,31 @@ class TestOneReadRule:
         assert store.completed_keys() == set(self.KEYS)
         assert scans == []
 
+    @pytest.mark.parametrize("missing", [0, 1], ids=["finished", "one-missing"])
+    def test_resume_loads_each_sidecar_once(self, tmp_path, monkeypatch, missing):
+        monkeypatch.setattr(store_module, "SEGMENT_MAX_RECORDS", 1)
+        spec = tiny_spec("once")
+        cells = spec.cells()
+        root = tmp_path / "s"
+        with CampaignStore(spec.name, root=root) as store:
+            for index, cell in enumerate(cells[missing:]):
+                store.put_cell(cell.key, {"index": index})
+        sealed = sorted(path.name for path in store.segments_dir.glob("seg-*.seg"))
+        assert len(sealed) == len(cells) - missing
+        loaded = []
+        load = store_module._load_sidecar
+
+        def counting_load(segment):
+            loaded.append(segment.name)
+            return load(segment)
+
+        monkeypatch.setattr(store_module, "_load_sidecar", counting_load)
+        resumed = CampaignStore(spec.name, root=root)
+        summary = run_campaign(spec, store=resumed, resume=True)
+        assert (summary.executed, summary.skipped) == (missing, len(sealed))
+        assert sorted(loaded) == sealed
+        assert resumed._index_cache is None  # closed: nothing held per cell
+
     def test_stream_cells_parses_each_payload_once(self, tmp_path, monkeypatch):
         store = self.build(tmp_path / "s", monkeypatch)
         payloads = dict(store.iter_cell_bytes())
