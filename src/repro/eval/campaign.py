@@ -15,11 +15,11 @@ survives at paper-study scale:
   (:class:`repro.core.config.ConfigSpec`): ablated configurations fold
   their fingerprint into the content key, while pure paper variants at
   default parameters keep the legacy key — old stores resume byte-exactly;
-* **scenario-parallel execution** — cells fan out over a process pool at
-  (scenario, variant, N) granularity through the sweep engine's one pool
-  path (:func:`~repro.eval.sweep_engine.fan_out`): tasks ship scenario
-  ids, one warm task per scenario generates its cache on the pool, and
-  each worker keeps its scenarios, distance fields and backend;
+* **scenario-parallel execution** — cells fan out over a process pool
+  through the sweep engine's one pool path
+  (:func:`~repro.eval.sweep_engine.fan_out`): a scenario's cells are one
+  task that loads or generates the scenario once and builds each field
+  once (the last ``scenarios % jobs`` split into chunks for every worker);
 * **resumability** — a killed campaign restarts with ``resume=True`` and
   re-executes exactly the cells that are missing or torn; the
   final store is **byte-identical** to an uninterrupted run;
@@ -339,14 +339,17 @@ def run_campaign(
     ``jobs=1`` loads one scenario at a time, and the backend it builds
     keeps at most :data:`repro.engine.batched._PLAN_CACHE_LIMIT` replay
     plans (each holding its flight), so memory stays bounded however
-    many scenarios the campaign spans.  ``jobs > 1`` fans (scenario, variant, N) cells across
-    :func:`~repro.eval.sweep_engine.fan_out`'s process pool; the parent
-    builds no backend.  Tasks ship only the scenario *id*: one warm task
-    per scenario generates the registry's byte-stable ``.npz`` cache on
-    the pool (so there is no generation race), and workers keep
-    scenarios, distance fields and the backend cached per process.
-    Cells are streamed to disk as they finish, in completion order — the
-    store's content addressing makes that order irrelevant.
+    many scenarios the campaign spans.  ``jobs > 1`` hands the cells to
+    :func:`~repro.eval.sweep_engine.fan_out`'s process pool, and the
+    parent builds no backend.  A scenario's pending cells are one task
+    (the last ``scenarios % jobs`` scenarios split into chunks that every
+    worker shares), which ships only the scenario *id*: the worker loads
+    the registry's byte-stable ``.npz`` (generating it on a cold
+    registry) and builds each distance field once.  A scenario's cells
+    reach the store when its task returns, in completion order (content
+    addressing makes the order irrelevant), so an interrupted ``jobs=N``
+    run loses at most N scenarios' unfinished cells, which
+    ``resume=True`` recomputes.
 
     ``shard=(index, count)`` executes only shard ``index`` of the
     :func:`shard_cells` split (multi-host scale-out): every shard writes
@@ -591,9 +594,9 @@ def campaign_status(name: str, store: CampaignStore | None = None) -> dict:
     }
 
 
-def _cell_identity(payload: dict) -> tuple[str, str, int] | None:
-    """(scenario, variant, N) of a stored payload, or None if malformed."""
-    cell = payload.get("cell")
+def _cell_identity(payload) -> tuple[str, str, int] | None:
+    """(scenario, variant, N) of any stored JSON value, or None if malformed."""
+    cell = payload.get("cell") if isinstance(payload, dict) else None
     if not isinstance(cell, dict):
         return None
     try:

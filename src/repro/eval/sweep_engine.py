@@ -20,11 +20,12 @@ lacked:
   reassembled in deterministic cell order).  :func:`fan_out` is the one
   pool path: cell sweeps, scenario sweeps and campaigns all hand it
   (world, seeds, cell) units, where a world is a registry scenario id or
-  an in-memory ``(grid, sequences)`` pair.  Each scenario id gets one
-  warm task that generates its ``.npz`` cache on the pool before its
-  cells run.  Worker processes keep their scenarios, distance fields
-  and backend instance across tasks, so an EDT is built at most once
-  per worker no matter how many cells share it.
+  an in-memory ``(grid, sequences)`` pair.  A scenario id's cells are
+  one pool task, which loads (or generates) the scenario once and builds
+  each distinct field once; the last ``scenarios % jobs`` scenarios
+  split into contiguous chunks that all workers share.  An in-memory
+  world's cells are one task each.  Workers keep their distance fields
+  and backend instance across the pool's tasks.
 
 Every backend is bitwise-equivalent, so cell results do not depend on
 the backend or the job count — only wall-clock does.  That invariant is
@@ -36,8 +37,9 @@ stored result is a pure function of its content key, regardless of how
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -161,7 +163,7 @@ def _execute_cell(
     """Run one cell's R = sequences x seeds runs through the backend.
 
     The one cell executor: in-process sweeps and campaigns call it
-    directly, pool workers through :func:`_run_unit`.
+    directly, pool workers through :func:`_run_task`.
     """
     specs = [
         RunSpec(sequence=sequence, seed=seed)
@@ -181,26 +183,21 @@ def _execute_cell(
     return runs
 
 
-#: A fan-out world: a registry scenario id, which workers load from its
+#: A fan-out world: a registry scenario id, which a task loads from its
 #: byte-stable ``.npz`` cache, or an in-memory ``(grid, sequences)`` pair,
 #: which is pickled into every task that runs on it.
 World = str | tuple[OccupancyGrid, list[RecordedSequence]]
 
-#: Per-worker-process caches for the pool's tasks.  Worker processes
-#: persist across pool tasks, so every EDT, resolved backend instance
-#: (with its replay-plan cache) and loaded scenario a worker needs is
-#: built once and reused by all later tasks that land on the same worker.
-#: Scenarios (grid + recorded flight) and distance fields are the large
-#: per-worker cache entries; both caches are bounded so campaigns over
-#: hundreds of worlds don't grow worker memory without limit.  LRU-ish:
-#: oldest insertion is evicted first, which matches the scenario-major
-#: task order (a worker rarely revisits a scenario after its cells
-#: finish).
-_WORKER_SCENARIO_LIMIT = 16
+#: One task's cells: ``(index into the units, seeds, cell)`` in order.
+TaskCells = list[tuple[int, tuple[int, ...], SweepCellSpec]]
 
-_WORKER_FIELD_CACHE = DistanceFieldCache(limit=2 * _WORKER_SCENARIO_LIMIT)
+#: Per-worker-process caches: a worker runs several tasks of one pool, so
+#: it resolves each backend once (keeping its replay-plan cache) and
+#: shares fields between an in-memory world's per-cell tasks or the
+#: chunks of one scenario.  Bounded, oldest first, so a call over
+#: hundreds of worlds does not grow worker memory without limit.
+_WORKER_FIELD_CACHE = DistanceFieldCache(limit=32)
 _WORKER_BACKENDS: dict[str, FilterBackend] = {}
-_WORKER_SCENARIOS: dict = {}
 
 
 def _worker_backend(name: str) -> FilterBackend:
@@ -215,37 +212,55 @@ def _worker_backend(name: str) -> FilterBackend:
     return _WORKER_BACKENDS[name]
 
 
-def _run_unit(
-    world: World,
-    seeds: tuple[int, ...],
-    cell: SweepCellSpec | None,
-    backend: str,
-) -> list[RunResult] | None:
-    """The pool's worker task: run one (world, seeds, cell) unit.
+def _run_task(
+    world: World, cells: TaskCells, backend: str
+) -> list[tuple[int, list[RunResult]]]:
+    """The pool's one worker task: run ``cells`` in order on one world.
 
-    A scenario id resolves through :data:`_WORKER_SCENARIOS`; the first
-    task to touch it in this worker loads its ``.npz`` (the scenario's
-    warm task generates it).  The distance field comes from
-    :data:`_WORKER_FIELD_CACHE`, keyed by map content, and the backend
-    from :func:`_worker_backend`, so neither is shipped nor rebuilt per
-    task.  ``cell=None`` is a warm task: it resolves the world and
-    returns nothing.
+    A scenario id is loaded (generated on a cold registry) once per
+    task; an in-memory world arrives pickled.  Fields come from
+    :data:`_WORKER_FIELD_CACHE` and the backend from
+    :func:`_worker_backend`.  Returns ``(index, runs)`` per cell.
     """
     if isinstance(world, str):
-        scenario = _WORKER_SCENARIOS.get(world)
-        if scenario is None:
-            from ..scenarios.registry import build_scenario
+        from ..scenarios.registry import build_scenario
 
-            scenario = build_scenario(world, cache=True)
-            while len(_WORKER_SCENARIOS) >= _WORKER_SCENARIO_LIMIT:
-                _WORKER_SCENARIOS.pop(next(iter(_WORKER_SCENARIOS)))
-            _WORKER_SCENARIOS[world] = scenario
+        scenario = build_scenario(world, cache=True)
         world = (scenario.grid, [scenario.sequence])
-    if cell is None:
-        return None
     grid, sequences = world
-    fld = _WORKER_FIELD_CACHE.get(grid, cell.config.r_max, cell.field_kind)
-    return _execute_cell(grid, sequences, seeds, cell, fld, _worker_backend(backend))
+    executor = _worker_backend(backend)
+    results = []
+    for index, seeds, cell in cells:
+        fld = _WORKER_FIELD_CACHE.get(grid, cell.config.r_max, cell.field_kind)
+        runs = _execute_cell(grid, sequences, seeds, cell, fld, executor)
+        results.append((index, runs))
+    return results
+
+
+def _pool_tasks(
+    units: list[tuple[World, tuple[int, ...], SweepCellSpec]], jobs: int
+) -> list[tuple[World, TaskCells]]:
+    """Group units into pool tasks, in the order of their first unit.
+
+    One task per scenario id, except the last ``ids % jobs`` ids (the
+    tail that whole tasks would leave some workers without): each of
+    those splits into ``jobs // gcd(tail, jobs)`` contiguous chunks of
+    its cells (at most one per cell), so the tail's tasks are a multiple
+    of ``jobs``.  One task per unit on an in-memory world.
+    """
+    groups: dict[str | int, tuple[World, TaskCells]] = {}
+    for index, (world, seeds, cell) in enumerate(units):
+        key = world if isinstance(world, str) else index
+        groups.setdefault(key, (world, []))[1].append((index, seeds, cell))
+    ids = [key for key in groups if isinstance(key, str)]
+    tail = ids[len(ids) - len(ids) % jobs :]
+    chunks = jobs // math.gcd(len(tail), jobs)
+    tasks = []
+    for key, (world, cells) in groups.items():
+        parts = min(chunks, len(cells)) if key in tail else 1
+        bounds = [len(cells) * part // parts for part in range(parts + 1)]
+        tasks += [(world, cells[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tasks
 
 
 def fan_out(
@@ -255,12 +270,16 @@ def fan_out(
 ) -> Iterator[tuple[int, list[RunResult]]]:
     """Run (world, seeds, cell) units on a process pool of ``jobs`` workers.
 
-    Yields ``(index into units, runs)`` as each unit finishes, in
-    completion order.  Units on an in-memory world are submitted at
-    once.  Each scenario id first gets exactly one warm task, which
-    generates its ``.npz`` cache on the pool; the scenario's cells are
-    submitted when it completes.  Generation thus overlaps other
-    scenarios' work, and workers never race to generate.
+    Yields ``(index into units, runs)`` for every unit, a task's cells
+    together when it completes, tasks in completion order.  A registry
+    scenario id's cells are one task (:func:`_pool_tasks`), which loads
+    or generates the scenario once and builds each distinct field once.
+    The last ``ids % jobs`` ids split into contiguous chunks that every
+    worker shares, rather than leave some idle for a scenario's time;
+    two workers may then generate one cold scenario at once, which the
+    registry's tmp+rename publish makes safe.  Each unit on an in-memory
+    world is a task of its own: the world is pickled into it, and
+    per-cell tasks balance cells whose costs differ widely.
 
     Tasks carry the backend's name, never an instance: the ``fast``
     backend holds a cffi library, which cannot be pickled.  Workers
@@ -274,35 +293,12 @@ def fan_out(
             f"backend {name!r} cannot cross the process pool: workers "
             f"resolve backends by name, one of {', '.join(available_backends())}"
         )
-    cells_of: dict[str, list[int]] = {}
-    for index, (world, _, _) in enumerate(units):
-        if isinstance(world, str):
-            cells_of.setdefault(world, []).append(index)
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-
-        def submit(indices) -> dict:
-            return {
-                pool.submit(_run_unit, *units[index], name): index
-                for index in indices
-            }
-
-        pending = submit(
-            index
-            for index, (world, _, _) in enumerate(units)
-            if not isinstance(world, str)
-        )
-        for scenario_id in cells_of:
-            pending[pool.submit(_run_unit, scenario_id, (), None, name)] = scenario_id
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                tag, runs = pending.pop(future), future.result()
-                if isinstance(tag, str):  # the scenario is warm: fan its cells out
-                    obs.counter("sweep.scenarios_warmed").inc()
-                    pending.update(submit(cells_of[tag]))
-                else:
-                    yield tag, runs
+    tasks = _pool_tasks(units, jobs)
+    with obs.span("sweep.fan_out"), ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_task, *task, name) for task in tasks]
+        obs.counter("sweep.tasks").inc(len(futures))
+        for future in as_completed(futures):
+            yield from future.result()
 
 
 @dataclass
@@ -423,15 +419,15 @@ class SweepEngine:
         distinct scenario, keyed by the canonical spec id, in input
         order; duplicate specs are swept once.
 
-        With ``jobs > 1`` the fan-out unit is **scenario x cell**: every
-        (scenario, variant, N) triple is an independent :func:`fan_out`
-        unit, so a sweep spanning dozens of generated worlds saturates the
-        pool even when each world contributes only a few cells.  Specs
-        resolved with ``cache=True`` ship as scenario ids: the pool
-        generates or loads them, not the parent.  In-memory
+        With ``jobs > 1`` every (scenario, variant, N) triple is a
+        :func:`fan_out` unit.  Specs resolved with ``cache=True`` ship as
+        scenario ids, and each id's cells are one pool task that loads or
+        generates the scenario once and builds each field once (the last
+        ``scenarios % jobs`` split into contiguous chunks), so the pool,
+        not the parent, generates them.  In-memory
         :class:`~repro.scenarios.base.Scenario` instances and ``cache=False``
         resolutions have no ``.npz`` to read back, so their world is
-        pickled into every task.  Results are reassembled in
+        pickled into one task per cell.  Results are reassembled in
         deterministic order and are bitwise identical to the sequential
         sweep.
 

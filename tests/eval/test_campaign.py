@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.common.errors import ConfigurationError, EvaluationError
 from repro.core.config import ConfigSpec, MclConfig
 from repro.eval import campaign
@@ -16,6 +17,7 @@ from repro.eval.campaign import (
     cell_payload,
     load_campaign,
     merge_campaign_stores,
+    pivot_report,
     run_campaign,
     shard_cells,
 )
@@ -39,6 +41,26 @@ def tiny_spec(name: str = "tiny") -> CampaignSpec:
         particle_counts=COUNTS,
         seeds=SEEDS,
     )
+
+
+def one_scenario_spec() -> CampaignSpec:
+    """One world, two field kinds: fewer scenarios than two workers."""
+    return CampaignSpec(
+        name="one",
+        scenarios=SCENARIOS[:1],
+        variants=("fp32", "fp16qm"),
+        particle_counts=COUNTS,
+        seeds=SEEDS,
+    )
+
+
+@pytest.fixture
+def telemetry():
+    """A fresh, enabled telemetry registry for one test."""
+    obs.reset()
+    obs.enable()
+    yield
+    obs.reset()
 
 
 def store_bytes(store: CampaignStore, spec: CampaignSpec) -> dict[str, bytes]:
@@ -329,13 +351,38 @@ class TestRunCampaign:
         gc.collect()
         assert len(backends) == 1 and len(flights) == 3
         assert flights[0]() is None  # its plan was evicted
-        assert flights[2]() is not None  # still planned by the live backend
+        if backends[0].name == "fast":  # reference keeps no plans
+            assert flights[2]() is not None  # still planned by the live backend
 
     def test_jobs_fanout_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
         fanned = CampaignStore("tiny", root=tmp_path / "jobs2")
         run_campaign(tiny_spec(), store=fanned, jobs=2)
         assert store_bytes(fanned, tiny_spec()) == store_bytes(store, tiny_spec())
+
+    def test_one_scenario_splits_into_one_task_per_worker(self, tmp_path, telemetry):
+        spec = one_scenario_spec()
+        single = CampaignStore("one", root=tmp_path / "jobs1")
+        run_campaign(spec, store=single)
+        fanned = CampaignStore("one", root=tmp_path / "jobs2")
+        run_campaign(spec, store=fanned, jobs=2)
+        snapshot = obs.snapshot()
+        assert snapshot["counters"]["sweep.tasks"] == 2
+        assert snapshot["spans"]["sweep.fan_out"]["count"] == 1
+        assert store_bytes(fanned, spec) == store_bytes(single, spec)
+
+    @pytest.mark.parametrize("spec", [tiny_spec(), one_scenario_spec()], ids=["two", "one"])
+    def test_cold_registry_fanout_byte_identical(self, spec, tmp_path, monkeypatch):
+        # Workers generate and publish every scenario themselves; with one
+        # scenario, both chunks generate it at once.
+        single = CampaignStore(spec.name, root=tmp_path / "jobs1")
+        run_campaign(spec, store=single)
+        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path / "cold"))
+        fanned = CampaignStore(spec.name, root=tmp_path / "jobs2")
+        run_campaign(spec, store=fanned, jobs=2)
+        published = sorted((tmp_path / "cold" / "scenarios").iterdir())
+        assert [path.suffix for path in published] == [".npz"] * len(spec.scenarios)
+        assert store_bytes(fanned, spec) == store_bytes(single, spec)
 
     def test_backends_byte_identical(self, fresh, tmp_path):
         store, __ = fresh
@@ -374,6 +421,24 @@ class TestRunCampaign:
             }
             for aggregate in cells.values():
                 assert aggregate["runs"] == len(SEEDS)
+
+    def test_reports_skip_payloads_that_are_not_objects(self, fresh, tmp_path):
+        # Merged bytes need only parse as JSON: an array or a number is a
+        # malformed cell, which both reports skip.
+        store, __ = fresh
+        stray = CampaignStore("tiny", root=tmp_path / "stray")
+        stray.write_manifest(tiny_spec().to_manifest())
+        with stray:
+            for key, data in store.iter_cell_bytes():
+                stray.put_cell_bytes(key, data)
+            stray.put_cell_bytes("stray-array", b"[1, 2]\n")
+            stray.put_cell_bytes("stray-number", b"7\n")
+        assert aggregate_report("tiny", store=stray) == aggregate_report(
+            "tiny", store=store
+        )
+        assert pivot_report("tiny", "sigma", store=stray) == pivot_report(
+            "tiny", "sigma", store=store
+        )
 
     def test_report_without_cells_raises(self, tmp_path):
         empty = CampaignStore("tiny", root=tmp_path / "empty")

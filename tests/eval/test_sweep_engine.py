@@ -1,6 +1,7 @@
 """Tests for the sweep engine: cell dispatch, field cache, process fan-out."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.eval.aggregate import SweepProtocol, run_sweep
 from repro.eval.bench import compare_backends, write_backend_report
-from repro.eval.sweep_engine import DistanceFieldCache, SweepEngine, _cell_specs
+from repro.eval.sweep_engine import (
+    DistanceFieldCache,
+    SweepEngine,
+    _cell_specs,
+    _pool_tasks,
+)
 from repro.maps.distance_field import FieldKind
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
@@ -32,6 +38,39 @@ def mini_world():
     route = plan_tour(grid, stops, clearance_m=0.15)
     sim = CrazyflieSimulator(grid, route, seed=11, config=SimConfig(max_duration_s=30))
     return grid, RecordedSequence.from_sim_steps("mini", sim.run())
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: run each task in process at submit.
+
+    Returns the submitted tasks' arguments, ``(world, cells, backend)``,
+    in submission order.  Worker caches start empty and are restored.
+    """
+    import repro.eval.sweep_engine as sweep_engine
+
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sweep_engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep_engine, "_WORKER_BACKENDS", {})
+    monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
+    return submitted
 
 
 def _cell_signatures(result):
@@ -148,27 +187,100 @@ class TestSweepEngine:
         _assert_scenario_fanout_matches_inline(SCENARIOS, "fast", cache=False)
 
     def test_worker_task_resolves_one_backend_per_process(self, monkeypatch):
+        # A scenario task resolves the backend once, loads the scenario
+        # once and builds each distinct field once; a later task in the
+        # same worker reuses the backend and the fields.
         import repro.eval.sweep_engine as sweep_engine
+        import repro.scenarios.registry as registry
         from repro.engine.backend import get_backend
 
-        resolved = []
+        resolved, loaded = [], []
+        build_scenario = registry.build_scenario
 
         def resolve(name):
             resolved.append(get_backend(name))
             return resolved[-1]
 
+        def load(spec, cache=True):
+            loaded.append(spec)
+            return build_scenario(spec, cache=cache)
+
         monkeypatch.setattr(sweep_engine, "get_backend", resolve)
+        monkeypatch.setattr(registry, "build_scenario", load)
         monkeypatch.setattr(sweep_engine, "_WORKER_BACKENDS", {})
-        monkeypatch.setattr(sweep_engine, "_WORKER_SCENARIOS", {})
         monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
-        cells = _cell_specs(MclConfig(), ["fp32"], [16, 32])
+        cells = _cell_specs(MclConfig(), ["fp32", "fp16qm"], [16, 32])
+        task = [(index, (0,), cell) for index, cell in enumerate(cells)]
         world = SCENARIOS[0]
-        assert sweep_engine._run_unit(world, (), None, "fast") is None  # warm
-        assert resolved == []
-        for cell in cells:
-            assert len(sweep_engine._run_unit(world, (0,), cell, "fast")) == 1
-        assert len(resolved) == 1
-        assert sweep_engine._WORKER_FIELD_CACHE.misses == 1
+        results = sweep_engine._run_task(world, task, "fast")
+        assert [index for index, __ in results] == [0, 1, 2, 3]
+        assert all(len(runs) == 1 for __, runs in results)
+        assert (len(resolved), loaded) == (1, [world])
+        assert sweep_engine._WORKER_FIELD_CACHE.misses == 2  # two field kinds
+        sweep_engine._run_task(world, task[2:], "fast")
+        assert (len(resolved), loaded) == (1, [world, world])
+        assert sweep_engine._WORKER_FIELD_CACHE.misses == 2
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_each_scenario_is_one_pool_task(self, inline_pool, jobs):
+        # Each scenario's cells are one task, in grid order, and the
+        # results equal jobs=1.  Three scenarios are three tasks at
+        # jobs=3; at jobs=2 the third one, which whole tasks would leave
+        # to one worker, splits into one half per worker.
+        scenarios = SCENARIOS + ("corridor:3:flight_s=6.0",)
+        protocol = SweepProtocol(sequence_count=1, seeds=(0,))
+        grid = (["fp32", "fp16qm"], [16, 32])
+        fanned = SweepEngine(backend="fast", jobs=jobs).run_scenarios(
+            scenarios, *grid, protocol=protocol
+        )
+        cells = [("fp32", 16), ("fp32", 32), ("fp16qm", 16), ("fp16qm", 32)]
+        tasks = [(world, cells) for world in scenarios]
+        if jobs == 2:
+            tasks[2:] = [(scenarios[2], cells[:2]), (scenarios[2], cells[2:])]
+        assert [
+            (world, [(cell.variant, cell.particle_count) for __, __, cell in part])
+            for world, part, __ in inline_pool
+        ] == tasks
+        inline = SweepEngine(backend="fast").run_scenarios(
+            scenarios, *grid, protocol=protocol
+        )
+        assert {key: _cell_signatures(value) for key, value in fanned.items()} == {
+            key: _cell_signatures(value) for key, value in inline.items()
+        }
+
+    def test_pool_tasks_split_the_tail_into_contiguous_chunks(self, mini_world):
+        cells = _cell_specs(MclConfig(), ["fp32", "fp16qm"], [16, 32])
+
+        def shape(worlds, jobs):
+            units = [(world, (0,), cell) for world in worlds for cell in cells]
+            return [
+                (world if isinstance(world, str) else "memory", [i for i, __, __ in part])
+                for world, part in _pool_tasks(units, jobs)
+            ]
+
+        def whole(worlds):
+            return [(world, list(range(4 * n, 4 * n + 4))) for n, world in enumerate(worlds)]
+
+        # A multiple of jobs: one task per scenario.
+        assert shape(list("abcd"), 2) == whole("abcd")
+        assert shape(list("abc"), 3) == whole("abc")
+        # The last ids % jobs scenarios split so their tasks are a
+        # multiple of jobs: 2 halves, 4 quarters, 6 thirds.
+        assert shape(["a"], 2) == [("a", [0, 1]), ("a", [2, 3])]
+        assert shape(list("abc"), 2) == whole("ab") + [("c", [8, 9]), ("c", [10, 11])]
+        assert shape(list("abcde"), 4) == whole("abcd") + [
+            ("e", [index]) for index in range(16, 20)
+        ]
+        assert shape(["a", "b"], 3) == [
+            ("a", [0]), ("a", [1]), ("a", [2, 3]), ("b", [4]), ("b", [5]), ("b", [6, 7])
+        ]
+        # At most one chunk per cell.
+        assert shape(["a"], 8) == [("a", [index]) for index in range(4)]
+        # In-memory worlds keep one task per cell, beside scenario tasks.
+        assert shape([mini_world, "a"], 1) == [
+            ("memory", [0]), ("memory", [1]), ("memory", [2]), ("memory", [3]),
+            ("a", [4, 5, 6, 7]),
+        ]
 
     def test_unresolvable_backend_instance_rejected_before_fanout(
         self, mini_world, monkeypatch
