@@ -10,10 +10,11 @@ exist for:
 1. **resume scan** — ``completed_keys()`` on a cold store: a directory
    walk with per-file JSON validation (legacy cells) vs sealed-segment
    index sidecar reads (packed),
-2. **streaming report** — a full ``stream_cells()`` +
-   :class:`~repro.eval.aggregate.RunningCellStats` fold, the
-   ``campaign report`` hot path; both layouts must report identical
-   ``success_rate`` and ``mean_ate_m`` floats,
+2. **streaming report** — every cell's leading ``aggregate`` and
+   ``cell`` members decoded by :func:`~repro.eval.store.leading_members`,
+   as ``campaign report`` decodes them, and the aggregates folded by
+   :class:`~repro.eval.aggregate.RunningCellStats`; both layouts must
+   report identical ``success_rate`` and ``mean_ate_m`` floats,
 3. **byte equivalence** — every cell read back from both layouts must be
    byte-identical (the contract ``campaign compact`` and merges of
    legacy stores rest on).
@@ -113,14 +114,17 @@ def _phase_scan(root: Path, cells: int) -> dict:
 
 
 def _phase_report(root: Path, cells: int) -> dict:
-    """Streaming fold over every cell — the ``campaign report`` hot path."""
+    """Streaming fold over every cell's aggregate, decoded as ``campaign
+    report`` decodes it; a malformed cell is left out of ``cells``."""
     from repro.eval.aggregate import RunningCellStats
-    from repro.eval.store import CampaignStore
+    from repro.eval.store import CampaignStore, leading_members
 
     stats = RunningCellStats()
     elapsed = _timed()
-    for __, payload in CampaignStore("bench", root=root).stream_cells():
-        stats.add(payload.get("aggregate") or {})
+    for __, data in CampaignStore("bench", root=root).iter_cell_bytes():
+        members = leading_members(data, ("aggregate", "cell"))
+        if members is not None:
+            stats.add(members[0])
     return {
         "seconds": elapsed(),
         "cells": stats.cells,

@@ -41,6 +41,7 @@ import hashlib
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .. import obs
 from ..common.atomics import atomic_create
@@ -57,7 +58,7 @@ from ..scenarios.base import ScenarioSpec
 from ..scenarios.registry import build_scenario, canonical_scenario_id
 from .runner import RunResult
 from ..engine.backend import DEFAULT_BACKEND, get_backend
-from .store import CampaignStore, canonical_json_bytes
+from .store import CampaignStore, canonical_json_bytes, leading_members
 from .sweep_engine import DistanceFieldCache, SweepCellSpec, _execute_cell, fan_out
 
 
@@ -594,19 +595,31 @@ def campaign_status(name: str, store: CampaignStore | None = None) -> dict:
     }
 
 
-def _cell_identity(payload) -> tuple[str, str, int] | None:
-    """(scenario, variant, N) of any stored JSON value, or None if malformed."""
-    cell = payload.get("cell") if isinstance(payload, dict) else None
-    if not isinstance(cell, dict):
-        return None
-    try:
-        return (
-            str(cell["scenario"]),
-            str(cell["variant"]),
-            int(cell["particle_count"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
+#: The members a report reads, the first two of every stored cell.
+_REPORTED_MEMBERS = ("aggregate", "cell")
+
+
+def _reported_cells(store: CampaignStore) -> Iterator[tuple[str, str, int, object]]:
+    """``(scenario, variant, N, aggregate)`` of each well-formed stored cell.
+
+    Decodes only each payload's leading ``aggregate`` and ``cell``
+    members (:func:`~repro.eval.store.leading_members`), in storage
+    order.  A payload without both in the canonical layout, or whose
+    ``cell`` names no scenario, variant and integer N, is malformed: it
+    is skipped and counted in ``campaign.report_malformed``.  The
+    ``runs`` after those members are neither decoded nor validated.
+    """
+    for _key, data in store.iter_cell_bytes():
+        members = leading_members(data, _REPORTED_MEMBERS)
+        try:
+            aggregate, cell = members  # TypeError for None: not canonical
+            scenario = str(cell["scenario"])
+            variant = str(cell["variant"])
+            count = int(cell["particle_count"])
+        except (KeyError, TypeError, ValueError):
+            obs.counter("campaign.report_malformed").inc()
+            continue
+        yield scenario, variant, count, aggregate
 
 
 def aggregate_report(
@@ -617,9 +630,12 @@ def aggregate_report(
     Reads only the store (no recomputation), in **one streaming pass**:
     cells identify themselves from their stored payload, so the store is
     scanned sequentially (memory bounded by one packed segment) instead
-    of randomly probed per expected key.  Cells not yet executed are
-    simply absent; stray payloads outside the campaign grid are ignored.
-    Raises if the campaign has no completed cells.
+    of randomly probed per expected key.  Only each payload's leading
+    ``aggregate`` and ``cell`` members are decoded
+    (:func:`_reported_cells`); a malformed payload is skipped, and
+    damage inside a cell's ``runs`` goes unseen.  Cells not yet executed
+    are simply absent; stray payloads outside the campaign grid are
+    ignored.  Raises if the campaign has no completed cells.
     """
     if store is None:
         store = CampaignStore(name)
@@ -631,11 +647,7 @@ def aggregate_report(
     }
     found = 0
     with obs.span("campaign.report"):
-        for _key, payload in store.stream_cells():
-            identity = _cell_identity(payload)
-            if identity is None:
-                continue
-            scenario, variant, count = identity
+        for scenario, variant, count, aggregate in _reported_cells(store):
             if (
                 scenario not in report
                 or variant not in variants
@@ -643,7 +655,7 @@ def aggregate_report(
             ):
                 continue
             found += 1
-            report[scenario][(variant, count)] = payload["aggregate"]
+            report[scenario][(variant, count)] = aggregate
     if not found:
         raise EvaluationError(
             f"campaign {name!r} has no completed cells to report"
@@ -665,7 +677,8 @@ def pivot_report(
     own spelling (``0.5``, ``2/3``).  This turns an ablation campaign
     (``--ablate sigma=...``) into the table the paper's sensitivity
     figures plot, keyed off the same fingerprint machinery that keys the
-    cells.  Streaming and single-pass, like :func:`aggregate_report`.
+    cells.  Streaming and single-pass, and decoding only each payload's
+    ``aggregate`` and ``cell`` members, like :func:`aggregate_report`.
     """
     if store is None:
         store = CampaignStore(name)
@@ -690,12 +703,8 @@ def pivot_report(
     }
     splits: dict[str, tuple[str, str]] = {}
     found = 0
-    with obs.span("campaign.report"):
-        for _key, payload in store.stream_cells():
-            identity = _cell_identity(payload)
-            if identity is None:
-                continue
-            scenario, variant, count = identity
+    with obs.span("campaign.pivot"):
+        for scenario, variant, count, aggregate in _reported_cells(store):
             if scenario not in scenarios:
                 continue
             if variant not in splits:  # a handful of variants, many cells
@@ -716,7 +725,7 @@ def pivot_report(
             row = report[scenario].setdefault((base_id, count), {})
             if value in row:
                 continue  # duplicate spelling cannot happen post-canonicalization
-            row[value] = payload["aggregate"]
+            row[value] = aggregate
             found += 1
     if not found:
         raise EvaluationError(

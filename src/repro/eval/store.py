@@ -70,7 +70,11 @@ without a trusted sidecar go through the one validating record scan,
 which stops at the first torn or unparseable record; ``recover()``
 truncates such a segment to that prefix and rewrites its sidecar.
 Streaming reads yield a segment's records in storage order (sidecar
-spans sorted by offset).
+spans sorted by offset).  Reports decode only what they read: each
+payload's leading ``aggregate`` and ``cell`` members, found by the
+canonical layout (:func:`leading_members`).  A payload not laid out
+that way is malformed and skipped; the ``runs`` after those members are
+not validated, so damage inside them goes unseen.
 """
 
 from __future__ import annotations
@@ -186,6 +190,46 @@ def canonical_json_bytes(payload: dict) -> bytes:
     _encode(payload, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks).encode("utf-8")
+
+
+#: ``json.loads``'s own decoder: ``raw_decode`` runs the same C scanner.
+_decoder = json.JSONDecoder()
+
+
+def leading_members(data: bytes, names: Sequence[str]) -> tuple | None:
+    """Decode the first top-level members of canonical JSON object bytes.
+
+    ``names`` are the object's first members in sorted order.  Returns
+    their values, each equal to what ``json.loads(data)`` holds under
+    that name, or ``None`` unless ``data`` is UTF-8 laid out as
+    :func:`canonical_json_bytes` writes an object that starts with those
+    members and ends with ``"\\n}\\n"``.  The layout makes this safe: a
+    JSON string cannot hold a raw newline, so a newline, two spaces and
+    a quote can only open a top-level member.  The members after
+    ``names`` are not decoded, so damage inside them goes unseen.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text.endswith("\n}\n"):
+        return None
+    values = []
+    position, opener = 0, "{"
+    for name in names:
+        member = opener + "\n  " + _escape(name) + ": "
+        if not text.startswith(member, position):
+            return None
+        try:
+            value, position = _decoder.raw_decode(text, position + len(member))
+        except json.JSONDecodeError:
+            return None
+        values.append(value)
+        opener = ","
+    # The object ends after the last named member, or a next one opens.
+    if position != len(text) - 3 and not text.startswith(',\n  "', position):
+        return None
+    return tuple(values)
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +680,10 @@ class CampaignStore:
         Same append-only semantics as :meth:`put_cell`, but trusts the
         caller to supply canonical JSON produced by another store —
         verifying it parses — instead of re-encoding a payload.  This is
-        what lets ``campaign merge`` union stores byte-for-byte.
+        what lets ``campaign merge`` union stores byte-for-byte.  Bytes
+        that parse but are not canonical are stored (and count as done
+        on resume) but not reported: reports read payloads by the
+        canonical layout (:func:`leading_members`).
         """
         try:
             json.loads(data.decode("utf-8"))
@@ -760,11 +807,13 @@ class CampaignStore:
     def stream_cells(self) -> Iterator[tuple[str, dict]]:
         """Yield ``(key, payload)`` in storage order, streaming.
 
-        The workhorse of streaming ``status``/``report``: sequential
-        segment scans, peak memory bounded by one segment (plus, only
-        for stores that still hold legacy cell files, a set of packed
-        keys for dedup).  Unparseable cells are skipped, matching
-        :meth:`completed_keys`.
+        Each payload is parsed in full: sequential segment scans, peak
+        memory bounded by one segment (plus, only for stores that still
+        hold legacy cell files, a set of packed keys for dedup).
+        Unparseable cells are skipped, matching :meth:`completed_keys`.
+        Reports do not come through here: they decode only each
+        payload's ``aggregate`` and ``cell`` members from
+        :meth:`iter_cell_bytes` (:func:`leading_members`).
         """
         for key, data in self.iter_cell_bytes():
             payload = self._parse(data)

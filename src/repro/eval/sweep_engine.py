@@ -279,7 +279,10 @@ def fan_out(
     two workers may then generate one cold scenario at once, which the
     registry's tmp+rename publish makes safe.  Each unit on an in-memory
     world is a task of its own: the world is pickled into it, and
-    per-cell tasks balance cells whose costs differ widely.
+    per-cell tasks balance cells whose costs differ widely.  When a task
+    raises, or the consumer stops early and closes the generator (as
+    ``run_campaign`` does when a put raises), the pool cancels every
+    queued task and waits only for those already handed to its workers.
 
     Tasks carry the backend's name, never an instance: the ``fast``
     backend holds a cffi library, which cannot be pickled.  Workers
@@ -295,10 +298,13 @@ def fan_out(
         )
     tasks = _pool_tasks(units, jobs)
     with obs.span("sweep.fan_out"), ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_task, *task, name) for task in tasks]
-        obs.counter("sweep.tasks").inc(len(futures))
-        for future in as_completed(futures):
-            yield from future.result()
+        try:
+            futures = [pool.submit(_run_task, *task, name) for task in tasks]
+            obs.counter("sweep.tasks").inc(len(futures))
+            for future in as_completed(futures):
+                yield from future.result()
+        finally:  # a consumer that stops early waits for no queued task
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -438,6 +439,69 @@ class TestRunCampaign:
         )
         assert pivot_report("tiny", "sigma", store=stray) == pivot_report(
             "tiny", "sigma", store=store
+        )
+
+    def test_reports_skip_a_payload_without_an_aggregate(
+        self, fresh, tmp_path, telemetry
+    ):
+        # A stray whose cell block names a grid cell but that carries no
+        # aggregate is malformed, wherever it sits in storage order.
+        store, __ = fresh
+        cells = dict(store.iter_cell_bytes())
+        identity = json.loads(next(iter(cells.values())))["cell"]
+        stray_bytes = json.dumps({"cell": identity}).encode() + b"\n"
+        stray = CampaignStore("tiny", root=tmp_path / "stray")
+        stray.write_manifest(tiny_spec().to_manifest())
+        with stray:
+            stray.put_cell_bytes("stray", stray_bytes)
+            for key, data in cells.items():
+                stray.put_cell_bytes(key, data)
+        assert aggregate_report("tiny", store=stray) == aggregate_report(
+            "tiny", store=store
+        )
+        assert pivot_report("tiny", "sigma", store=stray) == pivot_report(
+            "tiny", "sigma", store=store
+        )
+        snapshot = obs.snapshot()
+        assert snapshot["counters"]["campaign.report_malformed"] == 2
+        assert snapshot["spans"]["campaign.report"]["count"] == 2
+        assert snapshot["spans"]["campaign.pivot"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "member, reported", [("runs", True), ("aggregate", False)]
+    )
+    def test_damage_in_place_drops_a_cell_only_outside_its_runs(
+        self, fresh, tmp_path, member, reported
+    ):
+        # A sealed record damaged in place keeps its size, so its sidecar
+        # stays trusted and resume counts the cell as complete.  Reports
+        # decode only the aggregate and cell members: damage inside the
+        # runs leaves the cell reported, damage in the aggregate drops it.
+        store, __ = fresh
+        damaged = CampaignStore("tiny", root=tmp_path / "damaged")
+        shutil.copytree(store.root, damaged.root)
+        (segment,) = damaged.segments_dir.glob("seg-*.seg")
+        spans = json.loads(segment.with_name(segment.name + ".idx.json").read_bytes())
+        key, (offset, length) = next(iter(spans["records"].items()))
+        blob = bytearray(segment.read_bytes())
+        opener = f'\n  "{member}": '.encode()
+        position = offset + blob[offset : offset + length].index(opener) + len(opener)
+        blob[position : position + 1] = b"#"
+        segment.write_bytes(bytes(blob))
+
+        assert damaged.completed_keys() == store.completed_keys()
+        kept = CampaignStore("tiny", root=tmp_path / "kept")
+        kept.write_manifest(tiny_spec().to_manifest())
+        with kept:
+            for stored, data in store.iter_cell_bytes():
+                if reported or stored != key:
+                    kept.put_cell_bytes(stored, data)
+        report = aggregate_report("tiny", store=damaged)
+        expected_cells = len(tiny_spec().cells()) - (0 if reported else 1)
+        assert sum(map(len, report.values())) == expected_cells
+        assert report == aggregate_report("tiny", store=kept)
+        assert pivot_report("tiny", "sigma", store=damaged) == pivot_report(
+            "tiny", "sigma", store=kept
         )
 
     def test_report_without_cells_raises(self, tmp_path):

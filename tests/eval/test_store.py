@@ -12,6 +12,7 @@ from repro.eval.store import (
     CampaignStore,
     campaigns_root,
     canonical_json_bytes,
+    leading_members,
     list_campaigns,
 )
 
@@ -104,6 +105,65 @@ class TestCanonicalJson:
             b'{\n  "x": 1.5,\n  "y": [\n    0,\n    "s"\n  ],\n'
             b'  "z": [\n    1\n  ]\n}\n'
         )
+
+
+#: Objects laid out like a stored cell: ``aggregate`` and ``cell`` first,
+#: then (sometimes) the ``runs``.
+_CELLS = st.fixed_dictionaries(
+    {"aggregate": _JSON, "cell": _JSON}, optional={"runs": _JSON}
+)
+_MEMBERS = ("aggregate", "cell")
+
+
+class TestLeadingMembers:
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(value=_CELLS)
+    def test_members_equal_a_full_parse_and_prefixes_are_malformed(self, value):
+        data = canonical_json_bytes(value)
+        parsed = json.loads(data)
+        assert leading_members(data, _MEMBERS) == (parsed["aggregate"], parsed["cell"])
+        for end in range(len(data)):
+            assert leading_members(data[:end], _MEMBERS) is None
+
+    def test_members_are_decoded_in_full(self):
+        data = canonical_json_bytes(
+            {"aggregate": {"runs": 2, "mean_ate_m": 0.1}, "cell": [1, "x\n"],
+             "runs": [{"seed": 0}]}
+        )
+        assert leading_members(data, _MEMBERS) == (
+            {"mean_ate_m": 0.1, "runs": 2}, [1, "x\n"]
+        )
+        assert leading_members(data, ("aggregate",)) == ({"mean_ate_m": 0.1, "runs": 2},)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            json.dumps({"aggregate": 1, "cell": 2}).encode() + b"\n",
+            json.dumps({"aggregate": 1, "cell": 2}, indent=4).encode() + b"\n",
+            json.dumps({"aggregate": 1, "cell": 2}, indent=2).encode(),
+            json.dumps({"cell": 2, "aggregate": 1}, indent=2).encode() + b"\n",
+            json.dumps({"aggregate": 1, "runs": 3, "cell": 2}, indent=2).encode()
+            + b"\n",
+            canonical_json_bytes({"aggregate": 1, "b": 0, "cell": 2}),
+            canonical_json_bytes({"aggregate": 1}),
+            canonical_json_bytes({"a": 0, "aggregate": 1, "cell": 2}),
+            canonical_json_bytes({"aggregate": 1, "cell": 2}).replace(b"1", b"#"),
+            canonical_json_bytes({"aggregate": 1, "cell": 2}).replace(b": 2", b":  2"),
+            canonical_json_bytes({"aggregate": 1, "cell": 2}).replace(b"2\n", b"2]\n"),
+            canonical_json_bytes([{"aggregate": 1, "cell": 2}]),
+            canonical_json_bytes({"aggregate": "\u00e9", "cell": 2}).replace(
+                b"\\u00e9", "\u00e9".encode("latin-1")
+            ),
+            b"",
+        ],
+        ids=[
+            "compact", "indent-4", "no-newline", "unsorted", "runs-between",
+            "member-between", "no-cell", "member-before", "damaged-value",
+            "extra-space", "trailing-junk", "array", "not-utf8", "empty",
+        ],
+    )
+    def test_other_layouts_are_malformed(self, data):
+        assert leading_members(data, _MEMBERS) is None
 
 
 class TestCampaignStore:

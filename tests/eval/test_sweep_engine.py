@@ -1,7 +1,9 @@
 """Tests for the sweep engine: cell dispatch, field cache, process fan-out."""
 
 import math
+import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,10 +69,21 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(sweep_engine, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sweep_engine, "_WORKER_BACKENDS", {})
     monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
     return submitted
+
+
+def _marking_task(world, cells, backend):
+    """Stand-in for a pool task: take 50 ms, then leave a file named by
+    its world to show that it ran."""
+    time.sleep(0.05)
+    Path(world).touch()
+    return [(index, []) for index, __, __ in cells]
 
 
 def _cell_signatures(result):
@@ -281,6 +294,22 @@ class TestSweepEngine:
             ("memory", [0]), ("memory", [1]), ("memory", [2]), ("memory", [3]),
             ("a", [4, 5, 6, 7]),
         ]
+
+    def test_closing_early_cancels_queued_tasks(self, tmp_path, monkeypatch):
+        # A consumer that stops after the first result (run_campaign's
+        # closing() when a put raises, or Ctrl-C) must not wait for every
+        # queued task: only those a worker already took still run.
+        import repro.eval.sweep_engine as sweep_engine
+
+        monkeypatch.setattr(sweep_engine, "_run_task", _marking_task)
+        worlds = [str(tmp_path / f"task-{index:02d}") for index in range(48)]
+        results = sweep_engine.fan_out(
+            [(world, (0,), None) for world in worlds], "reference", jobs=2
+        )
+        next(results)
+        results.close()
+        ran = len(list(tmp_path.iterdir()))
+        assert 1 <= ran < len(worlds) // 2
 
     def test_unresolvable_backend_instance_rejected_before_fanout(
         self, mini_world, monkeypatch
