@@ -1,23 +1,24 @@
-"""Store benchmark: packed segments vs legacy cell files at campaign scale.
+"""Store benchmark: packed segments at campaign scale, and the legacy fold.
 
-Builds the *same* synthetic campaign (cell payload bytes a pure function
-of the cell key, exactly as real campaigns guarantee) twice: through
-``put_cell_bytes`` into packed segments, the store's one write path, and
-as legacy ``cells/<key>.json`` files, the layout stores written before
-segments still hold.  Then it measures the three operations segments
-exist for:
+Builds a synthetic campaign (cell payload bytes a pure function of the
+cell key, exactly as real campaigns guarantee, shaped like
+``cell_payload``'s: a four-run cell of about 1.8 kB) through
+``put_cell_bytes`` into packed segments, the store's one layout, and
+measures:
 
-1. **resume scan** — ``completed_keys()`` on a cold store: a directory
-   walk with per-file JSON validation (legacy cells) vs sealed-segment
-   index sidecar reads (packed),
-2. **streaming report** — every cell's leading ``aggregate`` and
+1. **packed write** — the append path at scale,
+2. **resume scan** — ``completed_keys()`` on a cold store: one index
+   sidecar read per sealed segment,
+3. **streaming report** — every cell's leading ``aggregate`` and
    ``cell`` members decoded by :func:`~repro.eval.store.leading_members`,
-   as ``campaign report`` decodes them, and the aggregates folded by
-   :class:`~repro.eval.aggregate.RunningCellStats`; both layouts must
-   report identical ``success_rate`` and ``mean_ate_m`` floats,
-3. **byte equivalence** — every cell read back from both layouts must be
-   byte-identical (the contract ``campaign compact`` and merges of
-   legacy stores rest on).
+   as ``campaign report`` decodes them (skipping the ``runs``), and the
+   aggregates folded by :class:`~repro.eval.aggregate.RunningCellStats`,
+4. **legacy fold** — the same cells laid out as ``cells/<key>.json``
+   files, the layout stores written before segments hold, then folded
+   into segments by ``recover()`` (what ``campaign compact`` and the
+   first ``campaign run`` on such a store do),
+5. **byte equivalence** — every cell of the folded store must be
+   byte-identical to the packed store's (the contract the fold rests on).
 
 Every measured phase runs in its own subprocess so the reported peak
 RSS (``ru_maxrss``) belongs to that phase alone; the streaming report is
@@ -25,18 +26,24 @@ additionally run against a 10x smaller packed store to check that its
 memory is flat in cell count, not proportional to it.
 
 Scale: ``smoke`` = 2 000 cells, ``quick`` = 20 000, ``paper`` = 100 000.
-Results go to ``results/BENCH_store.json``.
+Results go to ``results/BENCH_store.json``, with the host's CPU count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 SCENARIO_SLOTS = 40
+RUNS = 4
+
+#: The report's totals over the paper-scale cells, which the aggregates
+#: (drawn from each key's digest) fix.
+PAPER_TOTALS = {"success_rate": 0.49926, "mean_ate_m": 0.4970667387733846}
 
 
 def synthetic_key(index: int) -> str:
@@ -47,29 +54,51 @@ def synthetic_key(index: int) -> str:
 
 
 def synthetic_payload_bytes(index: int) -> bytes:
-    """Deterministic cell bytes shaped like a real campaign payload."""
+    """Deterministic cell bytes shaped like ``cell_payload``'s."""
     from repro.eval.store import canonical_json_bytes
 
     key = synthetic_key(index)
     digest = hashlib.sha256(key.encode("ascii")).hexdigest()
-    runs = 4
-    converged = int(digest[:2], 16) % (runs + 1)
+    converged = int(digest[:2], 16) % (RUNS + 1)
+    mean_ate = (int(digest[2:6], 16) % 1000) / 1000.0 if converged else None
+
+    def fraction(run: int, slot: int) -> float:
+        start = 6 + 8 * ((4 * run + slot) % 7)
+        return int(digest[start : start + 8], 16) / 2**32
+
+    runs = [
+        {
+            "sequence": f"s{index % SCENARIO_SLOTS:03d}",
+            "seed": run,
+            "update_count": 400 + int(digest[6 + run], 16),
+            "metrics": {
+                "converged": run < converged,
+                "convergence_time_s": 20.0 * fraction(run, 0)
+                if run < converged
+                else None,
+                "success": run < converged,
+                "ate_mean_m": mean_ate if run < converged else None,
+                "ate_rmse_m": fraction(run, 1) if run < converged else None,
+                "ate_max_m": 2.0 * fraction(run, 2),
+                "yaw_mean_rad": fraction(run, 3),
+            },
+        }
+        for run in range(RUNS)
+    ]
     payload = {
         "cell": {
             "scenario": f"s{index % SCENARIO_SLOTS:03d}",
             "variant": "fp32",
             "particle_count": 64 << (index % 3),
-            "seed": index // SCENARIO_SLOTS,
+            "seeds": list(range(RUNS)),
         },
+        "runs": runs,
         "aggregate": {
-            "runs": runs,
+            "runs": RUNS,
             "converged": converged,
-            "success_rate": converged / runs,
-            "mean_ate_m": (int(digest[2:6], 16) % 1000) / 1000.0
-            if converged
-            else None,
+            "success_rate": converged / RUNS,
+            "mean_ate_m": mean_ate,
         },
-        "digest": digest,
     }
     return canonical_json_bytes(payload)
 
@@ -83,11 +112,11 @@ def _phase_write_legacy(root: Path, cells: int) -> dict:
     """Lay out legacy cell files (setup only: nothing writes them any more)."""
     from repro.eval.store import CampaignStore
 
-    store = CampaignStore("bench", root=root)
-    store.cells_dir.mkdir(parents=True, exist_ok=True)
+    cells_dir = CampaignStore("bench", root=root).cells_dir
+    cells_dir.mkdir(parents=True, exist_ok=True)
     elapsed = _timed()
     for index in range(cells):
-        store.cell_path(synthetic_key(index)).write_bytes(
+        (cells_dir / f"{synthetic_key(index)}.json").write_bytes(
             synthetic_payload_bytes(index)
         )
     return {"seconds": elapsed(), "cells": cells}
@@ -133,16 +162,38 @@ def _phase_report(root: Path, cells: int) -> dict:
     }
 
 
+def _phase_fold(root: Path, cells: int) -> dict:
+    """``recover()`` folding every legacy cell file into segments."""
+    from repro.eval.store import CampaignStore
+
+    store = CampaignStore("bench", root=root)
+    elapsed = _timed()
+    with store:
+        folded = store.recover()
+    return {
+        "seconds": elapsed(),
+        "folded": len(folded),
+        "cell_files_left": len(list(store.cells_dir.glob("*.json"))),
+    }
+
+
 def _phase_verify(roots: list[Path], cells: int) -> dict:
-    """Byte equivalence: both layouts answer every key identically."""
+    """Byte equivalence: the folded store (``roots[1]``) holds each key
+    once, with the bytes the packed store (``roots[0]``) holds."""
     from repro.eval.store import CampaignStore
 
     elapsed = _timed()
-    first = dict(CampaignStore("bench", root=roots[0]).iter_cell_bytes())
-    second = dict(CampaignStore("bench", root=roots[1]).iter_cell_bytes())
+    packed = CampaignStore("bench", root=roots[0])
+    keys: set[str] = set()
+    records = matched = 0
+    for key, data in CampaignStore("bench", root=roots[1]).iter_cell_bytes():
+        keys.add(key)
+        records += 1
+        matched += packed.get_cell_bytes(key) == data
     return {
         "seconds": elapsed(),
-        "equivalent": first == second and len(first) == cells,
+        "equivalent": len(keys) == records == matched == cells
+        and len(packed.completed_keys()) == cells,
     }
 
 
@@ -158,6 +209,7 @@ PHASES = {
     "write-packed": _phase_write_packed,
     "scan": _phase_scan,
     "report": _phase_report,
+    "fold": _phase_fold,
 }
 
 
@@ -205,26 +257,26 @@ def test_store_layouts(benchmark, tmp_path):
 
     cells = store_cells()
     small = max(cells // 10, 100)
-    legacy_root = tmp_path / "legacy"
     packed_root = tmp_path / "packed"
     small_root = tmp_path / "packed-small"
+    legacy_root = tmp_path / "legacy"
 
     def run() -> dict:
-        report: dict = {"scale": current_scale(), "cells": cells}
-        report["write_legacy"] = _run_phase("write-legacy", [legacy_root], cells)
+        report: dict = {
+            "scale": current_scale(),
+            "cells": cells,
+            "cpu_count": os.cpu_count(),
+        }
         report["write_packed"] = _run_phase("write-packed", [packed_root], cells)
         report["write_packed_small"] = _run_phase(
             "write-packed", [small_root], small
         )
-        report["scan_legacy"] = _run_phase("scan", [legacy_root], cells)
         report["scan_packed"] = _run_phase("scan", [packed_root], cells)
-        report["report_legacy"] = _run_phase("report", [legacy_root], cells)
         report["report_packed"] = _run_phase("report", [packed_root], cells)
         report["report_packed_small"] = _run_phase("report", [small_root], small)
-        report["verify"] = _run_phase("verify", [legacy_root, packed_root], cells)
-        report["scan_speedup"] = (
-            report["scan_legacy"]["seconds"] / report["scan_packed"]["seconds"]
-        )
+        report["write_legacy"] = _run_phase("write-legacy", [legacy_root], cells)
+        report["fold"] = _run_phase("fold", [legacy_root], cells)
+        report["verify"] = _run_phase("verify", [packed_root, legacy_root], cells)
         report["report_rss_ratio_10x_cells"] = (
             report["report_packed"]["ru_maxrss_kb"]
             / report["report_packed_small"]["ru_maxrss_kb"]
@@ -246,17 +298,18 @@ def test_store_layouts(benchmark, tmp_path):
             ["phase", "seconds", "peak MiB"],
             [
                 row(f"write, packed ({cells} cells)", report["write_packed"]),
-                row("resume scan, legacy cells", report["scan_legacy"]),
                 row("resume scan, packed", report["scan_packed"]),
-                row("report, legacy cells", report["report_legacy"]),
                 row("report, packed", report["report_packed"]),
                 row(f"report, packed ({small} cells)", report["report_packed_small"]),
+                row("lay out legacy cell files", report["write_legacy"]),
+                row("fold legacy files (recover)", report["fold"]),
+                row("verify folded vs packed", report["verify"]),
             ],
-            title="Campaign store — packed write, cold resume scan, streaming report",
+            title="Campaign store — packed write, resume scan, report, legacy fold",
             footnote=(
-                f"scan speedup {report['scan_speedup']:.1f}x; legacy/packed "
-                f"byte equivalence: {report['verify']['equivalent']}; each "
-                "phase is its own subprocess (RSS is per-phase)"
+                f"folded/packed byte equivalence: "
+                f"{report['verify']['equivalent']}; each phase is its own "
+                f"subprocess (RSS is per-phase); {report['cpu_count']} CPU(s)"
             ),
         )
     )
@@ -267,25 +320,17 @@ def test_store_layouts(benchmark, tmp_path):
         handle.write("\n")
     print(f"report: {path}")
 
-    assert report["verify"]["equivalent"], "layouts disagree on cell bytes"
-    assert report["scan_legacy"]["keys"] == cells
     assert report["scan_packed"]["keys"] == cells
     assert report["report_packed"]["cells"] == cells
-    # The fold's sums are exact, so the two layouts' different cell
-    # orders (sorted file names vs append order) give identical totals.
-    for total in ("success_rate", "mean_ate_m"):
-        assert report["report_legacy"][total] == report["report_packed"][total], (
-            f"report {total} differs between layouts: "
-            f"{report['report_legacy'][total]!r} vs "
-            f"{report['report_packed'][total]!r}"
-        )
-    # The index must beat the validating directory scan by a wide margin
-    # (>=10x at report scale; the floor is looser at smoke scale where
-    # both sides are milliseconds).
-    floor = 3.0 if current_scale() == "smoke" else 10.0
-    assert report["scan_speedup"] >= floor, (
-        f"packed resume scan only {report['scan_speedup']:.1f}x faster"
-    )
+    assert report["fold"]["folded"] == cells
+    assert report["fold"]["cell_files_left"] == 0
+    assert report["verify"]["equivalent"], "the fold changed cell bytes"
+    if current_scale() == "paper":
+        for total, expected in PAPER_TOTALS.items():
+            assert report["report_packed"][total] == expected, (
+                f"report {total} {report['report_packed'][total]!r}, "
+                f"expected {expected!r}"
+            )
     # Streaming report memory is flat in cell count: 10x the cells must
     # not come anywhere near 10x the peak RSS.
     assert report["report_rss_ratio_10x_cells"] < 2.0, (

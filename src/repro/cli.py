@@ -63,7 +63,7 @@ import math
 import sys
 
 from . import __version__, obs
-from .common.errors import ConfigurationError
+from .common.errors import ConfigurationError, EvaluationError
 from .core.config import (
     PAPER_PARTICLE_COUNTS,
     PAPER_VARIANTS,
@@ -389,6 +389,13 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     )
 
 
+def _file_names(files: list[str], shown: int = 8) -> str:
+    """The first ``shown`` names, then a count: a folded legacy store can
+    name a file per cell."""
+    more = f" and {len(files) - shown} more" if len(files) > shown else ""
+    return ", ".join(files[:shown]) + more
+
+
 def _print_campaign_summary(summary) -> None:
     print(
         f"campaign {summary.name!r}: {summary.executed} cells executed, "
@@ -396,7 +403,10 @@ def _print_campaign_summary(summary) -> None:
         f"{summary.total_cells} total"
     )
     if summary.recovered_files:
-        print(f"recovered partial files: {', '.join(summary.recovered_files)}")
+        print(
+            "recovered partial files and folded legacy cell files: "
+            + _file_names(summary.recovered_files)
+        )
     print(f"store: {summary.store_root}")
 
 
@@ -588,13 +598,11 @@ def _cmd_campaign_compact(args: argparse.Namespace) -> int:
         print(f"error: campaign {args.name!r} not found", file=sys.stderr)
         return 2
     with store:
-        summary = store.compact()
+        files = store.recover()
     print(
-        f"compacted campaign {args.name!r}: {summary.packed} cells packed "
-        f"into segments, {summary.already_packed} already packed, "
-        f"{summary.verified} byte-verified, {summary.removed_files} cell "
-        f"files removed, {summary.skipped_invalid} torn files left for "
-        "recovery"
+        f"compacted campaign {args.name!r}: {len(files)} files folded into "
+        "segments, removed or repaired"
+        + (f": {_file_names(files)}" if files else "")
     )
     return 0
 
@@ -888,7 +896,11 @@ def _cmd_campaign_list(_args: argparse.Namespace) -> int:
         return 0
     rows = []
     for name in names:
-        status = campaign_status(name)
+        try:
+            status = campaign_status(name)
+        except EvaluationError as exc:  # legacy cells/ files to fold
+            rows.append([name, str(exc)])
+            continue
         rows.append([name, f"{status['completed']}/{status['total']}"])
     print(format_table(["campaign", "cells done"], rows))
     return 0
@@ -1399,13 +1411,16 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="fold a legacy store's cell files into packed segments",
         description=(
-            "Retire the one-file-per-cell layout of stores written before "
-            "packed segments became the only write path: every cell file "
-            "is appended into indexed segment files, byte-verified back "
-            "out of the segments, and only then removed. Interrupting at "
-            "any point leaves the cell files authoritative; cell bytes "
-            "never change. Takes the store's single-writer lock, so it "
-            "refuses a store that a run is writing."
+            "Fold the one-file-per-cell layout of stores written before "
+            "packed segments became the only write path into indexed "
+            "segment files, and repair what a dead writer left. Every cell "
+            "file is byte-verified back out of the segments before any is "
+            "removed (torn ones are just removed), so interrupting at any "
+            "point leaves the cell files authoritative. 'campaign run' and "
+            "'campaign merge' (on its destination) do this first; 'status', "
+            "'report' and a merge source refuse an unfolded store. Takes "
+            "the store's single-writer lock, so it refuses a store that a "
+            "run is writing."
         ),
     )
     campaign_compact.add_argument("name", help="campaign name")

@@ -365,9 +365,10 @@ def run_campaign(
     determines its numbers.
 
     Cells are appended to the store's packed segments.  The run holds
-    the store's single-writer lock from :meth:`CampaignStore.recover`
-    to the end (a store with a live writer raises
-    :class:`EvaluationError` before anything runs), and even with
+    the store's single-writer lock from start to end (a store with a
+    live writer raises :class:`EvaluationError` before anything runs)
+    and starts with :meth:`CampaignStore.recover`, which also folds an
+    older store's legacy cell files into segments.  Even with
     ``jobs > 1`` every write funnels through this parent process.
     """
     if jobs < 1:
@@ -494,14 +495,16 @@ def merge_campaign_stores(
     merging into a new name is a store copy.
 
     Cells are copied as raw bytes — never re-encoded — so a merged store
-    is byte-identical to one produced by a single host.  Torn source
-    files (unparseable JSON) are skipped and counted, exactly as
-    :meth:`CampaignStore.completed_keys` would ignore them.
+    is byte-identical to one produced by a single host.  Source records
+    that no longer parse (damaged in place) are skipped and counted.
 
-    The source streams its cells — packed records and any legacy cell
-    files — via :meth:`CampaignStore.iter_cell_bytes`, and the
-    destination appends them to its segments under its single-writer
-    lock, released when the merge returns.
+    The source streams its cells via
+    :meth:`CampaignStore.iter_cell_bytes`; a source that still holds
+    legacy cell files is refused before anything is written (fold it
+    with ``repro campaign compact``).  The destination takes its
+    single-writer lock, runs :meth:`~CampaignStore.recover` (which folds
+    its own legacy cell files), appends the copies to its segments and
+    releases the lock when the merge returns.
     """
     source_manifest = source.manifest_path
     if not source_manifest.exists():
@@ -509,6 +512,7 @@ def merge_campaign_stores(
             f"source campaign {source.name!r} has no manifest under "
             f"{source.root}"
         )
+    cells = source.iter_cell_bytes()
     manifest_bytes = source_manifest.read_bytes()
     # Adopt-or-verify, race-safely: exactly one concurrent merger can
     # publish a fresh destination manifest; every other path (including
@@ -526,14 +530,15 @@ def merge_campaign_stores(
 
     copied = verified = skipped = 0
     total = 0
-    try:
-        for key, data in source.iter_cell_bytes():
+    with dest:  # close() seals the segment the merge appended
+        dest.recover()
+        for key, data in cells:
             total += 1
             existed = dest.get_cell_bytes(key) is not None
             try:
                 dest.put_cell_bytes(key, data)
             except EvaluationError:
-                if source.get_cell(key) is None:  # torn source file
+                if source.get_cell(key) is None:  # a damaged source record
                     skipped += 1
                     continue
                 raise
@@ -541,8 +546,6 @@ def merge_campaign_stores(
                 verified += 1
             else:
                 copied += 1
-    finally:
-        dest.close()  # seal the segment the merge appended, release the lock
     return MergeSummary(
         dest=dest.name,
         source=source.name,

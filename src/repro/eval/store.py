@@ -20,11 +20,11 @@ A campaign's results live under ``REPRO_RESULTS_DIR/campaigns/<name>/``:
 * ``segments/writer.lock`` — the single-writer lock (see below).
 * ``cells/<key>.json`` — **legacy cells**, one file per cell, as stores
   written before segments became the only write path hold them.
-  Nothing writes them any more.  A record's payload bytes are exactly
-  the legacy file's bytes for the same key, so every read merges both
-  layouts, resume counts legacy cells as done, :meth:`CampaignStore.recover`
-  sweeps torn ones and :meth:`CampaignStore.compact` folds them into
-  segments byte-for-byte.
+  Nothing writes them and no read sees them:
+  :meth:`CampaignStore.recover`, which ``campaign run``, ``merge`` and
+  ``compact`` run first, folds them into segments byte-for-byte (a
+  record's payload is exactly the file's bytes) and removes them, and a
+  reader refuses a store that still holds them (see "One read rule").
 
 **Invariants** (these are what make campaigns resumable and the store
 byte-comparable):
@@ -60,9 +60,14 @@ parent process even when cells execute on a pool, and shards write
 separate stores that merge later.  Readers take no lock: sealed
 segments and sidecars are immutable once published.
 
-**One read rule.**  A sealed ``.seg`` whose sidecar records the
-segment's current size and parses as key -> ``[offset, length]`` spans
-inside it is *trusted*: resume, the key index, streaming reads and
+**One read rule.**  Every read lists the segments, and only the
+segments.  A store that still holds legacy ``cells/*.json`` files is
+refused with :class:`EvaluationError` naming ``repro campaign compact
+<name>``, unless this :class:`CampaignStore` holds the writer lock:
+then the files are :meth:`~CampaignStore.recover`'s to fold, and its
+reads see the segments alone.  A sealed ``.seg`` whose sidecar records
+the segment's current size and parses as key -> ``[offset, length]``
+spans inside it is *trusted*: resume, the key index, streaming reads and
 :meth:`CampaignStore.recover` all read it through the sidecar and never
 re-parse its payloads (the writer fsynced and sealed it under the lock
 before publishing the sidecar).  ``.open`` segments and sealed segments
@@ -84,7 +89,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterator, Sequence
 
@@ -497,25 +501,14 @@ class _SegmentWriter:
             self._lock.close()
 
 
-@dataclass
-class CompactSummary:
-    """What one :meth:`CampaignStore.compact` call did."""
-
-    packed: int
-    already_packed: int
-    verified: int
-    removed_files: int
-    skipped_invalid: int
-
-
 class CampaignStore:
     """One campaign's on-disk results: a manifest plus keyed cells.
 
-    New cells are appended to packed segments; legacy ``cells/`` files of
-    older stores stay readable (see the module docstring).  Every read
-    merges both, and a cell's payload bytes are identical in either.
-    ``tier`` remains for callers that name the write path: ``"packed"``
-    is its only legal value.
+    Cells are appended to packed segments, and every read sees the
+    segments alone; :meth:`recover` folds an older store's legacy
+    ``cells/`` files into them (see the module docstring).  ``tier``
+    remains for callers that name the write path: ``"packed"`` is its
+    only legal value.
     """
 
     def __init__(
@@ -552,10 +545,6 @@ class CampaignStore:
     @property
     def segments_dir(self) -> Path:
         return self.root / "segments"
-
-    def cell_path(self, key: str) -> Path:
-        """Path of ``key``'s legacy cell file; nothing writes one."""
-        return self.cells_dir / f"{key}.json"
 
     def exists(self) -> bool:
         return self.manifest_path.exists()
@@ -623,6 +612,18 @@ class CampaignStore:
         return data if len(data) == length else None
 
     def _segment_paths(self) -> list[Path]:
+        """The segments every read goes through, sealed then open.
+
+        The one read guard: legacy cell files refuse the read unless
+        this store holds the writer lock, under which :meth:`recover`
+        folds them.
+        """
+        if self._writer is None and any(self.cells_dir.glob("*.json")):
+            raise EvaluationError(
+                f"campaign store {self.name!r} still holds legacy cells/ "
+                "files; fold them into segments with: repro campaign "
+                f"compact {self.name}"
+            )
         if not self.segments_dir.is_dir():
             return []
         return sorted(self.segments_dir.glob("seg-*.seg")) + sorted(
@@ -700,38 +701,26 @@ class CampaignStore:
         )
 
     def _put_bytes(self, key: str, data: bytes, mismatch: str) -> Path:
-        location = self._packed_index().get(key)
-        if location is not None:
-            stored, path = self._read_packed(location), location[0]
-        elif (path := self.cell_path(key)).exists():  # a legacy cell
-            stored = path.read_bytes()
-        else:
-            segment, offset, length = self._segment_writer().append(key, data)
-            self._packed_index()[key] = (segment, offset, length)
-            return segment
-        if stored != data:
+        writer = self._segment_writer()
+        index = self._packed_index()
+        location = index.get(key)
+        if location is None:
+            index[key] = writer.append(key, data)
+            return index[key][0]
+        if self._read_packed(location) != data:
             raise EvaluationError(
                 f"cell {key} already stored with different bytes — {mismatch}"
             )
-        return path
+        return location[0]
 
     def get_cell_bytes(self, key: str) -> bytes | None:
         """One cell's raw payload bytes, or ``None``.
 
-        Packed records are preferred (a key that is also a legacy cell
-        file holds identical bytes there); legacy bytes are returned
-        as-is even if torn — callers that need validity use
-        :meth:`get_cell`.
+        The bytes are returned as stored, unvalidated — callers that
+        need a parse use :meth:`get_cell`.
         """
         location = self._packed_index().get(key)
-        if location is not None:
-            data = self._read_packed(location)
-            if data is not None:
-                return data
-        try:
-            return self.cell_path(key).read_bytes()
-        except OSError:
-            return None
+        return None if location is None else self._read_packed(location)
 
     def get_cell(self, key: str) -> dict | None:
         """Load one cell, or ``None`` if absent or unreadable (partial)."""
@@ -743,51 +732,36 @@ class CampaignStore:
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
 
-    def has_cell(self, key: str) -> bool:
-        return self.get_cell(key) is not None
-
     def completed_keys(self) -> set[str]:
-        """Keys of every *valid* completed cell, packed or legacy.
+        """Keys of every completed cell.
 
         For sealed segments this is one sidecar read each — O(segments),
         not O(cells) — which is what keeps ``--resume`` on a 10^5-cell
-        store at milliseconds instead of a directory scan.  Legacy cell
-        files are parse-validated individually: unparseable ones (torn
-        writes) do not count as completed, so a resumed campaign
-        re-executes them.
+        store at milliseconds instead of a directory scan.  A record
+        torn by a crash never counts, so a resumed campaign re-executes
+        its cell.
         """
         if self._index_cache is not None:
-            keys = set(self._index_cache)
-        else:
-            keys = set()
-            for segment in self._segment_paths():
-                keys.update(_segment_spans(segment)[0])
-        if not self.cells_dir.is_dir():
-            return keys
-        for path in sorted(self.cells_dir.glob("*.json")):
-            if path.stem not in keys and self._load(path) is not None:
-                keys.add(path.stem)
+            return set(self._index_cache)
+        keys: set[str] = set()
+        for segment in self._segment_paths():
+            keys.update(_segment_spans(segment)[0])
         return keys
 
     def iter_cell_bytes(self) -> Iterator[tuple[str, bytes]]:
         """Stream ``(key, raw payload bytes)`` for every stored cell.
 
-        Packed records come first, segment by segment in storage order
-        (memory bounded by one segment); a trusted segment's payloads
-        are sliced out by its sidecar spans, unparsed.  Legacy cell files
-        follow, skipping keys the segments already yielded (their bytes
-        are identical by the append-only verify).  Torn legacy files are
-        yielded raw so merge accounting can count them; torn *segment
-        tails* never yield — a record either scans whole or does not
-        exist yet.
+        Segment by segment in storage order (memory bounded by one
+        segment); a trusted segment's payloads are sliced out by its
+        sidecar spans, unparsed.  Torn segment tails never yield — a
+        record either scans whole or does not exist yet.  The segments
+        are listed when this is called, so a store the read guard
+        refuses raises here, not at the first ``next()``.
         """
-        has_files = self.cells_dir.is_dir() and any(
-            self.cells_dir.glob("*.json")
-        )
-        segments = self._segment_paths()
-        packed_keys: set[str] | None = (
-            set() if (has_files and segments) else None
-        )
+        return self._segment_cells(self._segment_paths())
+
+    @staticmethod
+    def _segment_cells(segments: list[Path]) -> Iterator[tuple[str, bytes]]:
         for segment in segments:
             spans, blob = _segment_spans(segment)
             if blob is None:
@@ -795,22 +769,14 @@ class CampaignStore:
             for key, (offset, length) in sorted(
                 spans.items(), key=lambda item: item[1][0]
             ):
-                if packed_keys is not None:
-                    packed_keys.add(key)
                 yield key, blob[offset : offset + length]
-        if has_files:
-            for path in sorted(self.cells_dir.glob("*.json")):
-                if packed_keys is not None and path.stem in packed_keys:
-                    continue
-                yield path.stem, path.read_bytes()
 
     def stream_cells(self) -> Iterator[tuple[str, dict]]:
         """Yield ``(key, payload)`` in storage order, streaming.
 
         Each payload is parsed in full: sequential segment scans, peak
-        memory bounded by one segment (plus, only for stores that still
-        hold legacy cell files, a set of packed keys for dedup).
-        Unparseable cells are skipped, matching :meth:`completed_keys`.
+        memory bounded by one segment.  Unparseable cells (a sealed
+        record damaged in place) are skipped.
         Reports do not come through here: they decode only each
         payload's ``aggregate`` and ``cell`` members from
         :meth:`iter_cell_bytes` (:func:`leading_members`).
@@ -821,10 +787,12 @@ class CampaignStore:
                 yield key, payload
 
     # ------------------------------------------------------------------
-    # Maintenance: recovery and legacy compaction
+    # Maintenance: recovery and the legacy-cell fold
     # ------------------------------------------------------------------
     def recover(self) -> list[str]:
-        """Repair what dead writers left; returns the repaired files' names.
+        """Repair what dead writers left and fold legacy cell files into
+        segments; returns the names of the files repaired, removed or
+        folded.
 
         Takes the writer lock (raising :class:`EvaluationError` while
         another writer is live) and holds it until :meth:`close`, so
@@ -833,11 +801,13 @@ class CampaignStore:
         removes ``*.tmp`` scratch files, rescans every sealed segment
         without a trusted sidecar — truncating a torn tail (removing a
         segment with no intact record) and rewriting the sidecar — and
-        removes legacy cell files that no longer parse.  A sealed segment
-        whose sidecar is trusted is not read at all, and each sidecar is
-        loaded once: the key index is left built from the spans read
-        here, so ``completed_keys`` and ``put_cell`` reuse it.  Safe to
-        call at the start of every run — a healthy store loses nothing.
+        folds the legacy ``cells/*.json`` files in (:meth:`_fold_cells`).
+        A sealed segment whose sidecar is trusted is not read at all, and
+        each sidecar is loaded once: the key index is left built from the
+        spans read here, so ``completed_keys`` and ``put_cell`` reuse it.
+        ``run_campaign``, ``merge_campaign_stores`` (on its destination)
+        and ``campaign compact`` call this first; a healthy store loses
+        nothing.
         """
         writer = self._segment_writer()
         removed, writer.recovered = writer.recovered, []
@@ -850,11 +820,7 @@ class CampaignStore:
             path.unlink(missing_ok=True)
             removed.append(path.name)
         removed.extend(self._recover_segments())
-        if self.cells_dir.is_dir():
-            for path in sorted(self.cells_dir.glob("*.json")):
-                if self._load(path) is None:
-                    path.unlink()
-                    removed.append(path.name)
+        removed.extend(self._fold_cells())
         return removed
 
     def _recover_segments(self) -> list[str]:
@@ -893,73 +859,60 @@ class CampaignStore:
         self._index_cache = index
         return repaired
 
-    def compact(self) -> CompactSummary:
-        """Fold legacy cell files into segments, then remove the files.
+    def _fold_cells(self) -> list[str]:
+        """Fold legacy cell files into segments; returns their names.
 
-        Runs under the writer lock and releases it when done.
-        Interruption-safe by ordering: every legacy cell is appended,
-        sealed and **byte-verified back out of the segments before any
-        file is removed** — a crash at any point leaves the legacy files
-        authoritative and the packed copies byte-equal, so rerunning
-        ``compact`` (or just reading the store) is always correct.
-        Unparseable cell files are left for :meth:`recover`.
+        Walks ``cells/*.json`` in sorted order: a file that does not
+        parse (a torn write) is removed, a key already packed is
+        byte-verified against its record (a mismatch raises), and any
+        other file is appended.  Only once the segments are sealed and
+        fsynced and every folded key read back out of them equals its
+        file is a folded file removed, so a crash at any point leaves
+        the files authoritative and the next :meth:`recover` finishes
+        the fold byte-identically.  Runs under the writer lock, on the
+        key index :meth:`_recover_segments` built.
         """
-        with obs.span("store.compact"):
-            writer = self._segment_writer()
-            try:
-                packed = already = skipped = 0
-                names: list[str] = []
-                cell_files = (
-                    sorted(self.cells_dir.glob("*.json"))
-                    if self.cells_dir.is_dir()
-                    else []
-                )
-                index = self._packed_index()
-                for path in cell_files:
-                    data = path.read_bytes()
-                    if self._parse(data) is None:
-                        skipped += 1
-                        continue
-                    key = path.stem
-                    names.append(key)
-                    location = index.get(key)
-                    if location is not None:
-                        if self._read_packed(location) != data:
-                            raise EvaluationError(
-                                f"cell {key} already packed with different "
-                                "bytes — determinism violation"
-                            )
-                        already += 1
-                        continue
-                    index[key] = writer.append(key, data)
-                    packed += 1
-                writer.seal_active()  # durable before removing any source
-                for key in names:
-                    location = index.get(key)
-                    data = self._read_packed(location) if location else None
-                    if data is None or data != self.cell_path(key).read_bytes():
-                        raise EvaluationError(
-                            f"compaction verify failed for cell {key} — "
-                            "legacy cell files left authoritative"
-                        )
-                for key in names:
-                    self.cell_path(key).unlink()
-            finally:
-                self.close()
+        files = sorted(self.cells_dir.glob("*.json"))
+        if not files:
+            return []
+        with obs.span("store.fold"):
+            index = self._packed_index()
+            folded = []
+            for path in files:
+                key, data = path.stem, path.read_bytes()
+                if self._parse(data) is None:
+                    path.unlink()
+                    continue
+                location = index.get(key)
+                if location is None:
+                    index[key] = self._writer.append(key, data)
+                elif self._read_packed(location) != data:
+                    raise EvaluationError(
+                        f"cell {key} already packed with different bytes — "
+                        "determinism violation; legacy cell files left "
+                        "authoritative"
+                    )
+                folded.append(path)
+            self._writer.seal_active()  # durable before removing any file
+            for path in folded:
+                if self._read_packed(index[path.stem]) != path.read_bytes():
+                    raise EvaluationError(
+                        f"fold verify failed for cell {path.stem} — legacy "
+                        "cell files left authoritative"
+                    )
+            for path in folded:
+                path.unlink()
             obs.event(
-                "store.compact",
+                "store.fold",
                 campaign=self.name,
-                packed=packed,
-                verified=len(names),
-                removed_files=len(names),
+                folded=len(folded),
+                torn=len(files) - len(folded),
             )
-            return CompactSummary(
-                packed=packed,
-                already_packed=already,
-                verified=len(names),
-                removed_files=len(names),
-                skipped_invalid=skipped,
-            )
+        try:
+            self.cells_dir.rmdir()  # a folded store looks like a packed one
+        except OSError:  # something other than cell files lives there
+            pass
+        return [path.name for path in files]
 
     @staticmethod
     def _parse(data: bytes) -> dict | None:
@@ -967,16 +920,6 @@ class CampaignStore:
             return json.loads(data)
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-
-    @staticmethod
-    def _load(path: Path) -> dict | None:
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def __len__(self) -> int:
-        return len(self.completed_keys())
 
 
 def list_campaigns(root: str | Path | None = None) -> list[str]:

@@ -409,33 +409,31 @@ class SweepEngine:
         protocol: SweepProtocol | None = None,
         base_config: MclConfig | None = None,
         progress=None,
-        cache: bool = True,
     ) -> dict[str, SweepResult]:
         """Sweep over generated scenarios as an additional cell axis.
 
         ``scenarios`` may mix :class:`~repro.scenarios.base.Scenario`
         instances, :class:`~repro.scenarios.base.ScenarioSpec` objects
         and spec strings (``family[:seed[:k=v+k=v]]``); specs are
-        resolved through the scenario registry (``cache`` controls its
-        ``.npz`` cache).  Each scenario contributes its own world and
-        recorded flight, swept over the full (variant, N) grid with the
-        protocol's seeds; the engine's keyed distance-field cache is
-        shared across scenarios, so repeated sweeps of the same worlds
-        never rebuild an EDT.  Returns one :class:`SweepResult` per
-        distinct scenario, keyed by the canonical spec id, in input
-        order; duplicate specs are swept once.
+        resolved through the scenario registry and its ``.npz`` cache.
+        Each scenario contributes its own world and recorded flight,
+        swept over the full (variant, N) grid with the protocol's seeds;
+        the engine's keyed distance-field cache is shared across
+        scenarios, so repeated sweeps of the same worlds never rebuild
+        an EDT.  Returns one :class:`SweepResult` per distinct scenario,
+        keyed by the canonical spec id, in input order; duplicate specs
+        are swept once.
 
         With ``jobs > 1`` every (scenario, variant, N) triple is a
-        :func:`fan_out` unit.  Specs resolved with ``cache=True`` ship as
-        scenario ids, and each id's cells are one pool task that loads or
-        generates the scenario once and builds each field once (the last
-        ``scenarios % jobs`` split into contiguous chunks), so the pool,
-        not the parent, generates them.  In-memory
-        :class:`~repro.scenarios.base.Scenario` instances and ``cache=False``
-        resolutions have no ``.npz`` to read back, so their world is
-        pickled into one task per cell.  Results are reassembled in
-        deterministic order and are bitwise identical to the sequential
-        sweep.
+        :func:`fan_out` unit.  Specs ship as scenario ids, and each id's
+        cells are one pool task that loads or generates the scenario
+        once and builds each field once (the last ``scenarios % jobs``
+        split into contiguous chunks), so the pool, not the parent,
+        generates them.  In-memory
+        :class:`~repro.scenarios.base.Scenario` instances have no
+        ``.npz`` to read back, so their world is pickled into one task
+        per cell.  Results are reassembled in deterministic order and
+        are bitwise identical to the sequential sweep.
 
         Example::
 
@@ -455,11 +453,11 @@ class SweepEngine:
         unique: dict[str, World] = {}  # distinct ids, in input order
         for item in scenarios:
             if not isinstance(item, Scenario):
-                if cache and self.jobs > 1:  # the pool generates or loads it
+                if self.jobs > 1:  # the pool generates or loads it
                     scenario_id = canonical_scenario_id(item)
                     unique.setdefault(scenario_id, scenario_id)
                     continue
-                item = build_scenario(item, cache=cache)
+                item = build_scenario(item)
             unique.setdefault(item.spec.id, (item.grid, [item.sequence]))
 
         if self.jobs == 1:

@@ -77,11 +77,9 @@ class SessionManager:
         self,
         backend: str = DEFAULT_BACKEND,
         base_config: MclConfig | None = None,
-        cache: bool = True,
     ) -> None:
         self.base_config = base_config or MclConfig()
         self.scheduler = StepScheduler(backend)
-        self.cache = cache
         self._sessions: dict[str, FilterSession] = {}
         self._scenarios: dict[str, Scenario] = {}
         self._plans: dict[tuple, ReplayPlan] = {}
@@ -182,7 +180,7 @@ class SessionManager:
         scenario = self._scenarios.get(spec.scenario)
         if scenario is None:
             obs.counter("serve.scenario_cache.misses").inc()
-            scenario = build_scenario(spec.scenario, cache=self.cache)
+            scenario = build_scenario(spec.scenario)
             while len(self._scenarios) >= _SCENARIO_CACHE_LIMIT:
                 self._scenarios.pop(next(iter(self._scenarios)))
             self._scenarios[spec.scenario] = scenario

@@ -2,10 +2,10 @@
 
 Stores written before packed segments became the only write path keep
 each cell as ``cells/<key>.json``.  Nothing under ``src/`` writes that
-layout any more, so the suites read it from a committed store
-(``data/legacy_store``: the four cells of the tiny two-world grid,
-written by the retired file-per-cell writer) or lay it out with
-``write_cell_files``.
+layout any more, and ``CampaignStore.recover`` folds it into segments,
+so the suites read it from a committed store (``data/legacy_store``:
+the four cells of the tiny two-world grid, written by the retired
+file-per-cell writer) or lay it out with ``write_cell_files``.
 """
 
 import shutil
@@ -21,7 +21,7 @@ LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
 def _write_cell_files(store: CampaignStore, cells: dict[str, bytes]) -> None:
     store.cells_dir.mkdir(parents=True, exist_ok=True)
     for key, data in cells.items():
-        store.cell_path(key).write_bytes(data)
+        (store.cells_dir / f"{key}.json").write_bytes(data)
 
 
 @pytest.fixture(scope="session")

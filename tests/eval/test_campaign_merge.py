@@ -106,13 +106,21 @@ class TestMerge:
 
     def test_torn_source_cells_are_skipped(self, sharded_stores, tmp_path):
         __, __, shard_a, __, __ = sharded_stores
-        torn_root = tmp_path / "torn"
-        source = CampaignStore("merge-test", root=torn_root)
+        source = CampaignStore("merge-test", root=tmp_path / "torn")
         # Identical manifest bytes: reuse the shard's.
         source.write_manifest(json.loads(shard_a.manifest_path.read_text()))
-        source.cells_dir.mkdir(parents=True, exist_ok=True)
-        (source.cells_dir / "torn.json").write_text('{"v": 1')  # truncated
+        with source:
+            source.put_cell("torn", {"v": 1})
+            source.put_cell("whole", {"v": 2})
+        # Damage the first sealed record in place, behind its trusted
+        # sidecar: the record is sliced out as-is and no longer parses.
+        segment, offset, length = source._packed_index()["torn"]
+        blob = bytearray(segment.read_bytes())
+        blob[offset + length - 3 : offset + length] = b"   "  # its closing brace
+        segment.write_bytes(bytes(blob))
+        assert CampaignStore("merge-test", root=source.root).get_cell("torn") is None
         dest = CampaignStore("merge-test", root=tmp_path / "dest")
         summary = merge_campaign_stores(dest, source)
         assert summary.skipped_invalid == 1
-        assert summary.copied == 0
+        assert summary.copied == 1
+        assert dest.completed_keys() == {"whole"}

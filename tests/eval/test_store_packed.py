@@ -1,12 +1,14 @@
-"""Packed segments: the one write path, its lock, crash-safety, legacy cells.
+"""Packed segments: the one layout, its lock, crash-safety, the legacy fold.
 
 The contract under test: cell payload bytes are a pure function of the
-cell key whether they sit in a segment or in a legacy ``cells/`` file,
-resume is exact (zero recomputation for intact cells, re-execution only
-of lost ones), one writer at a time holds a store, and every crash
-mode — killed writer, torn segment tail, lost sidecar, interrupted
-compaction — degrades to a recoverable state where the surviving copy
-is authoritative.
+cell key, and a legacy ``cells/`` file folds into a segment record of
+exactly its bytes; no read merges the two layouts (a store that still
+holds cell files is refused until ``recover()`` folds them); resume is
+exact (zero recomputation for intact cells, re-execution only of lost
+ones); one writer at a time holds a store; and every crash mode —
+killed writer, torn segment tail, lost sidecar, interrupted fold —
+degrades to a recoverable state where the surviving copy is
+authoritative.
 """
 
 import json
@@ -77,6 +79,8 @@ class TestPackedTier:
 
     def test_completed_keys_and_gets_match(self, packed_store, legacy_store):
         expected = {cell.key for cell in LEGACY_SPEC.cells()}
+        with legacy_store:
+            legacy_store.recover()  # folds the cell files into segments
         assert packed_store.completed_keys() == expected
         assert legacy_store.completed_keys() == expected
         for cell in LEGACY_SPEC.cells():
@@ -84,15 +88,25 @@ class TestPackedTier:
                 cell.key
             )
 
-    def test_new_cells_append_packed_on_legacy_stores(self, legacy_store):
+    def test_new_cells_append_packed_on_legacy_stores(
+        self, legacy_store, legacy_cells
+    ):
         files = sorted(legacy_store.cells_dir.glob("*.json"))
         with legacy_store:
             path = legacy_store.put_cell("k-new", {"v": 1})
         assert path.parent == legacy_store.segments_dir
         assert sorted(legacy_store.cells_dir.glob("*.json")) == files
+        # A put does not fold: readers refuse the store until recover().
         reread = CampaignStore("legacy", root=legacy_store.root)
+        with pytest.raises(EvaluationError, match="repro campaign compact legacy"):
+            reread.get_cell("k-new")
+        with reread:
+            reread.recover()
         assert reread.get_cell("k-new") == {"v": 1}
-        assert len(reread) == len(files) + 1
+        assert cell_bytes(reread) == {
+            **legacy_cells,
+            "k-new": canonical_json_bytes({"v": 1}),
+        }
 
     def test_invalid_tier_rejected(self, tmp_path):
         for tier in ("auto", "file", "zip"):
@@ -172,7 +186,7 @@ class TestPackedTier:
         with CampaignStore(spec.name, root=store.root) as after:
             assert after.recover() == []
             after.put_cell("k-after", {"v": 1})
-        assert len(CampaignStore(spec.name, root=store.root)) == 3
+        assert len(CampaignStore(spec.name, root=store.root).completed_keys()) == 3
 
 
 class TestCrashSafety:
@@ -197,7 +211,7 @@ class TestCrashSafety:
             repaired = fresh.recover()
         assert segment.name in repaired
         assert segment.read_bytes() == intact
-        assert len(CampaignStore("crash", root=store.root)) == 40
+        assert len(CampaignStore("crash", root=store.root).completed_keys()) == 40
 
     def test_torn_open_segment_sealed_by_next_writer(self, tmp_path):
         root = tmp_path / "s"
@@ -238,17 +252,14 @@ class TestCrashSafety:
         self, tmp_path, monkeypatch, write_cell_files
     ):
         root = tmp_path / "s"
-        store = CampaignStore("crash", root=root)
-        payloads = {f"cell-{index:04d}": {"index": index} for index in range(12)}
-        write_cell_files(
-            store,
-            {key: canonical_json_bytes(value) for key, value in payloads.items()},
-        )
-        before = cell_bytes(store)
+        cells = {
+            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            for index in range(12)
+        }
+        write_cell_files(CampaignStore("crash", root=root), cells)
 
-        # Crash mid-deletion: verification has passed, some (but not
-        # all) source files are gone.  Packed copies were byte-verified
-        # before the first delete, so nothing is lost either way.
+        # Crash mid-deletion: the fold has sealed and byte-verified every
+        # packed copy, and some (but not all) cell files are gone.
         real_unlink = Path.unlink
         state = {"deletes": 0}
 
@@ -256,35 +267,37 @@ class TestCrashSafety:
             if self.suffix == ".json" and self.parent.name == "cells":
                 state["deletes"] += 1
                 if state["deletes"] > 3:
-                    raise OSError("simulated crash mid-compaction")
+                    raise OSError("simulated crash mid-fold")
             return real_unlink(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "unlink", crashy_unlink)
-        victim = CampaignStore("crash", root=root)
-        with pytest.raises(OSError, match="simulated crash"):
-            victim.compact()
+        with CampaignStore("crash", root=root) as victim:
+            with pytest.raises(OSError, match="simulated crash"):
+                victim.recover()
         monkeypatch.setattr(Path, "unlink", real_unlink)
 
-        # The store still answers every key with the original bytes.
+        # The surviving files stay authoritative: a reader refuses the
+        # store instead of merging two layouts.
         survivor = CampaignStore("crash", root=root)
-        assert cell_bytes(survivor) == before
-        assert survivor.completed_keys() == set(payloads)
-        remaining = len(list(survivor.cells_dir.glob("*.json")))
-        assert remaining == len(payloads) - 3
-        # Re-running compaction completes the migration byte-identically:
-        # every surviving file is already packed (verified pre-delete).
-        summary = CampaignStore("crash", root=root).compact()
-        assert summary.already_packed == remaining
-        assert summary.removed_files == remaining
-        compacted = CampaignStore("crash", root=root)
-        assert cell_bytes(compacted) == before
-        assert not list(compacted.cells_dir.glob("*.json"))
+        remaining = sorted(path.name for path in survivor.cells_dir.glob("*.json"))
+        assert len(remaining) == len(cells) - 3
+        with pytest.raises(EvaluationError, match="repro campaign compact crash"):
+            survivor.completed_keys()
+        # A second recover() finishes the fold byte-identically: every
+        # surviving file is already packed (verified before the first
+        # delete), so none is appended twice.
+        with survivor:
+            assert survivor.recover() == remaining
+        folded = CampaignStore("crash", root=root)
+        assert list(folded.iter_cell_bytes()) == sorted(cells.items())
+        assert not folded.cells_dir.exists()
 
     def test_partially_packed_store_reads_consistently(
         self, tmp_path, write_cell_files
     ):
-        # The moment *before* compaction deletes anything: every cell a
-        # legacy file, half also packed.  Reads dedupe and agree.
+        # The moment before a fold deletes anything: every cell a legacy
+        # file, half also packed.  Readers refuse the mix; recover()
+        # appends only the other half, and every key reads once.
         root = tmp_path / "s"
         cells = {
             f"cell-{index:04d}": canonical_json_bytes({"index": index})
@@ -295,9 +308,82 @@ class TestCrashSafety:
                 half.put_cell_bytes(key, cells[key])
         mixed = CampaignStore("crash", root=root)
         write_cell_files(mixed, cells)
-        assert len(mixed._packed_index()) == 5
-        assert cell_bytes(mixed) == cells
-        assert len(mixed.completed_keys()) == 10
+        with pytest.raises(EvaluationError, match="repro campaign compact crash"):
+            mixed.iter_cell_bytes()
+        with mixed:
+            assert len(mixed.recover()) == 10
+        folded = CampaignStore("crash", root=root)
+        assert list(folded.iter_cell_bytes()) == sorted(cells.items())
+        assert folded.completed_keys() == set(cells)
+
+    def test_fold_interrupted_before_sealing_finishes_on_the_next_recover(
+        self, tmp_path, monkeypatch, write_cell_files
+    ):
+        root = tmp_path / "s"
+        cells = {
+            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            for index in range(12)
+        }
+        write_cell_files(CampaignStore("crash", root=root), cells)
+        encode = store_module._encode_record
+
+        def crashy_encode(key, data):
+            if key == "cell-0005":
+                raise OSError("simulated crash mid-append")
+            return encode(key, data)
+
+        monkeypatch.setattr(store_module, "_encode_record", crashy_encode)
+        with CampaignStore("crash", root=root) as victim:
+            with pytest.raises(OSError, match="simulated crash"):
+                victim.recover()
+        monkeypatch.setattr(store_module, "_encode_record", encode)
+        assert len(list(victim.cells_dir.glob("*.json"))) == len(cells)
+        with CampaignStore("crash", root=root) as survivor:
+            survivor.recover()
+        folded = CampaignStore("crash", root=root)
+        assert list(folded.iter_cell_bytes()) == sorted(cells.items())
+
+    def test_fold_removes_no_file_until_every_record_reads_back(
+        self, tmp_path, monkeypatch, write_cell_files
+    ):
+        root = tmp_path / "s"
+        cells = {
+            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            for index in range(6)
+        }
+        write_cell_files(CampaignStore("crash", root=root), cells)
+        encode = store_module._encode_record
+
+        def flipping_encode(key, data):  # one record lands with a changed byte
+            if key == "cell-0004":
+                data = data.replace(b"4", b"5")
+            return encode(key, data)
+
+        monkeypatch.setattr(store_module, "_encode_record", flipping_encode)
+        with CampaignStore("crash", root=root) as victim:
+            with pytest.raises(EvaluationError, match="verify failed .* cell-0004"):
+                victim.recover()
+        left = sorted(path.stem for path in victim.cells_dir.glob("*.json"))
+        assert left == sorted(cells)
+
+    def test_fold_refuses_a_file_that_disagrees_with_its_record(
+        self, tmp_path, write_cell_files
+    ):
+        root = tmp_path / "s"
+        with CampaignStore("crash", root=root) as store:
+            store.put_cell("cell-0000", {"index": 0})
+        write_cell_files(
+            store,
+            {
+                "cell-0000": canonical_json_bytes({"index": 1}),
+                "cell-0001": canonical_json_bytes({"index": 1}),
+            },
+        )
+        with CampaignStore("crash", root=root) as folding:
+            with pytest.raises(EvaluationError, match="different bytes"):
+                folding.recover()
+        # Nothing was removed: the files wait for an operator.
+        assert len(list(store.cells_dir.glob("*.json"))) == 2
 
 
 class TestOneReadRule:
@@ -421,46 +507,71 @@ class TestOneReadRule:
 
 
 class TestLegacyStore:
-    """A store written by the retired file-per-cell writer stays usable."""
+    """A store written by the retired file-per-cell writer folds in once."""
 
-    def test_resume_executes_nothing(self, legacy_store):
+    def test_resume_executes_nothing(self, legacy_store, legacy_cells):
         summary = run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)
         assert summary.executed == 0
         assert summary.skipped == summary.total_cells == 4
-        assert not list(legacy_store.segments_dir.glob("seg-*"))
+        assert summary.recovered_files == [
+            f"{key}.json" for key in sorted(legacy_cells)
+        ]
+        assert not legacy_store.cells_dir.exists()
+        assert list(legacy_store.iter_cell_bytes()) == sorted(legacy_cells.items())
 
-    def test_status_and_report_match_a_packed_copy(self, legacy_store, tmp_path):
-        packed = CampaignStore("legacy", root=tmp_path / "packed")
-        merge_campaign_stores(packed, legacy_store)
-        assert not packed.cells_dir.exists()
+    def test_status_and_report_match_a_packed_copy(
+        self, legacy_store, packed_store
+    ):
+        run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)  # folds
         status = campaign_status("legacy", store=legacy_store)
-        packed_status = campaign_status("legacy", store=packed)
+        packed_status = campaign_status("legacy", store=packed_store)
         assert status.pop("store_root") != packed_status.pop("store_root")
         assert status == packed_status
         assert status["completed"] == status["total"] == 4
         assert aggregate_report("legacy", store=legacy_store) == aggregate_report(
-            "legacy", store=packed
+            "legacy", store=packed_store
         )
 
     def test_compact_packs_verifies_and_retires_every_file(
         self, legacy_store, legacy_cells
     ):
-        summary = legacy_store.compact()
-        assert summary.packed == summary.verified == summary.removed_files == 4
-        assert summary.already_packed == summary.skipped_invalid == 0
-        assert not list(legacy_store.cells_dir.glob("*.json"))
-        assert cell_bytes(legacy_store) == legacy_cells
+        with legacy_store:  # what ``repro campaign compact`` runs
+            assert legacy_store.recover() == [
+                f"{key}.json" for key in sorted(legacy_cells)
+            ]
+        assert not legacy_store.cells_dir.exists()
+        assert list(legacy_store.iter_cell_bytes()) == sorted(legacy_cells.items())
+        with legacy_store:
+            assert legacy_store.recover() == []  # a folded store is healthy
 
     def test_lost_cell_file_re_executes_into_a_segment(
         self, legacy_store, legacy_cells
     ):
         lost = sorted(legacy_cells)[1]
-        legacy_store.cell_path(lost).unlink()
+        (legacy_store.cells_dir / f"{lost}.json").unlink()
         summary = run_campaign(LEGACY_SPEC, store=legacy_store, resume=True)
         assert summary.executed == 1 and summary.skipped == 3
-        assert not legacy_store.cell_path(lost).exists()
-        assert set(legacy_store._packed_index()) == {lost}
+        # The three files were folded first; the lost cell came after.
+        assert [key for key, __ in legacy_store.iter_cell_bytes()][-1] == lost
         assert cell_bytes(legacy_store) == legacy_cells
+
+    def test_reads_of_an_unfolded_store_name_compact(self, legacy_store, tmp_path):
+        hint = "repro campaign compact legacy"
+        with pytest.raises(EvaluationError, match=hint):
+            legacy_store.completed_keys()
+        with pytest.raises(EvaluationError, match=hint):
+            legacy_store.iter_cell_bytes()
+        with pytest.raises(EvaluationError, match=hint):
+            campaign_status("legacy", store=legacy_store)
+        with pytest.raises(EvaluationError, match=hint):
+            aggregate_report("legacy", store=legacy_store)
+        dest = CampaignStore("legacy", root=tmp_path / "dest")
+        with pytest.raises(EvaluationError, match=hint):
+            merge_campaign_stores(dest, legacy_store)
+        assert not dest.root.exists()  # refused before anything was written
+        # A refused read folds nothing and removes nothing.
+        assert len(list(legacy_store.cells_dir.glob("*.json"))) == 4
+        assert not legacy_store.segments_dir.exists()
 
 
 class TestTierMixes:
@@ -477,19 +588,20 @@ class TestTierMixes:
         )
         packed_shard = CampaignStore(spec.name, root=tmp_path / "shard1")
         run_campaign(spec, store=packed_shard, shard=(1, 2))
-        for store, shard in zip((legacy_shard, packed_shard), shards):
-            assert len(cell_bytes(store)) == len(shard)
+        assert len(cell_bytes(packed_shard)) == len(shards[1])
+        # A legacy source is refused until it is folded ...
         dest = CampaignStore(spec.name, root=tmp_path / "dest")
-        first = merge_campaign_stores(dest, legacy_shard)
-        second = merge_campaign_stores(dest, packed_shard)
-        assert first.copied == len(shards[0])
-        assert second.copied == len(shards[1])
-        assert cell_bytes(dest) == legacy_cells
-        # A legacy store is a merge destination too: new cells land in
-        # its segments, next to its cell files.
+        with pytest.raises(EvaluationError, match="repro campaign compact"):
+            merge_campaign_stores(dest, legacy_shard)
+        # ... and a legacy destination folds itself, then copies.
         into_legacy = merge_campaign_stores(legacy_shard, packed_shard)
         assert into_legacy.copied == len(shards[1])
+        assert not legacy_shard.cells_dir.exists()
         assert cell_bytes(legacy_shard) == legacy_cells
+        # Folded, it is an ordinary source.
+        merged = merge_campaign_stores(dest, legacy_shard)
+        assert merged.copied == len(legacy_cells)
+        assert cell_bytes(dest) == legacy_cells
 
     def test_resume_after_partial_segment_loss(
         self, packed_store, legacy_cells, tmp_path

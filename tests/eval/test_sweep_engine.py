@@ -112,16 +112,16 @@ def _assert_fanout_matches_inline(backend, grid, sequence):
     assert _cell_signatures(inline) == _cell_signatures(fanned)
 
 
-def _assert_scenario_fanout_matches_inline(scenarios, backend, cache=True):
+def _assert_scenario_fanout_matches_inline(scenarios, backend):
     # Scenario sweeps fan out at (scenario, cell) granularity; the
     # reassembled per-scenario results must match the sequential path
     # run for run (mirrors _assert_fanout_matches_inline).
     protocol = SweepProtocol(sequence_count=1, seeds=(0, 1))
     inline = SweepEngine(backend=backend, jobs=1).run_scenarios(
-        scenarios, ["fp32"], [16, 32], protocol=protocol, cache=cache
+        scenarios, ["fp32"], [16, 32], protocol=protocol
     )
     fanned = SweepEngine(backend=backend, jobs=2).run_scenarios(
-        scenarios, ["fp32"], [16, 32], protocol=protocol, cache=cache
+        scenarios, ["fp32"], [16, 32], protocol=protocol
     )
     assert list(inline) == list(fanned)  # same scenarios, same order
     for scenario_id in inline:
@@ -192,12 +192,13 @@ class TestSweepEngine:
 
     def test_scenario_fanout_pickles_in_memory_worlds(self):
         # An in-memory Scenario rides next to a registry id in one pool;
-        # with cache=False every world is pickled into its tasks.
+        # with only in-memory Scenarios every world is pickled into its
+        # tasks.
         from repro.scenarios.registry import build_scenario
 
-        office = build_scenario(SCENARIOS[1])
+        corridor, office = (build_scenario(spec) for spec in SCENARIOS)
         _assert_scenario_fanout_matches_inline([SCENARIOS[0], office], "fast")
-        _assert_scenario_fanout_matches_inline(SCENARIOS, "fast", cache=False)
+        _assert_scenario_fanout_matches_inline([corridor, office], "fast")
 
     def test_worker_task_resolves_one_backend_per_process(self, monkeypatch):
         # A scenario task resolves the backend once, loads the scenario

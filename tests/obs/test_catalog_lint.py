@@ -147,7 +147,7 @@ def test_reads_names_from_multiline_calls():
     emitted, _ = emitted_names()
     # Both are ``obs.event(`` calls whose name sits on the next line.
     assert "campaign.cell" in emitted
-    assert "store.compact" in emitted
+    assert "store.fold" in emitted
 
 
 def test_resolves_names_bound_to_module_constants():

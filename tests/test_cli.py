@@ -248,6 +248,60 @@ class TestCommands:
         assert main(base) == 0
         assert "1 cells executed" in capsys.readouterr().out
 
+    def test_campaign_list_and_compact_on_a_legacy_store(self, capsys):
+        import shutil
+
+        from repro.common.errors import EvaluationError
+        from repro.eval.store import campaigns_root
+
+        legacy = Path(__file__).parent / "eval" / "data" / "legacy_store"
+        for name in ("cli-legacy", "cli-legacy-folded"):
+            shutil.copytree(legacy, campaigns_root() / name)
+        assert main(["campaign", "compact", "cli-legacy-folded"]) == 0
+        cells = sorted(path.name for path in (legacy / "cells").glob("*.json"))
+        assert capsys.readouterr().out.strip() == (
+            "compacted campaign 'cli-legacy-folded': 4 files folded into "
+            "segments, removed or repaired: " + ", ".join(cells)
+        )
+        assert main(["campaign", "compact", "cli-legacy-folded"]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "compacted campaign 'cli-legacy-folded': 0 files folded into "
+            "segments, removed or repaired"
+        )
+        # One store that was never recovered does not stop the listing:
+        # its row names the command that folds it.
+        assert main(["campaign", "list"]) == 0
+        rows = {
+            line.split("|")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert "repro campaign compact cli-legacy" in rows["cli-legacy"]
+        assert "4/4" in rows["cli-legacy-folded"]
+        with pytest.raises(EvaluationError, match="campaign compact cli-legacy"):
+            main(["campaign", "status", "cli-legacy"])
+
+    def test_campaign_run_folds_a_legacy_store(self, capsys):
+        import shutil
+
+        from repro.eval.store import campaigns_root
+
+        legacy = Path(__file__).parent / "eval" / "data" / "legacy_store"
+        root = campaigns_root() / "legacy"  # the name its manifest holds
+        shutil.copytree(legacy, root)
+        for index in range(10):  # torn writes are removed, and named too
+            (root / "cells" / f"torn-{index}.json").write_text('{"v": ')
+        assert main(["campaign", "run", "legacy", "--scenarios",
+                     "corridor:2:flight_s=6.0,office:1:flight_s=6.0",
+                     "--variants", "fp32", "--particles", "16,32",
+                     "--seeds", "0,1", "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "0 cells executed, 4 skipped" in out
+        (line,) = [line for line in out.splitlines() if "folded" in line]
+        label = "recovered partial files and folded legacy cell files: "
+        assert line.startswith(label) and line.endswith(" and 6 more")
+        assert len(line[len(label) :].split(", ")) == 8
+        assert not (root / "cells").exists()
+
     def test_serve_sim(self, capsys):
         fleet = "corridor:2:flight_s=6.0@fp32@32*2,office:2:flight_s=6.0@fp16qm@32*2~2"
         assert main(["serve-sim", "--fleet", fleet]) == 0
