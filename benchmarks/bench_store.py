@@ -9,9 +9,9 @@ measures:
 1. **packed write** — the append path at scale,
 2. **resume scan** — ``completed_keys()`` on a cold store: one index
    sidecar read per sealed segment,
-3. **streaming report** — every cell's leading ``aggregate`` and
-   ``cell`` members decoded by :func:`~repro.eval.store.leading_members`,
-   as ``campaign report`` decodes them (skipping the ``runs``), and the
+3. **streaming report** — every cell's leading ``aggregate`` member
+   decoded by :func:`~repro.eval.store.leading_members`, as ``campaign
+   report`` decodes it (skipping the ``cell`` and ``runs``), and the
    aggregates folded by :class:`~repro.eval.aggregate.RunningCellStats`,
 4. **legacy fold** — the same cells laid out as ``cells/<key>.json``
    files, the layout stores written before segments hold, then folded
@@ -151,7 +151,7 @@ def _phase_report(root: Path, cells: int) -> dict:
     stats = RunningCellStats()
     elapsed = _timed()
     for __, data in CampaignStore("bench", root=root).iter_cell_bytes():
-        members = leading_members(data, ("aggregate", "cell"))
+        members = leading_members(data, ("aggregate",))
         if members is not None:
             stats.add(members[0])
     return {

@@ -23,9 +23,12 @@ survives at paper-study scale:
 * **resumability** — a killed campaign restarts with ``resume=True`` and
   re-executes exactly the cells that are missing or torn; the
   final store is **byte-identical** to an uninterrupted run;
-* **queryability** — :func:`campaign_status` and
-  :func:`aggregate_report` answer progress and accuracy questions from
-  the store alone, with no recomputation.
+* **queryability** — :func:`campaign_status`, :func:`aggregate_report`
+  and :func:`pivot_report` answer progress and accuracy questions from
+  the store alone, with no recomputation.  They walk the spec's grid
+  once (:meth:`CampaignSpec.keyed_cells`) and take each stored cell's
+  identity from the key it is stored under, never from its payload: a
+  key outside the grid is a stray, whatever its payload claims.
 
 Determinism contract: a cell's stored bytes are a pure function of its
 content key.  The filter backends are bitwise-equivalent, run order
@@ -41,6 +44,7 @@ import hashlib
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterator
 
 from .. import obs
@@ -92,9 +96,45 @@ def _variant_key_parts(variant: str) -> tuple[str, str, str | None]:
 
 
 @lru_cache(maxsize=4096)
+def _identity_template(
+    variant: str, particle_count: int, seeds: tuple[int, ...]
+) -> tuple[str, bytes, bytes]:
+    """``(infix, head, tail)``: every part of a cell key but the scenario's.
+
+    A cell's identity dict is encoded by :func:`canonical_json_bytes`
+    with an empty scenario, and the bytes are split around that empty
+    string, so ``head + escaped scenario id + tail`` are the identity's
+    canonical bytes for any scenario (the encoder writes a string
+    through the same ``json.encoder`` escaper).  ``infix`` is the
+    filename's ``-<label>-n<N>-``.  A grid repeats each (variant, N) in
+    every scenario, so this runs once per distinct value per process.
+    """
+    spec_id, label, fingerprint = _variant_key_parts(variant)
+    identity = {
+        "scenario": "",
+        "variant": spec_id,
+        "particle_count": particle_count,
+        "seeds": list(seeds),
+    }
+    if fingerprint is not None:
+        identity["config_fingerprint"] = fingerprint
+    encoded = canonical_json_bytes(identity)
+    slot = encoded.index(b'"scenario": ""') + len(b'"scenario": ')
+    return f"-{label}-n{particle_count}-", encoded[:slot], encoded[slot + 2 :]
+
+
+@lru_cache(maxsize=4096)
 def _scenario_stem(scenario: str) -> str:
     """The scenario's share of :attr:`CampaignCell.key` (its cache stem)."""
     return ScenarioSpec.parse(scenario).cache_stem
+
+
+def _content_key(
+    stem: str, escaped: bytes, template: tuple[str, bytes, bytes]
+) -> str:
+    """A cell key from its scenario's stem and escaped id and its template."""
+    infix, head, tail = template
+    return stem + infix + hashlib.sha256(head + escaped + tail).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -122,26 +162,18 @@ class CampaignCell:
         Pure paper variants at default parameters keep the exact key
         (identity dict *and* filename) the pre-config-axis store used,
         so existing campaign stores resume with zero recomputation;
-        ablated configs add the config fingerprint to both.  A grid
-        repeats each variant and scenario in many cells, so their parts
-        come from per-process memos keyed by the variant string and the
-        scenario id (:func:`_variant_key_parts`, :func:`_scenario_stem`)
-        and a cell pays only for its identity digest — which is still
-        what bounds a resume or status query, well above the store's
-        index read.  Cached per cell instance too (the digest is pure).
+        ablated configs add the config fingerprint to both.  The digest
+        hashes the identity's canonical bytes: the (variant, N, seeds)
+        template (:func:`_identity_template`) with the escaped scenario
+        id in its slot, the formula :meth:`CampaignSpec.keyed_cells`
+        walks a whole grid with.  Cached per cell instance too (the
+        digest is pure).
         """
-        spec_id, label, fingerprint = _variant_key_parts(self.variant)
-        identity = {
-            "scenario": self.scenario,
-            "variant": spec_id,
-            "particle_count": self.particle_count,
-            "seeds": list(self.seeds),
-        }
-        if fingerprint is not None:
-            identity["config_fingerprint"] = fingerprint
-        digest = hashlib.sha256(canonical_json_bytes(identity)).hexdigest()[:12]
-        stem = _scenario_stem(self.scenario)
-        return f"{stem}-{label}-n{self.particle_count}-{digest}"
+        return _content_key(
+            _scenario_stem(self.scenario),
+            _escape(self.scenario).encode(),
+            _identity_template(self.variant, self.particle_count, self.seeds),
+        )
 
     def sweep_cell(self, base_config: MclConfig) -> SweepCellSpec:
         spec = _parse_spec(self.variant)
@@ -215,6 +247,30 @@ class CampaignSpec:
             for variant in self.variants
             for count in self.particle_counts
         ]
+
+    def keyed_cells(self) -> dict[str, tuple[str, str, int]]:
+        """``{key: (scenario, variant, N)}`` for every cell, in :meth:`cells` order.
+
+        The one grid walk that resume, shards, status and both reports
+        go through.  Each key equals its :class:`CampaignCell`'s
+        :attr:`~CampaignCell.key`, by the same formula, but the
+        scenario's stem and escaped id are computed once per scenario
+        and each (variant, N) template is looked up once per walk, so a
+        cell costs one digest.  Every call derives every key again.
+        """
+        templates = [
+            (variant, count, _identity_template(variant, count, self.seeds))
+            for variant in self.variants
+            for count in self.particle_counts
+        ]
+        keyed: dict[str, tuple[str, str, int]] = {}
+        for scenario in self.scenarios:
+            stem = _scenario_stem(scenario)
+            escaped = _escape(scenario).encode()
+            for variant, count, template in templates:
+                key = _content_key(stem, escaped, template)
+                keyed[key] = (scenario, variant, count)
+        return keyed
 
     def to_manifest(self) -> dict:
         return {
@@ -335,7 +391,9 @@ def run_campaign(
     and the completed store is byte-identical to an uninterrupted run.
     Without ``resume``, every cell is recomputed and verified against
     any bytes already stored (a mismatch raises — it would mean the
-    determinism contract broke).
+    determinism contract broke).  The keys come from one walk of the
+    grid (:meth:`CampaignSpec.keyed_cells`), and a :class:`CampaignCell`
+    is built only for a cell that runs.
 
     ``jobs=1`` loads one scenario at a time, and the backend it builds
     keeps at most :data:`repro.engine.batched._PLAN_CACHE_LIMIT` replay
@@ -373,27 +431,26 @@ def run_campaign(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if shard is None:
-        cells = spec.cells()
-    else:
+    cells = list(spec.keyed_cells().items())
+    if shard is not None:
         index, count = shard
         if not 0 <= index < count:
             raise ConfigurationError(
                 f"shard index must be in [0, {count}), got {index}"
             )
-        cells = shard_cells(spec, count)[index]
+        cells = cells[index::count]  # the shard_cells split
     if store is None:
         store = CampaignStore(spec.name)
     base_config = MclConfig()
 
-    def finish(cell: CampaignCell, runs: list[RunResult]) -> None:
+    def finish(key: str, cell: CampaignCell, runs: list[RunResult]) -> None:
         with obs.span("campaign.cell_store"):
-            store.put_cell(cell.key, cell_payload(cell, runs))
+            store.put_cell(key, cell_payload(cell, runs))
         obs.counter("campaign.cells_executed").inc()
         obs.event(
             "campaign.cell",
             campaign=spec.name,
-            key=cell.key,
+            key=key,
             scenario=cell.scenario,
             variant=cell.variant,
             particle_count=cell.particle_count,
@@ -402,14 +459,18 @@ def run_campaign(
             done = sum(1 for r in runs if r.metrics.success)
             progress(
                 f"{cell.scenario} {cell.variant} N={cell.particle_count}: "
-                f"{done}/{len(runs)} successful runs -> {cell.key}"
+                f"{done}/{len(runs)} successful runs -> {key}"
             )
 
     with store:  # close() seals the active segment and releases the lock
         recovered = store.recover()
         store.write_manifest(spec.to_manifest())
         completed = store.completed_keys() if resume else set()
-        pending = [cell for cell in cells if cell.key not in completed]
+        pending = [
+            (key, CampaignCell(*identity, spec.seeds))
+            for key, identity in cells
+            if key not in completed
+        ]
         skipped = len(cells) - len(pending)
         if progress is not None and skipped:
             progress(f"resume: {skipped}/{len(cells)} cells already stored")
@@ -428,7 +489,7 @@ def run_campaign(
             executor = get_backend(backend)
             field_cache = DistanceFieldCache()
             loaded_id, scenario = None, None
-            for cell in pending:
+            for key, cell in pending:
                 if cell.scenario != loaded_id:
                     scenario = build_scenario(cell.scenario, cache=True)
                     loaded_id = cell.scenario
@@ -444,18 +505,18 @@ def run_campaign(
                     fld,
                     executor,
                 )
-                finish(cell, runs)
+                finish(key, cell, runs)
         else:
             # Forked workers share the lock's file description; closing
             # the generator shuts the pool down before the lock is
             # released, on error paths too.
             units = [
                 (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
-                for cell in pending
+                for _, cell in pending
             ]
             with closing(fan_out(units, backend, jobs)) as finished:
                 for index, runs in finished:
-                    finish(pending[index], runs)
+                    finish(*pending[index], runs)
 
     return CampaignRunSummary(
         name=spec.name,
@@ -568,61 +629,66 @@ def campaign_status(name: str, store: CampaignStore | None = None) -> dict:
 
     One pass: the store answers :meth:`~CampaignStore.completed_keys`
     from its segment index (O(segments) sidecar reads), and the expected
-    grid is walked once, deriving each cell's key.  Key derivation, not
-    the index read, bounds the query: one identity digest per cell, with
-    each fingerprint and scenario stem computed once per distinct value
-    (see :attr:`CampaignCell.key`).
+    grid is walked once (:meth:`CampaignSpec.keyed_cells`), deriving
+    every key: one digest per cell, with each scenario's stem and each
+    (variant, N) identity template computed once per distinct value.
     """
     if store is None:
         store = CampaignStore(name)
     spec = load_campaign(name, store)
     with obs.span("campaign.status"):
         completed = store.completed_keys()
-        cells = spec.cells()
-        by_scenario: dict[str, dict[str, int]] = {}
+        keyed = spec.keyed_cells()
+        by_scenario = {
+            scenario: {"done": 0, "total": 0} for scenario in spec.scenarios
+        }
         done = 0
-        for cell in cells:
-            entry = by_scenario.setdefault(
-                cell.scenario, {"done": 0, "total": 0}
-            )
+        for key, (scenario, _, _) in keyed.items():
+            entry = by_scenario[scenario]
             entry["total"] += 1
-            if cell.key in completed:
+            if key in completed:
                 entry["done"] += 1
                 done += 1
     return {
         "name": name,
-        "total": len(cells),
+        "total": len(keyed),
         "completed": done,
         "scenarios": by_scenario,
         "store_root": str(store.root),
     }
 
 
-#: The members a report reads, the first two of every stored cell.
-_REPORTED_MEMBERS = ("aggregate", "cell")
+#: The one member a report reads, the first of every stored cell.
+_REPORTED_MEMBERS = ("aggregate",)
 
 
-def _reported_cells(store: CampaignStore) -> Iterator[tuple[str, str, int, object]]:
-    """``(scenario, variant, N, aggregate)`` of each well-formed stored cell.
+def _reported_cells(
+    store: CampaignStore, spec: CampaignSpec
+) -> Iterator[tuple[str, str, int, object]]:
+    """``(scenario, variant, N, aggregate)`` of each reported stored cell.
 
-    Decodes only each payload's leading ``aggregate`` and ``cell``
-    members (:func:`~repro.eval.store.leading_members`), in storage
-    order.  A payload without both in the canonical layout, or whose
-    ``cell`` names no scenario, variant and integer N, is malformed: it
-    is skipped and counted in ``campaign.report_malformed``.  The
-    ``runs`` after those members are neither decoded nor validated.
+    Walks :meth:`~CampaignStore.iter_cell_bytes` in storage order
+    against the grid's :meth:`CampaignSpec.keyed_cells`: a cell's
+    identity is the one its key was derived from, so a payload cannot
+    speak for another cell.  A stored key outside the grid is a
+    stray, skipped and counted in ``campaign.report_stray``.  Of a grid
+    cell's payload only the leading ``aggregate`` member is decoded
+    (:func:`~repro.eval.store.leading_members`); a payload without it in
+    the canonical layout is malformed, skipped and counted in
+    ``campaign.report_malformed``.  The ``cell`` and ``runs`` members
+    after it are neither decoded nor validated.
     """
-    for _key, data in store.iter_cell_bytes():
+    keyed = spec.keyed_cells()
+    for key, data in store.iter_cell_bytes():
+        identity = keyed.get(key)
+        if identity is None:
+            obs.counter("campaign.report_stray").inc()
+            continue
         members = leading_members(data, _REPORTED_MEMBERS)
-        try:
-            aggregate, cell = members  # TypeError for None: not canonical
-            scenario = str(cell["scenario"])
-            variant = str(cell["variant"])
-            count = int(cell["particle_count"])
-        except (KeyError, TypeError, ValueError):
+        if members is None:
             obs.counter("campaign.report_malformed").inc()
             continue
-        yield scenario, variant, count, aggregate
+        yield (*identity, members[0])
 
 
 def aggregate_report(
@@ -631,32 +697,25 @@ def aggregate_report(
     """Aggregate stored cells: scenario -> (variant, N) -> summary dict.
 
     Reads only the store (no recomputation), in **one streaming pass**:
-    cells identify themselves from their stored payload, so the store is
-    scanned sequentially (memory bounded by one packed segment) instead
-    of randomly probed per expected key.  Only each payload's leading
-    ``aggregate`` and ``cell`` members are decoded
+    the manifest's grid is walked once into ``{key: (scenario, variant,
+    N)}`` and the store is scanned sequentially against it (memory
+    bounded by one packed segment), instead of randomly probed per
+    expected key.  Each cell's identity comes from its key, and only
+    each payload's leading ``aggregate`` member is decoded
     (:func:`_reported_cells`); a malformed payload is skipped, and
-    damage inside a cell's ``runs`` goes unseen.  Cells not yet executed
-    are simply absent; stray payloads outside the campaign grid are
-    ignored.  Raises if the campaign has no completed cells.
+    damage after that member goes unseen.  Cells not yet executed are
+    simply absent; stray keys outside the campaign grid are skipped and
+    counted.  Raises if the campaign has no completed cells.
     """
     if store is None:
         store = CampaignStore(name)
     spec = load_campaign(name, store)
-    variants = set(spec.variants)
-    particle_counts = set(spec.particle_counts)
     report: dict[str, dict[tuple[str, int], dict]] = {
         scenario: {} for scenario in spec.scenarios
     }
     found = 0
     with obs.span("campaign.report"):
-        for scenario, variant, count, aggregate in _reported_cells(store):
-            if (
-                scenario not in report
-                or variant not in variants
-                or count not in particle_counts
-            ):
-                continue
+        for scenario, variant, count, aggregate in _reported_cells(store, spec):
             found += 1
             report[scenario][(variant, count)] = aggregate
     if not found:
@@ -680,8 +739,9 @@ def pivot_report(
     own spelling (``0.5``, ``2/3``).  This turns an ablation campaign
     (``--ablate sigma=...``) into the table the paper's sensitivity
     figures plot, keyed off the same fingerprint machinery that keys the
-    cells.  Streaming and single-pass, and decoding only each payload's
-    ``aggregate`` and ``cell`` members, like :func:`aggregate_report`.
+    cells.  Streaming and single-pass, taking each cell's identity from
+    its key and decoding only each payload's ``aggregate`` member, like
+    :func:`aggregate_report`.
     """
     if store is None:
         store = CampaignStore(name)
@@ -700,16 +760,13 @@ def pivot_report(
             f"unknown pivot key {pivot!r}; expected one of: {valid}"
         )
     spec = load_campaign(name, store)
-    scenarios = set(spec.scenarios)
     report: dict[str, dict[tuple[str, int], dict[str, dict]]] = {
         scenario: {} for scenario in spec.scenarios
     }
     splits: dict[str, tuple[str, str]] = {}
     found = 0
     with obs.span("campaign.pivot"):
-        for scenario, variant, count, aggregate in _reported_cells(store):
-            if scenario not in scenarios:
-                continue
+        for scenario, variant, count, aggregate in _reported_cells(store, spec):
             if variant not in splits:  # a handful of variants, many cells
                 config_spec = _parse_spec(variant)
                 base = ConfigSpec(

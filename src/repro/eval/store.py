@@ -19,7 +19,9 @@ A campaign's results live under ``REPRO_RESULTS_DIR/campaigns/<name>/``:
   memory bounded by one segment, not by the store.
 * ``segments/writer.lock`` — the single-writer lock (see below).
 * ``cells/<key>.json`` — **legacy cells**, one file per cell, as stores
-  written before segments became the only write path hold them.
+  written before segments became the only write path hold them (only a
+  stem that is a plain content key names a cell; other files there are
+  left alone).
   Nothing writes them and no read sees them:
   :meth:`CampaignStore.recover`, which ``campaign run``, ``merge`` and
   ``compact`` run first, folds them into segments byte-for-byte (a
@@ -75,10 +77,12 @@ without a trusted sidecar go through the one validating record scan,
 which stops at the first torn or unparseable record; ``recover()``
 truncates such a segment to that prefix and rewrites its sidecar.
 Streaming reads yield a segment's records in storage order (sidecar
-spans sorted by offset).  Reports decode only what they read: each
-payload's leading ``aggregate`` and ``cell`` members, found by the
-canonical layout (:func:`leading_members`).  A payload not laid out
-that way is malformed and skipped; the ``runs`` after those members are
+spans sorted by offset).  Reports decode only what they read: a cell's
+identity is the key it is stored under (a stored payload is a pure
+function of its key), so of each payload they decode only the leading
+``aggregate`` member, found by the canonical layout
+(:func:`leading_members`).  A payload not laid out that way is
+malformed and skipped; the ``cell`` and ``runs`` members after it are
 not validated, so damage inside them goes unseen.
 """
 
@@ -611,6 +615,18 @@ class CampaignStore:
             return None
         return data if len(data) == length else None
 
+    def _legacy_cell_files(self) -> Iterator[Path]:
+        """The legacy cell files: ``cells/*.json`` named by a plain key.
+
+        Any other file under ``cells/`` is no cell: it is neither folded
+        nor removed, and refuses no read.
+        """
+        return (
+            path
+            for path in self.cells_dir.glob("*.json")
+            if _KEY_PATTERN.match(path.stem)
+        )
+
     def _segment_paths(self) -> list[Path]:
         """The segments every read goes through, sealed then open.
 
@@ -618,7 +634,7 @@ class CampaignStore:
         this store holds the writer lock, under which :meth:`recover`
         folds them.
         """
-        if self._writer is None and any(self.cells_dir.glob("*.json")):
+        if self._writer is None and any(self._legacy_cell_files()):
             raise EvaluationError(
                 f"campaign store {self.name!r} still holds legacy cells/ "
                 "files; fold them into segments with: repro campaign "
@@ -778,8 +794,8 @@ class CampaignStore:
         memory bounded by one segment.  Unparseable cells (a sealed
         record damaged in place) are skipped.
         Reports do not come through here: they decode only each
-        payload's ``aggregate`` and ``cell`` members from
-        :meth:`iter_cell_bytes` (:func:`leading_members`).
+        payload's ``aggregate`` member from :meth:`iter_cell_bytes`
+        (:func:`leading_members`).
         """
         for key, data in self.iter_cell_bytes():
             payload = self._parse(data)
@@ -862,9 +878,9 @@ class CampaignStore:
     def _fold_cells(self) -> list[str]:
         """Fold legacy cell files into segments; returns their names.
 
-        Walks ``cells/*.json`` in sorted order: a file that does not
-        parse (a torn write) is removed, a key already packed is
-        byte-verified against its record (a mismatch raises), and any
+        Walks :meth:`_legacy_cell_files` in sorted order: a file that
+        does not parse (a torn write) is removed, a key already packed
+        is byte-verified against its record (a mismatch raises), and any
         other file is appended.  Only once the segments are sealed and
         fsynced and every folded key read back out of them equals its
         file is a folded file removed, so a crash at any point leaves
@@ -872,7 +888,7 @@ class CampaignStore:
         the fold byte-identically.  Runs under the writer lock, on the
         key index :meth:`_recover_segments` built.
         """
-        files = sorted(self.cells_dir.glob("*.json"))
+        files = sorted(self._legacy_cell_files())
         if not files:
             return []
         with obs.span("store.fold"):

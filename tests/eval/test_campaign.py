@@ -3,8 +3,13 @@
 import hashlib
 import json
 import shutil
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.common.errors import ConfigurationError, EvaluationError
@@ -22,7 +27,8 @@ from repro.eval.campaign import (
     run_campaign,
     shard_cells,
 )
-from repro.eval.store import CampaignStore
+from repro.eval.metrics import RunMetrics
+from repro.eval.store import CampaignStore, canonical_json_bytes
 from repro.scenarios.base import ScenarioSpec
 
 #: Deliberately tiny: two worlds, one variant, two cells per world, short
@@ -463,9 +469,52 @@ class TestRunCampaign:
             "tiny", "sigma", store=store
         )
         snapshot = obs.snapshot()
-        assert snapshot["counters"]["campaign.report_malformed"] == 2
+        assert snapshot["counters"]["campaign.report_stray"] == 2
         assert snapshot["spans"]["campaign.report"]["count"] == 2
         assert snapshot["spans"]["campaign.pivot"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda data: canonical_json_bytes(
+                {
+                    name: value
+                    for name, value in json.loads(data).items()
+                    if name != "aggregate"
+                }
+            ),
+            lambda data: b"[1, 2]\n",
+            lambda data: b"7\n",
+        ],
+        ids=["no-aggregate", "array", "number"],
+    )
+    def test_reports_count_a_malformed_grid_payload(
+        self, fresh, tmp_path, telemetry, malform
+    ):
+        # Under its own grid key, a payload with no canonical aggregate
+        # member is malformed: both reports leave the cell out.
+        store, __ = fresh
+        cells = dict(store.iter_cell_bytes())
+        key = sorted(cells)[0]
+        damaged = CampaignStore("tiny", root=tmp_path / "damaged")
+        kept = CampaignStore("tiny", root=tmp_path / "kept")
+        for target in (damaged, kept):
+            target.write_manifest(tiny_spec().to_manifest())
+        with damaged, kept:
+            damaged.put_cell_bytes(key, malform(cells[key]))
+            for stored, data in cells.items():
+                if stored != key:
+                    damaged.put_cell_bytes(stored, data)
+                    kept.put_cell_bytes(stored, data)
+        report = aggregate_report("tiny", store=damaged)
+        assert sum(map(len, report.values())) == len(cells) - 1
+        assert report == aggregate_report("tiny", store=kept)
+        assert pivot_report("tiny", "sigma", store=damaged) == pivot_report(
+            "tiny", "sigma", store=kept
+        )
+        counters = obs.snapshot()["counters"]
+        assert counters["campaign.report_malformed"] == 2
+        assert "campaign.report_stray" not in counters
 
     @pytest.mark.parametrize(
         "member, reported", [("runs", True), ("aggregate", False)]
@@ -592,6 +641,9 @@ class TestAblationCampaign:
                 spec, store=shard_store, shard=(index, shards)
             )
             assert summary.total_cells == len(shard_cells(spec, shards)[index])
+            assert shard_store.completed_keys() == {
+                cell.key for cell in shard_cells(spec, shards)[index]
+            }
             shard_stores.append(shard_store)
         merged = CampaignStore("ablation", root=tmp_path / "merged")
         for shard_store in shard_stores:
@@ -663,3 +715,247 @@ class TestKeyDerivationCost:
             fingerprint_calls.clear()
             query()
             assert len(fingerprint_calls) <= ablated, query.__name__
+
+    @pytest.fixture
+    def identity_encodings(self, monkeypatch):
+        """Every identity the campaign module encodes to derive keys."""
+        calls = []
+        original = campaign.canonical_json_bytes
+
+        def counting(payload):
+            calls.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(campaign, "canonical_json_bytes", counting)
+        return calls
+
+    def test_queries_encode_one_identity_per_variant_and_count(
+        self, finished, identity_encodings
+    ):
+        templates = len(self.SPEC.variants) * len(self.SPEC.particle_counts)
+        cells = len(self.SPEC.cells())
+        assert (templates, cells) == (6, 18)
+
+        def resume():
+            summary = run_campaign(self.SPEC, store=finished, resume=True)
+            assert (summary.executed, summary.skipped) == (0, cells)
+
+        def status():
+            assert campaign_status("keys", store=finished)["completed"] == cells
+
+        def reports():
+            report = aggregate_report("keys", store=finished)
+            assert sum(map(len, report.values())) == cells
+            pivot_report("keys", "sigma", store=finished)
+
+        for query in (resume, status, reports):
+            campaign._identity_template.cache_clear()
+            identity_encodings.clear()
+            query()
+            assert len(identity_encodings) <= templates, query.__name__
+
+    @pytest.mark.parametrize("spec", [SPEC, tiny_spec()], ids=["ablated", "tiny"])
+    def test_keyed_cells_are_the_cells_keys_in_order(self, spec):
+        assert list(spec.keyed_cells().items()) == [
+            (cell.key, (cell.scenario, cell.variant, cell.particle_count))
+            for cell in spec.cells()
+        ]
+
+
+#: Scenario ids over any code point: quotes, backslashes, control
+#: characters, non-ASCII text and lone surrogates.
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_ODD_IDS = st.sampled_from(['"', "\\", '\\"', "\x00\n\x1f", "é 漢 😀", "\ud800", ""])
+
+
+class TestKeyTemplate:
+    """Keys through the identity template equal the canonical encoding."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        scenario=st.one_of(_ANY_TEXT, _ODD_IDS),
+        variant=st.sampled_from(
+            ("fp32", "fp16qm", "fp32+sigma=1.0", "fp16qm+sigma=1.0+beam_rows=5/2/3/4")
+        ),
+        count=st.integers(min_value=1, max_value=1 << 20),
+        seeds=st.lists(
+            st.integers(min_value=-(2**40), max_value=2**40),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ).map(tuple),
+    )
+    def test_template_and_walk_match_the_identity_encoding(
+        self, scenario, variant, count, seeds
+    ):
+        spec_id, label, fingerprint = campaign._variant_key_parts(variant)
+        identity = {
+            "scenario": scenario,
+            "variant": spec_id,
+            "particle_count": count,
+            "seeds": list(seeds),
+        }
+        if fingerprint is not None:
+            identity["config_fingerprint"] = fingerprint
+        encoded = canonical_json_bytes(identity)
+        infix, head, tail = campaign._identity_template(variant, count, seeds)
+        escaped = json.encoder.encode_basestring_ascii(scenario).encode()
+        assert head + escaped + tail == encoded
+        expected = f"stem-{label}-n{count}-" + hashlib.sha256(encoded).hexdigest()[:12]
+        # Any code point is no registry scenario id: stand in for its
+        # stem and its canonical spelling, which the digest never reads.
+        with mock.patch.object(
+            campaign, "_scenario_stem", lambda scenario: "stem"
+        ), mock.patch.object(campaign, "canonical_scenario_id", lambda scenario: scenario):
+            spec = CampaignSpec(
+                name="k",
+                scenarios=(scenario,),
+                variants=(variant,),
+                particle_counts=(count,),
+                seeds=seeds,
+            )
+            assert CampaignCell(scenario, variant, count, seeds).key == expected
+            assert spec.keyed_cells() == {
+                expected: (scenario, spec.variants[0], count)
+            }
+
+
+def synthetic_payload(cell: CampaignCell, ate: float) -> dict:
+    """``cell_payload`` of one converged run with mean ATE ``ate``: no
+    filter runs, no scenario generation (a key needs only the id)."""
+    metrics = RunMetrics(
+        converged=True,
+        convergence_time_s=1.0,
+        success=True,
+        ate_mean_m=ate,
+        ate_rmse_m=ate,
+        ate_max_m=ate,
+        yaw_mean_rad=0.0,
+    )
+    run = SimpleNamespace(
+        sequence_name=cell.scenario,
+        seed=cell.seeds[0],
+        update_count=1,
+        metrics=metrics,
+    )
+    return cell_payload(cell, [run])
+
+
+def report_json(report: dict) -> bytes:
+    """A report's canonical bytes, its tuple row keys stringified."""
+    return canonical_json_bytes(
+        {
+            scenario: {repr(row): value for row, value in rows.items()}
+            for scenario, rows in report.items()
+        }
+    )
+
+
+#: Two cells of one maze world: fp32 and a sigma ablation of it.
+STRAY_SPEC = CampaignSpec(
+    name="stray",
+    scenarios=("maze:1",),
+    variants=("fp32", "fp32+sigma=1.0"),
+    particle_counts=(64,),
+    seeds=(0,),
+)
+
+#: Synthetic cells over two worlds, a sigma pivot and two counts; each
+#: variant's pivot row and column, written out independently.
+PROPERTY_SPEC = CampaignSpec(
+    name="property",
+    scenarios=("maze:1", "office:2"),
+    variants=("fp32", "fp32+sigma=1.0", "fp16qm+sigma=4.0"),
+    particle_counts=(16, 64),
+    seeds=(0, 1),
+)
+PIVOT_CELLS = {
+    "fp32": ("fp32", "2.0"),
+    "fp32+sigma_obs=1.0": ("fp32", "1.0"),
+    "fp16qm+sigma_obs=4.0": ("fp16qm", "4.0"),
+}
+PROPERTY_CELLS = [
+    (cell.key, synthetic_payload(cell, 0.01 * (index + 1)))
+    for index, cell in enumerate(PROPERTY_SPEC.cells())
+]
+
+
+def reports_of(cells: list[tuple[str, dict]], root: Path) -> tuple[dict, dict]:
+    """Both reports of a store holding ``cells`` put in that order."""
+    store = CampaignStore(PROPERTY_SPEC.name, root=root)
+    store.write_manifest(PROPERTY_SPEC.to_manifest())
+    with store:
+        for key, payload in cells:
+            store.put_cell(key, payload)
+    return (
+        aggregate_report(PROPERTY_SPEC.name, store=store),
+        pivot_report(PROPERTY_SPEC.name, "sigma", store=store),
+    )
+
+
+class TestReportsFollowKeys:
+    """A report is a function of the grid's stored cells, keyed by key."""
+
+    @pytest.mark.parametrize("stray_first", [False, True], ids=["after", "before"])
+    def test_a_stray_naming_a_grid_cell_changes_no_report(
+        self, tmp_path, telemetry, stray_first
+    ):
+        # A payload under an off-grid key that claims the fp32 cell used
+        # to replace its aggregate in one report or the other, by order.
+        fp32, ablated = STRAY_SPEC.cells()
+        real = [(cell.key, synthetic_payload(cell, 0.1)) for cell in (fp32, ablated)]
+        stray = ("maze-s1-fp32-n64-stray", synthetic_payload(fp32, 0.9))
+        puts = [stray, *real] if stray_first else [*real, stray]
+        store = CampaignStore("stray", root=tmp_path)
+        store.write_manifest(STRAY_SPEC.to_manifest())
+        with store:
+            for key, payload in puts:
+                store.put_cell(key, payload)
+        report = aggregate_report("stray", store=store)
+        pivot = pivot_report("stray", "sigma", store=store)
+        assert report["maze:1"][("fp32", 64)]["mean_ate_m"] == 0.1
+        assert pivot["maze:1"][("fp32", 64)]["2.0"]["mean_ate_m"] == 0.1
+        assert pivot["maze:1"][("fp32", 64)]["1.0"]["mean_ate_m"] == 0.1
+        assert obs.snapshot()["counters"]["campaign.report_stray"] == 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_order_shards_merges_and_strays_leave_reports_unchanged(self, data):
+        claims = data.draw(
+            st.lists(st.integers(0, len(PROPERTY_CELLS) - 1), max_size=3)
+        )
+        strays = [
+            (f"stray-{number}", synthetic_payload(PROPERTY_SPEC.cells()[claim], 9.0))
+            for number, claim in enumerate(claims)
+        ]
+        puts = data.draw(st.permutations(PROPERTY_CELLS + strays))
+        shard_of = data.draw(
+            st.lists(st.integers(0, 1), min_size=len(puts), max_size=len(puts))
+        )
+        first = data.draw(st.integers(0, 1))
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch)
+            expected = reports_of(PROPERTY_CELLS, root / "clean")
+            shards = []
+            for index in range(2):
+                shard = CampaignStore(PROPERTY_SPEC.name, root=root / f"shard{index}")
+                shard.write_manifest(PROPERTY_SPEC.to_manifest())
+                with shard:
+                    for (key, payload), owner in zip(puts, shard_of):
+                        if owner == index:
+                            shard.put_cell(key, payload)
+                shards.append(shard)
+            merged = CampaignStore(PROPERTY_SPEC.name, root=root / "merged")
+            merge_campaign_stores(merged, shards[first])
+            merge_campaign_stores(merged, shards[1 - first])
+            report, pivot = (
+                aggregate_report(PROPERTY_SPEC.name, store=merged),
+                pivot_report(PROPERTY_SPEC.name, "sigma", store=merged),
+            )
+        assert report_json(report) == report_json(expected[0])
+        assert report_json(pivot) == report_json(expected[1])
+        assert sum(map(len, report.values())) == len(PROPERTY_CELLS)
+        for scenario, rows in report.items():
+            for (variant, count), aggregate in rows.items():
+                base, value = PIVOT_CELLS[variant]
+                assert pivot[scenario][(base, count)][value] == aggregate

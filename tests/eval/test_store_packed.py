@@ -544,6 +544,22 @@ class TestLegacyStore:
         with legacy_store:
             assert legacy_store.recover() == []  # a folded store is healthy
 
+    def test_a_file_that_names_no_key_is_left_in_place(
+        self, legacy_store, legacy_cells
+    ):
+        # Only a plain content key names a cell: any other file under
+        # cells/ is not folded, not removed and refuses no read.
+        note = legacy_store.cells_dir / "my notes.json"
+        note.write_bytes(b'{"note": "not a cell"}\n')
+        with legacy_store:
+            assert legacy_store.recover() == [
+                f"{key}.json" for key in sorted(legacy_cells)
+            ]
+        assert list(legacy_store.cells_dir.iterdir()) == [note]
+        assert list(legacy_store.iter_cell_bytes()) == sorted(legacy_cells.items())
+        assert legacy_store.completed_keys() == set(legacy_cells)
+        assert campaign_status("legacy", store=legacy_store)["completed"] == 4
+
     def test_lost_cell_file_re_executes_into_a_segment(
         self, legacy_store, legacy_cells
     ):
