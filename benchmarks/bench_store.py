@@ -47,6 +47,13 @@ PAPER_TOTALS = {"success_rate": 0.49926, "mean_ate_m": 0.4970667387733846}
 
 
 def synthetic_key(index: int) -> str:
+    """Shaped like a content key (``-n<N>-<12 hex digits>``), as every
+    legacy cell file is named: the fold takes no other file for a cell."""
+    return f"s{index % SCENARIO_SLOTS:03d}-fp32-n{64 << (index % 3)}-{index:012x}"
+
+
+def _identity(index: int) -> str:
+    """The string a cell's bytes are drawn from (it fixes PAPER_TOTALS)."""
     return (
         f"s{index % SCENARIO_SLOTS:03d}_fp32_N={64 << (index % 3)}"
         f"_seed={index // SCENARIO_SLOTS}"
@@ -57,8 +64,7 @@ def synthetic_payload_bytes(index: int) -> bytes:
     """Deterministic cell bytes shaped like ``cell_payload``'s."""
     from repro.eval.store import canonical_json_bytes
 
-    key = synthetic_key(index)
-    digest = hashlib.sha256(key.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(_identity(index).encode("ascii")).hexdigest()
     converged = int(digest[:2], 16) % (RUNS + 1)
     mean_ate = (int(digest[2:6], 16) % 1000) / 1000.0 if converged else None
 

@@ -15,11 +15,12 @@ survives at paper-study scale:
   (:class:`repro.core.config.ConfigSpec`): ablated configurations fold
   their fingerprint into the content key, while pure paper variants at
   default parameters keep the legacy key — old stores resume byte-exactly;
-* **scenario-parallel execution** — cells fan out over a process pool
-  through the sweep engine's one pool path
-  (:func:`~repro.eval.sweep_engine.fan_out`): a scenario's cells are one
-  task that loads or generates the scenario once and builds each field
-  once (the last ``scenarios % jobs`` split into chunks for every worker);
+* **scenario-parallel execution** — cells run through the sweep
+  engine's one cell loop (:func:`~repro.eval.sweep_engine.fan_out`),
+  in process or over a process pool: a scenario's cells are one task
+  that loads or generates the scenario once and builds each field once
+  (on a pool, the last ``scenarios % jobs`` split into chunks for every
+  worker);
 * **resumability** — a killed campaign restarts with ``resume=True`` and
   re-executes exactly the cells that are missing or torn; the
   final store is **byte-identical** to an uninterrupted run;
@@ -59,11 +60,16 @@ from ..core.config import (
     format_override_value,
 )
 from ..scenarios.base import ScenarioSpec
-from ..scenarios.registry import build_scenario, canonical_scenario_id
+from ..scenarios.registry import canonical_scenario_id
 from .runner import RunResult
-from ..engine.backend import DEFAULT_BACKEND, get_backend
+from ..engine.backend import DEFAULT_BACKEND
 from .store import CampaignStore, canonical_json_bytes, leading_members
-from .sweep_engine import DistanceFieldCache, SweepCellSpec, _execute_cell, fan_out
+from .sweep_engine import SweepCellSpec, fan_out
+
+# Nothing here calls these two since every job count runs through
+# ``fan_out``, but perfbench/layers.py wraps both by this module's path.
+from ..scenarios.registry import build_scenario  # noqa: F401
+from .sweep_engine import _execute_cell  # noqa: F401
 
 
 @lru_cache(maxsize=4096)
@@ -395,17 +401,16 @@ def run_campaign(
     grid (:meth:`CampaignSpec.keyed_cells`), and a :class:`CampaignCell`
     is built only for a cell that runs.
 
-    ``jobs=1`` loads one scenario at a time, and the backend it builds
-    keeps at most :data:`repro.engine.batched._PLAN_CACHE_LIMIT` replay
-    plans (each holding its flight), so memory stays bounded however
-    many scenarios the campaign spans.  ``jobs > 1`` hands the cells to
-    :func:`~repro.eval.sweep_engine.fan_out`'s process pool, and the
-    parent builds no backend.  A scenario's pending cells are one task
-    (the last ``scenarios % jobs`` scenarios split into chunks that every
-    worker shares), which ships only the scenario *id*: the worker loads
-    the registry's byte-stable ``.npz`` (generating it on a cold
-    registry) and builds each distance field once.  A scenario's cells
-    reach the store when its task returns, in completion order (content
+    The pending cells go to :func:`~repro.eval.sweep_engine.fan_out` at
+    every job count, and a complete resume hands it none, so it builds
+    no backend.  A scenario's pending cells are one task, which names
+    only the scenario *id*: the task loads the registry's byte-stable
+    ``.npz`` (generating it on a cold registry) and builds each distance
+    field once.  ``jobs=1`` runs the tasks in this process, in grid
+    order.  ``jobs > 1`` runs them on a process pool (the last
+    ``scenarios % jobs`` scenarios split into chunks that every worker
+    shares), and the parent builds no backend.  A scenario's cells reach
+    the store when its task returns, in completion order (content
     addressing makes the order irrelevant), so an interrupted ``jobs=N``
     run loses at most N scenarios' unfinished cells, which
     ``resume=True`` recomputes.
@@ -475,48 +480,16 @@ def run_campaign(
         if progress is not None and skipped:
             progress(f"resume: {skipped}/{len(cells)} cells already stored")
         obs.counter("campaign.cells_skipped").inc(skipped)
-        if not pending:
-            # A complete resume builds no backend and no pool: resolving
-            # ``fast`` alone would compile the C kernels for nothing.
-            pass
-        elif jobs == 1:
-            # Resolve the backend once so its replay-plan cache serves
-            # every cell (mirrors SweepEngine.__post_init__); one local
-            # field cache shares each EDT across a scenario's cells.
-            # Cells are scenario-major, so only one scenario is loaded at
-            # a time — with the backend's bounded plan cache, campaigns
-            # over hundreds of worlds stay bounded.
-            executor = get_backend(backend)
-            field_cache = DistanceFieldCache()
-            loaded_id, scenario = None, None
-            for key, cell in pending:
-                if cell.scenario != loaded_id:
-                    scenario = build_scenario(cell.scenario, cache=True)
-                    loaded_id = cell.scenario
-                sweep_cell = cell.sweep_cell(base_config)
-                fld = field_cache.get(
-                    scenario.grid, sweep_cell.config.r_max, sweep_cell.field_kind
-                )
-                runs = _execute_cell(
-                    scenario.grid,
-                    [scenario.sequence],
-                    cell.seeds,
-                    sweep_cell,
-                    fld,
-                    executor,
-                )
-                finish(key, cell, runs)
-        else:
-            # Forked workers share the lock's file description; closing
-            # the generator shuts the pool down before the lock is
-            # released, on error paths too.
-            units = [
-                (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
-                for _, cell in pending
-            ]
-            with closing(fan_out(units, backend, jobs)) as finished:
-                for index, runs in finished:
-                    finish(*pending[index], runs)
+        # Forked workers share the lock's file description; closing the
+        # generator shuts a pool down before the lock is released, on
+        # error paths too.
+        units = [
+            (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
+            for _, cell in pending
+        ]
+        with closing(fan_out(units, backend, jobs)) as finished:
+            for index, runs in finished:
+                finish(*pending[index], runs)
 
     return CampaignRunSummary(
         name=spec.name,

@@ -20,8 +20,8 @@ A campaign's results live under ``REPRO_RESULTS_DIR/campaigns/<name>/``:
 * ``segments/writer.lock`` — the single-writer lock (see below).
 * ``cells/<key>.json`` — **legacy cells**, one file per cell, as stores
   written before segments became the only write path hold them (only a
-  stem that is a plain content key names a cell; other files there are
-  left alone).
+  stem shaped like a content key, ending ``-n<N>-<12 hex digits>``,
+  names a cell; other files there are left alone).
   Nothing writes them and no read sees them:
   :meth:`CampaignStore.recover`, which ``campaign run``, ``merge`` and
   ``compact`` run first, folds them into segments byte-for-byte (a
@@ -113,6 +113,9 @@ SEGMENT_MAX_RECORDS = 1024
 
 _SEGMENT_NAME = re.compile(r"^seg-(\d{6})\.(seg|open)$")
 _KEY_PATTERN = re.compile(r"^[A-Za-z0-9._=-]+$")
+#: A campaign content key, ``<stem>-<label>-n<N>-<12 hex digits>``: the
+#: only name a legacy cell file was ever written under.
+_CELL_KEY_PATTERN = re.compile(r"^[A-Za-z0-9._=-]+-n[0-9]+-[0-9a-f]{12}$")
 
 
 def campaigns_root() -> Path:
@@ -616,15 +619,15 @@ class CampaignStore:
         return data if len(data) == length else None
 
     def _legacy_cell_files(self) -> Iterator[Path]:
-        """The legacy cell files: ``cells/*.json`` named by a plain key.
+        """The legacy cell files: ``cells/*.json`` named by a content key.
 
-        Any other file under ``cells/`` is no cell: it is neither folded
-        nor removed, and refuses no read.
+        Any other file under ``cells/`` (``notes.json``, say) is no cell:
+        it is neither folded nor removed, and refuses no read.
         """
         return (
             path
             for path in self.cells_dir.glob("*.json")
-            if _KEY_PATTERN.match(path.stem)
+            if _CELL_KEY_PATTERN.match(path.stem)
         )
 
     def _segment_paths(self) -> list[Path]:

@@ -15,17 +15,16 @@ lacked:
 * **keyed distance-field cache** — cells are grouped by
   (map, r_max, precision kind) and each distinct EDT is built exactly
   once per engine, shared across variants and particle counts;
-* **process fan-out** — ``jobs > 1`` spreads independent cells over a
-  process pool (cells are embarrassingly parallel; results are
-  reassembled in deterministic cell order).  :func:`fan_out` is the one
-  pool path: cell sweeps, scenario sweeps and campaigns all hand it
-  (world, seeds, cell) units, where a world is a registry scenario id or
-  an in-memory ``(grid, sequences)`` pair.  A scenario id's cells are
-  one pool task, which loads (or generates) the scenario once and builds
-  each distinct field once; the last ``scenarios % jobs`` scenarios
-  split into contiguous chunks that all workers share.  An in-memory
-  world's cells are one task each.  Workers keep their distance fields
-  and backend instance across the pool's tasks.
+* **one cell loop** — cell sweeps, scenario sweeps and campaigns all
+  hand :func:`fan_out` (world, seeds, cell) units, where a world is a
+  registry scenario id or an in-memory ``(grid, sequences)`` pair.  A
+  scenario id's cells are one task, which loads (or generates) the
+  scenario once and builds each distinct field once; an in-memory
+  world's cells are one task each.  ``jobs=1`` runs the tasks in this
+  process, in order; ``jobs > 1`` spreads them over a process pool
+  (results are reassembled in deterministic cell order), where the last
+  ``scenarios % jobs`` scenarios split into chunks that all workers
+  share.  Both run a task through one loop, :func:`_run_cells`.
 
 Every backend is bitwise-equivalent, so cell results do not depend on
 the backend or the job count — only wall-clock does.  That invariant is
@@ -162,8 +161,8 @@ def _execute_cell(
 ) -> list[RunResult]:
     """Run one cell's R = sequences x seeds runs through the backend.
 
-    The one cell executor: in-process sweeps and campaigns call it
-    directly, pool workers through :func:`_run_task`.
+    The one cell executor: :func:`_run_cells` calls it at every job
+    count, and :func:`repro.eval.bench.compare_backends` directly.
     """
     specs = [
         RunSpec(sequence=sequence, seed=seed)
@@ -185,18 +184,22 @@ def _execute_cell(
 
 #: A fan-out world: a registry scenario id, which a task loads from its
 #: byte-stable ``.npz`` cache, or an in-memory ``(grid, sequences)`` pair,
-#: which is pickled into every task that runs on it.
+#: which a pool pickles into every task that runs on it.
 World = str | tuple[OccupancyGrid, list[RecordedSequence]]
 
 #: One task's cells: ``(index into the units, seeds, cell)`` in order.
 TaskCells = list[tuple[int, tuple[int, ...], SweepCellSpec]]
 
+#: Fields kept by a cache that outlives one world, oldest evicted first:
+#: each pool worker's, and the one a ``jobs=1`` :func:`fan_out` builds
+#: when given none.  A call over hundreds of worlds stays bounded.
+_FIELD_CACHE_LIMIT = 32
+
 #: Per-worker-process caches: a worker runs several tasks of one pool, so
 #: it resolves each backend once (keeping its replay-plan cache) and
 #: shares fields between an in-memory world's per-cell tasks or the
-#: chunks of one scenario.  Bounded, oldest first, so a call over
-#: hundreds of worlds does not grow worker memory without limit.
-_WORKER_FIELD_CACHE = DistanceFieldCache(limit=32)
+#: chunks of one scenario.
+_WORKER_FIELD_CACHE = DistanceFieldCache(limit=_FIELD_CACHE_LIMIT)
 _WORKER_BACKENDS: dict[str, FilterBackend] = {}
 
 
@@ -212,15 +215,18 @@ def _worker_backend(name: str) -> FilterBackend:
     return _WORKER_BACKENDS[name]
 
 
-def _run_task(
-    world: World, cells: TaskCells, backend: str
+def _run_cells(
+    world: World,
+    cells: TaskCells,
+    executor: FilterBackend,
+    field_cache: DistanceFieldCache,
 ) -> list[tuple[int, list[RunResult]]]:
-    """The pool's one worker task: run ``cells`` in order on one world.
+    """Run one task's ``cells`` in order on one world.
 
-    A scenario id is loaded (generated on a cold registry) once per
-    task; an in-memory world arrives pickled.  Fields come from
-    :data:`_WORKER_FIELD_CACHE` and the backend from
-    :func:`_worker_backend`.  Returns ``(index, runs)`` per cell.
+    The one cell loop: :func:`fan_out` runs it in process at ``jobs=1``,
+    pool workers through :func:`_run_task`.  A scenario id is loaded
+    (generated on a cold registry) once per task; an in-memory world is
+    used as it comes.  Returns ``(index, runs)`` per cell.
     """
     if isinstance(world, str):
         from ..scenarios.registry import build_scenario
@@ -228,19 +234,29 @@ def _run_task(
         scenario = build_scenario(world, cache=True)
         world = (scenario.grid, [scenario.sequence])
     grid, sequences = world
-    executor = _worker_backend(backend)
     results = []
     for index, seeds, cell in cells:
-        fld = _WORKER_FIELD_CACHE.get(grid, cell.config.r_max, cell.field_kind)
+        fld = field_cache.get(grid, cell.config.r_max, cell.field_kind)
         runs = _execute_cell(grid, sequences, seeds, cell, fld, executor)
         results.append((index, runs))
     return results
 
 
+def _run_task(
+    world: World, cells: TaskCells, backend: str
+) -> list[tuple[int, list[RunResult]]]:
+    """The pool's one worker task: :func:`_run_cells` on the worker's caches.
+
+    Fields come from :data:`_WORKER_FIELD_CACHE` and the backend from
+    :func:`_worker_backend`; an in-memory world arrives pickled.
+    """
+    return _run_cells(world, cells, _worker_backend(backend), _WORKER_FIELD_CACHE)
+
+
 def _pool_tasks(
     units: list[tuple[World, tuple[int, ...], SweepCellSpec]], jobs: int
 ) -> list[tuple[World, TaskCells]]:
-    """Group units into pool tasks, in the order of their first unit.
+    """Group units into tasks, in the order of their first unit.
 
     One task per scenario id, except the last ``ids % jobs`` ids (the
     tail that whole tasks would leave some workers without): each of
@@ -267,36 +283,52 @@ def fan_out(
     units: list[tuple[World, tuple[int, ...], SweepCellSpec]],
     backend: str | FilterBackend,
     jobs: int,
+    field_cache: DistanceFieldCache | None = None,
 ) -> Iterator[tuple[int, list[RunResult]]]:
-    """Run (world, seeds, cell) units on a process pool of ``jobs`` workers.
+    """Run (world, seeds, cell) units as tasks: in process, or on ``jobs`` workers.
 
     Yields ``(index into units, runs)`` for every unit, a task's cells
-    together when it completes, tasks in completion order.  A registry
-    scenario id's cells are one task (:func:`_pool_tasks`), which loads
-    or generates the scenario once and builds each distinct field once.
-    The last ``ids % jobs`` ids split into contiguous chunks that every
-    worker shares, rather than leave some idle for a scenario's time;
-    two workers may then generate one cold scenario at once, which the
-    registry's tmp+rename publish makes safe.  Each unit on an in-memory
-    world is a task of its own: the world is pickled into it, and
-    per-cell tasks balance cells whose costs differ widely.  When a task
-    raises, or the consumer stops early and closes the generator (as
-    ``run_campaign`` does when a put raises), the pool cancels every
-    queued task and waits only for those already handed to its workers.
+    together when it completes.  A registry scenario id's cells are one
+    task (:func:`_pool_tasks`), which loads or generates the scenario
+    once and builds each distinct field once; each unit on an in-memory
+    world is a task of its own.  No units build no backend.
+
+    ``jobs=1`` runs the tasks in order in this process, through the loop
+    a pool worker runs (:func:`_run_cells`), with ``backend`` resolved
+    once and fields from ``field_cache``, or else from a fresh cache
+    bounded like a worker's.  ``jobs > 1`` runs them on a process pool,
+    in completion order; only that counts in ``sweep.tasks`` and the
+    ``sweep.fan_out`` span.  The last ``ids % jobs`` ids split into
+    contiguous chunks that every worker shares, rather than leave some
+    idle for a scenario's time; two workers may then generate one cold
+    scenario at once, which the registry's tmp+rename publish makes
+    safe.  When a task raises, or the consumer stops early and closes
+    the generator (as ``run_campaign`` does when a put raises), the pool
+    cancels every queued task and waits only for those already handed
+    to its workers.
 
     Tasks carry the backend's name, never an instance: the ``fast``
     backend holds a cffi library, which cannot be pickled.  Workers
-    resolve the name once per process, and the parent builds no backend
-    here.  An instance whose ``name`` is not a registered backend raises
-    :class:`ConfigurationError` before any task is submitted.
+    resolve the name once per process.  An instance whose ``name`` is
+    not a registered backend raises :class:`ConfigurationError` before
+    any task is submitted.
     """
+    if not units:
+        return
+    tasks = _pool_tasks(units, jobs)
+    if jobs == 1:
+        executor = get_backend(backend)
+        if field_cache is None:
+            field_cache = DistanceFieldCache(limit=_FIELD_CACHE_LIMIT)
+        for task in tasks:
+            yield from _run_cells(*task, executor, field_cache)
+        return
     name = backend if isinstance(backend, str) else backend.name
     if name not in available_backends():
         raise ConfigurationError(
             f"backend {name!r} cannot cross the process pool: workers "
             f"resolve backends by name, one of {', '.join(available_backends())}"
         )
-    tasks = _pool_tasks(units, jobs)
     with obs.span("sweep.fan_out"), ProcessPoolExecutor(max_workers=jobs) as pool:
         try:
             futures = [pool.submit(_run_task, *task, name) for task in tasks]
@@ -314,8 +346,8 @@ class SweepEngine:
     ``backend`` names the :class:`FilterBackend` every cell is dispatched
     through (``"fast"`` by default — bitwise-equivalent to
     ``"reference"`` and several times faster on multi-run cells).
-    ``jobs`` > 1 fans independent cells out across worker processes
-    through :func:`fan_out`.  The ``field_cache`` serves in-process
+    Every job count runs the cells through :func:`fan_out`, ``jobs`` > 1
+    across worker processes.  The ``field_cache`` serves in-process
     (``jobs=1``) execution and may be shared between engines to reuse
     EDTs across sweeps of the same map; pool workers keep their own.
     """
@@ -359,8 +391,9 @@ class SweepEngine:
         result = SweepResult()
         for cell in cells:  # pre-create cells in deterministic order
             result.cell(cell.variant, cell.particle_count)
-
-        def collect(cell: SweepCellSpec, runs: list[RunResult]) -> None:
+        units = [((grid, used_sequences), protocol.seeds, cell) for cell in cells]
+        for index, runs in fan_out(units, self._executor, self.jobs, self.field_cache):
+            cell = cells[index]
             target = result.cell(cell.variant, cell.particle_count)
             for run in runs:
                 target.add(run)
@@ -371,34 +404,6 @@ class SweepEngine:
                         f"{run.sequence_name} seed={run.seed}: "
                         f"success={metrics.success} ate={metrics.ate_mean_m:.3f}"
                     )
-
-        if self.jobs > 1:
-            units = [((grid, used_sequences), protocol.seeds, cell) for cell in cells]
-            for index, runs in fan_out(units, self.backend, self.jobs):
-                collect(cells[index], runs)
-            return result
-
-        # Resolve every cell's field up front through the keyed cache:
-        # cells sharing (kind, r_max) share one EDT, and r_max-ablated
-        # cells get their own truncation instead of the base config's.
-        fields = {
-            (cell.field_kind, cell.config.r_max): self.field_cache.get(
-                grid, cell.config.r_max, cell.field_kind
-            )
-            for cell in cells
-        }
-        for cell in cells:
-            collect(
-                cell,
-                _execute_cell(
-                    grid,
-                    used_sequences,
-                    protocol.seeds,
-                    cell,
-                    fields[(cell.field_kind, cell.config.r_max)],
-                    self._executor,
-                ),
-            )
         return result
 
     def run_scenarios(
@@ -417,23 +422,20 @@ class SweepEngine:
         and spec strings (``family[:seed[:k=v+k=v]]``); specs are
         resolved through the scenario registry and its ``.npz`` cache.
         Each scenario contributes its own world and recorded flight,
-        swept over the full (variant, N) grid with the protocol's seeds;
-        the engine's keyed distance-field cache is shared across
-        scenarios, so repeated sweeps of the same worlds never rebuild
-        an EDT.  Returns one :class:`SweepResult` per distinct scenario,
-        keyed by the canonical spec id, in input order; duplicate specs
-        are swept once.
+        swept over the full (variant, N) grid with the protocol's seeds.
+        Returns one :class:`SweepResult` per distinct scenario, keyed by
+        the canonical spec id, in input order; duplicate specs are swept
+        once.
 
-        With ``jobs > 1`` every (scenario, variant, N) triple is a
-        :func:`fan_out` unit.  Specs ship as scenario ids, and each id's
-        cells are one pool task that loads or generates the scenario
-        once and builds each field once (the last ``scenarios % jobs``
-        split into contiguous chunks), so the pool, not the parent,
-        generates them.  In-memory
-        :class:`~repro.scenarios.base.Scenario` instances have no
-        ``.npz`` to read back, so their world is pickled into one task
-        per cell.  Results are reassembled in deterministic order and
-        are bitwise identical to the sequential sweep.
+        Every (scenario, variant, N) triple is a :func:`fan_out` unit.
+        Specs go as scenario ids, and each id's cells are one task that
+        loads or generates the scenario once and builds each field once:
+        ``jobs=1`` holds one scenario at a time, and on a pool the
+        workers, not the parent, generate them.  An in-memory
+        :class:`~repro.scenarios.base.Scenario` has no ``.npz`` to read
+        back, so its world is one task per cell.  At ``jobs=1`` the
+        engine's field cache serves every scenario.  Results are bitwise
+        identical at every job count.
 
         Example::
 
@@ -446,33 +448,17 @@ class SweepEngine:
             ate = results["office:3"].ate_series("fp32", [64, 256])
         """
         from ..scenarios.base import Scenario
-        from ..scenarios.registry import build_scenario, canonical_scenario_id
+        from ..scenarios.registry import canonical_scenario_id
 
         if not scenarios:
             raise EvaluationError("scenario sweep needs at least one scenario")
         unique: dict[str, World] = {}  # distinct ids, in input order
         for item in scenarios:
-            if not isinstance(item, Scenario):
-                if self.jobs > 1:  # the pool generates or loads it
-                    scenario_id = canonical_scenario_id(item)
-                    unique.setdefault(scenario_id, scenario_id)
-                    continue
-                item = build_scenario(item)
-            unique.setdefault(item.spec.id, (item.grid, [item.sequence]))
-
-        if self.jobs == 1:
-            return {
-                scenario_id: self.run(
-                    *world,
-                    variants,
-                    particle_counts,
-                    protocol=protocol,
-                    base_config=base_config,
-                    progress=progress,
-                )
-                for scenario_id, world in unique.items()
-            }
-
+            if isinstance(item, Scenario):
+                unique.setdefault(item.spec.id, (item.grid, [item.sequence]))
+            else:  # a task loads or generates it
+                scenario_id = canonical_scenario_id(item)
+                unique.setdefault(scenario_id, scenario_id)
         protocol = protocol or SweepProtocol.from_env()
         base_config = base_config or MclConfig()
         cells = _cell_specs(base_config, variants, particle_counts)
@@ -483,13 +469,12 @@ class SweepEngine:
                 results[scenario_id].cell(cell.variant, cell.particle_count)
         if protocol.sequence_count < 1:
             # Each scenario contributes one sequence; a protocol that
-            # uses zero of them yields empty cells — same as the
-            # sequential path, which slices sequences[:0] in run().
+            # uses zero of them yields empty cells, as run() does.
             return results
 
         targets = [(scenario_id, cell) for scenario_id in unique for cell in cells]
         units = [(unique[key], protocol.seeds, cell) for key, cell in targets]
-        for index, runs in fan_out(units, self.backend, self.jobs):
+        for index, runs in fan_out(units, self._executor, self.jobs, self.field_cache):
             scenario_id, cell = targets[index]
             target = results[scenario_id].cell(cell.variant, cell.particle_count)
             for run in runs:

@@ -310,7 +310,7 @@ class TestRunCampaign:
     ):
         """Resuming a complete store never resolves the backend (for
         ``fast`` that would compile the C kernels for nothing)."""
-        import repro.eval.campaign as campaign_module
+        import repro.eval.sweep_engine as sweep_engine
 
         store, __ = fresh
         complete = CampaignStore("tiny", root=tmp_path / "complete")
@@ -320,7 +320,7 @@ class TestRunCampaign:
         def no_backend(name):
             raise AssertionError(f"backend {name!r} resolved with no cell pending")
 
-        monkeypatch.setattr(campaign_module, "get_backend", no_backend)
+        monkeypatch.setattr(sweep_engine, "get_backend", no_backend)
         summary = run_campaign(tiny_spec(), backend="fast", store=complete, resume=True)
         assert summary.executed == 0
         assert summary.skipped == summary.total_cells
@@ -332,11 +332,12 @@ class TestRunCampaign:
         import weakref
 
         import repro.engine.batched as batched
-        import repro.eval.campaign as campaign_module
+        import repro.eval.sweep_engine as sweep_engine
+        import repro.scenarios.registry as registry
 
         monkeypatch.setattr(batched, "_PLAN_CACHE_LIMIT", 2)
-        get_backend = campaign_module.get_backend
-        build_scenario = campaign_module.build_scenario
+        get_backend = sweep_engine.get_backend
+        build_scenario = registry.build_scenario
         backends, flights = [], []
 
         def keep_backend(name):
@@ -352,14 +353,44 @@ class TestRunCampaign:
             name="plans", scenarios=SCENARIOS + ("corridor:3:flight_s=6.0",),
             variants=VARIANTS, particle_counts=(16,), seeds=(0,),
         )
-        monkeypatch.setattr(campaign_module, "get_backend", keep_backend)
-        monkeypatch.setattr(campaign_module, "build_scenario", track_flight)
+        monkeypatch.setattr(sweep_engine, "get_backend", keep_backend)
+        monkeypatch.setattr(registry, "build_scenario", track_flight)
         run_campaign(spec, backend="fast", store=CampaignStore("plans", root=tmp_path))
         gc.collect()
         assert len(backends) == 1 and len(flights) == 3
         assert flights[0]() is None  # its plan was evicted
         if backends[0].name == "fast":  # reference keeps no plans
             assert flights[2]() is not None  # still planned by the live backend
+
+    def test_one_job_keeps_a_bounded_number_of_fields(self, tmp_path, monkeypatch):
+        """A jobs=1 campaign's field cache is bounded like a pool
+        worker's, so a campaign over many worlds does not keep every
+        distance field it builds alive."""
+        import gc
+        import weakref
+
+        import repro.eval.sweep_engine as sweep_engine
+        from repro.maps.distance_field import DistanceField
+
+        monkeypatch.setattr(sweep_engine, "_FIELD_CACHE_LIMIT", 1)
+        build = DistanceField.build
+        fields, alive = [], []
+
+        def track_field(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in fields))
+            field = build(*args, **kwargs)
+            fields.append(weakref.ref(field))
+            return field
+
+        spec = CampaignSpec(
+            name="fields", scenarios=SCENARIOS + ("corridor:3:flight_s=6.0",),
+            variants=VARIANTS, particle_counts=(16,), seeds=(0,),
+        )
+        monkeypatch.setattr(DistanceField, "build", staticmethod(track_field))
+        run_campaign(spec, store=CampaignStore("fields", root=tmp_path))
+        assert len(fields) == 3  # one per world
+        assert alive == [0, 0, 0]  # each world's field went with its world
 
     def test_jobs_fanout_byte_identical(self, fresh, tmp_path):
         store, __ = fresh

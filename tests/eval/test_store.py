@@ -16,6 +16,9 @@ from repro.eval.store import (
     list_campaigns,
 )
 
+#: A legacy cell file's name is a content key: ``-n<N>-<12 hex digits>``.
+TORN = "maze-s1-fp32-n16-0123456789ab"
+
 
 def _nan_to_none(value):
     """Non-finite floats -> ``None``, tuples -> lists: the store's
@@ -199,25 +202,25 @@ class TestCampaignStore:
     ):
         store = CampaignStore("c", root=tmp_path / "c")
         store.put_cell("good", {"v": 1})  # takes the writer lock
-        write_cell_files(store, {"torn": b'{"v": 1'})  # a truncated legacy cell
+        write_cell_files(store, {TORN: b'{"v": 1'})  # a truncated legacy cell
         store.cells_dir.joinpath("leftover.json.tmp").write_text("{}")
         # The lock holder reads the segments alone; recover() would remove
         # the torn file rather than fold it.
         assert store.completed_keys() == {"good"}
-        assert store.get_cell("torn") is None
+        assert store.get_cell(TORN) is None
         assert dict(store.stream_cells()) == {"good": {"v": 1}}
 
     def test_recover_sweeps_partials_only(self, tmp_path, write_cell_files):
         store = CampaignStore("c", root=tmp_path / "c")
         store.put_cell("good", {"v": 1})
-        write_cell_files(store, {"torn": b'{"v": 1'})
+        write_cell_files(store, {TORN: b'{"v": 1'})
         store.cells_dir.joinpath("leftover.json.tmp").write_text("{}")
         store.root.joinpath("manifest.json.abc123.tmp").write_text("{}")
         removed = store.recover()
         assert sorted(removed) == [
             "leftover.json.tmp",
             "manifest.json.abc123.tmp",
-            "torn.json",
+            f"{TORN}.json",
         ]
         assert store.completed_keys() == {"good"}
         assert store.recover() == []  # healthy store loses nothing

@@ -60,6 +60,11 @@ def cell_bytes(store: CampaignStore) -> dict[str, bytes]:
     return dict(store.iter_cell_bytes())
 
 
+def legacy_key(index: int) -> str:
+    """A synthetic key shaped like a content key, as legacy files are named."""
+    return f"maze-s1-fp32-n16-{index:012x}"
+
+
 @pytest.fixture(scope="module")
 def packed_store(tmp_path_factory):
     """The legacy store's grid, executed afresh into segments."""
@@ -253,7 +258,7 @@ class TestCrashSafety:
     ):
         root = tmp_path / "s"
         cells = {
-            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            legacy_key(index): canonical_json_bytes({"index": index})
             for index in range(12)
         }
         write_cell_files(CampaignStore("crash", root=root), cells)
@@ -300,7 +305,7 @@ class TestCrashSafety:
         # appends only the other half, and every key reads once.
         root = tmp_path / "s"
         cells = {
-            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            legacy_key(index): canonical_json_bytes({"index": index})
             for index in range(10)
         }
         with CampaignStore("crash", root=root) as half:
@@ -321,14 +326,14 @@ class TestCrashSafety:
     ):
         root = tmp_path / "s"
         cells = {
-            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            legacy_key(index): canonical_json_bytes({"index": index})
             for index in range(12)
         }
         write_cell_files(CampaignStore("crash", root=root), cells)
         encode = store_module._encode_record
 
         def crashy_encode(key, data):
-            if key == "cell-0005":
+            if key == legacy_key(5):
                 raise OSError("simulated crash mid-append")
             return encode(key, data)
 
@@ -348,20 +353,20 @@ class TestCrashSafety:
     ):
         root = tmp_path / "s"
         cells = {
-            f"cell-{index:04d}": canonical_json_bytes({"index": index})
+            legacy_key(index): canonical_json_bytes({"index": index})
             for index in range(6)
         }
         write_cell_files(CampaignStore("crash", root=root), cells)
         encode = store_module._encode_record
 
         def flipping_encode(key, data):  # one record lands with a changed byte
-            if key == "cell-0004":
+            if key == legacy_key(4):
                 data = data.replace(b"4", b"5")
             return encode(key, data)
 
         monkeypatch.setattr(store_module, "_encode_record", flipping_encode)
         with CampaignStore("crash", root=root) as victim:
-            with pytest.raises(EvaluationError, match="verify failed .* cell-0004"):
+            with pytest.raises(EvaluationError, match=f"verify failed .* {legacy_key(4)}"):
                 victim.recover()
         left = sorted(path.stem for path in victim.cells_dir.glob("*.json"))
         assert left == sorted(cells)
@@ -371,12 +376,12 @@ class TestCrashSafety:
     ):
         root = tmp_path / "s"
         with CampaignStore("crash", root=root) as store:
-            store.put_cell("cell-0000", {"index": 0})
+            store.put_cell(legacy_key(0), {"index": 0})
         write_cell_files(
             store,
             {
-                "cell-0000": canonical_json_bytes({"index": 1}),
-                "cell-0001": canonical_json_bytes({"index": 1}),
+                legacy_key(0): canonical_json_bytes({"index": 1}),
+                legacy_key(1): canonical_json_bytes({"index": 1}),
             },
         )
         with CampaignStore("crash", root=root) as folding:
@@ -559,6 +564,24 @@ class TestLegacyStore:
         assert list(legacy_store.iter_cell_bytes()) == sorted(legacy_cells.items())
         assert legacy_store.completed_keys() == set(legacy_cells)
         assert campaign_status("legacy", store=legacy_store)["completed"] == 4
+
+    @pytest.mark.parametrize(
+        "stem", ["notes", "office-s1-aba13aae01-fp32-n16"], ids=["word", "cut-key"]
+    )
+    def test_a_file_not_shaped_like_a_content_key_is_left_in_place(
+        self, legacy_store, legacy_cells, stem
+    ):
+        # A plain key names no cell unless it ends -n<N>-<12 hex digits>
+        # as every content key does, even when the file parses as JSON.
+        note = legacy_store.cells_dir / f"{stem}.json"
+        note.write_bytes(b'{"todo": "rerun office"}\n')
+        with legacy_store:
+            assert legacy_store.recover() == [
+                f"{key}.json" for key in sorted(legacy_cells)
+            ]
+        assert list(legacy_store.cells_dir.iterdir()) == [note]
+        assert legacy_store.completed_keys() == set(legacy_cells)
+        assert list(legacy_store.iter_cell_bytes()) == sorted(legacy_cells.items())
 
     def test_lost_cell_file_re_executes_into_a_segment(
         self, legacy_store, legacy_cells

@@ -235,6 +235,37 @@ class TestSweepEngine:
         assert (len(resolved), loaded) == (1, [world, world])
         assert sweep_engine._WORKER_FIELD_CACHE.misses == 2
 
+    def test_one_job_holds_one_scenario_at_a_time(self, monkeypatch):
+        # jobs=1 loads each scenario in its own task: once the backend
+        # keeps one replay plan, the first flight is gone before the
+        # third scenario loads.
+        import gc
+        import weakref
+
+        import repro.engine.batched as batched
+        import repro.scenarios.registry as registry
+
+        monkeypatch.setattr(batched, "_PLAN_CACHE_LIMIT", 1)
+        build_scenario = registry.build_scenario
+        flights, alive = [], []
+
+        def track_flight(spec, cache=True):
+            gc.collect()
+            alive.append([flight() is not None for flight in flights])
+            scenario = build_scenario(spec, cache=cache)
+            flights.append(weakref.ref(scenario.sequence))
+            return scenario
+
+        monkeypatch.setattr(registry, "build_scenario", track_flight)
+        results = SweepEngine(backend="fast").run_scenarios(
+            SCENARIOS + ("corridor:3:flight_s=6.0",),
+            ["fp32"],
+            [16],
+            protocol=SweepProtocol(sequence_count=1, seeds=(0,)),
+        )
+        assert len(results) == len(flights) == 3
+        assert alive[2][0] is False
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_each_scenario_is_one_pool_task(self, inline_pool, jobs):
         # Each scenario's cells are one task, in grid order, and the

@@ -289,7 +289,7 @@ class TestCommands:
         root = campaigns_root() / "legacy"  # the name its manifest holds
         shutil.copytree(legacy, root)
         for index in range(10):  # torn writes are removed, and named too
-            (root / "cells" / f"torn-{index}.json").write_text('{"v": ')
+            (root / "cells" / f"maze-s1-fp32-n16-{index:012x}.json").write_text('{"v": ')
         assert main(["campaign", "run", "legacy", "--scenarios",
                      "corridor:2:flight_s=6.0,office:1:flight_s=6.0",
                      "--variants", "fp32", "--particles", "16,32",
