@@ -325,11 +325,13 @@ class ConfigSpec:
     an override spelled at its default value is a no-op and does not
     survive canonicalization, even if :meth:`config` is later given a
     ``base`` whose field differs (``fp32+sigma=2.0`` over a
-    ``sigma_obs=1.0`` base yields 1.0).  Every keyed path in this
-    repository — campaigns, serving, the CLI — materializes specs over
-    the paper-default base, where spec identity and materialized config
-    agree exactly; custom ``base`` configs are an advanced API-only path
-    and do not participate in config identity.
+    ``sigma_obs=1.0`` base yields 1.0).  Every path in this repository
+    — sweeps, campaigns, serving, the CLI — materializes specs over the
+    paper defaults, where spec identity and materialized config agree
+    exactly.  Only three primitives still take a ``base``, because
+    ``perfbench/`` passes the paper defaults through them: this
+    :meth:`config`, ``SessionSpec.config`` and
+    ``CampaignCell.sweep_cell``.
     """
 
     variant: str

@@ -35,7 +35,7 @@ from ..maps.occupancy import OccupancyGrid
 from ..sensors.tof import TofFrame
 from .config import MclConfig
 from .motion import apply_motion_model
-from .observation import apply_observation_model, extract_beams
+from .observation import BeamBundle, apply_observation_model, extract_beams
 from .particles import ParticleSet
 from .pose_estimate import PoseEstimate, estimate_pose
 from .resampling import draw_wheel_offset, systematic_resample
@@ -50,6 +50,45 @@ class McUpdateReport:
     observation_applied: bool = False
     resampled: bool = False
     beam_count: int = 0
+
+
+def fire_update(
+    particles: ParticleSet,
+    rng: np.random.Generator,
+    pending: Pose2D,
+    beams: BeamBundle | None,
+    field: DistanceField,
+    config: MclConfig,
+) -> McUpdateReport:
+    """One fired update: motion, observation, then the ESS-gated wheel resample.
+
+    What :meth:`MonteCarloLocalization.process` runs once the movement
+    gate fires, and what the reference backend's stack runs per row.
+    ``pending`` is the accumulated odometry; ``beams=None`` means no
+    usable beams, as a replay step stores it.  The caller recomputes the
+    pose estimate.
+    """
+    apply_motion_model(particles, pending, config, rng)
+    report = McUpdateReport(motion_applied=True)
+    if beams is not None:
+        report.beam_count = beams.beam_count
+        report.observation_applied = apply_observation_model(
+            particles, beams, field, config
+        )
+
+    if report.observation_applied:
+        ess = particles.effective_sample_size()
+        threshold = config.resample_ess_fraction * particles.count
+        if ess <= threshold:
+            u0 = draw_wheel_offset(rng, particles.count)
+            # Weights are normalized by the observation model; the
+            # fast path skips the redundant renormalizing divide.
+            indices = systematic_resample(
+                particles.weights.astype(np.float64), u0, normalized=True
+            )
+            particles.swap_from_indices(indices)
+            report.resampled = True
+    return report
 
 
 class MonteCarloLocalization:
@@ -123,35 +162,20 @@ class MonteCarloLocalization:
         movement thresholds; otherwise this is a cheap no-op, exactly like
         the on-board gating.
         """
-        report = McUpdateReport()
         if not self.config.movement_trigger(
             self._pending.x, self._pending.y, self._pending.theta
         ):
-            return report
+            return McUpdateReport()
 
-        apply_motion_model(self.particles, self._pending, self.config, self._rng)
-        self._pending = Pose2D.identity()
-        report.motion_applied = True
-
-        beams = extract_beams(frames, self.config)
-        report.beam_count = beams.beam_count
-        report.observation_applied = apply_observation_model(
-            self.particles, beams, self.field, self.config
+        report = fire_update(
+            self.particles,
+            self._rng,
+            self._pending,
+            extract_beams(frames, self.config),
+            self.field,
+            self.config,
         )
-
-        if report.observation_applied:
-            ess = self.particles.effective_sample_size()
-            threshold = self.config.resample_ess_fraction * self.particles.count
-            if ess <= threshold:
-                u0 = draw_wheel_offset(self._rng, self.particles.count)
-                # Weights are normalized by the observation model; the
-                # fast path skips the redundant renormalizing divide.
-                indices = systematic_resample(
-                    self.particles.weights.astype(np.float64), u0, normalized=True
-                )
-                self.particles.swap_from_indices(indices)
-                report.resampled = True
-
+        self._pending = Pose2D.identity()
         self._estimate = estimate_pose(self.particles)
         self.update_count += 1
         return report

@@ -64,16 +64,12 @@ if TYPE_CHECKING:  # imports kept lazy to avoid core <-> engine cycles
 class RunSpec:
     """One localization run: a recorded sequence replayed under a seed.
 
-    ``tracking_init`` selects the pose-tracking protocol (Gaussian cloud
-    around the true start pose) instead of the default global
-    localization (uniform over free space).
+    Every run follows the paper's global-localization protocol: the
+    filter starts uniform over free space.
     """
 
     sequence: "RecordedSequence"
     seed: int
-    tracking_init: bool = False
-    tracking_sigma_xy: float = 0.3
-    tracking_sigma_theta: float = 0.3
 
 
 @dataclass

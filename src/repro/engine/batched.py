@@ -204,25 +204,15 @@ class ParticleStack:
     def init_row(self, row: int, grid: OccupancyGrid, spec: RunSpec) -> None:
         """(Re)initialize ``row`` exactly like a fresh reference filter.
 
-        Replicates ``MonteCarloLocalization.__init__`` (plus the
-        optional ``reset_at`` tracking init) draw for draw: the
-        global-localization init always runs first — the reference
-        filter draws it in its constructor — so the RNG stream advances
-        identically even under tracking init.
+        Replicates ``MonteCarloLocalization.__init__`` draw for draw: a
+        uniform population over free space.
         """
         rng = make_rng(spec.seed, "mcl")
         self.rngs[row] = rng
         n = self.count
-        uniform = np.full(n, 1.0 / n)
         x, y = grid.sample_free_points(n, rng)
         theta = rng.uniform(-np.pi, np.pi, size=n)
-        self._store(row, x, y, theta, uniform)
-        if spec.tracking_init:
-            start = spec.sequence.ground_truth_pose(0)
-            x = rng.normal(start.x, spec.tracking_sigma_xy, size=n)
-            y = rng.normal(start.y, spec.tracking_sigma_xy, size=n)
-            theta = rng.normal(start.theta, spec.tracking_sigma_theta, size=n)
-            self._store(row, x, y, theta, uniform)
+        self._store(row, x, y, theta, np.full(n, 1.0 / n))
         self.update_count[row] = 0
         self._refresh_estimate(row)
 

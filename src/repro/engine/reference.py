@@ -11,7 +11,8 @@ without cffi or a C compiler.
 :class:`ReferenceStack` is the backend's step-level entry point
 (:class:`~repro.engine.backend.SessionStack`): one scalar
 :class:`~repro.core.particles.ParticleSet` per row, advanced through
-exactly the ``MonteCarloLocalization.process`` code path.  It exists so
+:func:`~repro.core.mcl.fire_update`, the update
+``MonteCarloLocalization.process`` runs.  It exists so
 the serve layer can multiplex sessions over *either* backend — and so
 fleet traces can be pinned against the scalar loop step by step.
 """
@@ -26,12 +27,9 @@ from ..common.errors import ConfigurationError
 from ..common.geometry import Pose2D
 from ..common.rng import make_rng
 from ..core.config import MclConfig
-from ..core.mcl import MonteCarloLocalization
-from ..core.motion import apply_motion_model
-from ..core.observation import apply_observation_model
+from ..core.mcl import MonteCarloLocalization, fire_update
 from ..core.particles import ParticleSet
 from ..core.pose_estimate import estimate_pose, pose_error
-from ..core.resampling import draw_wheel_offset, systematic_resample
 from ..core.snapshot import FilterStateSnapshot
 from ..dataset.recorder import RecordedSequence
 from ..maps.distance_field import DistanceField
@@ -42,11 +40,10 @@ from .backend import RunSpec, RunTrace, StepWork
 class ReferenceStack:
     """Scalar step-level stack: one :class:`ParticleSet` per row.
 
-    Each packed :meth:`step` unrolls into per-row scalar updates that
-    follow ``MonteCarloLocalization.process`` operation for operation
-    (motion model, observation model, ESS-gated wheel resampling, pose
-    estimate), with the gating and beam extraction already resolved by
-    the caller's replay step.  Per-row results are trivially independent
+    Each packed :meth:`step` runs :func:`~repro.core.mcl.fire_update`
+    per row, the update ``MonteCarloLocalization.process`` runs once its
+    gate fires, then the pose estimate, with the gating and beam
+    extraction already resolved by the caller's replay step.  Per-row results are trivially independent
     of the packing — there is no cross-row arithmetic at all.
     """
 
@@ -78,16 +75,6 @@ class ReferenceStack:
         rng = make_rng(spec.seed, "mcl")
         particles = ParticleSet(self.count, self.config.precision)
         particles.init_uniform(grid, rng)
-        if spec.tracking_init:
-            start = spec.sequence.ground_truth_pose(0)
-            particles.init_gaussian(
-                start.x,
-                start.y,
-                start.theta,
-                spec.tracking_sigma_xy,
-                spec.tracking_sigma_theta,
-                rng,
-            )
         self._particles[row] = particles
         self._rngs[row] = rng
         self._updates[row] = 0
@@ -114,24 +101,9 @@ class ReferenceStack:
 
     def _step_row(self, row: int, item: StepWork) -> None:
         particles, rng = self._row(row)
-        config = self.config
         step = item.step
         assert step.pending is not None  # packed steps always fired
-        apply_motion_model(particles, step.pending, config, rng)
-        observed = False
-        if step.beams is not None:
-            observed = apply_observation_model(
-                particles, step.beams, item.field, config
-            )
-        if observed:
-            ess = particles.effective_sample_size()
-            threshold = config.resample_ess_fraction * particles.count
-            if ess <= threshold:
-                u0 = draw_wheel_offset(rng, particles.count)
-                indices = systematic_resample(
-                    particles.weights.astype(np.float64), u0, normalized=True
-                )
-                particles.swap_from_indices(indices)
+        fire_update(particles, rng, step.pending, step.beams, item.field, self.config)
         self._set_estimate(row, estimate_pose(particles).pose)
         self._updates[row] += 1
 
@@ -207,12 +179,6 @@ class ReferenceBackend:
     ) -> RunTrace:
         sequence: RecordedSequence = spec.sequence
         mcl = MonteCarloLocalization(grid, config, seed=spec.seed, field=field)
-        if spec.tracking_init:
-            mcl.reset_at(
-                sequence.ground_truth_pose(0),
-                sigma_xy=spec.tracking_sigma_xy,
-                sigma_theta=spec.tracking_sigma_theta,
-            )
 
         timestamps = []
         position_errors = []

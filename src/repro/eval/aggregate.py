@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from ..common.errors import EvaluationError
 from ..common.rng import PAPER_SEEDS
-from ..core.config import MclConfig
 from ..dataset.recorder import RecordedSequence
 from ..engine.backend import DEFAULT_BACKEND
 from ..maps.occupancy import OccupancyGrid
@@ -170,7 +169,6 @@ def run_sweep(
     variants: list[str],
     particle_counts: list[int],
     protocol: SweepProtocol | None = None,
-    base_config: MclConfig | None = None,
     progress=None,
     backend: str = DEFAULT_BACKEND,
     jobs: int = 1,
@@ -198,6 +196,5 @@ def run_sweep(
         variants,
         particle_counts,
         protocol=protocol,
-        base_config=base_config,
         progress=progress,
     )

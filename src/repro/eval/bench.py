@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .. import obs
 from ..common.errors import EvaluationError
-from ..core.config import MclConfig
 from ..engine.backend import DEFAULT_BACKEND, get_backend
 from ..dataset.recorder import RecordedSequence
 from ..maps.occupancy import OccupancyGrid
@@ -82,7 +81,6 @@ def compare_backends(
     variants: list[str] | None = None,
     particle_counts: list[int] | None = None,
     protocol: SweepProtocol | None = None,
-    base_config: MclConfig | None = None,
     backends: tuple[str, ...] | None = None,
     progress=None,
     jobs: int | None = None,
@@ -105,15 +103,14 @@ def compare_backends(
     variants = list(variants or DEFAULT_VARIANTS)
     particle_counts = list(particle_counts or DEFAULT_PARTICLE_COUNTS)
     protocol = protocol or SweepProtocol.from_env()
-    base_config = base_config or MclConfig()
     used_sequences = sequences[: protocol.sequence_count]
     if not used_sequences:
         raise EvaluationError("backend bench needs at least one sequence")
 
     cache = DistanceFieldCache()
-    cells = _cell_specs(base_config, variants, particle_counts)
+    cells = _cell_specs(variants, particle_counts)
     # Keyed like SweepEngine.run: r_max-ablated config specs need their
-    # own EDT truncation, not the base config's.
+    # own EDT truncation, not the default config's.
     fields = {
         (cell.field_kind, cell.config.r_max): cache.get(
             grid, cell.config.r_max, cell.field_kind
@@ -193,7 +190,6 @@ def compare_backends(
                 variants,
                 particle_counts,
                 protocol=protocol,
-                base_config=base_config,
             )
         elapsed = sweep_timer.elapsed_s
         report["parallel"] = {

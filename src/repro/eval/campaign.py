@@ -181,7 +181,12 @@ class CampaignCell:
             _identity_template(self.variant, self.particle_count, self.seeds),
         )
 
-    def sweep_cell(self, base_config: MclConfig) -> SweepCellSpec:
+    def sweep_cell(self, base_config: MclConfig | None = None) -> SweepCellSpec:
+        """The sweep cell this campaign cell runs, over the paper defaults.
+
+        Only ``perfbench/workloads/campaign_cold.py`` passes
+        ``base_config``, and it passes those defaults.
+        """
         spec = _parse_spec(self.variant)
         config = spec.config(base=base_config, particle_count=self.particle_count)
         return SweepCellSpec(spec.id, self.particle_count, config)
@@ -446,7 +451,6 @@ def run_campaign(
         cells = cells[index::count]  # the shard_cells split
     if store is None:
         store = CampaignStore(spec.name)
-    base_config = MclConfig()
 
     def finish(key: str, cell: CampaignCell, runs: list[RunResult]) -> None:
         with obs.span("campaign.cell_store"):
@@ -484,7 +488,7 @@ def run_campaign(
         # generator shuts a pool down before the lock is released, on
         # error paths too.
         units = [
-            (cell.scenario, cell.seeds, cell.sweep_cell(base_config))
+            (cell.scenario, cell.seeds, cell.sweep_cell())
             for _, cell in pending
         ]
         with closing(fan_out(units, backend, jobs)) as finished:

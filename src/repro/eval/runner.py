@@ -91,26 +91,16 @@ def run_localization(
     config: MclConfig,
     seed: int,
     field: DistanceField | None = None,
-    tracking_init: bool = False,
-    tracking_sigma_xy: float = 0.3,
-    tracking_sigma_theta: float = 0.3,
     backend: str | FilterBackend = "reference",
 ) -> RunResult:
     """Replay ``sequence`` through a fresh filter and evaluate it.
 
     ``field`` lets sweeps share one prebuilt distance field per precision
-    kind instead of recomputing the EDT for every run.  The default is the
-    paper's global-localization protocol (uniform init over free space);
-    ``tracking_init=True`` instead seeds the filter around the true start
-    pose — the pose-tracking regime used by some ablations.  ``backend``
-    selects the executing :class:`FilterBackend`; every backend produces
-    identical results, so the choice is purely about throughput.
+    kind instead of recomputing the EDT for every run.  The run follows
+    the paper's global-localization protocol (uniform init over free
+    space).  ``backend`` selects the executing :class:`FilterBackend`;
+    every backend produces identical results, so the choice is purely
+    about throughput.
     """
-    spec = RunSpec(
-        sequence=sequence,
-        seed=seed,
-        tracking_init=tracking_init,
-        tracking_sigma_xy=tracking_sigma_xy,
-        tracking_sigma_theta=tracking_sigma_theta,
-    )
+    spec = RunSpec(sequence=sequence, seed=seed)
     return run_localization_batch(grid, [spec], config, field, backend)[0]

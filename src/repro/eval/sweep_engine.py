@@ -13,8 +13,9 @@ lacked:
   :class:`~repro.engine.backend.FilterBackend` call, so the ``fast``
   backend can advance all R runs as ``(R, N)`` stacks;
 * **keyed distance-field cache** — cells are grouped by
-  (map, r_max, precision kind) and each distinct EDT is built exactly
-  once per engine, shared across variants and particle counts;
+  (map, r_max, precision kind) and each distinct EDT is built once per
+  engine (which keeps the 32 newest), shared across variants and
+  particle counts;
 * **one cell loop** — cell sweeps, scenario sweeps and campaigns all
   hand :func:`fan_out` (world, seeds, cell) units, where a world is a
   registry scenario id or an in-memory ``(grid, sequences)`` pair.  A
@@ -58,23 +59,24 @@ from .aggregate import SweepProtocol, SweepResult
 from .runner import RunResult, run_localization_batch
 
 
+#: Fields a :class:`DistanceFieldCache` keeps, oldest evicted first: an
+#: engine's, a pool worker's and a session manager's cache all outlive
+#: one world, and a sweep over hundreds of worlds stays bounded.
+_FIELD_CACHE_LIMIT = 32
+
+
 class DistanceFieldCache:
     """Distance fields keyed by (map content, r_max, storage kind).
 
     Each distinct (map, truncation, kind) triple is computed once and
     shared by reference across every cell that needs it.  Keys
     fingerprint the grid *content*, so two identical maps in different
-    objects still share one field.
-
-    ``limit`` bounds how many fields are retained (oldest insertion
-    evicted first); ``None`` keeps everything — right for single-map
-    sweeps, while long-lived fan-out workers crossing hundreds of
-    generated worlds should bound it.
+    objects still share one field.  At most :data:`_FIELD_CACHE_LIMIT`
+    fields are kept, oldest insertion evicted first.
     """
 
-    def __init__(self, limit: int | None = None) -> None:
+    def __init__(self) -> None:
         self._fields: dict[tuple, DistanceField] = {}
-        self.limit = limit
         self.hits = 0
         self.misses = 0
 
@@ -94,9 +96,8 @@ class DistanceFieldCache:
         if key not in self._fields:
             self.misses += 1
             obs.counter("sweep.edt_cache.misses").inc()
-            if self.limit is not None:
-                while len(self._fields) >= self.limit:
-                    self._fields.pop(next(iter(self._fields)))
+            while len(self._fields) >= _FIELD_CACHE_LIMIT:
+                self._fields.pop(next(iter(self._fields)))
             with obs.span("sweep.edt_build"):
                 self._fields[key] = DistanceField.build(grid, r_max, kind)
         else:
@@ -132,21 +133,20 @@ class SweepCellSpec:
         return self.config.fingerprint()
 
 
-def _cell_specs(
-    base_config: MclConfig, variants: list[str], particle_counts: list[int]
-) -> list[SweepCellSpec]:
+def _cell_specs(variants: list[str], particle_counts: list[int]) -> list[SweepCellSpec]:
     """The sweep grid in deterministic (config-spec-major) cell order.
 
     ``variants`` entries are config specs (``variant[+key=value...]``)
-    parsed through the one grammar in :class:`repro.core.config.ConfigSpec`;
-    cells are keyed by the canonical spec id, so any accepted spelling of
-    a configuration lands in the same cell.
+    parsed through the one grammar in :class:`repro.core.config.ConfigSpec`
+    and materialized over the paper defaults; cells are keyed by the
+    canonical spec id, so any accepted spelling of a configuration lands
+    in the same cell.
     """
     cells = []
     for variant in variants:
         spec = ConfigSpec.parse(variant)
         for count in particle_counts:
-            config = spec.config(base=base_config, particle_count=count)
+            config = spec.config(particle_count=count)
             cells.append(SweepCellSpec(spec.id, count, config))
     return cells
 
@@ -190,16 +190,11 @@ World = str | tuple[OccupancyGrid, list[RecordedSequence]]
 #: One task's cells: ``(index into the units, seeds, cell)`` in order.
 TaskCells = list[tuple[int, tuple[int, ...], SweepCellSpec]]
 
-#: Fields kept by a cache that outlives one world, oldest evicted first:
-#: each pool worker's, and the one a ``jobs=1`` :func:`fan_out` builds
-#: when given none.  A call over hundreds of worlds stays bounded.
-_FIELD_CACHE_LIMIT = 32
-
 #: Per-worker-process caches: a worker runs several tasks of one pool, so
 #: it resolves each backend once (keeping its replay-plan cache) and
 #: shares fields between an in-memory world's per-cell tasks or the
 #: chunks of one scenario.
-_WORKER_FIELD_CACHE = DistanceFieldCache(limit=_FIELD_CACHE_LIMIT)
+_WORKER_FIELD_CACHE = DistanceFieldCache()
 _WORKER_BACKENDS: dict[str, FilterBackend] = {}
 
 
@@ -295,8 +290,8 @@ def fan_out(
 
     ``jobs=1`` runs the tasks in order in this process, through the loop
     a pool worker runs (:func:`_run_cells`), with ``backend`` resolved
-    once and fields from ``field_cache``, or else from a fresh cache
-    bounded like a worker's.  ``jobs > 1`` runs them on a process pool,
+    once and fields from ``field_cache``, or else from a fresh cache of
+    its own.  ``jobs > 1`` runs them on a process pool,
     in completion order; only that counts in ``sweep.tasks`` and the
     ``sweep.fan_out`` span.  The last ``ids % jobs`` ids split into
     contiguous chunks that every worker shares, rather than leave some
@@ -319,7 +314,7 @@ def fan_out(
     if jobs == 1:
         executor = get_backend(backend)
         if field_cache is None:
-            field_cache = DistanceFieldCache(limit=_FIELD_CACHE_LIMIT)
+            field_cache = DistanceFieldCache()
         for task in tasks:
             yield from _run_cells(*task, executor, field_cache)
         return
@@ -350,6 +345,9 @@ class SweepEngine:
     across worker processes.  The ``field_cache`` serves in-process
     (``jobs=1``) execution and may be shared between engines to reuse
     EDTs across sweeps of the same map; pool workers keep their own.
+    Like every :class:`DistanceFieldCache` it keeps at most
+    :data:`_FIELD_CACHE_LIMIT` fields.  Every spec is materialized over
+    the paper defaults, so a cell's spec id names its whole config.
     """
 
     backend: str | FilterBackend = DEFAULT_BACKEND
@@ -371,7 +369,6 @@ class SweepEngine:
         variants: list[str],
         particle_counts: list[int],
         protocol: SweepProtocol | None = None,
-        base_config: MclConfig | None = None,
         progress=None,
     ) -> SweepResult:
         """Execute the full evaluation protocol over the sweep grid.
@@ -382,11 +379,10 @@ class SweepEngine:
         assembled :class:`SweepResult` is identical.
         """
         protocol = protocol or SweepProtocol.from_env()
-        base_config = base_config or MclConfig()
         if not sequences:
             raise EvaluationError("sweep needs at least one sequence")
         used_sequences = sequences[: protocol.sequence_count]
-        cells = _cell_specs(base_config, variants, particle_counts)
+        cells = _cell_specs(variants, particle_counts)
 
         result = SweepResult()
         for cell in cells:  # pre-create cells in deterministic order
@@ -412,7 +408,6 @@ class SweepEngine:
         variants: list[str],
         particle_counts: list[int],
         protocol: SweepProtocol | None = None,
-        base_config: MclConfig | None = None,
         progress=None,
     ) -> dict[str, SweepResult]:
         """Sweep over generated scenarios as an additional cell axis.
@@ -460,8 +455,7 @@ class SweepEngine:
                 scenario_id = canonical_scenario_id(item)
                 unique.setdefault(scenario_id, scenario_id)
         protocol = protocol or SweepProtocol.from_env()
-        base_config = base_config or MclConfig()
-        cells = _cell_specs(base_config, variants, particle_counts)
+        cells = _cell_specs(variants, particle_counts)
         results: dict[str, SweepResult] = {}
         for scenario_id in unique:  # deterministic input-order layout
             results[scenario_id] = SweepResult()

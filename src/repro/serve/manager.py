@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
-from ..core.config import MclConfig
 from ..engine.backend import DEFAULT_BACKEND, RunSpec
 from ..engine.replay import ReplayPlan
 from ..eval.metrics import AggregateMetrics
@@ -51,12 +50,11 @@ from .session import (
     snapshot_to_bytes,
 )
 
-#: Bounds on what a manager caches per distinct world: EDTs, loaded
-#: scenarios, and replay plans (mirrors the sweep workers' bounded
-#: caches — a serving process is long-lived by design, so every keyed
+#: Bounds on what a manager caches per distinct world: loaded scenarios
+#: and replay plans (EDTs are bounded by :class:`DistanceFieldCache`
+#: itself — a serving process is long-lived by design, so every keyed
 #: cache must evict).  Oldest insertion goes first; live sessions hold
 #: their own references, so eviction only affects future creates.
-_FIELD_CACHE_LIMIT = 32
 _SCENARIO_CACHE_LIMIT = 32
 _PLAN_CACHE_LIMIT = 64  # ~2 gating signatures per cached scenario
 
@@ -71,19 +69,19 @@ class FlushReport:
 
 
 class SessionManager:
-    """Multiplexes live localization sessions over one filter backend."""
+    """Multiplexes live localization sessions over one filter backend.
 
-    def __init__(
-        self,
-        backend: str = DEFAULT_BACKEND,
-        base_config: MclConfig | None = None,
-    ) -> None:
-        self.base_config = base_config or MclConfig()
+    Every session's config spec is materialized over the paper
+    defaults, so a snapshot's spec names the whole filter config and a
+    :meth:`restore` continues under the same filter on any manager.
+    """
+
+    def __init__(self, backend: str = DEFAULT_BACKEND) -> None:
         self.scheduler = StepScheduler(backend)
         self._sessions: dict[str, FilterSession] = {}
         self._scenarios: dict[str, Scenario] = {}
         self._plans: dict[tuple, ReplayPlan] = {}
-        self._field_cache = DistanceFieldCache(limit=_FIELD_CACHE_LIMIT)
+        self._field_cache = DistanceFieldCache()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -186,7 +184,7 @@ class SessionManager:
             self._scenarios[spec.scenario] = scenario
         else:
             obs.counter("serve.scenario_cache.hits").inc()
-        config = spec.config(self.base_config)
+        config = spec.config()
         field = self._field_cache.get(
             scenario.grid, config.r_max, FieldKind.for_mode(config.precision)
         )

@@ -64,7 +64,6 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError, ReproError
-from ..core.config import MclConfig
 from ..engine.backend import DEFAULT_BACKEND, RunTrace
 from ..eval.metrics import RunMetrics
 from ..scenarios.fleet import FleetSpec
@@ -144,20 +143,16 @@ def _status_to_json(status: SessionStatus) -> dict:
 
 
 class OnlineServer:
-    """Asyncio session gateway; one instance owns one ``SessionManager``."""
+    """Asyncio session gateway; one instance builds and owns one ``SessionManager``."""
 
     def __init__(
         self,
         backend: str = DEFAULT_BACKEND,
-        base_config: MclConfig | None = None,
         policy: AdmissionPolicy | None = None,
-        manager: SessionManager | None = None,
         peers: "list[tuple[str, int] | str] | None" = None,
         handoff_timeout_s: float = 10.0,
     ) -> None:
-        self.manager = manager or SessionManager(
-            backend=backend, base_config=base_config
-        )
+        self.manager = SessionManager(backend)
         self.policy = policy or AdmissionPolicy()
         #: Known peer servers; the ``migrate`` verb accepts ``"peer": i``
         #: as an index into this list instead of an explicit address.

@@ -84,8 +84,13 @@ class SessionSpec:
             seed=decl.seed,
         )
 
-    def config(self, base: MclConfig) -> MclConfig:
-        """The full filter config this session runs under."""
+    def config(self, base: MclConfig | None = None) -> MclConfig:
+        """The full filter config this session runs under.
+
+        Specs materialize over the paper defaults; only
+        ``perfbench/workloads/serve_fleet.py`` passes ``base``, and it
+        passes those defaults.
+        """
         return ConfigSpec.parse(self.variant).config(
             base=base, particle_count=self.particle_count
         )

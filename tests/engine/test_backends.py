@@ -170,18 +170,6 @@ class _StackEquivalence:
             _metrics_signature(s) for s in stacked
         ]
 
-    def test_tracking_init_equivalence(self, mini_world, backend):
-        grid, long_flight, __ = mini_world
-        config = MclConfig(particle_count=128)
-        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        specs = [
-            RunSpec(long_flight, seed, tracking_init=True, tracking_sigma_xy=0.2)
-            for seed in (0, 1, 2)
-        ]
-        reference = ReferenceBackend().execute(grid, specs, config, field)
-        stacked = backend.execute(grid, specs, config, field)
-        _assert_traces_identical(reference, stacked)
-
     def test_partial_resampling_row_offsets(self, mini_world, backend):
         """ESS-gated resampling fires per run — rows resample independently."""
         grid, long_flight, short_flight = mini_world

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, EvaluationError
-from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.eval.aggregate import SweepProtocol, run_sweep
 from repro.eval.bench import compare_backends, write_backend_report
@@ -151,6 +150,20 @@ class TestDistanceFieldCache:
         assert len({id(a), id(b), id(c)}) == 3
         assert cache.misses == 3
 
+    def test_keeps_the_newest_fields_up_to_the_limit(self, mini_world, monkeypatch):
+        import repro.eval.sweep_engine as sweep_engine
+
+        monkeypatch.setattr(sweep_engine, "_FIELD_CACHE_LIMIT", 2)
+        grid, __ = mini_world
+        cache = DistanceFieldCache()
+        first = cache.get(grid, 1.5, FieldKind.FLOAT32)
+        cache.get(grid, 1.5, FieldKind.QUANTIZED_U8)
+        newest = cache.get(grid, 2.0, FieldKind.FLOAT32)
+        assert len(cache) == 2
+        assert cache.get(grid, 2.0, FieldKind.FLOAT32) is newest
+        assert cache.get(grid, 1.5, FieldKind.FLOAT32) is not first  # evicted
+        assert (cache.misses, cache.hits) == (4, 1)
+
 
 class TestSweepEngine:
     def test_backends_produce_identical_sweeps(self, mini_world):
@@ -223,7 +236,7 @@ class TestSweepEngine:
         monkeypatch.setattr(registry, "build_scenario", load)
         monkeypatch.setattr(sweep_engine, "_WORKER_BACKENDS", {})
         monkeypatch.setattr(sweep_engine, "_WORKER_FIELD_CACHE", DistanceFieldCache())
-        cells = _cell_specs(MclConfig(), ["fp32", "fp16qm"], [16, 32])
+        cells = _cell_specs(["fp32", "fp16qm"], [16, 32])
         task = [(index, (0,), cell) for index, cell in enumerate(cells)]
         world = SCENARIOS[0]
         results = sweep_engine._run_task(world, task, "fast")
@@ -266,6 +279,22 @@ class TestSweepEngine:
         assert len(results) == len(flights) == 3
         assert alive[2][0] is False
 
+    def test_engine_keeps_a_bounded_number_of_fields(self, monkeypatch):
+        # An engine's own cache is bounded like every other: two
+        # scenarios in two field kinds build four fields and keep one.
+        import repro.eval.sweep_engine as sweep_engine
+
+        monkeypatch.setattr(sweep_engine, "_FIELD_CACHE_LIMIT", 1)
+        engine = SweepEngine()
+        engine.run_scenarios(
+            SCENARIOS,
+            ["fp32", "fp16qm"],
+            [16],
+            protocol=SweepProtocol(sequence_count=1, seeds=(0,)),
+        )
+        assert engine.field_cache.misses == 4  # no field was rebuilt
+        assert len(engine.field_cache) == 1
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_each_scenario_is_one_pool_task(self, inline_pool, jobs):
         # Each scenario's cells are one task, in grid order, and the
@@ -294,7 +323,7 @@ class TestSweepEngine:
         }
 
     def test_pool_tasks_split_the_tail_into_contiguous_chunks(self, mini_world):
-        cells = _cell_specs(MclConfig(), ["fp32", "fp16qm"], [16, 32])
+        cells = _cell_specs(["fp32", "fp16qm"], [16, 32])
 
         def shape(worlds, jobs):
             units = [(world, (0,), cell) for world in worlds for cell in cells]
@@ -467,7 +496,7 @@ class TestCompareBackends:
         from repro.engine.backend import get_backend
         from repro.eval.sweep_engine import _cell_specs, _execute_cell
 
-        cell = _cell_specs(MclConfig(), [spec], [64])[0]
+        cell = _cell_specs([spec], [64])[0]
         assert cell.config.r_max == 0.5
         field = DistanceFieldCache().get(grid, cell.config.r_max, cell.field_kind)
         bench_run = _execute_cell(
