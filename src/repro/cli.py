@@ -44,8 +44,8 @@ Commands that execute the filter accept ``--backend
 :class:`~repro.engine.backend.FilterBackend` (``batched`` is an older name
 for ``fast``); all backends produce bitwise-identical results, so the flag
 only affects throughput.  ``fast``, the default outside ``run``, compiles
-its C kernels on first use; without cffi or a C compiler it runs the
-``reference`` backend, and a compiler that fails is a configuration
+its C kernels on first use; without cffi, numpy's ``libnpyrandom.a`` or
+a C compiler it runs the ``reference`` backend, and a compiler that fails is a configuration
 error.  Every
 ``--variant``/``--variants`` flag speaks the config-spec grammar
 ``variant[+key=value...]`` (:class:`~repro.core.config.ConfigSpec`), so

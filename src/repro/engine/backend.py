@@ -32,9 +32,9 @@ Two backends ship today:
 * ``fast`` — the default: :class:`~repro.engine.batched.BatchedBackend`,
   which stacks all R runs' particle populations into ``(R, N)`` arrays
   and advances them through the compiled stages of
-  :class:`~repro.engine.fast_c.CProvider`.  Without cffi, or without a C
-  compiler and a cached library, it resolves to ``reference`` instead:
-  the same bits, slower.  ``batched`` is an older name for ``fast``.
+  :class:`~repro.engine.fast_c.CProvider`.  Without cffi, numpy's
+  random header and archive, or a C compiler and a cached library, it
+  resolves to ``reference`` instead: the same bits, slower.  ``batched`` is an older name for ``fast``.
 
 Further backends plug in by registering a new name — and must either
 keep the contract or register under a name that signals the difference.
@@ -193,11 +193,12 @@ class FilterBackend(Protocol):
 # here may ever touch RNG or numeric state (the bitwise contract above
 # extends to telemetry: traces with spans active are bit-identical to
 # spans off).
+# The stage spans are the four stages of the paper's Table I, named by
+# the ``repro.soc.perf.MclStep`` values.
 SPAN_MOTION = "engine.step.motion"
-SPAN_GATHER = "engine.step.gather"
-SPAN_WEIGHT = "engine.step.weight"
-SPAN_RESAMPLE = "engine.step.resample"
-SPAN_ESTIMATE = "engine.step.estimate"
+SPAN_OBSERVATION = "engine.step.observation"
+SPAN_RESAMPLING = "engine.step.resampling"
+SPAN_POSE_COMPUTATION = "engine.step.pose_computation"
 COUNTER_STEPS = "engine.steps"
 COUNTER_GATE_TRIGGERS = "engine.gate_triggers"
 COUNTER_RESAMPLES = "engine.resamples"
@@ -263,8 +264,9 @@ def _fast_backend() -> FilterBackend:
     per cache.  The provider is resolved here, when the backend is
     built, and not at the first step: a compile spawned from an
     already-grown process would be charged that process's peak memory.
-    When cffi or the compiler is missing it returns the ``reference``
-    backend (the same bits) and records the fallback; any other build
+    When cffi, numpy's random header or archive, or the compiler is
+    missing it returns the ``reference`` backend (the same bits) and
+    records the fallback, naming what is missing; any other build
     failure raises :class:`ConfigurationError`.
     """
     from .batched import BatchedBackend

@@ -47,19 +47,24 @@ transform, estimate) share one evaluation.
 Compiled kernels
 ----------------
 The stack runs every filter stage in C, through the
-:class:`~repro.engine.fast_c.CProvider` it is handed: the motion
-compose + store, the beam transform -> EDT gather -> tree reduction,
-the weight update, the ESS, the resampling wheel and gathers, and the
-estimate reductions, at float32 and float16 storage alike.  Each stage
-is one call over the int64 list of rows it touches (the beam pass: one
-per work item), and the rows are looped in C.  The stack wraps its
-arrays for C once (:class:`~repro.engine.fast_c.StackKernels`): it
-writes them only in place, and :meth:`ParticleStack.ensure_capacity`,
-the one place that reallocates them, wraps them again.  The per-row RNG draws stay in
-numpy, one stream per row.  It stays bitwise because only IEEE-exact
-arithmetic crosses into compiled code: transcendentals
-(``sin``/``cos``/``exp``) are always evaluated by numpy and passed in,
-every reduction follows the deterministic tree spec, and the wheel
+:class:`~repro.engine.fast_c.CProvider` it is handed, at float32 and
+float16 storage alike: an update is four library calls, one per stage
+of the paper's Table I (:class:`repro.soc.perf.MclStep`).  The motion
+call draws each row's odometry noise and composes, wraps and stores the
+poses; the observation call (one per work item) computes the beam
+transform -> EDT gather -> tree reduction and the likelihood exponent;
+the resampling call updates the weights, takes the ESS and runs the
+wheel, the gathers and the uniform reset; the pose call reduces the
+estimates.  Each call loops in C over the int64 list of rows it
+touches.  The stack wraps its arrays and its rows' bit generators for
+C once (:class:`~repro.engine.fast_c.StackKernels`): it writes them
+only in place, and :meth:`ParticleStack.ensure_capacity`, the one place
+that reallocates them, wraps them again.  Each row draws from its own
+numpy bit generator, through numpy's compiled samplers.  It stays
+bitwise because only IEEE-exact arithmetic is evaluated by the
+library's own C: transcendentals (``sin``/``cos``/``exp``) are always
+evaluated by numpy, three whole-block calls per update, and passed in;
+every reduction follows the deterministic tree spec; and the wheel
 replicates the sequential scan of
 :func:`repro.engine.kernels.systematic_resample`.
 """
@@ -92,11 +97,10 @@ from .backend import (
     COUNTER_STEPS,
     RunSpec,
     RunTrace,
-    SPAN_ESTIMATE,
-    SPAN_GATHER,
     SPAN_MOTION,
-    SPAN_RESAMPLE,
-    SPAN_WEIGHT,
+    SPAN_OBSERVATION,
+    SPAN_POSE_COMPUTATION,
+    SPAN_RESAMPLING,
     StepWork,
 )
 from .replay import ReplayPlan, ReplayStep
@@ -157,6 +161,8 @@ class ParticleStack:
         self.sin64 = np.zeros((0, self.count))
         self.update_count = np.zeros(0, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = []
+        # Each row's bit generator address (0: none), which the C draws read.
+        self.bitgens = np.zeros(0, dtype=np.uintp)
         self.estimates: list[Pose2D] = []
         self.estimate_arrays: list[np.ndarray | None] = []
         self.ensure_capacity(rows)
@@ -191,10 +197,11 @@ class ParticleStack:
         # Fresh rows hold theta64 == 0: cos(0) == 1 keeps the trig
         # invariant exact even before init_row touches them.
         self.cos64[self.rows :] = 1.0
-        self.update_count = np.concatenate(
-            [self.update_count, np.zeros(rows - self.rows, dtype=np.int64)]
-        )
         added = rows - self.rows
+        self.update_count = np.concatenate(
+            [self.update_count, np.zeros(added, dtype=np.int64)]
+        )
+        self.bitgens = np.concatenate([self.bitgens, np.zeros(added, dtype=np.uintp)])
         self.rngs.extend([None] * added)
         self.estimates.extend([Pose2D.identity()] * added)
         self.estimate_arrays.extend([None] * added)
@@ -208,7 +215,7 @@ class ParticleStack:
         uniform population over free space.
         """
         rng = make_rng(spec.seed, "mcl")
-        self.rngs[row] = rng
+        self._set_rng(row, rng)
         n = self.count
         x, y = grid.sample_free_points(n, rng)
         theta = rng.uniform(-np.pi, np.pi, size=n)
@@ -252,10 +259,15 @@ class ParticleStack:
         self.theta[row] = snapshot.theta
         self.weights[row] = snapshot.weights
         self._sync_shadows(row)
-        self.rngs[row] = snapshot.make_rng()
+        self._set_rng(row, snapshot.make_rng())
         self.update_count[row] = int(snapshot.update_count)
         self.estimates[row] = snapshot.estimate_pose()
         self.estimate_arrays[row] = snapshot.estimate.copy()
+
+    def _set_rng(self, row: int, rng: np.random.Generator) -> None:
+        """Give ``row`` its generator; the C draws use its bit generator."""
+        self.rngs[row] = rng
+        self.bitgens[row] = rng.bit_generator.ctypes.bit_generator.value
 
     # ------------------------------------------------------------------
     # Row queries
@@ -280,109 +292,65 @@ class ParticleStack:
 
         Packing contract: rows of one work item share that item's replay
         step (motion increment + beams) and distance field; the motion,
-        ESS and estimate stages stack across *all* listed rows, the
-        observation stage runs per work item.  Per-row results are
-        independent of the packing (see class docstring), so callers may
-        group rows however throughput dictates.
+        resampling and pose stages stack across *all* listed rows (the
+        resampling stage: all that observed), the observation stage runs
+        per work item.  Per-row results are independent of the packing
+        (see class docstring), so callers may group rows however
+        throughput dictates.  A row that was never initialized raises
+        :class:`ConfigurationError` before any row is drawn or written.
         """
-        triggered_list: list[int] = []
+        listed: list[int] = []
+        pending: list[float] = []
+        observed: list[int] = []
         for item in work:
-            triggered_list.extend(item.rows)
-        if not triggered_list:
+            listed += item.rows
+            increment = item.step.pending
+            pending += [increment.x, increment.y, increment.theta] * len(item.rows)
+            if item.step.beams is not None:
+                observed += item.rows
+        if not listed:
             return
         # The C stages index the arrays unchecked.
-        if min(triggered_list) < 0 or max(triggered_list) >= self.rows:
+        if min(listed) < 0 or max(listed) >= self.rows:
             raise IndexError(f"step rows outside the stack's {self.rows} rows")
-        triggered = np.array(triggered_list, dtype=np.int64)
+        rows = np.array(listed, dtype=np.int64)
+        stages = self._kernels
         # Stage spans + gate counters (no-ops when telemetry is off);
         # timing reads never feed back into the numeric state below.
         obs.counter(COUNTER_STEPS).inc()
-        obs.counter(COUNTER_GATE_TRIGGERS).inc(len(triggered_list))
+        obs.counter(COUNTER_GATE_TRIGGERS).inc(len(listed))
         with obs.span(SPAN_MOTION):
-            self._motion_update(triggered, work)
-        observed = self._observation_update(work)
-        if observed.size:
-            with obs.span(SPAN_RESAMPLE):
-                self._resample(observed)
-        with obs.span(SPAN_ESTIMATE):
-            self._refresh_estimates(triggered)
-        self.update_count[triggered] += 1
-
-    def _motion_update(
-        self, triggered: np.ndarray, work: Sequence[StepWork]
-    ) -> None:
-        config = self.config
-        n = self.count
-        dx = np.empty((len(triggered), n))
-        dy = np.empty((len(triggered), n))
-        dtheta = np.empty((len(triggered), n))
-        i = 0
-        for item in work:
-            pending = item.step.pending
-            assert pending is not None  # packed steps always fired
-            for row in item.rows:
-                noise_x, noise_y, noise_theta = kernels.sample_motion_noise(
-                    self.rngs[row], n, config.sigma_odom_xy, config.sigma_odom_theta
-                )
-                np.add(pending.x, noise_x, out=dx[i])
-                np.add(pending.y, noise_y, out=dy[i])
-                np.add(pending.theta, noise_theta, out=dtheta[i])
-                i += 1
-        self._compose_store(triggered, dx, dy, dtheta)
-
-    def _compose_store(
-        self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dtheta: np.ndarray
-    ) -> None:
-        """Apply ``(len(rows), N)`` noisy body-frame increments to ``rows``
-        and store the poses: the C compose + wrap + store + shadow
-        refresh, fed the prior yaw trig from the shadows.  The posterior
-        yaw's trig is the step's single trig evaluation (stacked trig
-        equals per-row trig bit for bit: tests/engine/test_stacked_trig.py)."""
-        self._kernels.compose_store(rows, dx, dy, dtheta)
-        theta = self.theta64[rows]
-        self.cos64[rows] = np.cos(theta)
-        self.sin64[rows] = np.sin(theta)
-
-    def _observation_update(self, work: Sequence[StepWork]) -> np.ndarray:
-        """Re-weight packed rows; returns the rows that saw usable beams."""
-        config = self.config
-        observed: list[int] = []
-        for item in work:
-            step = item.step
-            if step.beams is None:
-                continue
-            rows = np.array(item.rows, dtype=np.int64)
-            with obs.span(SPAN_GATHER):
-                log_lik = self._kernels.beam_squared_sums(
-                    rows, step.end_x, step.end_y, item.field
-                )
-            with obs.span(SPAN_WEIGHT):
-                # The tail of kernels.beam_log_likelihoods, then
-                # kernels.posterior_log_weights split at its exp.
-                np.negative(log_lik, out=log_lik)
-                log_lik /= 2.0 * config.sigma_obs**2
-                like = kernels.likelihood_ratios(log_lik, config.beam_replication)
-                self._kernels.update_weights(rows, like)
-            observed.extend(item.rows)
-        return np.array(observed, dtype=np.int64)
-
-    def _resample(self, observed: np.ndarray) -> None:
-        threshold = self.config.resample_ess_fraction * self.count
-        resampled = observed[self._kernels.ess(observed) <= threshold]
-        if resampled.size:
-            # One wheel offset per row, each from the row's own stream.
-            u0 = [
-                kernels.draw_wheel_offset(self.rngs[run], self.count)
-                for run in resampled.tolist()
-            ]
-            # Wheel + gather of the three stored rows and their five
-            # shadows, every row in one call.
-            self._kernels.resample(resampled, np.array(u0))
-            uniform = np.asarray(1.0 / self.count, dtype=self.dtype)
-            self.weights[resampled] = uniform
-            self.w64[resampled] = uniform  # the stored value, widened
-        obs.counter(COUNTER_RESAMPLES).inc(len(resampled))
-        obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - len(resampled))
+            stages.motion(rows, np.array(pending))
+            # The posterior yaw's trig, the step's one trig evaluation
+            # (stacked trig equals per-row trig bit for bit:
+            # tests/engine/test_stacked_trig.py).
+            theta = self.theta64[rows]
+            self.cos64[rows] = np.cos(theta)
+            self.sin64[rows] = np.sin(theta)
+        if observed:
+            like = np.empty((len(observed), self.count))
+            with obs.span(SPAN_OBSERVATION):
+                at = filled = 0
+                for item in work:
+                    size = len(item.rows)
+                    if item.step.beams is not None:
+                        stages.observation(
+                            rows[at : at + size],
+                            item.step,
+                            item.field,
+                            like[filled : filled + size],
+                        )
+                        filled += size
+                    at += size
+            # The weight update is resampling's: it needs numpy's exp first.
+            with obs.span(SPAN_RESAMPLING):
+                np.exp(like, out=like)
+                resampled = stages.resampling(np.array(observed, dtype=np.int64), like)
+            obs.counter(COUNTER_RESAMPLES).inc(resampled)
+            obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - resampled)
+        with obs.span(SPAN_POSE_COMPUTATION):
+            self._refresh_estimates(rows)
+        self.update_count[rows] += 1
 
     # ------------------------------------------------------------------
     # State storage and pose estimates
@@ -425,7 +393,7 @@ class ParticleStack:
         through the deterministic tree.  A row with degenerate weights
         (rare) takes the scalar kernel.
         """
-        sums = self._kernels.estimate(triggered)
+        sums = self._kernels.pose(triggered)
         for run, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(
             triggered.tolist(), sums.tolist()
         ):
@@ -583,7 +551,8 @@ class _RunBatch:
                 for group in self.groups
                 if t < group.length and group.plan.steps[t].fires
             ]
-            self.stack.step(work)
+            if work:
+                self.stack.step(work)
             self._record(
                 t, timestamps, position_errors, yaw_errors, estimate_rows
             )

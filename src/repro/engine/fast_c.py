@@ -8,26 +8,51 @@ reduction fused per particle, no ``(R, N, K)`` temporaries.  The
 handed a :class:`CProvider`; its :class:`~repro.engine.batched.ParticleStack`
 runs every filter stage here.
 
-One call per stage
-------------------
-Each filter stage is one exported C entry point (``stage_*`` in
-:data:`C_SOURCE`): it takes the stack's 2-D base pointers, the row
+Four calls per update
+---------------------
+An update is the four stages of the paper's Table I
+(:class:`repro.soc.perf.MclStep`), one exported C entry point each:
+``stage_motion``, ``stage_observation`` (one call per work item, since
+the item's rows share a distance field), ``stage_resampling`` and
+``stage_pose``.  Each takes the stack's 2-D base pointers, the row
 stride N and an int64 array of the stack rows to process, and loops
-those rows in C over ``static`` row kernels.  A stack step therefore
-costs one library call per stage (the beam pass: one per work item,
-since its rows share a distance field), however many rows it packs.
-:class:`StackKernels` wraps a stack's ten arrays once.  The pointers
-stay valid because the stack writes its arrays only in place;
-``ParticleStack.ensure_capacity`` is the one place that rebinds them,
-and it builds a new :class:`StackKernels`.
+those rows in C over ``static`` row kernels, so an update costs four
+library calls however many rows it packs.  Between the calls numpy
+evaluates the update's transcendentals, each in one call over the whole
+block: cos and sin of the posterior yaw after the motion call, and
+``exp`` of the likelihood exponent before the resampling call.
+:class:`StackKernels` wraps a stack's ten arrays and its rows' bit
+generators once.  The pointers stay valid because the stack writes its
+arrays only in place; ``ParticleStack.ensure_capacity`` is the one place
+that rebinds them, and it builds a new :class:`StackKernels`.  A replay
+step's beam end points and a distance field's tables are wrapped once
+as well, and kept on the step and the field.
+
+The draws
+---------
+Each row's motion noise (3N normals) and wheel offset (one uniform) are
+drawn in C from the row's own numpy bit generator, by numpy's compiled
+``random_normal`` and ``random_uniform`` from
+``numpy/random/lib/libnpyrandom.a``: the code that ``Generator.normal``
+and ``Generator.uniform`` run, called in the order of
+:func:`repro.engine.kernels.sample_motion_noise` and
+:func:`~repro.engine.kernels.draw_wheel_offset`, so each row's stream
+advances exactly as under the reference backend.  The library includes
+only numpy's ``numpy/random/bitgen.h`` and declares the two prototypes
+itself, because numpy's ``distributions.h`` includes ``Python.h``.  The
+C draws do not take the bit generator's lock, so a stack never shares
+its generators with another thread.
 
 Bitwise discipline:
 
-* Only IEEE-exact arithmetic crosses the C boundary: ``+ - * /``,
+* This module's C evaluates only IEEE-exact arithmetic: ``+ - * /``,
   ``floor``, ``fmod``/``copysign`` (the wrap), integer casts, compares
-  and gathers.  Transcendentals (``sin``/``cos``/``exp``) are **never**
-  evaluated in C — numpy's SIMD implementations may differ from libm by
-  one ulp, so the Python side precomputes them and passes arrays in.
+  and gathers.  It never evaluates a transcendental
+  (``sin``/``cos``/``exp``) — numpy's SIMD implementations may differ
+  from libm by one ulp, so the Python side evaluates them and passes
+  arrays in.  numpy's compiled sampler does call libm (``exp`` and
+  ``log1p`` in the ziggurat's rare branches), exactly as
+  ``Generator.normal`` does.
 * Every reduction follows the deterministic chunk-of-8 tree of
   :mod:`repro.engine.reductions` (``det_sum_inplace`` below is the
   scalar-loop statement of the same spec).
@@ -36,8 +61,9 @@ Bitwise discipline:
   sum, last entry clamped to 1.0, ``side="right"`` index resolution
   (the monotone two-pointer walk equals numpy's binary search because
   the clamped final entry exceeds every arrow position).
-* Rows share no arithmetic, so a row's bits never depend on which rows
-  a call carries or in what order.
+* Rows share no arithmetic and each draws from its own generator, so a
+  row's bits never depend on which rows a call carries or in what
+  order.
 * The motion and weight-update row kernels are written once and
   instantiated per storage type: ``float`` rows, and float16 rows held
   as ``uint16_t`` binary16 bit patterns.  Each store narrows a double
@@ -49,16 +75,18 @@ Bitwise discipline:
   every C compiler.
 
 The kernels build into a plain shared library — one ``cc -shared -fPIC``
-call, no ``Python.h``, no generated wrapper, no setuptools — cached under
-``$REPRO_FAST_CACHE`` (default ``~/.cache/repro-fastc``) by source,
-declarations, flags, compiler and CPU, and are called through cffi's ABI
-mode (``ffi.dlopen`` over :data:`C_DECLARATIONS`).  Concurrent builds
-race benignly: each compiles in its own directory inside the cache and
-publishes by atomic rename.  A missing dependency (cffi, or a compiler
-when the cache holds no library) raises :class:`MissingDependency`, on
-which the backend registry (:mod:`repro.engine.backend`) falls back to
-the ``reference`` backend; any other failure is a broken build and
-surfaces there as a ``ConfigurationError``.
+call over the source and numpy's ``libnpyrandom.a``, no ``Python.h``, no
+generated wrapper, no setuptools — cached under ``$REPRO_FAST_CACHE``
+(default ``~/.cache/repro-fastc``) by source, declarations, flags,
+compiler, CPU, numpy version and the archive's SHA-256, and are called
+through cffi's ABI mode (``ffi.dlopen`` over :data:`C_DECLARATIONS`).
+Concurrent builds race benignly: each compiles in its own directory
+inside the cache and publishes by atomic rename.  A missing dependency
+(cffi; numpy's ``bitgen.h`` or ``libnpyrandom.a``; or a compiler when
+the cache holds no library) raises :class:`MissingDependency`, on which
+the backend registry (:mod:`repro.engine.backend`) falls back to the
+``reference`` backend; any other failure is a broken build and surfaces
+there as a ``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -78,13 +106,25 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..common.errors import ConfigurationError
+
 if TYPE_CHECKING:
     from .batched import ParticleStack
+    from .replay import ReplayStep
 
 C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* numpy's compiled samplers (numpy/random/lib/libnpyrandom.a), the
+ * functions Generator.normal and Generator.uniform call per entry.
+ * Declared here because their header, distributions.h, includes
+ * Python.h. */
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+double random_uniform(bitgen_t *bitgen_state, double lower, double range);
 
 #define DET_CHUNK 8
 
@@ -176,6 +216,27 @@ static void beam_sums_row(
         }
         out[i] = det_sum_inplace(beam_scratch, k);
     }
+}
+
+/* One row's likelihood exponent, in place over its beam sums: the tail
+ * of kernels.beam_log_likelihoods (negate, divide by 2 sigma^2), then
+ * kernels.likelihood_ratios up to its exp (times the replication, minus
+ * the row max).  The max propagates a NaN, as np.max does.  It may
+ * differ from np.max only in the sign of a zero maximum, which leaves
+ * no trace: exp maps both zeros to 1. */
+static void exponent_row(double *v, int64_t n, double two_sigma_sq,
+                         double replication)
+{
+    double top = -INFINITY;
+    int nan = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        double e = (-v[i] / two_sigma_sq) * replication;
+        v[i] = e;
+        nan |= isnan(e);
+        top = e > top ? e : top;
+    }
+    if (nan) top = NAN;
+    for (int64_t i = 0; i < n; ++i) v[i] -= top;
 }
 
 /* Weighted-mean estimate reductions of one row (kernels.weighted_mean
@@ -362,6 +423,9 @@ static inline double double_from_float(float f) { return (double)f; }
  * shadow is both the prior and the output: each index is read before it
  * is written.
  *
+ * reset_uniform_<S>: one row's weights after resampling: 1/n at storage
+ * precision, and its widened shadow.
+ *
  * compose_store_<S>: one row's motion update: compose the noisy
  * body-frame increment (kernels.compose_increment op order; cos/sin of
  * the prior yaw come from numpy) and wrap yaw, then the store — wrap
@@ -401,6 +465,17 @@ static void update_weights_##S(void *row, double *restrict shadow,         \
     }                                                                       \
 }                                                                           \
                                                                             \
+static void reset_uniform_##S(void *row, double *restrict shadow,          \
+                              int64_t n, double inv_count)                 \
+{                                                                           \
+    T *restrict stored = row;                                               \
+    T o = NARROW(inv_count);                                                \
+    for (int64_t i = 0; i < n; ++i) {                                       \
+        stored[i] = o;                                                      \
+        shadow[i] = WIDEN(o);                                               \
+    }                                                                       \
+}                                                                           \
+                                                                            \
 static void compose_store_##S(const double *cos_t, const double *sin_t,    \
                               const double *dx, const double *dy,          \
                               const double *dt, int64_t n,                 \
@@ -423,45 +498,68 @@ STORAGE_ROW_KERNELS(uint16_t, f16, half_from_double, double_from_half)
     ((itemsize) == 2 ? kernel##_f16 : kernel##_f32)
 
 /* ------------------------------------------------------------------
- * Stage entry points: one call per stage per stack step.
+ * Stage entry points: the four stages of Table I (soc.perf.MclStep),
+ * one call each per update.
  *
- * Each takes the stack's 2-D base pointers (row-major, row stride n)
- * and `rows`, the nrows stack rows to process.  Per-call inputs and
- * outputs are (nrows, n) blocks (or nrows-long vectors) in the order of
- * `rows`.  Rows share no arithmetic, so every row gets the bits of its
- * row kernel run alone.
+ * Each takes the stack's 2-D base pointers (row-major, row stride n),
+ * then the constants and scratch of the stack, then `rows`, the nrows
+ * stack rows to process.  Per-call inputs and outputs are (nrows, n)
+ * blocks (or nrows-long vectors) in the order of `rows`.  `bitgens`
+ * holds one numpy bit generator per stack row.  Rows share no
+ * arithmetic and each draws from its own generator, so every row gets
+ * the bits of its row kernels run alone.
  * ------------------------------------------------------------------ */
 
-/* Motion: compose + wrap + store (`itemsize` bytes per stored entry:
- * 4 for float, 2 for binary16) + shadow refresh; dx/dy/dt are the
- * noisy increments drawn by numpy. */
-void stage_compose_store(
+/* Motion: each listed row draws its 3n odometry normals from its bit
+ * generator (x, then y, then yaw, as kernels.sample_motion_noise
+ * does), adds them to its pending body-frame increment (pending[3r],
+ * [3r + 1], [3r + 2]), then composes, wraps and stores the poses
+ * (`itemsize` bytes per stored entry: 4 for float, 2 for binary16)
+ * and refreshes their shadows.  Returns -1, or the first listed row
+ * that has no bit generator, before anything is drawn or written. */
+int64_t stage_motion(
     void *xs, void *ys, void *ts, int64_t itemsize,
     double *x64, double *y64, double *t64,
-    const double *cos64, const double *sin64,
-    const int64_t *rows, int64_t nrows, int64_t n,
-    const double *dx, const double *dy, const double *dt)
+    const double *cos64, const double *sin64, int64_t n,
+    void *const *bitgens, double sigma_xy, double sigma_theta, double *noise,
+    const int64_t *rows, int64_t nrows, const double *pending)
 {
+    for (int64_t r = 0; r < nrows; ++r)
+        if (bitgens[rows[r]] == NULL) return rows[r];
+    double *dx = noise, *dy = noise + n, *dt = noise + 2 * n;
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n, in = r * n, off = at * itemsize;
+        bitgen_t *bitgen = bitgens[rows[r]];
+        const double *inc = pending + 3 * r;
+        for (int64_t i = 0; i < n; ++i)
+            dx[i] = inc[0] + random_normal(bitgen, 0.0, sigma_xy);
+        for (int64_t i = 0; i < n; ++i)
+            dy[i] = inc[1] + random_normal(bitgen, 0.0, sigma_xy);
+        for (int64_t i = 0; i < n; ++i)
+            dt[i] = inc[2] + random_normal(bitgen, 0.0, sigma_theta);
+        int64_t at = rows[r] * n, off = at * itemsize;
         STORAGE_KERNEL(compose_store, itemsize)(
-            cos64 + at, sin64 + at, dx + in, dy + in, dt + in, n,
+            cos64 + at, sin64 + at, dx, dy, dt, n,
             (char *)xs + off, (char *)ys + off, (char *)ts + off,
             x64 + at, y64 + at, t64 + at);
     }
+    return -1;
 }
 
-/* Observation: per-particle det-tree sums of squared EDT distances over
- * the k beams of one work item (its rows share the field). */
-void stage_beam_sums(
+/* Observation: each particle's det-tree sum of squared EDT distances
+ * over the k beams of one work item (its rows share the field), turned
+ * in place into its likelihood exponent (exponent_row); numpy takes
+ * the exp. */
+void stage_observation(
     const double *x64, const double *y64,
-    const double *cos64, const double *sin64,
-    const int64_t *rows, int64_t nrows, int64_t n,
+    const double *cos64, const double *sin64, int64_t n,
+    double two_sigma_sq, double replication,
+    int64_t *idx_scratch, double *beam_scratch,
+    const int64_t *rows, int64_t nrows,
     const double *end_x, const double *end_y, int64_t k,
     const uint8_t *codes, const double *table,
     int64_t grid_rows, int64_t grid_cols,
     double origin_x, double origin_y, double resolution, double border_sq,
-    int64_t *idx_scratch, double *beam_scratch, double *out)
+    double *out)
 {
     for (int64_t r = 0; r < nrows; ++r) {
         int64_t at = rows[r] * n;
@@ -469,64 +567,55 @@ void stage_beam_sums(
                       end_x, end_y, k, codes, table, grid_rows, grid_cols,
                       origin_x, origin_y, resolution, border_sq,
                       idx_scratch, beam_scratch, out + r * n);
+        exponent_row(out + r * n, n, two_sigma_sq, replication);
     }
 }
 
-/* Weight update at `itemsize` bytes per stored entry, given the
- * likelihood ratios. */
-void stage_update_weights(
-    void *ws, int64_t itemsize, double *w64,
-    const int64_t *rows, int64_t nrows, int64_t n,
-    const double *like, double inv_count, double *scratch)
+/* Resampling, per listed row: the weight update given its likelihood
+ * ratios; then, if its effective sample size is at most `threshold`,
+ * the wheel at an offset drawn from its bit generator (as
+ * kernels.draw_wheel_offset draws it), the gather of the three stored
+ * rows (`itemsize` bytes per entry) and their five float64 shadows
+ * (cos/sin of yaw included: a gather of exact values equals the trig
+ * of the gathered yaw), and uniform weights.  Returns how many rows
+ * resampled. */
+int64_t stage_resampling(
+    void *ws, void *xs, void *ys, void *ts, int64_t itemsize,
+    double *w64, double *x64, double *y64, double *t64,
+    double *cos64, double *sin64, int64_t n,
+    void *const *bitgens, double threshold,
+    double *scratch, int64_t *idx, void *bounce,
+    const int64_t *rows, int64_t nrows, const double *like)
 {
+    double inv_count = 1.0 / (double)n;
+    int64_t resampled = 0;
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n;
+        int64_t at = rows[r] * n, off = at * itemsize;
         STORAGE_KERNEL(update_weights, itemsize)(
-            (char *)ws + at * itemsize, w64 + at, like + r * n, n, inv_count,
-            scratch);
-    }
-}
-
-/* Effective sample size of each row's weights. */
-void stage_ess(
-    const double *w64,
-    const int64_t *rows, int64_t nrows, int64_t n,
-    double *scratch, double *out)
-{
-    for (int64_t r = 0; r < nrows; ++r)
-        out[r] = ess_row(w64 + rows[r] * n, n, scratch);
-}
-
-/* Resampling: the wheel at offset u0[r], then the gather of the three
- * stored rows (`itemsize` bytes per entry) and their five float64
- * shadows (cos/sin of yaw included: a gather of exact values equals the
- * trig of the gathered yaw).  The caller resets the weights to uniform. */
-void stage_resample(
-    void *xs, void *ys, void *ts, int64_t itemsize,
-    double *x64, double *y64, double *t64, double *cos64, double *sin64,
-    const double *w64,
-    const int64_t *rows, int64_t nrows, int64_t n,
-    const double *u0, double *cumulative, int64_t *idx, void *bounce)
-{
-    for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n;
-        wheel_resample(w64 + at, n, u0[r], cumulative, idx);
+            (char *)ws + off, w64 + at, like + r * n, n, inv_count, scratch);
+        if (!(ess_row(w64 + at, n, scratch) <= threshold)) continue;
+        double u0 = random_uniform(bitgens[rows[r]], 0.0, inv_count);
+        wheel_resample(w64 + at, n, u0, scratch, idx);
         void *stored[3] = {xs, ys, ts};
         for (int a = 0; a < 3; ++a)
-            gather_stored((char *)stored[a] + at * itemsize, itemsize, idx,
-                          n, bounce);
+            gather_stored((char *)stored[a] + off, itemsize, idx, n, bounce);
         double *shadows[5] = {x64, y64, t64, cos64, sin64};
         for (int a = 0; a < 5; ++a)
-            gather_f64(shadows[a] + at, idx, n, cumulative);
+            gather_f64(shadows[a] + at, idx, n, scratch);
+        STORAGE_KERNEL(reset_uniform, itemsize)(
+            (char *)ws + off, w64 + at, n, inv_count);
+        ++resampled;
     }
+    return resampled;
 }
 
-/* Pose estimate reductions: out is (nrows, 5), see estimate_row. */
-void stage_estimate(
+/* Pose computation: each listed row's weighted-mean reductions, out is
+ * (nrows, 5) (see estimate_row). */
+void stage_pose(
     const double *x64, const double *y64,
-    const double *sin64, const double *cos64, const double *w64,
-    const int64_t *rows, int64_t nrows, int64_t n,
-    double *wn, double *scratch, double *out)
+    const double *sin64, const double *cos64, const double *w64, int64_t n,
+    double *wn, double *scratch,
+    const int64_t *rows, int64_t nrows, double *out)
 {
     for (int64_t r = 0; r < nrows; ++r) {
         int64_t at = rows[r] * n;
@@ -537,23 +626,21 @@ void stage_estimate(
 """
 
 C_DECLARATIONS = """
-void stage_compose_store(void *, void *, void *, int64_t, double *, double *,
-    double *, const double *, const double *, const int64_t *, int64_t,
-    int64_t, const double *, const double *, const double *);
-void stage_beam_sums(const double *, const double *, const double *,
-    const double *, const int64_t *, int64_t, int64_t, const double *,
-    const double *, int64_t, const uint8_t *, const double *, int64_t,
-    int64_t, double, double, double, double, int64_t *, double *, double *);
-void stage_update_weights(void *, int64_t, double *, const int64_t *,
-    int64_t, int64_t, const double *, double, double *);
-void stage_ess(const double *, const int64_t *, int64_t, int64_t, double *,
-    double *);
-void stage_resample(void *, void *, void *, int64_t, double *, double *,
-    double *, double *, double *, const double *, const int64_t *, int64_t,
-    int64_t, const double *, double *, int64_t *, void *);
-void stage_estimate(const double *, const double *, const double *,
-    const double *, const double *, const int64_t *, int64_t, int64_t,
-    double *, double *, double *);
+int64_t stage_motion(void *, void *, void *, int64_t, double *, double *,
+    double *, const double *, const double *, int64_t, void *const *, double,
+    double, double *, const int64_t *, int64_t, const double *);
+void stage_observation(const double *, const double *, const double *,
+    const double *, int64_t, double, double, int64_t *, double *,
+    const int64_t *, int64_t, const double *, const double *, int64_t,
+    const uint8_t *, const double *, int64_t, int64_t, double, double, double,
+    double, double *);
+int64_t stage_resampling(void *, void *, void *, void *, int64_t, double *,
+    double *, double *, double *, double *, double *, int64_t, void *const *,
+    double, double *, int64_t *, void *, const int64_t *, int64_t,
+    const double *);
+void stage_pose(const double *, const double *, const double *,
+    const double *, const double *, int64_t, double *, double *,
+    const int64_t *, int64_t, double *);
 """
 
 #: Keep the machine-specific flags IEEE-strict: no -ffast-math, ever —
@@ -592,10 +679,12 @@ def _translation_unit() -> str:
 
 
 class MissingDependency(ImportError):
-    """cffi, or the C compiler the library needs, is not installed.
+    """cffi, numpy's random header or archive, or the C compiler the
+    library needs, is not installed.
 
-    ``name`` is the missing dependency.  This is the one failure on
-    which the backend registry falls back to the ``reference`` backend.
+    ``name`` is the missing dependency (a missing file by its path).
+    This is the one failure on which the backend registry falls back to
+    the ``reference`` backend.
     """
 
 
@@ -630,6 +719,16 @@ def _cpu_identity() -> str:
     return "\n".join(found) or f"{platform.machine()} {platform.processor()}"
 
 
+def _bitgen_header() -> Path:
+    """numpy's ``bitgen.h``, the one numpy header the library includes."""
+    return Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+
+
+def _npyrandom_archive() -> Path:
+    """numpy's compiled samplers, the static archive the library links."""
+    return Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_FAST_CACHE")
     if override:
@@ -640,15 +739,32 @@ def _cache_dir() -> Path:
 def library_path() -> Path:
     """The compiled kernel library, built into the cache on first use.
 
-    Raises :class:`MissingDependency` when the cache has no library and
-    no compiler is on ``PATH``, and ``RuntimeError`` (with the
-    compiler's diagnostics) when compilation fails.  The build directory
-    lives inside the cache, so publishing is a same-filesystem rename,
-    and it is removed whatever happens.
+    Raises :class:`MissingDependency` when numpy's ``bitgen.h`` or
+    ``libnpyrandom.a`` is missing, or when the cache has no library and
+    no compiler is on ``PATH``; and ``RuntimeError`` (with the
+    compiler's diagnostics) when compilation fails.  The library links
+    numpy's compiled samplers, so the numpy version and the archive's
+    SHA-256 are part of its cache key.  The build directory lives
+    inside the cache, so publishing is a same-filesystem rename, and it
+    is removed whatever happens.
     """
+    header, archive = _bitgen_header(), _npyrandom_archive()
+    for path in (header, archive):
+        if not path.is_file():
+            raise MissingDependency(
+                f"numpy's {path.name} is not installed (no {path})", name=str(path)
+            )
     compiler = _compiler_command()
     key = "\0".join(
-        [C_SOURCE, C_DECLARATIONS, *COMPILE_ARGS, *compiler, _cpu_identity()]
+        [
+            C_SOURCE,
+            C_DECLARATIONS,
+            *COMPILE_ARGS,
+            *compiler,
+            _cpu_identity(),
+            np.__version__,
+            hashlib.sha256(archive.read_bytes()).hexdigest(),
+        ]
     )
     cache = _cache_dir()
     target = cache / f"repro_fastc_{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
@@ -664,8 +780,10 @@ def library_path() -> Path:
         source = build / "kernels.c"
         source.write_text(_translation_unit())
         built = build / target.name
-        command = [*compiler, *COMPILE_ARGS, "-shared", "-fPIC"]
-        command += ["-o", str(built), str(source), "-lm"]
+        # bitgen.h lives under numpy/random/ of numpy's include directory.
+        include = header.parents[2]
+        command = [*compiler, *COMPILE_ARGS, "-shared", "-fPIC", f"-I{include}"]
+        command += ["-o", str(built), str(source), str(archive), "-lm"]
         result = subprocess.run(command, capture_output=True, text=True)
         if result.returncode != 0:
             raise RuntimeError(
@@ -711,27 +829,29 @@ class CProvider:
 
 
 class StackKernels:
-    """One call per stage over rows of one stack's arrays.
+    """The four stage calls over rows of one stack's arrays.
 
-    Holds cffi pointers to the stack's ten arrays (stored ``x, y, theta,
-    weights``; float64 shadows ``x64, y64, theta64, w64``; trig shadows
-    ``cos64, sin64``), wrapped once, and its own scratch rows.  ``rows``
-    arguments are C-contiguous int64 arrays of stack rows, which C
-    indexes unchecked (``ParticleStack.step`` rejects rows outside the
-    stack); per-call inputs and outputs are ``(len(rows), N)`` float64
-    blocks in that order.  The stored arrays are float32 or float16 (the
-    stage kernels pick their storage type by the entry width).  Not
-    thread-safe: the scratch rows are shared by every call.
+    Binds, once, cffi pointers to the stack's ten arrays (stored ``x, y,
+    theta, weights``; float64 shadows ``x64, y64, theta64, w64``; trig
+    shadows ``cos64, sin64``) and to its rows' bit generators
+    (``bitgens``), its config's constants and its own scratch rows.
+    ``rows`` arguments are C-contiguous int64 arrays of stack rows,
+    which C indexes unchecked (``ParticleStack.step`` rejects rows
+    outside the stack); per-call inputs and outputs are ``(len(rows),
+    N)`` float64 blocks in that order.  The stored arrays are float32 or
+    float16 (the stage kernels pick their storage type by the entry
+    width).  Not thread-safe: the scratch rows are shared by every call,
+    and the draws take no generator lock.
     """
 
     def __init__(self, ffi, lib, stack: ParticleStack) -> None:
         self._ffi = ffi
-        self._lib = lib
-        self._double = partial(ffi.from_buffer, ffi.typeof("double[]"))
+        double = self._double = partial(ffi.from_buffer, ffi.typeof("double[]"))
         self._int64 = partial(ffi.from_buffer, ffi.typeof("int64_t[]"))
-        self.count = stack.count
-        self._x64, self._y64, self._theta64, self._w64, self._cos64, self._sin64 = (
-            self._double(array)
+        config = stack.config
+        n = stack.count
+        x64, y64, theta64, w64, cos64, sin64 = (
+            double(array)
             for array in (
                 stack.x64,
                 stack.y64,
@@ -742,96 +862,88 @@ class StackKernels:
             )
         )
         # The stored arrays cross as ``void *`` plus their itemsize.
-        self._x, self._y, self._theta, self._weights = (
+        x, y, theta, weights = (
             ffi.from_buffer(array)
             for array in (stack.x, stack.y, stack.theta, stack.weights)
         )
-        self._itemsize = stack.x.itemsize
-        self._bounce = ffi.from_buffer(np.empty(stack.count, dtype=stack.dtype))
-        self._scratch_size = 0
-        self._scratch(stack.count)
+        self._itemsize = itemsize = stack.x.itemsize
+        bitgens = ffi.from_buffer("void *[]", stack.bitgens)
+        scratch = double(np.empty(n))
+        self._motion = partial(
+            lib.stage_motion,
+            x, y, theta, itemsize, x64, y64, theta64, cos64, sin64, n,
+            bitgens, config.sigma_odom_xy, config.sigma_odom_theta,
+            double(np.empty(3 * n)),
+        )
+        self._observation = partial(
+            lib.stage_observation,
+            x64, y64, cos64, sin64, n,
+            2.0 * config.sigma_obs**2, float(config.beam_replication),
+        )
+        self._resampling = partial(
+            lib.stage_resampling,
+            weights, x, y, theta, itemsize,
+            w64, x64, y64, theta64, cos64, sin64, n,
+            bitgens, config.resample_ess_fraction * n,
+            scratch, self._int64(np.empty(n, dtype=np.int64)),
+            ffi.from_buffer(np.empty(n, dtype=stack.dtype)),
+        )
+        self._pose = partial(
+            lib.stage_pose,
+            x64, y64, sin64, cos64, w64, n, double(np.empty(n)), scratch,
+        )
+        self._beam_scratch_size = -1
 
-    def _scratch(self, size: int):
-        """Two float64 and one int64 scratch rows of at least ``size``
-        entries, re-wrapped only when they grow."""
-        if size > self._scratch_size:
-            self._scratch_size = size
-            self._scratch_rows = (
-                self._double(np.empty(size)),
-                self._double(np.empty(size)),
-                self._int64(np.empty(size, dtype=np.int64)),
+    def _beam_scratch(self, k: int) -> tuple:
+        """An int64 and a float64 scratch row of at least ``k`` entries,
+        re-wrapped only when they grow."""
+        if k > self._beam_scratch_size:
+            self._beam_scratch_size = k
+            self._beam_rows = (
+                self._int64(np.empty(k, dtype=np.int64)),
+                self._double(np.empty(k)),
             )
-        return self._scratch_rows
+        return self._beam_rows
 
-    def compose_store(
-        self, rows: np.ndarray, dx: np.ndarray, dy: np.ndarray, dt: np.ndarray
+    def motion(self, rows: np.ndarray, pending: np.ndarray) -> None:
+        """Draw, compose, wrap and store each row's motion update, with
+        ``pending`` each row's body-frame increment (x, y, yaw), row
+        after row.
+
+        Raises :class:`ConfigurationError` before anything is drawn or
+        written when a row has no generator.
+        """
+        missing = self._motion(self._int64(rows), rows.size, self._double(pending))
+        if missing >= 0:
+            raise ConfigurationError(f"stack row {missing} was never initialized")
+
+    def observation(
+        self, rows: np.ndarray, step: ReplayStep, field, out: np.ndarray
     ) -> None:
-        """Motion compose + wrap + store + shadow refresh."""
-        self._lib.stage_compose_store(
-            self._x, self._y, self._theta, self._itemsize,
-            self._x64, self._y64, self._theta64, self._cos64, self._sin64,
-            self._int64(rows), rows.size, self.count,
-            self._double(dx), self._double(dy), self._double(dt),
+        """Each row's likelihood exponents against ``step``'s beams and
+        ``field``, into ``out`` (``(len(rows), N)``, C-contiguous): the
+        beam sums of :func:`repro.engine.kernels.beam_squared_sums`,
+        fused per particle, then :func:`~repro.engine.kernels.likelihood_ratios`
+        up to its ``exp``."""
+        ends = step.c_ends
+        if ends is None:
+            ends = step.c_ends = self._wrap_ends(step)
+        tables = field.c_tables
+        if tables is None:
+            tables = field.c_tables = self._wrap_tables(field)
+        self._observation(
+            *self._beam_scratch(ends[2]),
+            self._int64(rows), rows.size, *ends, *tables, self._double(out),
         )
 
-    def beam_squared_sums(
-        self, rows: np.ndarray, end_x: np.ndarray, end_y: np.ndarray, field
-    ) -> np.ndarray:
-        """:func:`repro.engine.kernels.beam_squared_sums` of ``rows``,
-        fused per particle: ``(len(rows), N)``."""
-        from ..maps.distance_field import FieldKind
+    def resampling(self, rows: np.ndarray, like: np.ndarray) -> int:
+        """Each row's weight update given its likelihood ratios ``like``
+        (``(len(rows), N)``); where the effective sample size is at most
+        the config's fraction of N, the wheel, the gathers and uniform
+        weights.  Returns how many rows resampled."""
+        return self._resampling(self._int64(rows), rows.size, self._double(like))
 
-        out = np.empty((rows.size, self.count))
-        k = end_x.size
-        beams, _, cells = self._scratch(k)
-        if field.kind is FieldKind.QUANTIZED_U8:
-            codes = self._ffi.from_buffer("uint8_t[]", field.data)
-            table = field.squared_lut()
-        else:
-            codes, table = self._ffi.NULL, field.squared_table()
-        height, width = field.data.shape
-        self._lib.stage_beam_sums(
-            self._x64, self._y64, self._cos64, self._sin64,
-            self._int64(rows), rows.size, self.count,
-            self._double(np.ascontiguousarray(end_x, dtype=np.float64)),
-            self._double(np.ascontiguousarray(end_y, dtype=np.float64)),
-            k, codes, self._double(table), height, width,
-            field.origin_x, field.origin_y, field.resolution,
-            field.border_squared(), cells, beams, self._double(out),
-        )
-        return out
-
-    def update_weights(self, rows: np.ndarray, like: np.ndarray) -> None:
-        """Posterior multiply + store + normalize + shadow refresh."""
-        scratch, _, _ = self._scratch(self.count)
-        self._lib.stage_update_weights(
-            self._weights, self._itemsize, self._w64,
-            self._int64(rows), rows.size, self.count,
-            self._double(like), 1.0 / self.count, scratch,
-        )
-
-    def ess(self, rows: np.ndarray) -> np.ndarray:
-        """Effective sample size of each row, ``(len(rows),)``."""
-        out = np.empty(rows.size)
-        scratch, _, _ = self._scratch(self.count)
-        self._lib.stage_ess(
-            self._w64, self._int64(rows), rows.size, self.count,
-            scratch, self._double(out),
-        )
-        return out
-
-    def resample(self, rows: np.ndarray, u0: np.ndarray) -> None:
-        """Wheel at offset ``u0[i]``, then the eight-array gather, of
-        each row; the weights are left to the caller."""
-        cumulative, _, index = self._scratch(self.count)
-        self._lib.stage_resample(
-            self._x, self._y, self._theta, self._itemsize,
-            self._x64, self._y64, self._theta64, self._cos64, self._sin64,
-            self._w64, self._int64(rows), rows.size, self.count,
-            self._double(u0), cumulative, index, self._bounce,
-        )
-
-    def estimate(self, rows: np.ndarray) -> np.ndarray:
+    def pose(self, rows: np.ndarray) -> np.ndarray:
         """``(len(rows), 5)``: each row's normalized weight total, mean x,
         mean y and weighted sin and cos sums of yaw.
 
@@ -840,10 +952,31 @@ class StackKernels:
         the scalar kernel for it.
         """
         out = np.empty((rows.size, 5))
-        wn, scratch, _ = self._scratch(self.count)
-        self._lib.stage_estimate(
-            self._x64, self._y64, self._sin64, self._cos64, self._w64,
-            self._int64(rows), rows.size, self.count,
-            wn, scratch, self._double(out),
-        )
+        self._pose(self._int64(rows), rows.size, self._double(out))
         return out
+
+    def _wrap_ends(self, step: ReplayStep) -> tuple:
+        """A replay step's beam end points as the observation call takes them."""
+        end_x, end_y = (
+            np.ascontiguousarray(ends, dtype=np.float64)
+            for ends in (step.end_x, step.end_y)
+        )
+        return self._double(end_x), self._double(end_y), end_x.size
+
+    def _wrap_tables(self, field) -> tuple:
+        """A distance field's squared-distance tables and geometry as the
+        observation call takes them: a float field's squared metres per
+        cell, or a quantized field's uint8 codes and 256-entry decode
+        table (``DistanceField.squared_lut``)."""
+        from ..maps.distance_field import FieldKind
+
+        if field.kind is FieldKind.QUANTIZED_U8:
+            codes = self._ffi.from_buffer("uint8_t[]", field.data)
+            table = field.squared_lut()
+        else:
+            codes, table = self._ffi.NULL, field.squared_table()
+        height, width = field.data.shape
+        return (
+            codes, self._double(table), height, width,
+            field.origin_x, field.origin_y, field.resolution, field.border_squared(),
+        )

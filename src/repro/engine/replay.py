@@ -17,7 +17,7 @@ its particles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class ReplayStep:
     the sequence — the gate reads odometry only); when it fires,
     ``pending`` is the accumulated body-frame motion the update consumes
     and ``beams``/``end_x``/``end_y`` the preprocessed observation.
+    ``c_ends`` is the end points as the ``fast`` backend's C
+    observation stage takes them, wrapped on its first use of the step
+    (:class:`repro.engine.fast_c.StackKernels`) and kept as long as the
+    step.
     """
 
     fires: bool
@@ -42,6 +46,7 @@ class ReplayStep:
     beams: BeamBundle | None = None
     end_x: np.ndarray | None = None
     end_y: np.ndarray | None = None
+    c_ends: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class ReplayPlan:

@@ -80,6 +80,12 @@ class DistanceField:
     _sq64_lut: np.ndarray | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
+    #: The tables as the ``fast`` backend's C observation stage takes
+    #: them, wrapped on its first use of the field
+    #: (:class:`repro.engine.fast_c.StackKernels`).
+    c_tables: tuple | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2:

@@ -10,8 +10,9 @@ sequences) lands in the tmpdir and vanishes with the session.
 committed benchmark reports under ``results/``.
 
 The ``fast_backend`` fixture is the one place a test may skip for the
-``fast`` backend: only when cffi or a C compiler is missing, so that
-``fast`` fell back to the ``reference`` backend.
+``fast`` backend: only when cffi, numpy's ``libnpyrandom.a`` (with its
+``bitgen.h``) or a C compiler is missing, so that ``fast`` fell back to
+the ``reference`` backend.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def _isolated_repro_dirs(tmp_path_factory):
 @pytest.fixture
 def fast_backend():
     """The ``fast`` backend on its C kernels, skipping only when it fell
-    back to ``reference`` because cffi or a C compiler is missing.
+    back to ``reference`` because cffi, numpy's ``libnpyrandom.a`` or a
+    C compiler is missing.
 
     With both present, a failed build raises ``ConfigurationError`` and
     fails the test: a broken C provider must never pass for an absent one.
@@ -64,5 +66,8 @@ def fast_backend():
 
     backend = get_backend("fast")
     if backend.name != "fast":
-        pytest.skip("the fast backend needs cffi and a C compiler; it fell back to reference")
+        pytest.skip(
+            "the fast backend needs cffi, numpy's libnpyrandom.a and a C "
+            "compiler; it fell back to reference"
+        )
     return backend

@@ -349,6 +349,20 @@ class TestProviderResolution:
         monkeypatch.setenv("CC", "repro-no-such-cc")
         self._assert_reference_fallback(mini_world, events, "repro-no-such-cc")
 
+    @pytest.mark.parametrize("path", ["_bitgen_header", "_npyrandom_archive"])
+    def test_missing_numpy_random_file_falls_back_to_reference(
+        self, mini_world, events, tmp_path, monkeypatch, path
+    ):
+        """Without numpy's ``bitgen.h`` or ``libnpyrandom.a`` the library
+        cannot be built: a missing dependency, not a broken build, so the
+        same fallback, naming the missing file."""
+        pytest.importorskip("cffi")
+        from repro.engine import fast_c
+
+        missing = tmp_path / "no-numpy-random" / getattr(fast_c, path)().name
+        monkeypatch.setattr(fast_c, path, lambda: missing)
+        self._assert_reference_fallback(mini_world, events, str(missing))
+
     def test_failing_compiler_is_configuration_error(
         self, events, request, monkeypatch
     ):

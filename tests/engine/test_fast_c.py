@@ -3,17 +3,25 @@
 The kernels compile into a plain shared library in ``REPRO_FAST_CACHE``
 with one compiler call and load through cffi's ABI mode.  These tests pin
 the cache discipline (one library, no build directory left behind, no
-second compile), the signature guard that ABI mode needs, and that a
-build never pulls setuptools into the process.  They also pin the
-storage-typed motion and weight stages to the reference math of
-:mod:`repro.engine.kernels`: at float32 and float16 storage they leave
-its bits on inputs at every rounding boundary of half, and a library
-built where the compiler has no ``_Float16`` gives the same bits.
+second compile, one library per CPU and per numpy), the signature guard
+that ABI mode needs, and that a build never pulls setuptools into the
+process.  They also pin the storage-typed motion and weight stages to
+the reference math of :mod:`repro.engine.kernels`: at float32 and
+float16 storage they leave its bits on inputs at every rounding boundary
+of half, and a library built where the compiler has no ``_Float16``
+gives the same bits.  And they pin the C draws to numpy's: each row's
+stream advances exactly as under ``Generator.normal`` and
+``Generator.uniform``, a row without a generator is refused, and a
+restored row draws from its restored generator.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +29,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.common.geometry import wrap_angle
+from repro.common.errors import ConfigurationError
+from repro.common.geometry import Pose2D, wrap_angle
 from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.engine import fast_c, kernels
-from repro.engine.backend import RunSpec
+from repro.engine.backend import RunSpec, StepWork
 from repro.engine.batched import BatchedBackend, ParticleStack
 from repro.engine.reference import ReferenceBackend
+from repro.engine.replay import ReplayStep
 from repro.maps.distance_field import DistanceField
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
@@ -48,11 +58,13 @@ def test_cold_build_leaves_one_library_and_no_build_directory(cache):
     entries = sorted(cache.iterdir())
     assert len(entries) == 1, entries
     assert entries[0].suffix == ".so" and entries[0].is_file()
-    # The loaded library computes: the ESS of a uniform row is exactly N
-    # (N = 16, so every weight, square and sum is exact).
+    # The loaded library computes: the pose sums of a uniform row at
+    # x = 0.5 (N = 16, so every weight, product and sum is exact).
     stack = ParticleStack(MclConfig(particle_count=16), rows=3, provider=provider)
     stack.w64[:] = 1.0 / 16
-    assert provider.bind(stack).ess(np.array([2, 0])).tolist() == [16.0, 16.0]
+    stack.x64[:] = 0.5
+    sums = provider.bind(stack).pose(np.array([2, 0]))
+    assert sums[:, :2].tolist() == [[1.0, 0.5], [1.0, 0.5]]
 
 
 def test_second_provider_in_the_same_cache_spawns_no_compiler(cache, monkeypatch):
@@ -83,6 +95,38 @@ def test_library_is_keyed_by_the_cpu(cache, monkeypatch):
     assert fast_c.library_path() == first
 
 
+def test_library_is_keyed_by_numpy(cache, monkeypatch):
+    """The library links numpy's compiled samplers, so another numpy
+    version, or another ``libnpyrandom.a``, gets a library of its own."""
+    first = fast_c.library_path()
+    compiled = []
+
+    def fake_compiler(command, **kwargs):
+        compiled.append(command)
+        Path(command[command.index("-o") + 1]).write_bytes(b"")
+        return subprocess.CompletedProcess(command, 0, "", "")
+
+    monkeypatch.setattr(fast_c.subprocess, "run", fake_compiler)
+    version = np.__version__
+    monkeypatch.setattr(np, "__version__", version + "+other")
+    other_version = fast_c.library_path()
+    monkeypatch.setattr(np, "__version__", version)
+
+    archive = fast_c._npyrandom_archive()
+    changed = cache.parent / "numpy-random" / archive.name
+    changed.parent.mkdir()
+    changed.write_bytes(archive.read_bytes() + b"\n")
+    monkeypatch.setattr(fast_c, "_npyrandom_archive", lambda: changed)
+    other_archive = fast_c.library_path()
+    assert str(changed) in compiled[-1]  # the build links the archive it hashed
+
+    paths = [first, other_version, other_archive]
+    assert len(set(paths)) == 3 and len(compiled) == 2
+    assert sorted(cache.glob("*.so")) == sorted(paths)
+    monkeypatch.setattr(fast_c, "_npyrandom_archive", lambda: archive)
+    assert fast_c.library_path() == first and len(compiled) == 2
+
+
 def test_failed_compile_leaves_no_library_and_no_build_directory(cache, monkeypatch):
     monkeypatch.setenv("CC", "false")
     with pytest.raises(RuntimeError, match="exited 1"):
@@ -94,12 +138,12 @@ def test_drifted_declaration_fails_the_build(cache, monkeypatch):
     """A declaration that no longer matches its definition must stop the
     build: ABI mode would otherwise pass wrong arguments silently."""
     drifted = fast_c.C_DECLARATIONS.replace(
-        "void stage_ess(const double *, const int64_t *, int64_t,",
-        "void stage_ess(const double *, const int64_t *, int32_t,",
+        "void stage_pose(const double *, const double *, const double *,",
+        "void stage_pose(const double *, const float *, const double *,",
     )
     assert drifted != fast_c.C_DECLARATIONS
     monkeypatch.setattr(fast_c, "C_DECLARATIONS", drifted)
-    with pytest.raises(RuntimeError, match="conflicting types for .stage_ess"):
+    with pytest.raises(RuntimeError, match="conflicting types for .stage_pose"):
         fast_c.CProvider()
     assert list(cache.iterdir()) == []
 
@@ -163,12 +207,15 @@ def stage_provider(request, tmp_path_factory):
         return fast_c.CProvider()
 
 
-def _stage_stack(provider, dtype, rows):
-    """A C-stage stack of one storage dtype."""
+def _stage_stack(provider, dtype, rows, n=STAGE_N, **config):
+    """A C-stage stack of one storage dtype, ``config`` overriding the
+    defaults, with a generator of its own on every row."""
     variant = "fp16qm" if dtype == np.float16 else "fp32"
-    config = MclConfig(particle_count=STAGE_N).with_variant(variant)
-    stack = ParticleStack(config, rows, provider=provider)
+    settings = dataclasses.replace(MclConfig(particle_count=n), **config)
+    stack = ParticleStack(settings.with_variant(variant), rows, provider=provider)
     assert stack.dtype == dtype
+    for row in range(rows):
+        stack._set_rng(row, np.random.default_rng([dtype.itemsize, n, row]))
     return stack
 
 
@@ -199,6 +246,43 @@ def _reference_motion(stack, rows, dx, dy, dt):
     out["cos64"][rows] = np.cos(out["theta64"][rows])
     out["sin64"][rows] = np.sin(out["theta64"][rows])
     return out
+
+
+def _motion_work(rows, pending):
+    """Work items without beams (a step of motion and pose computation
+    only): ``rows`` split as evenly as they go into ``len(pending)``
+    items, each with its own pending increment."""
+    parts = np.array_split(np.asarray(rows), len(pending))
+    return [
+        StepWork(
+            rows=part.tolist(), step=ReplayStep(fires=True, pending=inc), field=None
+        )
+        for part, inc in zip(parts, pending)
+    ]
+
+
+def _drawn_increments(stack, work, mirrors):
+    """The noisy increments the motion stage composes, ``(3, rows, N)``
+    in the order of the rows across ``work``: each row's pending
+    increment plus :func:`kernels.sample_motion_noise` drawn from the
+    row's mirror generator (a copy that the reference consumes)."""
+    config = stack.config
+    increments = []
+    for item in work:
+        inc = item.step.pending
+        for row in item.rows:
+            noise = kernels.sample_motion_noise(
+                mirrors[row], stack.count, config.sigma_odom_xy, config.sigma_odom_theta
+            )
+            increments.append(
+                [inc.x + noise[0], inc.y + noise[1], inc.theta + noise[2]]
+            )
+    return np.moveaxis(np.array(increments), 1, 0)
+
+
+def _mirrors(stack):
+    """A copy of every row's generator, for the reference to consume."""
+    return [copy.deepcopy(rng) for rng in stack.rngs]
 
 
 def _reference_weights(stack, rows, like):
@@ -252,36 +336,54 @@ def _yaw_doubles() -> np.ndarray:
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("dtype", DTYPES, ids=str)
 def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
-    """The C compose + store leaves the stored bytes and float64 shadows
-    of the reference kernels on x/y at every half and half midpoint (with
-    the doubles one ulp either side), half overflows and subnormals, and
-    on yaws at and around ±π and many turns away."""
+    """The C draw + compose + store leaves the stored bytes and float64
+    shadows of the reference kernels on x/y at every half and half
+    midpoint (with the doubles one ulp either side), half overflows and
+    subnormals, and on yaws at and around ±π and many turns away."""
     values = _half_boundary_doubles()
     rows = -(-values.size // STAGE_N)
-    stack = _stage_stack(stage_provider, dtype, rows)
-    # Fresh rows have zero poses and cos = 1, sin = 0, so the increments
-    # land on x and y exactly: x = 0 + dx, y = 0 + dy.
+    # Noise of 1e-300 is below half an ulp of every nonzero value here,
+    # so the composed poses are the prior poses, and the stores round
+    # the boundary doubles themselves.
+    stack = _stage_stack(
+        stage_provider, dtype, rows, sigma_odom_xy=1e-300, sigma_odom_theta=1e-300
+    )
     order = np.random.default_rng(1).permutation(rows)
-    dx = _rows_of(values, rows)
-    dy = _rows_of(values[::-1], rows)
-    dt = _rows_of(_yaw_doubles(), rows)
-    expected = _reference_motion(stack, order, dx, dy, dt)
-    stack._compose_store(order, dx, dy, dt)
+    x = _rows_of(values, rows)
+    stack.x64[:] = x
+    stack.y64[:] = _rows_of(values[::-1], rows)
+    stack.theta64[:] = _rows_of(_yaw_doubles(), rows)
+    stack.cos64[:] = np.cos(stack.theta64)
+    stack.sin64[:] = np.sin(stack.theta64)
+    stack.weights[:] = stack.w64[:] = 1.0 / STAGE_N
+    work = _motion_work(order, [Pose2D(0.0, 0.0, 0.0)])
+    increments = _drawn_increments(stack, work, _mirrors(stack))
+    expected = _reference_motion(stack, order, *increments)
+    stack.step(work)
     _assert_same_bits(expected, stack, MOTION_ARRAYS)
     # The stores round each double once, as numpy's astype does.
     unsigned = f"u{dtype.itemsize}"
+    nonzero = x != 0
     np.testing.assert_array_equal(
-        stack.x[order].view(unsigned), (dx + 0.0).astype(dtype).view(unsigned)
+        stack.x[nonzero].view(unsigned), x[nonzero].astype(dtype).view(unsigned)
     )
 
-    # Then steps from the stored poses, with real yaw trig in the compose.
+    # Then steps from the stored poses, with real noise and yaw trig in
+    # the compose, rows packed three to an item.
+    moving = _stage_stack(
+        stage_provider, dtype, rows, sigma_odom_xy=0.3, sigma_odom_theta=0.5
+    )
+    for name in MOTION_ARRAYS + ["weights", "w64"]:
+        getattr(moving, name)[:] = getattr(stack, name)
+    mirrors = _mirrors(moving)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        shape = (rows, STAGE_N)
-        increments = [rng.normal(0, s, shape) for s in (0.3, 0.3, 0.5)]
-        expected = _reference_motion(stack, order, *increments)
-        stack._compose_store(order, *increments)
-        _assert_same_bits(expected, stack, MOTION_ARRAYS)
+        pending = [Pose2D(*rng.normal(0, 0.3, 3)) for _ in range(-(-rows // 3))]
+        work = _motion_work(order, pending)
+        increments = _drawn_increments(moving, work, mirrors)
+        expected = _reference_motion(moving, order, *increments)
+        moving.step(work)
+        _assert_same_bits(expected, moving, MOTION_ARRAYS)
 
 
 def _exact_pieces(total: float, dtype: np.dtype) -> list[float]:
@@ -387,14 +489,18 @@ def test_weight_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     and products and quotients at the rounding boundaries of half."""
     cases = _weight_cases(dtype)
     names = [name for name, _, _ in cases]
-    stack = _stage_stack(stage_provider, dtype, len(cases) + 2)
+    # Every updated row keeps an ESS of at least 1 (a degenerate one is
+    # reset to uniform), far above this threshold, so none resamples.
+    stack = _stage_stack(
+        stage_provider, dtype, len(cases) + 2, resample_ess_fraction=1e-9
+    )
     order = np.arange(len(cases))[::-1] + 1  # rows 0 and len+1 stay unused
     prior = np.stack([case[1] for case in cases]).astype(dtype)
     like = np.stack([case[2] for case in cases])
     stack.weights[order] = prior
     stack.w64[order] = prior.astype(np.float64)
     expected = _reference_weights(stack, order, like)
-    stack._kernels.update_weights(order, like)
+    assert stack._kernels.resampling(order, like) == 0
     _assert_same_bits(expected, stack, ["weights", "w64"])
 
     weights = dict(zip(names, stack.weights[order]))
@@ -440,7 +546,7 @@ def test_library_without_float16_runs_fp16_motion_and_weights_in_c(
     provider = fast_c.CProvider()
 
     widths = []
-    for name in ("compose_store", "update_weights"):
+    for name in ("motion", "resampling"):
         def spy(self, *args, _stage=getattr(fast_c.StackKernels, name)):
             widths.append(self._itemsize)
             return _stage(self, *args)
@@ -461,3 +567,117 @@ def test_library_without_float16_runs_fp16_motion_and_weights_in_c(
             assert ref.update_count == run.update_count
             np.testing.assert_array_equal(ref.estimate_trace, run.estimate_trace)
             np.testing.assert_array_equal(ref.position_errors, run.position_errors)
+
+
+# ----------------------------------------------------------------------
+# The C draws
+# ----------------------------------------------------------------------
+#: numpy's ziggurat for the standard normal: a draw beyond this is from
+#: its tail, the branch that calls log1p (and a rejected wedge draw
+#: calls exp).
+ZIGGURAT_R = 3.6541528853610088
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024, 16384])
+def test_c_draws_consume_each_rows_stream_as_numpy_does(n):
+    """The motion and resampling stages draw from each row's PCG64
+    stream exactly as :func:`kernels.sample_motion_noise` and
+    :func:`kernels.draw_wheel_offset` do: eight of ten rows, packed in
+    shuffled order three items to a step, get the reference's poses,
+    weights and resampled rows for three rounds, and every generator
+    ends in the reference's state.  At N = 16384 that is 1.2 million
+    normals, enough to reach the ziggurat's tail."""
+    provider = fast_c.CProvider()
+    dtype = np.dtype(np.float32)
+    stack = _stage_stack(
+        provider, dtype, 10, n=n, sigma_odom_xy=1.0, sigma_odom_theta=1.0
+    )
+    stack.weights[:] = stack.w64[:] = 1.0 / n
+    mirrors = _mirrors(stack)
+    rng = np.random.default_rng(n)
+    order = rng.permutation(10)[:8]
+    tail = 0
+    for _ in range(3):
+        pending = [Pose2D(*rng.uniform(-0.1, 0.1, 3)) for _ in range(3)]
+        work = _motion_work(order, pending)
+        increments = _drawn_increments(stack, work, mirrors)
+        # A pending increment moves a draw by less than 0.1.
+        tail += int((np.abs(increments) > ZIGGURAT_R + 0.1).sum())
+        expected = _reference_motion(stack, order, *increments)
+        stack.step(work)
+        _assert_same_bits(expected, stack, MOTION_ARRAYS)
+
+        # Every row resamples (ESS <= N at fraction 1.0) and draws its
+        # wheel offset; distinct x values show where each arrow landed.
+        stack.x[order] = np.arange(n, dtype=dtype)
+        stack.x64[order] = stack.x[order]
+        like = rng.uniform(0.0, 1.0, (order.size, n))
+        weights = _reference_weights(stack, order, like)
+        gathered = stack.x64.copy()
+        for row in order:
+            u0 = kernels.draw_wheel_offset(mirrors[row], n)
+            index = kernels.systematic_resample(
+                weights["w64"][row], u0, normalized=True
+            )
+            gathered[row] = stack.x64[row][index]
+        assert stack._kernels.resampling(order, like) == order.size
+        np.testing.assert_array_equal(stack.x64, gathered)
+        assert (stack.weights[order] == dtype.type(1.0 / n)).all()
+    for row in range(10):
+        assert stack.rngs[row].bit_generator.state == mirrors[row].bit_generator.state
+    if n == 16384:
+        assert tail > 0
+
+
+@pytest.fixture(scope="module")
+def stepped_flight(flight):
+    """The fast backend, the flight, an fp32 config at N = 64, its field
+    and the flight's first twelve steps with beams."""
+    grid, sequence = flight
+    backend = BatchedBackend(fast_c.CProvider())
+    config = MclConfig(particle_count=64)
+    field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+    steps = backend.plan(sequence, config).steps
+    steps = [step for step in steps if step.beams is not None]
+    return backend, grid, sequence, config, field, steps[:12]
+
+
+def _row_state(stack, row):
+    arrays = [getattr(stack, name)[row].tobytes() for name in MOTION_ARRAYS]
+    arrays += [stack.weights[row].tobytes(), stack.w64[row].tobytes()]
+    rng = stack.rngs[row].bit_generator.state
+    return arrays, rng, stack.estimate_array(row).tobytes(), stack.updates(row)
+
+
+def test_a_row_without_a_generator_is_refused_before_anything_moves(stepped_flight):
+    """Stepping a row that was never initialized raises
+    ``ConfigurationError`` before any listed row draws or is written."""
+    backend, grid, sequence, config, field, steps = stepped_flight
+    stack = backend.open_stack(config, 3)
+    for row in (0, 2):
+        stack.init_row(row, grid, RunSpec(sequence, row))
+    before = [_row_state(stack, row) for row in (0, 2)]
+    for rows in ([0, 1, 2], [2, 0, 1]):
+        with pytest.raises(ConfigurationError, match="row 1 was never initialized"):
+            stack.step([StepWork(rows=rows, step=steps[0], field=field)])
+        assert [_row_state(stack, row) for row in (0, 2)] == before
+
+
+def test_a_restored_row_draws_from_its_restored_generator(stepped_flight):
+    """``import_row`` hands the C draws the snapshot's generator: a row
+    restored over another that had drawn from its own ends every later
+    step with the bytes of the run it was exported from."""
+    backend, grid, sequence, config, field, steps = stepped_flight
+    source = backend.open_stack(config, 1)
+    source.init_row(0, grid, RunSpec(sequence, 0))
+    target = backend.open_stack(config, 2)
+    for row, seed in enumerate((1, 2)):
+        target.init_row(row, grid, RunSpec(sequence, seed))
+    for step in steps[:6]:
+        source.step([StepWork(rows=[0], step=step, field=field)])
+        target.step([StepWork(rows=[1, 0], step=step, field=field)])
+    target.import_row(1, source.export_row(0))
+    for step in steps[6:]:
+        source.step([StepWork(rows=[0], step=step, field=field)])
+        target.step([StepWork(rows=[0, 1], step=step, field=field)])
+        assert _row_state(target, 1) == _row_state(source, 0)

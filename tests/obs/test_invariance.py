@@ -23,6 +23,7 @@ from repro.eval.sweep_engine import SweepEngine
 from repro.scenarios import build_scenario
 from repro.serve import MigrationCoordinator, OnlineClient, OnlineServer, Peer
 from repro.serve.online import drive_fleet
+from repro.soc.perf import MclStep
 
 SCENARIO_SPEC = "maze:0:cells=5+flight_s=25.0+size_m=3.0"
 FLEET = (
@@ -134,8 +135,9 @@ class TestEngineInvariance:
         # The instrumentation actually fired while staying invisible.
         assert snap["counters"]["engine.steps"] > 0
         assert snap["counters"]["sweep.cells"] == 1
-        for stage in ("motion", "gather", "weight", "resample", "estimate"):
-            assert snap["spans"][f"engine.step.{stage}"]["count"] > 0, stage
+        # One span per stage of the paper's Table I, each of which fired.
+        for stage in MclStep:
+            assert snap["spans"][f"engine.step.{stage.value}"]["count"] > 0, stage
         assert any(tmp_path.glob("events-*.jsonl"))
 
 

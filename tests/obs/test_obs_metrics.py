@@ -136,7 +136,7 @@ class TestRenderings:
         reg.gauge("serve.queue_depth").set(2)
         reg.histogram("serve.verb.submit", (0.1, 1.0)).observe(0.5)
         rec = obs.SpanRecorder(reg)
-        rec.record("engine.step.weight", 0.25)
+        rec.record("engine.step.observation", 0.25)
         return reg.snapshot()
 
     def test_table_lists_every_section(self):
@@ -145,7 +145,7 @@ class TestRenderings:
             "engine.steps",
             "serve.queue_depth",
             "serve.verb.submit",
-            "engine.step.weight",
+            "engine.step.observation",
         ):
             assert fragment in text
 
@@ -157,7 +157,7 @@ class TestRenderings:
         assert '# TYPE repro_serve_verb_submit histogram' in text
         assert 'repro_serve_verb_submit_bucket{le="+Inf"} 1' in text
         assert "repro_serve_verb_submit_count 1" in text
-        assert "repro_engine_step_weight_span_seconds_count 1" in text
+        assert "repro_engine_step_observation_span_seconds_count 1" in text
 
     def test_empty_snapshot_renders(self):
         assert render_table(Registry().snapshot()) == "(empty snapshot)"

@@ -16,7 +16,7 @@ class TestDisabledIsFree:
         assert obs.counter("engine.steps") is NULL_COUNTER
         assert obs.gauge("serve.queue_depth") is NULL_GAUGE
         assert obs.histogram("serve.verb.submit") is NULL_HISTOGRAM
-        assert obs.span("engine.step.weight") is NULL_SPAN
+        assert obs.span("engine.step.observation") is NULL_SPAN
         assert not obs.enabled()
 
     def test_null_operations_are_inert(self):
@@ -52,11 +52,11 @@ class TestEnabledRegistry:
         obs.enable()
         assert obs.enabled()
         obs.counter("engine.steps").inc(3)
-        with obs.span("engine.step.weight"):
+        with obs.span("engine.step.observation"):
             pass
         snap = obs.snapshot()
         assert snap["counters"] == {"engine.steps": 3}
-        assert snap["spans"]["engine.step.weight"]["count"] == 1
+        assert snap["spans"]["engine.step.observation"]["count"] == 1
         obs.disable()
         assert obs.counter("engine.steps") is NULL_COUNTER
         assert obs.snapshot()["counters"] == {}
