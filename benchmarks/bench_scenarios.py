@@ -11,15 +11,17 @@ For every built-in scenario family this bench
    scenarios are first-class citizens of the bitwise-equivalence
    contract).
 
-Results go to ``results/BENCH_scenarios.json``: per family the
-generation seconds, per-backend sweep seconds, and the default
-backend's accuracy (mean ATE / success rate per cell).
+Results go to ``results/BENCH_scenarios.json``: the host's
+``cpu_count``, and per family the generation seconds, per-backend sweep
+seconds, and the default backend's accuracy (mean ATE / success rate
+per cell).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 
 from conftest import current_backend, current_scale
@@ -64,6 +66,7 @@ def test_scenario_families(benchmark):
                 "variants": VARIANTS,
                 "particle_counts": PARTICLE_COUNTS,
             },
+            "cpu_count": os.cpu_count() or 1,
             "families": {},
         }
         for spec in specs:

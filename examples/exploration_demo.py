@@ -38,10 +38,12 @@ def main() -> None:
     def panoramic_scan(at_xy: tuple[float, float]) -> None:
         """Yaw in place, integrating frames — the scan behaviour a real
         exploration policy performs at every reached goal."""
-        for heading in [i * math.pi / 6 for i in range(12)]:
-            pose = Pose2D(at_xy[0], at_xy[1], heading)
-            for _ in range(2):
-                mapper.integrate_frame(sensor.measure(truth_grid, pose, 0.0), pose)
+        poses = [
+            Pose2D(at_xy[0], at_xy[1], i * math.pi / 6) for i in range(12) for _ in range(2)
+        ]
+        frames = sensor.measure_flight(truth_grid, poses, [0.0] * len(poses))
+        for frame, pose in zip(frames, poses):
+            mapper.integrate_frame(frame, pose)
 
     # Seed the map with a panoramic scan from the start position.
     position = (0.5, 0.5)
@@ -76,9 +78,10 @@ def main() -> None:
             config=SimConfig(max_duration_s=30),
         )
         steps = sim.run()
-        for step in steps:
-            frame = sensor.measure(truth_grid, step.ground_truth, step.timestamp)
-            mapper.integrate_frame(frame, step.ground_truth)
+        poses = [step.ground_truth for step in steps]
+        frames = sensor.measure_flight(truth_grid, poses, [step.timestamp for step in steps])
+        for frame, pose in zip(frames, poses):
+            mapper.integrate_frame(frame, pose)
         position = (steps[-1].ground_truth.x, steps[-1].ground_truth.y)
         panoramic_scan(position)
 

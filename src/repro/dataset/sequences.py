@@ -7,9 +7,11 @@ corridor system from different directions so that localization sees varied
 viewpoints.
 
 Sequences are generated on demand and cached as ``.npz`` under the data
-directory (``REPRO_DATA_DIR`` env var, default ``<cwd>/data/sequences``),
-because a 60-90 s flight simulation with full raycasting takes a few
-seconds to produce.
+directory (``REPRO_DATA_DIR`` env var, default ``<cwd>/data/sequences``).
+Each is a 50-70 s flight (760-1 050 frames) that takes about 0.3 s to
+regenerate on a 2-vCPU host: the 100 Hz flight loop, then one ray-casting
+pass per sensor.  The committed files are the reference bytes of the six
+flights; ``tests/dataset/test_sequences.py`` regenerates each and compares.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from ..common.errors import DatasetError
 from ..common.paths import data_root
 from ..maps.maze import DroneWorld, build_drone_maze_world
-from ..maps.planning import plan_tour, snap_to_clearance
+from ..maps.planning import plan_snapped_tour
 from ..vehicle.crazyflie import CrazyflieSimulator, SimConfig
 from .recorder import RecordedSequence
 
@@ -98,15 +100,8 @@ def generate_sequence(
     """Fly one scripted route and record it (no caching)."""
     world = world or build_drone_maze_world()
     main = world.main
-    stops_world = [
-        snap_to_clearance(
-            world.grid,
-            (main.origin_x + x, main.origin_y + y),
-            ROUTE_CLEARANCE_M,
-        )
-        for x, y in script.stops
-    ]
-    route = plan_tour(world.grid, stops_world, clearance_m=ROUTE_CLEARANCE_M)
+    stops_world = [(main.origin_x + x, main.origin_y + y) for x, y in script.stops]
+    route = plan_snapped_tour(world.grid, stops_world, ROUTE_CLEARANCE_M)
     simulator = CrazyflieSimulator(
         world.grid,
         route,

@@ -87,8 +87,9 @@ def compare_backends(
 ) -> dict:
     """Time the same sweep under every backend and report speedups.
 
-    Distance fields are prebuilt through one shared cache so the timing
-    isolates filter execution; the report's ``"equivalent"`` flag
+    Distance fields are prebuilt through one shared cache, and each
+    backend runs its first cell once untimed before the timed cells, so
+    the timing isolates filter execution; the report's ``"equivalent"`` flag
     records whether all backends produced identical per-run metrics.
     ``backends=None`` compares every constructible backend
     (:func:`default_bench_backends`).  ``jobs=None`` additionally times
@@ -126,19 +127,32 @@ def compare_backends(
         # fast backend's replay-plan cache then works exactly as it does
         # under SweepEngine.
         executor = get_backend(backend)
+
+        def execute(cell):
+            return _execute_cell(
+                grid,
+                used_sequences,
+                protocol.seeds,
+                cell,
+                fields[(cell.field_kind, cell.config.r_max)],
+                executor,
+            )
+
+        # Run the first cell once, untimed: it pays the executor's one-time
+        # set-up (the fast backend's replay plans of every sequence),
+        # which would otherwise count in that cell's time.
+        execute(cells[0])
+        if progress is not None:
+            progress(
+                f"{backend}: {cells[0].variant} N={cells[0].particle_count} "
+                "warm-up (untimed)"
+            )
         cell_seconds: dict[str, float] = {}
         backend_signatures: list[tuple] = []
         total = 0.0
         for cell in cells:
             with obs.timed("bench.backend_cell") as cell_timer:
-                runs = _execute_cell(
-                    grid,
-                    used_sequences,
-                    protocol.seeds,
-                    cell,
-                    fields[(cell.field_kind, cell.config.r_max)],
-                    executor,
-                )
+                runs = execute(cell)
             elapsed = cell_timer.elapsed_s
             total += elapsed
             cell_seconds[f"{cell.variant}/N={cell.particle_count}"] = elapsed

@@ -137,7 +137,54 @@ def snap_to_clearance(
     otherwise the closest traversable cell center is used.  Raises
     :class:`MapError` if the whole map lacks clearance-valid cells.
     """
+    return _snap(grid, clearance_map(grid, clearance_m), point_xy, clearance_m)
+
+
+def plan_route(
+    grid: OccupancyGrid,
+    start_xy: tuple[float, float],
+    goal_xy: tuple[float, float],
+    clearance_m: float = DEFAULT_CLEARANCE_M,
+) -> list[tuple[float, float]]:
+    """Plan a clearance-safe waypoint route between two world points.
+
+    Returns world-coordinate waypoints, endpoints included.  Raises
+    :class:`MapError` when either endpoint lacks clearance or no route
+    exists.
+    """
+    return _route(grid, clearance_map(grid, clearance_m), start_xy, goal_xy, clearance_m)
+
+
+def plan_tour(
+    grid: OccupancyGrid,
+    stops: list[tuple[float, float]],
+    clearance_m: float = DEFAULT_CLEARANCE_M,
+) -> list[tuple[float, float]]:
+    """Chain :func:`plan_route` through a list of stops.
+
+    Consecutive duplicate waypoints at the junctions are removed.
+    """
+    return _tour(grid, clearance_map(grid, clearance_m), stops, clearance_m)
+
+
+def plan_snapped_tour(
+    grid: OccupancyGrid,
+    stops: list[tuple[float, float]],
+    clearance_m: float = DEFAULT_CLEARANCE_M,
+) -> list[tuple[float, float]]:
+    """:func:`snap_to_clearance` every stop, then :func:`plan_tour` through
+    them, on one clearance mask (one EDT for the whole tour)."""
     traversable = clearance_map(grid, clearance_m)
+    snapped = [_snap(grid, traversable, stop, clearance_m) for stop in stops]
+    return _tour(grid, traversable, snapped, clearance_m)
+
+
+def _snap(
+    grid: OccupancyGrid,
+    traversable: np.ndarray,
+    point_xy: tuple[float, float],
+    clearance_m: float,
+) -> tuple[float, float]:
     row, col = grid.world_to_grid(*point_xy)
     if (
         0 <= row < grid.rows
@@ -153,19 +200,13 @@ def snap_to_clearance(
     return (float(xs[best]), float(ys[best]))
 
 
-def plan_route(
+def _route(
     grid: OccupancyGrid,
+    traversable: np.ndarray,
     start_xy: tuple[float, float],
     goal_xy: tuple[float, float],
-    clearance_m: float = DEFAULT_CLEARANCE_M,
+    clearance_m: float,
 ) -> list[tuple[float, float]]:
-    """Plan a clearance-safe waypoint route between two world points.
-
-    Returns world-coordinate waypoints, endpoints included.  Raises
-    :class:`MapError` when either endpoint lacks clearance or no route
-    exists.
-    """
-    traversable = clearance_map(grid, clearance_m)
     start = tuple(int(v) for v in grid.world_to_grid(*start_xy))
     goal = tuple(int(v) for v in grid.world_to_grid(*goal_xy))
     for name, cell in (("start", start), ("goal", goal)):
@@ -185,20 +226,17 @@ def plan_route(
     return waypoints
 
 
-def plan_tour(
+def _tour(
     grid: OccupancyGrid,
+    traversable: np.ndarray,
     stops: list[tuple[float, float]],
-    clearance_m: float = DEFAULT_CLEARANCE_M,
+    clearance_m: float,
 ) -> list[tuple[float, float]]:
-    """Chain :func:`plan_route` through a list of stops.
-
-    Consecutive duplicate waypoints at the junctions are removed.
-    """
     if len(stops) < 2:
         raise MapError("a tour needs at least two stops")
     waypoints: list[tuple[float, float]] = []
     for leg_start, leg_goal in zip(stops[:-1], stops[1:]):
-        leg = plan_route(grid, leg_start, leg_goal, clearance_m)
+        leg = _route(grid, traversable, leg_start, leg_goal, clearance_m)
         if waypoints:
             leg = leg[1:]
         waypoints.extend(leg)

@@ -30,7 +30,7 @@ import numpy as np
 from ..common.errors import ConfigurationError
 from ..dataset.recorder import RecordedSequence
 from ..maps.occupancy import OccupancyGrid
-from ..maps.planning import plan_tour, snap_to_clearance
+from ..maps.planning import plan_snapped_tour
 from ..vehicle.crazyflie import CrazyflieSimulator, SimConfig
 
 #: Planner clearance used for all scenario tours, metres (matches the
@@ -242,10 +242,7 @@ class ScenarioFamily:
         """Run the full deterministic pipeline for ``spec``."""
         params = self.resolve_params(spec)
         grid, stops = self.layout(spec.seed, params)
-        snapped = [
-            snap_to_clearance(grid, stop, SCENARIO_CLEARANCE_M) for stop in stops
-        ]
-        route = plan_tour(grid, snapped, clearance_m=SCENARIO_CLEARANCE_M)
+        route = plan_snapped_tour(grid, stops, SCENARIO_CLEARANCE_M)
         simulator = CrazyflieSimulator(
             grid,
             route,

@@ -2,7 +2,7 @@
 
 from .flow import FLOW_DECK_POWER_W, FlowDeck, FlowDeckSpec, FlowMeasurement
 from .imu import Gyro, GyroMeasurement, GyroSpec
-from .raycast import cast_ray, cast_rays, incidence_angle
+from .raycast import cast_rays, incidence_angles, ray_directions
 from .tof import (
     VL53L5CX_FOV_DEG,
     VL53L5CX_MAX_RANGE_M,
@@ -22,9 +22,9 @@ __all__ = [
     "Gyro",
     "GyroMeasurement",
     "GyroSpec",
-    "cast_ray",
     "cast_rays",
-    "incidence_angle",
+    "incidence_angles",
+    "ray_directions",
     "VL53L5CX_FOV_DEG",
     "VL53L5CX_MAX_RANGE_M",
     "VL53L5CX_POWER_W",

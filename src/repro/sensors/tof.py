@@ -22,7 +22,8 @@ The model reproduces all of that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from ..common.errors import SensorError
 from ..common.geometry import Pose2D
 from ..maps.occupancy import OccupancyGrid
-from .raycast import cast_ray, incidence_angle
+from .raycast import cast_rays, incidence_angles, ray_directions
 
 #: Horizontal/vertical field of view of the VL53L5CX in degrees.
 VL53L5CX_FOV_DEG = 45.0
@@ -157,10 +158,17 @@ class TofFrame:
 class TofSensor:
     """A simulated VL53L5CX attached to the drone body.
 
-    ``measure`` casts one ray per zone column against the ground-truth
-    occupancy grid from the sensor's mounted position/heading, then expands
-    columns into the full zone matrix, applying per-zone noise and error
-    flags.
+    :meth:`measure_flight` turns a whole flight's body poses into frames in
+    one pass: it casts one ray per zone column and pose against the
+    ground-truth occupancy grid from the sensor's mounted position and
+    heading, then expands columns into the full zone matrix, applying
+    per-zone noise and error flags.  :meth:`measure` is its one-pose case.
+
+    The sensor's generator is drawn from in frame order, and within a frame
+    column by column: ``normal(0, sigma, n)`` for the column's ``n`` zones,
+    then ``random(n)`` for their dropout only when the column is neither
+    out of range nor grazing.  So a flight's frames are the same whether
+    they are made one pose at a time or all at once.
     """
 
     def __init__(
@@ -174,57 +182,90 @@ class TofSensor:
         self, grid: OccupancyGrid, body_pose: Pose2D, timestamp: float
     ) -> TofFrame:
         """Produce one zone-matrix frame from the given body pose."""
+        return self.measure_flight(grid, [body_pose], [timestamp])[0]
+
+    def measure_flight(
+        self,
+        grid: OccupancyGrid,
+        body_poses: Sequence[Pose2D],
+        timestamps: Sequence[float],
+    ) -> list[TofFrame]:
+        """One frame per body pose, in order, from one pass over all of them."""
+        if len(body_poses) != len(timestamps):
+            raise SensorError("need one timestamp per body pose")
+        ranges, status = self._zone_matrices(grid, body_poses)
+        azimuths_body = self.spec.column_azimuths()
+        return [
+            TofFrame(
+                timestamp=timestamp,
+                sensor_name=self.name,
+                ranges_m=ranges[index],
+                status=status[index],
+                azimuths=azimuths_body,
+                mount_x=self.spec.mount_x,
+                mount_y=self.spec.mount_y,
+            )
+            for index, timestamp in enumerate(timestamps)
+        ]
+
+    def _zone_matrices(
+        self, grid: OccupancyGrid, body_poses: Sequence[Pose2D]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ranges, status)``, each ``(frames, n, n)``, for the poses."""
         spec = self.spec
         n = spec.zones_per_side
-        sensor_x, sensor_y = body_pose.transform_point(spec.mount_x, spec.mount_y)
-        azimuths_body = spec.column_azimuths()
-        azimuths_world = azimuths_body + body_pose.theta
+        frames = len(body_poses)
+        theta = [pose.theta for pose in body_poses]
+        cos_t = np.fromiter(map(math.cos, theta), np.float64, frames)
+        sin_t = np.fromiter(map(math.sin, theta), np.float64, frames)
+        body_x = np.array([pose.x for pose in body_poses], dtype=np.float64)
+        body_y = np.array([pose.y for pose in body_poses], dtype=np.float64)
+        # Pose2D.transform_point of the mount, elementwise.
+        sensor_x = body_x + cos_t * spec.mount_x - sin_t * spec.mount_y
+        sensor_y = body_y + sin_t * spec.mount_x + cos_t * spec.mount_y
+        azimuths_world = spec.column_azimuths() + np.asarray(theta)[:, None]
+        dir_x, dir_y = ray_directions(azimuths_world)
+        sensor_x = np.repeat(sensor_x[:, None], n, axis=1)
+        sensor_y = np.repeat(sensor_y[:, None], n, axis=1)
 
-        true_ranges = np.empty(n, dtype=np.float64)
-        incidences = np.empty(n, dtype=np.float64)
-        for col in range(n):
-            hit = cast_ray(grid, sensor_x, sensor_y, float(azimuths_world[col]), spec.max_range_m)
-            true_ranges[col] = hit
-            incidences[col] = (
-                incidence_angle(grid, sensor_x, sensor_y, float(azimuths_world[col]), hit)
-                if hit < spec.max_range_m
-                else 0.0
-            )
-
-        ranges = np.empty((n, n), dtype=np.float64)
-        status = np.full((n, n), int(ZoneStatus.VALID), dtype=np.int64)
-        for col in range(n):
-            out_of_range = true_ranges[col] >= spec.max_range_m
-            grazing = incidences[col] > spec.grazing_limit_rad
-            sigma = spec.noise_sigma_base_m + spec.noise_sigma_prop * true_ranges[col]
-            noisy = true_ranges[col] + self._rng.normal(0.0, sigma, size=n)
-            np.clip(noisy, 0.0, spec.max_range_m, out=noisy)
-            ranges[:, col] = noisy
-            for row in range(n):
-                if out_of_range:
-                    status[row, col] = ZoneStatus.OUT_OF_RANGE
-                    ranges[row, col] = spec.max_range_m
-                elif grazing:
-                    status[row, col] = ZoneStatus.GRAZING
-                elif self._zone_dropout(row, n):
-                    status[row, col] = ZoneStatus.INTERFERENCE
-
-        return TofFrame(
-            timestamp=timestamp,
-            sensor_name=self.name,
-            ranges_m=ranges,
-            status=status,
-            azimuths=azimuths_body,
-            mount_x=spec.mount_x,
-            mount_y=spec.mount_y,
+        # (frames, columns): true range and flags of each column's ray.
+        true_ranges = cast_rays(grid, sensor_x, sensor_y, dir_x, dir_y, spec.max_range_m)
+        out_of_range = true_ranges >= spec.max_range_m
+        hit = ~out_of_range
+        incidences = np.zeros(true_ranges.shape)
+        incidences[hit] = incidence_angles(
+            grid, sensor_x[hit], sensor_y[hit], dir_x[hit], dir_y[hit], true_ranges[hit]
         )
+        grazing = incidences > spec.grazing_limit_rad
+        can_drop = ~(out_of_range | grazing)
 
-    def _zone_dropout(self, row: int, n: int) -> bool:
-        """Random interference, more likely on the outermost rows."""
-        prob = self.spec.interference_prob
-        if row == 0 or row == n - 1:
-            prob += self.spec.edge_row_dropout_prob
-        return bool(self._rng.random() < prob)
+        sigma = spec.noise_sigma_base_m + spec.noise_sigma_prop * true_ranges
+        noise = np.empty((frames * n, n))
+        dropout_draws = np.zeros((frames * n, n))
+        normal = self._rng.normal
+        uniform = self._rng.random
+        columns = zip(sigma.ravel().tolist(), can_drop.ravel().tolist())
+        for index, (scale, drop_draws) in enumerate(columns):
+            noise[index] = normal(0.0, scale, size=n)
+            if drop_draws:
+                dropout_draws[index] = uniform(n)
+
+        # Draws are (frame, column, row); frames are (frame, row, column).
+        noisy = true_ranges[:, :, None] + noise.reshape(frames, n, n)
+        np.clip(noisy, 0.0, spec.max_range_m, out=noisy)
+        row_prob = np.full(n, spec.interference_prob)
+        row_prob[[0, -1]] = spec.interference_prob + spec.edge_row_dropout_prob
+        interference = can_drop[:, :, None] & (dropout_draws.reshape(frames, n, n) < row_prob)
+        status = np.select(
+            [out_of_range[:, :, None], grazing[:, :, None], interference],
+            [ZoneStatus.OUT_OF_RANGE, ZoneStatus.GRAZING, ZoneStatus.INTERFERENCE],
+            ZoneStatus.VALID,
+        ).astype(np.int64)
+        ranges = np.where(out_of_range[:, :, None], spec.max_range_m, noisy)
+        return (
+            np.ascontiguousarray(ranges.transpose(0, 2, 1)),
+            np.ascontiguousarray(status.transpose(0, 2, 1)),
+        )
 
 
 def default_sensor_pair(

@@ -109,19 +109,49 @@ class CrazyflieSimulator:
         The flight ends when the route completes or ``max_duration_s``
         elapses, whichever comes first.  A first sample is emitted at
         t = 0 so localization can start before any motion.
+
+        Two phases: the flight records each frame's timestamp, true pose
+        and odometry, then each sensor turns all the recorded poses into
+        its frames in one pass.  No reading feeds back into the flight
+        (the controller steers on the true pose) and each sensor draws
+        from its own stream, so the frames equal those of measuring at
+        every frame time during the flight.
         """
+        timestamps, truth, odometry = self._fly()
+        tracks = [
+            sensor.measure_flight(self.grid, truth, timestamps)
+            for sensor in self.sensors
+        ]
+        return [
+            SimStep(
+                timestamp=timestamp,
+                ground_truth=pose,
+                odometry=estimate,
+                frames=list(frames),
+            )
+            for timestamp, pose, estimate, *frames in zip(
+                timestamps, truth, odometry, *tracks
+            )
+        ]
+
+    def _fly(self) -> tuple[list[float], list[Pose2D], list[Pose2D]]:
+        """Fly the route; each ToF frame's timestamp, true pose and odometry."""
         config = self.config
         dt = 1.0 / config.physics_rate_hz
         frame_interval = 1.0 / config.tof_rate_hz
 
-        steps: list[SimStep] = []
+        timestamps: list[float] = []
+        truth: list[Pose2D] = []
+        odometry: list[Pose2D] = []
         now = 0.0
         next_frame_time = 0.0
         max_ticks = int(round(config.max_duration_s * config.physics_rate_hz))
 
         for __ in range(max_ticks + 1):
             if now >= next_frame_time - 1e-9:
-                steps.append(self._record(now))
+                timestamps.append(now)
+                truth.append(self.dynamics.state.pose)
+                odometry.append(self.estimator.estimate)
                 next_frame_time += frame_interval
             if self.controller.finished:
                 break
@@ -132,16 +162,4 @@ class CrazyflieSimulator:
             gyro_sample = self.gyro.measure(state.yaw_rate, dt, now + dt)
             self.estimator.update(flow_sample, gyro_sample, dt)
             now += dt
-        return steps
-
-    def _record(self, timestamp: float) -> SimStep:
-        pose = self.dynamics.state.pose
-        frames = [
-            sensor.measure(self.grid, pose, timestamp) for sensor in self.sensors
-        ]
-        return SimStep(
-            timestamp=timestamp,
-            ground_truth=pose,
-            odometry=self.estimator.estimate,
-            frames=frames,
-        )
+        return timestamps, truth, odometry

@@ -1,5 +1,6 @@
 """Tests for the six canonical evaluation sequences."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import DatasetError
@@ -81,12 +82,17 @@ class TestGenerateSequence:
         b = load_sequence(1, world)
         assert a.ground_truth[0].tolist() != b.ground_truth[0].tolist() or len(a) != len(b)
 
-    def test_regeneration_is_deterministic(self, world):
-        import numpy as np
-
-        first = generate_sequence(SEQUENCE_SCRIPTS[3], world)
-        second = generate_sequence(SEQUENCE_SCRIPTS[3], world)
-        np.testing.assert_allclose(first.ground_truth, second.ground_truth)
-        np.testing.assert_array_equal(
-            first.tracks[0].ranges_m, second.tracks[0].ranges_m
-        )
+    @pytest.mark.parametrize("script", SEQUENCE_SCRIPTS, ids=lambda s: s.name)
+    def test_committed_sequence_regenerates_bit_for_bit(self, world, script):
+        # Each committed flight (760-1 050 frames) is regenerated and must
+        # equal the file's every array: dtype, shape and bytes.  A change to
+        # the planner, the simulator or the sensor model that moves one
+        # byte of a long flight fails here (the 8 s digests are pinned in
+        # tests/golden/test_pinned_worlds.py).
+        payload = generate_sequence(script, world).to_npz_payload()
+        with np.load(data_directory() / f"{script.name}.npz") as committed:
+            assert sorted(committed.files) == sorted(payload)
+            for key, array in payload.items():
+                stored = committed[key]
+                assert (stored.dtype, stored.shape) == (array.dtype, array.shape), key
+                assert stored.tobytes() == np.ascontiguousarray(array).tobytes(), key

@@ -470,6 +470,42 @@ class TestCompareBackends:
         assert set(report["timings"]) == {"reference", "fast"}
         assert "parallel" not in report
 
+    def test_timed_cells_build_no_replay_plans(self, mini_world, fast_backend, monkeypatch):
+        # The first cell runs once untimed, building the fast executor's
+        # replay plans; no timed cell may build one (the first timed cell
+        # used to include every sequence's plan build).
+        from repro import obs
+        from repro.engine.backend import COUNTER_PLAN_MISSES
+
+        grid, sequence = mini_world
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        monkeypatch.delenv("REPRO_OBS_DIR", raising=False)
+        seen = []
+
+        def progress(message):
+            misses = obs.snapshot()["counters"].get(COUNTER_PLAN_MISSES, 0)
+            seen.append((message, misses))
+
+        obs.reset()
+        obs.enable()
+        try:
+            compare_backends(
+                grid,
+                [sequence],
+                variants=["fp32", "fp16qm"],
+                particle_counts=[64, 128],
+                protocol=SweepProtocol(sequence_count=1, seeds=(0, 1)),
+                backends=("fast",),
+                progress=progress,
+                jobs=1,
+            )
+        finally:
+            obs.reset()
+        assert len(seen) == 5
+        assert "warm-up" in seen[0][0]
+        assert seen[0][1] > 0
+        assert [misses for __, misses in seen] == [seen[0][1]] * 5
+
     def test_ablated_r_max_uses_its_own_field(self, mini_world):
         # The bench must resolve distance fields per cell (kind, r_max),
         # like SweepEngine.run — an r_max-ablated spec executed against

@@ -8,7 +8,14 @@ from repro.maps.builder import MapBuilder
 from repro.maps.edt import euclidean_distance_field
 from repro.maps.maze import main_drone_maze
 from repro.maps.occupancy import CellState
-from repro.maps.planning import clearance_map, plan_route, plan_tour
+from repro.maps import planning
+from repro.maps.planning import (
+    clearance_map,
+    plan_route,
+    plan_snapped_tour,
+    plan_tour,
+    snap_to_clearance,
+)
 
 
 def open_room():
@@ -123,3 +130,23 @@ class TestPlanTour:
     def test_single_stop_rejected(self):
         with pytest.raises(MapError):
             plan_tour(open_room(), [(0.5, 0.5)])
+
+
+class TestPlanSnappedTour:
+    STOPS = [(0.02, 0.3), (0.5, 1.9), (1.5, 1.0), (-1.0, 0.5)]
+
+    def test_equals_snapping_then_planning(self):
+        grid = room_with_wall()
+        snapped = [snap_to_clearance(grid, stop, 0.15) for stop in self.STOPS]
+        assert plan_snapped_tour(grid, self.STOPS, 0.15) == plan_tour(grid, snapped, 0.15)
+
+    def test_builds_one_clearance_mask(self, monkeypatch):
+        builds = []
+
+        def counting(grid, r_max):
+            builds.append(r_max)
+            return euclidean_distance_field(grid, r_max=r_max)
+
+        monkeypatch.setattr(planning, "euclidean_distance_field", counting)
+        plan_snapped_tour(room_with_wall(), self.STOPS, 0.15)
+        assert len(builds) == 1

@@ -9,7 +9,9 @@ from repro.common.errors import SensorError
 from repro.common.geometry import Pose2D
 from repro.common.rng import make_rng
 from repro.maps.builder import MapBuilder
+from repro.maps.maze import build_drone_maze_world
 from repro.maps.occupancy import CellState
+from repro.sensors.raycast import cast_rays, incidence_angles, ray_directions
 from repro.sensors.tof import (
     TofFrame,
     TofSensor,
@@ -158,6 +160,101 @@ class TestMeasure:
         )
         np.testing.assert_array_equal(a.ranges_m, b.ranges_m)
         np.testing.assert_array_equal(a.status, b.status)
+
+
+def scalar_frame(spec: TofSensorSpec, grid, pose: Pose2D, rng):
+    """``(ranges, status)`` of one frame, column by column, with one
+    ``random()`` per zone dropout: the loop whose draws and arithmetic the
+    whole-flight pass reproduces.  Each column's ray is cast alone
+    (``tests/sensors/test_raycast.py`` pins the ray functions to a scalar
+    walk)."""
+    n = spec.zones_per_side
+    sensor_x, sensor_y = pose.transform_point(spec.mount_x, spec.mount_y)
+    azimuths = spec.column_azimuths() + pose.theta
+    ranges = np.empty((n, n))
+    status = np.full((n, n), int(ZoneStatus.VALID), dtype=np.int64)
+    for col in range(n):
+        dir_x, dir_y = ray_directions([azimuths[col]])
+        true_range = cast_rays(grid, sensor_x, sensor_y, dir_x, dir_y, spec.max_range_m)[0]
+        out_of_range = true_range >= spec.max_range_m
+        grazing = (
+            not out_of_range
+            and incidence_angles(grid, sensor_x, sensor_y, dir_x, dir_y, true_range)[0]
+            > spec.grazing_limit_rad
+        )
+        sigma = spec.noise_sigma_base_m + spec.noise_sigma_prop * true_range
+        noisy = true_range + rng.normal(0.0, sigma, size=n)
+        ranges[:, col] = np.clip(noisy, 0.0, spec.max_range_m)
+        for row in range(n):
+            if out_of_range:
+                status[row, col] = ZoneStatus.OUT_OF_RANGE
+                ranges[row, col] = spec.max_range_m
+            elif grazing:
+                status[row, col] = ZoneStatus.GRAZING
+            else:
+                prob = spec.interference_prob
+                if row in (0, n - 1):
+                    prob += spec.edge_row_dropout_prob
+                if rng.random() < prob:
+                    status[row, col] = ZoneStatus.INTERFERENCE
+    return ranges, status
+
+
+class TestMeasureFlight:
+    """All of a flight's frames in one pass, pinned to the scalar loop."""
+
+    @pytest.fixture(scope="class")
+    def flight(self):
+        grid = build_drone_maze_world().grid
+        rng = np.random.default_rng(5)
+        count = 120
+        xs = rng.uniform(grid.origin_x, grid.origin_x + grid.width_m, count)
+        ys = rng.uniform(grid.origin_y, grid.origin_y + grid.height_m, count)
+        thetas = rng.uniform(-math.pi, math.pi, count)
+        poses = [Pose2D(x, y, t) for x, y, t in zip(xs, ys, thetas)]
+        return grid, poses, [0.1 * i for i in range(count)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TofSensorSpec(mount_x=0.02),
+            TofSensorSpec(zones_per_side=4, yaw_offset=math.pi, mount_x=-0.02, mount_y=0.01),
+            TofSensorSpec(max_range_m=1.0, interference_prob=0.5, edge_row_dropout_prob=0.6,
+                          grazing_limit_rad=0.6),
+        ],
+        ids=["front", "rear-4x4", "short-lossy"],
+    )
+    def test_equals_scalar_loop(self, flight, spec):
+        grid, poses, stamps = flight
+        frames = TofSensor(spec, "s", make_rng(9, "t")).measure_flight(grid, poses, stamps)
+        rng = make_rng(9, "t")
+        for frame, pose, stamp in zip(frames, poses, stamps):
+            ranges, status = scalar_frame(spec, grid, pose, rng)
+            assert frame.timestamp == stamp
+            assert frame.ranges_m.tobytes() == ranges.tobytes()
+            assert frame.status.dtype == status.dtype
+            assert frame.status.tobytes() == status.tobytes()
+        # Every status occurs, so every draw branch ran.
+        seen = set(np.concatenate([f.status.ravel() for f in frames]).tolist())
+        assert seen == {int(code) for code in ZoneStatus}
+
+    def test_equals_one_pose_at_a_time(self, flight):
+        grid, poses, stamps = flight
+        together = TofSensor(TofSensorSpec(), "s", make_rng(2, "t")).measure_flight(
+            grid, poses, stamps
+        )
+        sensor = TofSensor(TofSensorSpec(), "s", make_rng(2, "t"))
+        for frame, pose, stamp in zip(together, poses, stamps):
+            alone = sensor.measure(grid, pose, stamp)
+            assert frame.ranges_m.tobytes() == alone.ranges_m.tobytes()
+            assert frame.status.tobytes() == alone.status.tobytes()
+
+    def test_rejects_mismatched_timestamps(self, flight):
+        grid, poses, stamps = flight
+        with pytest.raises(SensorError):
+            TofSensor(TofSensorSpec(), "s", make_rng(0, "t")).measure_flight(
+                grid, poses, stamps[:-1]
+            )
 
 
 class TestTofFrame:
