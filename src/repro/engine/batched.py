@@ -17,8 +17,8 @@ once per seed.  This backend instead keeps all R particle populations in
   by every seed of every sweep cell that replays that sequence — see
   :mod:`repro.engine.replay`;
 * **one compiled observation pass per work item** — the beam transform,
-  EDT lookup and beam reduction run fused per particle over every row
-  of the item, with no ``(R', N, K)`` temporaries;
+  EDT lookup and beam reduction run fused over blocks of particle lanes
+  in every row of the item, with no ``(R', N, K)`` temporaries;
 * **per-run resampling via row-wise wheel offsets** — each run draws its
   own ``u0`` from its own RNG stream and gathers its own row.
 
@@ -43,6 +43,20 @@ stored.astype(float64)`` after every write, and two trig shadows with
 once after each yaw write and *gathered* (exact) through resampling, so
 the three stages that need yaw trig per step (motion compose, beam
 transform, estimate) share one evaluation.
+
+Estimates and records
+---------------------
+A row's weighted-mean estimate is kept as a row of
+:attr:`ParticleStack.estimates`, ``(R, 3)`` float64 ``[x, y, theta]``
+with ``theta`` wrapped as :class:`~repro.common.geometry.Pose2D` wraps
+it; the stack builds a ``Pose2D`` only when one is asked for
+(:meth:`ParticleStack.estimate`, which the serve layer calls).  The
+offline driver keeps each frame's ``(runs, 3)`` estimates (frames where
+no gate fires share the array before them) and, at the end, derives each
+run's errors in one pass against the ground-truth array cached on its
+:class:`~repro.engine.replay.ReplayPlan`
+(:func:`repro.core.pose_estimate.pose_errors`, the bits of the per-frame
+``pose_error``).
 
 Compiled kernels
 ----------------
@@ -81,7 +95,7 @@ from ..common.errors import ConfigurationError
 from ..common.geometry import Pose2D, wrap_angle
 from ..common.rng import make_rng
 from ..core.config import MclConfig
-from ..core.pose_estimate import pose_error
+from ..core.pose_estimate import pose_errors
 from ..core.snapshot import FilterStateSnapshot
 from ..dataset.recorder import RecordedSequence
 from ..maps.distance_field import DistanceField
@@ -163,8 +177,10 @@ class ParticleStack:
         self.rngs: list[np.random.Generator | None] = []
         # Each row's bit generator address (0: none), which the C draws read.
         self.bitgens = np.zeros(0, dtype=np.uintp)
-        self.estimates: list[Pose2D] = []
-        self.estimate_arrays: list[np.ndarray | None] = []
+        # Each row's estimate [x, y, theta]; and, once asked for after
+        # an update, as a Pose2D and as an array of its own.
+        self.estimates = np.zeros((0, 3))
+        self._asked: list[tuple[Pose2D, np.ndarray] | None] = []
         self.ensure_capacity(rows)
 
     # ------------------------------------------------------------------
@@ -194,6 +210,7 @@ class ParticleStack:
         self.w64 = grow(self.w64)
         self.sin64 = grow(self.sin64)
         self.cos64 = grow(self.cos64)
+        self.estimates = grow(self.estimates)
         # Fresh rows hold theta64 == 0: cos(0) == 1 keeps the trig
         # invariant exact even before init_row touches them.
         self.cos64[self.rows :] = 1.0
@@ -203,8 +220,7 @@ class ParticleStack:
         )
         self.bitgens = np.concatenate([self.bitgens, np.zeros(added, dtype=np.uintp)])
         self.rngs.extend([None] * added)
-        self.estimates.extend([Pose2D.identity()] * added)
-        self.estimate_arrays.extend([None] * added)
+        self._asked.extend([None] * added)
         self.rows = rows
         self._kernels = self.provider.bind(self)
 
@@ -229,8 +245,7 @@ class ParticleStack:
     def export_row(self, row: int) -> FilterStateSnapshot:
         """Capture one row's complete dynamic state."""
         rng = self.rngs[row]
-        estimate = self.estimate_arrays[row]
-        if rng is None or estimate is None:
+        if rng is None:
             raise ConfigurationError(f"stack row {row} was never initialized")
         return FilterStateSnapshot.capture(
             self.x[row],
@@ -239,7 +254,7 @@ class ParticleStack:
             self.weights[row],
             rng,
             int(self.update_count[row]),
-            estimate,
+            self.estimates[row],
         )
 
     def import_row(self, row: int, snapshot: FilterStateSnapshot) -> None:
@@ -261,8 +276,8 @@ class ParticleStack:
         self._sync_shadows(row)
         self._set_rng(row, snapshot.make_rng())
         self.update_count[row] = int(snapshot.update_count)
-        self.estimates[row] = snapshot.estimate_pose()
-        self.estimate_arrays[row] = snapshot.estimate.copy()
+        self.estimates[row] = snapshot.estimate
+        self._asked[row] = None
 
     def _set_rng(self, row: int, rng: np.random.Generator) -> None:
         """Give ``row`` its generator; the C draws use its bit generator."""
@@ -273,13 +288,23 @@ class ParticleStack:
     # Row queries
     # ------------------------------------------------------------------
     def estimate(self, row: int) -> Pose2D:
-        return self.estimates[row]
+        return self._asked_for(row)[0]
 
     def estimate_array(self, row: int) -> np.ndarray:
-        array = self.estimate_arrays[row]
-        if array is None:
+        if self.rngs[row] is None:
             raise ConfigurationError(f"stack row {row} was never initialized")
-        return array
+        return self._asked_for(row)[1]
+
+    def _asked_for(self, row: int) -> tuple[Pose2D, np.ndarray]:
+        """The row's estimate as a :class:`Pose2D` and as a ``(3,)`` array
+        that the stack never writes, built on the first ask after each
+        update and shared by every ask until the next (a serve session
+        records one per frame)."""
+        asked = self._asked[row]
+        if asked is None:
+            array = self.estimates[row].copy()
+            asked = self._asked[row] = (Pose2D(*array.tolist()), array)
+        return asked
 
     def updates(self, row: int) -> int:
         return int(self.update_count[row])
@@ -401,18 +426,19 @@ class ParticleStack:
                 self._refresh_estimate(run)
             else:
                 mean_theta = _circular_mean(sin_sum, cos_sum, total)
-                self._set_estimate(run, Pose2D(mean_x, mean_y, mean_theta))
+                self._set_estimate(run, mean_x, mean_y, mean_theta)
 
     def _refresh_estimate(self, row: int) -> None:
         """Recompute one row's weighted-mean pose with the scalar kernel."""
         _, mean_x, mean_y, mean_theta = kernels.weighted_mean_pose(
             self.x64[row], self.y64[row], self.theta64[row], self.weights[row]
         )
-        self._set_estimate(row, Pose2D(mean_x, mean_y, mean_theta))
+        self._set_estimate(row, mean_x, mean_y, mean_theta)
 
-    def _set_estimate(self, row: int, estimate: Pose2D) -> None:
-        self.estimates[row] = estimate
-        self.estimate_arrays[row] = estimate.as_array()
+    def _set_estimate(self, row: int, x: float, y: float, theta: float) -> None:
+        """Store a row's estimate as ``Pose2D(x, y, theta).as_array()`` would."""
+        self.estimates[row] = (x, y, wrap_angle(theta))
+        self._asked[row] = None
 
 
 def _circular_mean(sin_sum: float, cos_sum: float, total: float) -> float:
@@ -538,13 +564,16 @@ class _RunBatch:
             self.stack.init_row(run, grid, spec)
 
     def run(self) -> list[RunTrace]:
-        runs = len(self.specs)
-        timestamps: list[list[float]] = [[] for _ in range(runs)]
-        position_errors: list[list[float]] = [[] for _ in range(runs)]
-        yaw_errors: list[list[float]] = [[] for _ in range(runs)]
-        estimate_rows: list[list[np.ndarray]] = [[] for _ in range(runs)]
+        """Step every run to its sequence's end, then build the traces.
 
+        Records each frame's estimates as one ``(runs, 3)`` array (frames
+        where no gate fires share the array before them) and derives each
+        run's errors in one pass at the end.
+        """
+        runs = len(self.specs)
         horizon = max(group.length for group in self.groups)
+        latest = self.stack.estimates[:runs].copy()
+        frames = []
         for t in range(horizon):
             work = [
                 StepWork(rows=group.runs, step=group.plan.steps[t], field=self.field)
@@ -553,40 +582,21 @@ class _RunBatch:
             ]
             if work:
                 self.stack.step(work)
-            self._record(
-                t, timestamps, position_errors, yaw_errors, estimate_rows
-            )
+                latest = self.stack.estimates[:runs].copy()
+            frames.append(latest)
+        estimates = np.stack(frames)
 
-        traces = []
-        for run in range(runs):
-            traces.append(
-                RunTrace(
-                    timestamps=np.array(timestamps[run]),
-                    position_errors=np.array(position_errors[run]),
-                    yaw_errors=np.array(yaw_errors[run]),
-                    estimate_trace=np.stack(estimate_rows[run]),
+        traces: list[RunTrace] = [None] * runs
+        for group in self.groups:
+            plan = group.plan
+            for run in group.runs:
+                trace = estimates[: plan.length, run].copy()
+                position_errors, yaw_errors = pose_errors(trace, plan.truth)
+                traces[run] = RunTrace(
+                    timestamps=np.array(plan.timestamps),
+                    position_errors=position_errors,
+                    yaw_errors=yaw_errors,
+                    estimate_trace=trace,
                     update_count=self.stack.updates(run),
                 )
-            )
         return traces
-
-    def _record(
-        self,
-        t: int,
-        timestamps: list[list[float]],
-        position_errors: list[list[float]],
-        yaw_errors: list[list[float]],
-        estimate_rows: list[list[np.ndarray]],
-    ) -> None:
-        for group in self.groups:
-            if t >= group.length:
-                continue
-            plan = group.plan
-            timestamp = plan.timestamps[t]
-            ground_truth = plan.ground_truth[t]
-            for run in group.runs:
-                err_pos, err_yaw = pose_error(self.stack.estimate(run), ground_truth)
-                timestamps[run].append(timestamp)
-                position_errors[run].append(err_pos)
-                yaw_errors[run].append(err_yaw)
-                estimate_rows[run].append(self.stack.estimate_array(run))

@@ -3,8 +3,8 @@
 The paper's GAP9 port wins by restructuring the per-particle likelihood
 loop into one fused C pass (Sec. III-B/C of the paper), and this module
 does the same on the host — transform -> EDT gather -> squared-distance
-reduction fused per particle, no ``(R, N, K)`` temporaries.  The
-``fast`` backend is :class:`~repro.engine.batched.BatchedBackend`
+reduction fused in one pass over the particles, no ``(R, N, K)``
+temporaries.  The ``fast`` backend is :class:`~repro.engine.batched.BatchedBackend`
 handed a :class:`CProvider`; its :class:`~repro.engine.batched.ParticleStack`
 runs every filter stage here.
 
@@ -25,8 +25,24 @@ block: cos and sin of the posterior yaw after the motion call, and
 generators once.  The pointers stay valid because the stack writes its
 arrays only in place; ``ParticleStack.ensure_capacity`` is the one place
 that rebinds them, and it builds a new :class:`StackKernels`.  A replay
-step's beam end points and a distance field's tables are wrapped once
+step's beam end points and a distance field's table are wrapped once
 as well, and kept on the step and the field.
+
+Particle lanes in the observation stage
+---------------------------------------
+Observation is the costliest stage per particle (Table I), and its C is
+particle-major: a row is cut into blocks of :data:`LANES` (64)
+particles, and for each beam in turn one loop over the block's lanes
+transforms the end point, takes ``floor((w - origin) / resolution)``,
+tests the grid bounds and gathers the squared distance, so the compiler
+vectorizes across particles (table gathers included) rather than across
+one particle's few dozen beams.  The chunk-of-8 beam tree runs on the
+same layout: a chunk's first beam stores into one partial row of the
+block and its next seven add to it, then the upper levels sum partial
+rows with the lanes in parallel.  Every lane adds its own beams in the
+tree's order, so each particle keeps the bits of the scalar loop.
+There is one gather path: a quantized field crosses as its decoded
+float64 table (``DistanceField.squared_table``), like a float field.
 
 The draws
 ---------
@@ -46,8 +62,8 @@ its generators with another thread.
 Bitwise discipline:
 
 * This module's C evaluates only IEEE-exact arithmetic: ``+ - * /``,
-  ``floor``, ``fmod``/``copysign`` (the wrap), integer casts, compares
-  and gathers.  It never evaluates a transcendental
+  ``floor``, ``fabs``/``fmod`` (the wrap), integer casts, compares and
+  gathers.  It never evaluates a transcendental
   (``sin``/``cos``/``exp``) — numpy's SIMD implementations may differ
   from libm by one ulp, so the Python side evaluates them and passes
   arrays in.  numpy's compiled sampler does call libm (``exp`` and
@@ -107,12 +123,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from .reductions import DET_CHUNK
 
 if TYPE_CHECKING:
     from .batched import ParticleStack
     from .replay import ReplayStep
 
-C_SOURCE = r"""
+#: Particles per block of the observation stage: each block runs beam
+#: after beam across this many lanes.  A constant of the library's source
+#: (its ``LANES``), not an option; the bits do not depend on it.
+LANES = 64
+
+C_SOURCE = f"#define LANES {LANES}\n" + r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -160,61 +182,90 @@ static double det_dot_scratch(const double *w, const double *v, int64_t n,
     return det_sum_inplace(scratch, n);
 }
 
-/* The flat EDT cell of each of one particle's k beam end points, or -1
- * outside the grid.  Pure elementwise IEEE operations (safe to
- * vectorize — no reassociation). */
-static void beam_indices(
-    double xi, double yi, double ci, double si,
-    const double *restrict end_x, const double *restrict end_y,
+/* One beam end point's squared EDT distance for each of m particles
+ * (one lane each): the pose transform, floor((w - origin) / resolution),
+ * the inside test and the gather from the field's float64 table of
+ * squared metres per cell, run across the lanes.  This is the one gather
+ * path, for float and quantized fields alike (DistanceField.squared_table
+ * decodes a quantized field's cells).  Out-of-grid end points read cell
+ * 0 and take border_sq instead; numpy's take(mode="clip") gathers a
+ * clipped cell for them too, overwritten with the border value either
+ * way.  Pure elementwise IEEE operations, so the lanes vectorize with no
+ * reassociation.  `add` adds into out instead of storing: the running
+ * sum of a det-tree chunk.  Kept out of line because gcc 12 vectorizes
+ * the gather here but not once this loop is inlined into the block
+ * loop of beam_sums_row. */
+static __attribute__((noinline)) void beam_lanes(
+    const double *restrict x, const double *restrict y,
+    const double *restrict cos_t, const double *restrict sin_t, int64_t m,
+    double end_x, double end_y, const double *restrict table,
     int64_t rows, int64_t cols,
-    double origin_x, double origin_y, double resolution,
-    int64_t k, int64_t *restrict idx_scratch)
+    double origin_x, double origin_y, double resolution, double border_sq,
+    int add, double *restrict out)
 {
-    for (int64_t b = 0; b < k; ++b) {
-        double wx = (ci * end_x[b] + xi) - si * end_y[b];
-        double wy = (si * end_x[b] + yi) + ci * end_y[b];
+    for (int64_t l = 0; l < m; ++l) {
+        double wx = (cos_t[l] * end_x + x[l]) - sin_t[l] * end_y;
+        double wy = (sin_t[l] * end_x + y[l]) + cos_t[l] * end_y;
         double fcol = floor((wx - origin_x) / resolution);
         double frow = floor((wy - origin_y) / resolution);
         int inside = (frow >= 0.0) & (frow < (double)rows)
                    & (fcol >= 0.0) & (fcol < (double)cols);
-        idx_scratch[b] = inside
-            ? (int64_t)frow * cols + (int64_t)fcol
-            : (int64_t)-1;
+        /* The flat cell in double (exact below 2^53), converted only
+         * once it is a valid index: the load is then unconditional. */
+        double flat = inside ? frow * (double)cols + fcol : 0.0;
+        double cell = table[(int64_t)flat];
+        double sq = inside ? cell : border_sq;
+        out[l] = add ? out[l] + sq : sq;
     }
 }
 
 /* Fused transform -> EDT gather -> det-tree beam reduction over one row
- * of n particles sharing k body-frame beam end points.  Mirrors
- * kernels.transform_endpoints + DistanceField.lookup_squared_world +
- * det_sum exactly: the transform and index arithmetic are elementwise,
- * the table gather stays scalar, and only the final tree is
- * order-sensitive.  `codes` is NULL for a float field, whose `table`
- * holds squared metres per cell; a quantized field passes its uint8
- * codes, and `table` is then the 256-entry decode LUT
- * (DistanceField.squared_lut).  Out-of-grid beams encode as index -1;
- * numpy's take(mode="clip") gathers a clipped value for them too, but
- * it is overwritten with the border value either way, so skipping the
- * dead gather is value-identical. */
+ * of n particles sharing k body-frame beam end points: the beam sums of
+ * kernels.beam_squared_sums.  Particle-major: the row is cut into blocks
+ * of LANES particles, and each block runs beam after beam across its
+ * lanes.  The tree's first level is the gather loop itself (a chunk's
+ * first beam stores, the next seven add, left to right), leaving one
+ * partial row of LANES doubles per chunk in `partials`; the upper levels
+ * then sum those rows chunk by chunk with the lanes in parallel.  Each
+ * lane adds its own beams in det_sum_inplace's order, so every
+ * particle's sum has the bits of the scalar tree over its beams alone. */
 static void beam_sums_row(
     const double *restrict x, const double *restrict y,
     const double *restrict cos_t, const double *restrict sin_t, int64_t n,
     const double *restrict end_x, const double *restrict end_y, int64_t k,
-    const uint8_t *restrict codes, const double *restrict table,
-    int64_t rows, int64_t cols,
+    const double *restrict table, int64_t rows, int64_t cols,
     double origin_x, double origin_y, double resolution, double border_sq,
-    int64_t *restrict idx_scratch, double *restrict beam_scratch,
-    double *restrict out)
+    double *restrict partials, double *restrict out)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        beam_indices(x[i], y[i], cos_t[i], sin_t[i], end_x, end_y,
-                     rows, cols, origin_x, origin_y, resolution,
-                     k, idx_scratch);
-        for (int64_t b = 0; b < k; ++b) {
-            int64_t f = idx_scratch[b];
-            beam_scratch[b] = f < 0 ? border_sq
-                            : codes ? table[codes[f]] : table[f];
+    for (int64_t lo = 0; lo < n; lo += LANES) {
+        int64_t m = n - lo < LANES ? n - lo : LANES;
+        int64_t len = 0;
+        for (int64_t first = 0; first < k; first += DET_CHUNK, ++len) {
+            int64_t last = first + DET_CHUNK < k ? first + DET_CHUNK : k;
+            double *restrict acc = partials + len * LANES;
+            for (int64_t b = first; b < last; ++b)
+                beam_lanes(x + lo, y + lo, cos_t + lo, sin_t + lo, m,
+                           end_x[b], end_y[b], table, rows, cols,
+                           origin_x, origin_y, resolution, border_sq,
+                           b != first, acc);
         }
-        out[i] = det_sum_inplace(beam_scratch, k);
+        while (len > 1) {
+            int64_t parts = (len + DET_CHUNK - 1) / DET_CHUNK;
+            for (int64_t j = 0; j < parts; ++j) {
+                int64_t first = j * DET_CHUNK;
+                int64_t last = first + DET_CHUNK < len ? first + DET_CHUNK : len;
+                double *restrict acc = partials + j * LANES;
+                const double *restrict chunk = partials + first * LANES;
+                /* acc is chunk for j == 0, else a row already consumed. */
+                if (j) for (int64_t l = 0; l < m; ++l) acc[l] = chunk[l];
+                for (int64_t i = 1; i < last - first; ++i)
+                    for (int64_t l = 0; l < m; ++l)
+                        acc[l] += chunk[i * LANES + l];
+            }
+            len = parts;
+        }
+        for (int64_t l = 0; l < m; ++l)
+            out[lo + l] = len ? partials[l] : 0.0;
     }
 }
 
@@ -335,10 +386,13 @@ static void gather_stored(void *row, int64_t itemsize, const int64_t *idx,
 /* wrap_angle: ((a + pi) % 2pi) - pi with numpy remainder semantics
  * (fmod, then sign adjustment toward the positive divisor; exact-zero
  * remainders take the divisor's sign).  fmod is IEEE-exact, so this is
- * bit-identical to the numpy expression. */
+ * bit-identical to the numpy expression.  fmod returns its first
+ * argument exactly when that is smaller in magnitude than the divisor,
+ * so the common case skips the call (NaN and inf still take it). */
 static double det_wrap(double a)
 {
-    double mod = fmod(a + M_PI, 2.0 * M_PI);
+    double mod = a + M_PI;
+    if (!(fabs(mod) < 2.0 * M_PI)) mod = fmod(mod, 2.0 * M_PI);
     if (mod != 0.0) {
         if (mod < 0.0) mod += 2.0 * M_PI;
     } else {
@@ -548,25 +602,24 @@ int64_t stage_motion(
 /* Observation: each particle's det-tree sum of squared EDT distances
  * over the k beams of one work item (its rows share the field), turned
  * in place into its likelihood exponent (exponent_row); numpy takes
- * the exp. */
+ * the exp.  `table` is the field's squared metres per cell, row-major;
+ * `partials` is scratch of ceil(k / DET_CHUNK) * LANES doubles. */
 void stage_observation(
     const double *x64, const double *y64,
     const double *cos64, const double *sin64, int64_t n,
-    double two_sigma_sq, double replication,
-    int64_t *idx_scratch, double *beam_scratch,
+    double two_sigma_sq, double replication, double *partials,
     const int64_t *rows, int64_t nrows,
     const double *end_x, const double *end_y, int64_t k,
-    const uint8_t *codes, const double *table,
-    int64_t grid_rows, int64_t grid_cols,
+    const double *table, int64_t grid_rows, int64_t grid_cols,
     double origin_x, double origin_y, double resolution, double border_sq,
     double *out)
 {
     for (int64_t r = 0; r < nrows; ++r) {
         int64_t at = rows[r] * n;
         beam_sums_row(x64 + at, y64 + at, cos64 + at, sin64 + at, n,
-                      end_x, end_y, k, codes, table, grid_rows, grid_cols,
+                      end_x, end_y, k, table, grid_rows, grid_cols,
                       origin_x, origin_y, resolution, border_sq,
-                      idx_scratch, beam_scratch, out + r * n);
+                      partials, out + r * n);
         exponent_row(out + r * n, n, two_sigma_sq, replication);
     }
 }
@@ -630,10 +683,9 @@ int64_t stage_motion(void *, void *, void *, int64_t, double *, double *,
     double *, const double *, const double *, int64_t, void *const *, double,
     double, double *, const int64_t *, int64_t, const double *);
 void stage_observation(const double *, const double *, const double *,
-    const double *, int64_t, double, double, int64_t *, double *,
-    const int64_t *, int64_t, const double *, const double *, int64_t,
-    const uint8_t *, const double *, int64_t, int64_t, double, double, double,
-    double, double *);
+    const double *, int64_t, double, double, double *, const int64_t *,
+    int64_t, const double *, const double *, int64_t, const double *,
+    int64_t, int64_t, double, double, double, double, double *);
 int64_t stage_resampling(void *, void *, void *, void *, int64_t, double *,
     double *, double *, double *, double *, double *, int64_t, void *const *,
     double, double *, int64_t *, void *, const int64_t *, int64_t,
@@ -845,7 +897,6 @@ class StackKernels:
     """
 
     def __init__(self, ffi, lib, stack: ParticleStack) -> None:
-        self._ffi = ffi
         double = self._double = partial(ffi.from_buffer, ffi.typeof("double[]"))
         self._int64 = partial(ffi.from_buffer, ffi.typeof("int64_t[]"))
         config = stack.config
@@ -892,18 +943,18 @@ class StackKernels:
             lib.stage_pose,
             x64, y64, sin64, cos64, w64, n, double(np.empty(n)), scratch,
         )
-        self._beam_scratch_size = -1
+        self._partial_rows = 0
 
-    def _beam_scratch(self, k: int) -> tuple:
-        """An int64 and a float64 scratch row of at least ``k`` entries,
-        re-wrapped only when they grow."""
-        if k > self._beam_scratch_size:
-            self._beam_scratch_size = k
-            self._beam_rows = (
-                self._int64(np.empty(k, dtype=np.int64)),
-                self._double(np.empty(k)),
-            )
-        return self._beam_rows
+    def _partials(self, k: int):
+        """Scratch for the observation stage's chunk partials over ``k``
+        beams: one row of :data:`LANES` doubles per chunk of
+        :data:`~repro.engine.reductions.DET_CHUNK` beams, re-wrapped only
+        when it grows."""
+        rows = -(-k // DET_CHUNK)
+        if rows > self._partial_rows:
+            self._partial_rows = rows
+            self._partial_scratch = self._double(np.empty(rows * LANES))
+        return self._partial_scratch
 
     def motion(self, rows: np.ndarray, pending: np.ndarray) -> None:
         """Draw, compose, wrap and store each row's motion update, with
@@ -932,7 +983,7 @@ class StackKernels:
         if tables is None:
             tables = field.c_tables = self._wrap_tables(field)
         self._observation(
-            *self._beam_scratch(ends[2]),
+            self._partials(ends[2]),
             self._int64(rows), rows.size, *ends, *tables, self._double(out),
         )
 
@@ -964,19 +1015,11 @@ class StackKernels:
         return self._double(end_x), self._double(end_y), end_x.size
 
     def _wrap_tables(self, field) -> tuple:
-        """A distance field's squared-distance tables and geometry as the
-        observation call takes them: a float field's squared metres per
-        cell, or a quantized field's uint8 codes and 256-entry decode
-        table (``DistanceField.squared_lut``)."""
-        from ..maps.distance_field import FieldKind
-
-        if field.kind is FieldKind.QUANTIZED_U8:
-            codes = self._ffi.from_buffer("uint8_t[]", field.data)
-            table = field.squared_lut()
-        else:
-            codes, table = self._ffi.NULL, field.squared_table()
+        """A distance field's squared metres per cell
+        (``DistanceField.squared_table``, decoded for every storage kind)
+        and its geometry, as the observation call takes them."""
         height, width = field.data.shape
         return (
-            codes, self._double(table), height, width,
+            self._double(field.squared_table()), height, width,
             field.origin_x, field.origin_y, field.resolution, field.border_squared(),
         )

@@ -65,6 +65,11 @@ class ReplayPlan:
         self.ground_truth = [
             sequence.ground_truth_pose(t) for t in range(self.length)
         ]
+        #: The ground-truth poses as ``(length, 3)`` rows ``[x, y, theta]``.
+        self.truth = np.array(
+            [(pose.x, pose.y, pose.theta) for pose in self.ground_truth],
+            dtype=np.float64,
+        ).reshape(-1, 3)
         self.steps: list[ReplayStep] = []
 
         pending = Pose2D.identity()

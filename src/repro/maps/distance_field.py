@@ -80,8 +80,8 @@ class DistanceField:
     _sq64_lut: np.ndarray | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
-    #: The tables as the ``fast`` backend's C observation stage takes
-    #: them, wrapped on its first use of the field
+    #: The squared-distance table and geometry as the ``fast`` backend's
+    #: C observation stage takes them, wrapped on its first use of the field
     #: (:class:`repro.engine.fast_c.StackKernels`).
     c_tables: tuple | None = dataclasses.field(
         default=None, repr=False, compare=False
@@ -209,10 +209,10 @@ class DistanceField:
         The observation model only ever consumes ``d**2`` in float64.
         Squaring commutes with the gather: because float32 -> float64
         conversion is exact, squaring each *cell value* once up front
-        (into a float64 payload, or a 256-entry code table for the
-        quantized field) yields bit-identical results to gathering,
-        widening and squaring every beam end point — while skipping two
-        full-size array passes per observation.
+        (into the float64 payload of :meth:`squared_table`) yields
+        bit-identical results to gathering, widening and squaring every
+        beam end point — while skipping two full-size array passes per
+        observation.
         """
         col = self._world_to_index(x, self.origin_x)
         row = self._world_to_index(y, self.origin_y)
@@ -223,20 +223,15 @@ class DistanceField:
         inside &= col < cols
         row *= cols
         row += col
-        if self.kind is FieldKind.QUANTIZED_U8:
-            raw = self.data.take(row, mode="clip")
-            sq = self.squared_lut().take(raw, mode="clip")
-        else:
-            sq = self.squared_table().take(row, mode="clip")
+        sq = self.squared_table().take(row, mode="clip")
         np.copyto(sq, self.border_squared(), where=~inside)
         return sq
 
     def squared_lut(self) -> np.ndarray:
         """256-entry float64 code -> squared-metres table (quantized only).
 
-        Built lazily once per field; shared by :meth:`lookup_squared_world`
-        and the fast backend's fused gather kernels, so both consume the
-        exact same per-code values.
+        Built lazily once per field; :meth:`squared_table` decodes a
+        quantized field's cells through it.
         """
         if self.kind is not FieldKind.QUANTIZED_U8:
             raise MapError("squared_lut is only defined for quantized fields")
@@ -247,18 +242,22 @@ class DistanceField:
         return self._sq64_lut
 
     def squared_table(self) -> np.ndarray:
-        """Flat float64 squared-metres payload (float storage kinds).
+        """Flat float64 squared-metres payload, one entry per cell.
 
-        One entry per cell in row-major order; float->float64 widening is
-        exact, so squaring each cell once up front is bit-identical to
-        widening and squaring per lookup.
+        Row-major, built lazily once per field, and shared by
+        :meth:`lookup_squared_world` and the fast backend's C observation
+        stage, so both gather the same values.  A float cell widens to
+        float64 exactly, so squaring each cell once up front is
+        bit-identical to widening and squaring per lookup; a quantized
+        cell is its code's :meth:`squared_lut` entry.
         """
-        if self.kind is FieldKind.QUANTIZED_U8:
-            raise MapError("squared_table is not defined for quantized fields")
         if self._sq64 is None:
-            sq64 = self.data.astype(np.float64)
-            np.square(sq64, out=sq64)
-            self._sq64 = sq64.reshape(-1)
+            if self.kind is FieldKind.QUANTIZED_U8:
+                self._sq64 = self.squared_lut()[self.data].reshape(-1)
+            else:
+                sq64 = self.data.astype(np.float64)
+                np.square(sq64, out=sq64)
+                self._sq64 = sq64.reshape(-1)
         return self._sq64
 
     def border_squared(self) -> float:

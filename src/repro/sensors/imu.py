@@ -63,6 +63,6 @@ class Gyro:
         spec = self.spec
         if dt > 0:
             self._bias += float(self._rng.normal(0.0, spec.bias_walk_sigma * np.sqrt(dt)))
-            self._bias = float(np.clip(self._bias, -spec.bias_limit, spec.bias_limit))
+            self._bias = min(max(self._bias, -spec.bias_limit), spec.bias_limit)
         noise = float(self._rng.normal(0.0, spec.rate_noise_sigma))
         return GyroMeasurement(timestamp=timestamp, yaw_rate=true_yaw_rate + self._bias + noise)

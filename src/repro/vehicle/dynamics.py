@@ -69,8 +69,8 @@ class PlanarDynamics:
         limits = self.limits
         speed = float(np.hypot(command.vx, command.vy))
         scale = 1.0 if speed <= limits.max_speed_mps else limits.max_speed_mps / speed
-        yaw_rate = float(
-            np.clip(command.yaw_rate, -limits.max_yaw_rate_rps, limits.max_yaw_rate_rps)
+        yaw_rate = min(
+            max(command.yaw_rate, -limits.max_yaw_rate_rps), limits.max_yaw_rate_rps
         )
         return command.vx * scale, command.vy * scale, yaw_rate
 

@@ -36,6 +36,26 @@ class TestWrapAngle:
         assert isinstance(out, np.ndarray)
         np.testing.assert_allclose(out, [0.0, 0.0, 0.1], atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_scalar_and_array_paths_agree_bit_for_bit(self):
+        """Python's float ``%`` (the scalar path) and numpy's remainder
+        (the array path) wrap the same doubles to the same bits: at and
+        one ulp around ±π, ±2π and ±3π, differences of wrapped yaws
+        across the wrap, random angles, NaN and ±inf."""
+        anchors = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi, 7.0])
+        anchors = np.concatenate([anchors, -anchors])
+        near = np.concatenate(
+            [anchors, np.nextafter(anchors, np.inf), np.nextafter(anchors, -np.inf)]
+        )
+        yaws = np.random.default_rng(8).uniform(-math.pi, math.pi, 200)
+        crossing = (yaws[:, None] - np.concatenate([yaws, [-math.pi]])[None, :]).ravel()
+        spread = np.random.default_rng(9).uniform(-50.0, 50.0, 1000)
+        specials = [math.nan, math.inf, -math.inf]
+        values = np.concatenate([near, crossing, spread, specials])
+        array = wrap_angle(values)
+        scalar = np.array([wrap_angle(value) for value in values.tolist()])
+        np.testing.assert_array_equal(array.view(np.uint64), scalar.view(np.uint64))
+
     @given(ANGLES)
     def test_always_in_range(self, angle):
         wrapped = wrap_angle(angle)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -38,7 +39,7 @@ from repro.engine.backend import RunSpec, StepWork
 from repro.engine.batched import BatchedBackend, ParticleStack
 from repro.engine.reference import ReferenceBackend
 from repro.engine.replay import ReplayStep
-from repro.maps.distance_field import DistanceField
+from repro.maps.distance_field import DistanceField, FieldKind
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
 from repro.vehicle.crazyflie import CrazyflieSimulator, SimConfig
@@ -323,23 +324,46 @@ def _half_boundary_doubles() -> np.ndarray:
     return np.concatenate([positive, -positive])
 
 
+def _wrap_edge_yaws() -> np.ndarray:
+    """Yaws on the edges of the C wrap's fmod-free path (taken while
+    ``|a + π| < 2π``): the 17 doubles around each ``target - π``, so that
+    ``a + π`` rounds to exactly ±2π, to ``nextafter(2π, 0)`` and to zero,
+    and to the doubles around them.  (No yaw near -3π, where doubles are
+    twice as far apart, lands on the odd ``nextafter(-2π, 0)``.)"""
+    two_pi = 2 * np.pi
+    targets = [two_pi, -two_pi, np.nextafter(two_pi, 0), np.nextafter(-two_pi, 0), 0.0]
+    yaws = np.concatenate(
+        [
+            (target - np.pi) + np.spacing(target - np.pi) * np.arange(-8.0, 9.0)
+            for target in targets
+        ]
+    )
+    landed = set((yaws + np.pi).tolist())
+    assert {two_pi, -two_pi, np.nextafter(two_pi, 0), 0.0} <= landed
+    return yaws
+
+
 def _yaw_doubles() -> np.ndarray:
-    """±π, ±float16(π), ±float32(π), values several turns of 2π away, and
-    the half boundary doubles inside ±2π."""
+    """±π, ±float16(π), ±float32(π), values several turns of 2π away, the
+    half boundary doubles inside ±2π, the edges of the C wrap's fast path,
+    NaN and ±inf."""
     specials = [np.pi, float(np.float16(np.pi)), float(np.float32(np.pi))]
     turns = [value + 2 * np.pi * k for value in (np.pi, 3.0, 0.25) for k in (3, 7, -5)]
     boundary = _half_boundary_doubles()
     yaws = np.concatenate([specials, turns, boundary[np.abs(boundary) < 2 * np.pi]])
-    return np.concatenate([yaws, -yaws])
+    edges = _wrap_edge_yaws()
+    return np.concatenate([yaws, -yaws, edges, -edges, [np.nan, np.inf, -np.inf]])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("dtype", DTYPES, ids=str)
 def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     """The C draw + compose + store leaves the stored bytes and float64
     shadows of the reference kernels on x/y at every half and half
     midpoint (with the doubles one ulp either side), half overflows and
-    subnormals, and on yaws at and around ±π and many turns away."""
+    subnormals, and on yaws at and around ±π, many turns away, on the
+    edges of the wrap's fmod-free path, NaN and ±inf."""
     values = _half_boundary_doubles()
     rows = -(-values.size // STAGE_N)
     # Noise of 1e-300 is below half an ulp of every nonzero value here,
@@ -350,9 +374,10 @@ def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     )
     order = np.random.default_rng(1).permutation(rows)
     x = _rows_of(values, rows)
+    yaws = _rows_of(_yaw_doubles(), rows)
     stack.x64[:] = x
     stack.y64[:] = _rows_of(values[::-1], rows)
-    stack.theta64[:] = _rows_of(_yaw_doubles(), rows)
+    stack.theta64[:] = yaws
     stack.cos64[:] = np.cos(stack.theta64)
     stack.sin64[:] = np.sin(stack.theta64)
     stack.weights[:] = stack.w64[:] = 1.0 / STAGE_N
@@ -361,11 +386,12 @@ def test_motion_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     expected = _reference_motion(stack, order, *increments)
     stack.step(work)
     _assert_same_bits(expected, stack, MOTION_ARRAYS)
-    # The stores round each double once, as numpy's astype does.
+    # The stores round each double once, as numpy's astype does (where
+    # the yaw's trig leaves x as it was).
     unsigned = f"u{dtype.itemsize}"
-    nonzero = x != 0
+    kept = (x != 0) & np.isfinite(yaws)
     np.testing.assert_array_equal(
-        stack.x[nonzero].view(unsigned), x[nonzero].astype(dtype).view(unsigned)
+        stack.x[kept].view(unsigned), x[kept].astype(dtype).view(unsigned)
     )
 
     # Then steps from the stored poses, with real noise and yaw trig in
@@ -517,6 +543,122 @@ def test_weight_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     quotients = quotients / quotients.sum(axis=1, keepdims=True)  # exact totals
     via_float = quotients.astype(np.float32).astype(np.float16)
     assert (quotients.astype(np.float16) != via_float).sum() >= 100
+
+
+# ----------------------------------------------------------------------
+# The observation stage
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def observation_fields():
+    """A small maze's float32 and quantized fields, and a C provider."""
+    grid = generate_maze(size_m=1.5, cells=3, seed=2)
+    fields = {
+        kind: DistanceField.build(grid, MclConfig().r_max, kind)
+        for kind in (FieldKind.FLOAT32, FieldKind.QUANTIZED_U8)
+    }
+    return fields, fast_c.CProvider()
+
+
+def _observation_ends(field, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` body-frame end points, mixing three kinds in turn: points on
+    the field's first, middle and last cell edges and one past each end
+    (with the doubles either side) for a pose at the origin with zero
+    yaw; points just off each side of the grid and far off it; and
+    random points over it and its surroundings."""
+    rng = np.random.default_rng(k)
+    rows, cols = field.data.shape
+    res = field.resolution
+    width, height = cols * res, rows * res
+    mid_x, mid_y = field.origin_x + width / 2, field.origin_y + height / 2
+
+    def edges(origin, count):
+        lines = origin + res * np.array([0.0, 1.0, count // 2, count - 1, count, -1.0])
+        return np.concatenate(
+            [lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf)]
+        )
+
+    xs, ys = edges(field.origin_x, cols), edges(field.origin_y, rows)
+    on_edges = [(x, mid_y) for x in xs] + [(mid_x, y) for y in ys] + list(zip(xs, ys))
+    left, right = field.origin_x - 0.01, field.origin_x + width + 0.01
+    below, above = field.origin_y - 0.01, field.origin_y + height + 0.01
+    off_grid = [(left, mid_y), (right, mid_y), (mid_x, below), (mid_x, above)]
+    off_grid += [(-1e6, mid_y), (mid_x, 1e6), (right, above), (left, below)]
+    random = rng.uniform(
+        [field.origin_x - 0.3, field.origin_y - 0.3],
+        [field.origin_x + width + 0.3, field.origin_y + height + 0.3],
+        (k, 2),
+    )
+    kinds = [rng.permutation(on_edges), rng.permutation(off_grid), random]
+    pool = [
+        point
+        for points in itertools.zip_longest(*kinds)
+        for point in points
+        if point is not None
+    ]
+    ends = np.array(pool[:k], dtype=np.float64)
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
+def _observation_poses(field, n: int, seed: int):
+    """``(x, y, theta)`` of ``n`` particles: the first at the origin with
+    zero yaw (so the end points land where they were placed), the rest
+    over the field and beyond it, every fourth with zero yaw."""
+    rng = np.random.default_rng(seed)
+    rows, cols = field.data.shape
+    low = [field.origin_x - 0.5, field.origin_y - 0.5]
+    high = [low[0] + cols * field.resolution + 1.0, low[1] + rows * field.resolution + 1.0]
+    x, y = rng.uniform(low, high, (n, 2)).T
+    theta = rng.uniform(-np.pi, np.pi, n)
+    theta[::4] = 0.0
+    x[0] = y[0] = 0.0
+    return x, y, theta
+
+
+def _reference_exponents(stack, rows, end_x, end_y, field) -> np.ndarray:
+    """The observation stage by the reference kernels: the beam sums of
+    :func:`kernels.beam_squared_sums`, then the ops of
+    :func:`kernels.beam_log_likelihoods` and
+    :func:`kernels.likelihood_ratios` up to the ``exp``."""
+    config = stack.config
+    log_lik = kernels.beam_squared_sums(
+        stack.x64[rows], stack.y64[rows], stack.cos64[rows], stack.sin64[rows],
+        end_x, end_y, field,
+    )
+    np.negative(log_lik, out=log_lik)
+    log_lik /= 2.0 * config.sigma_obs**2
+    log_lik = log_lik * float(config.beam_replication)
+    return log_lik - log_lik.max(axis=-1, keepdims=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["float32", "quantized_u8"])
+@pytest.mark.parametrize("n", [1, 7, 63, 65, STAGE_N])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65, 130])
+def test_observation_stage_matches_numpy_bit_for_bit(observation_fields, kind, n, k):
+    """The C observation stage gives the bits of the reference kernels'
+    beam sums and likelihood exponent: for one-, two- and three-level
+    beam trees (k up to 130), particle counts that leave a partial lane
+    block, end points on cell edges and off every side of the grid,
+    float32 and quantized fields, and a row with a NaN pose, its rows
+    listed out of order."""
+    fields, provider = observation_fields
+    field = fields[FieldKind(kind)]
+    stack = ParticleStack(MclConfig(particle_count=n), 4, provider=provider)
+    for row, seed in ((0, 1), (2, 2), (3, 3)):
+        x, y, theta = _observation_poses(field, n, seed)
+        if row == 3:  # the NaN row: a NaN position, a NaN yaw
+            x[-1] = np.nan
+            theta[n // 2] = np.nan
+        stack.x64[row], stack.y64[row] = x, y
+        stack.cos64[row], stack.sin64[row] = np.cos(theta), np.sin(theta)
+    end_x, end_y = _observation_ends(field, k)
+    step = ReplayStep(fires=True, end_x=end_x, end_y=end_y)
+    rows = np.array([3, 0, 2])
+    expected = _reference_exponents(stack, rows, end_x, end_y, field)
+    out = np.empty((rows.size, n))
+    stack._kernels.observation(rows, step, field, out)
+    np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert np.isfinite(out).all()
 
 
 # ----------------------------------------------------------------------
