@@ -8,11 +8,22 @@ resampling cheap) is.
 
 Each kernel's timing summary is also written to
 ``results/BENCH_kernels.json`` so CI can archive per-commit numbers.
+
+``test_update_stages`` measures the ``fast`` backend's own update: a
+one-row stack stepped over the fired steps of committed sequence 0 at
+N in {64, 256, 1024} with telemetry on.  Each ``engine.step.*`` span
+(the Table I stages of :class:`repro.soc.perf.MclStep`) is reported in
+ns per particle-update, next to
+:meth:`repro.soc.perf.Gap9PerfModel.step_time_per_particle_ns`, with
+the rest of the step (the Python around the four stage spans) as
+``outside_stages``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -28,6 +39,8 @@ from repro.core.resampling import (
     parallel_systematic_resample,
     systematic_resample,
 )
+from repro.dataset.sequences import load_sequence
+from repro.engine.backend import RunSpec, StepWork
 from repro.maps.distance_field import DistanceField
 from repro.maps.edt import euclidean_distance_field
 from repro.maps.maze import build_drone_maze_world, main_drone_maze
@@ -35,9 +48,16 @@ from repro.sensors.tof import TofSensor, TofSensorSpec
 
 N_PARTICLES = 4096
 
+#: Particle counts of the per-stage breakdown, and its timed passes (the
+#: best pass of each stage is reported).
+STAGE_PARTICLE_COUNTS = (64, 256, 1024)
+STAGE_PASSES = 5
+
 #: Per-kernel timing summaries collected by :func:`_record`, flushed to
 #: ``results/BENCH_kernels.json`` when the module finishes.
 _RESULTS: dict[str, dict] = {}
+#: The per-stage breakdown of :func:`test_update_stages`, flushed with them.
+_STAGES: dict[str, dict] = {}
 
 
 def _record(benchmark, name: str) -> None:
@@ -57,12 +77,14 @@ def _record(benchmark, name: str) -> None:
 @pytest.fixture(scope="module", autouse=True)
 def _kernel_report():
     yield
-    if not _RESULTS:
+    if not _RESULTS and not _STAGES:
         return
     from repro.viz.export import results_directory
 
     path = results_directory() / "BENCH_kernels.json"
     payload = {"n_particles": N_PARTICLES, "kernels": dict(sorted(_RESULTS.items()))}
+    if _STAGES:
+        payload["update_stages"] = _STAGES
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -156,3 +178,75 @@ def test_kernel_particle_gather(benchmark, populated_particles):
 
     benchmark(run)
     _record(benchmark, "particle_gather")
+
+
+def test_update_stages(world):
+    """Where a ``fast`` update goes: each stage span's best pass over
+    sequence 0's fired steps, in ns per particle-update, beside the GAP9
+    model's time for that stage."""
+    from repro import obs
+    from repro.engine import get_backend
+    from repro.soc.perf import PIPELINE_OVERHEAD_NS, Gap9PerfModel, MclStep
+
+    backend = get_backend("fast")
+    if backend.name != "fast":
+        pytest.skip("the fast backend fell back to reference (no cffi or C compiler)")
+    sequence = load_sequence(0, world)
+    model = Gap9PerfModel()
+    by_count = {}
+    for count in STAGE_PARTICLE_COUNTS:
+        config = MclConfig(particle_count=count)
+        field = DistanceField.build_for_mode(world.grid, config.r_max, config.precision)
+        work = [
+            [StepWork(rows=[0], step=step, field=field)]
+            for step in backend.plan(sequence, config).steps
+            if step.fires
+        ]
+        stack = backend.open_stack(config, 1)
+        stages = {step.value: float("inf") for step in MclStep}
+        outside = float("inf")
+        for attempt in range(STAGE_PASSES + 1):  # the first pass is a warm-up
+            stack.init_row(0, world.grid, RunSpec(sequence, 0))
+            obs.reset()
+            obs.enable()
+            try:
+                started = time.perf_counter()
+                for items in work:
+                    stack.step(items)
+                wall = time.perf_counter() - started
+                spans = obs.snapshot()["spans"]
+            finally:
+                obs.reset()
+            if not attempt:
+                continue
+            scale = 1e9 / (len(work) * count)
+            inside = 0.0
+            for name in stages:
+                total = spans[f"engine.step.{name}"]["total_s"]
+                stages[name] = min(stages[name], total * scale)
+                inside += total
+            outside = min(outside, (wall - inside) * scale)
+        by_count[f"n{count}"] = {
+            "updates": len(work),
+            "host_ns": {**stages, "outside_stages": outside},
+            "gap9_ns": {
+                **{
+                    step.value: model.step_time_per_particle_ns(step, count)
+                    for step in MclStep
+                },
+                "pipeline_overhead": PIPELINE_OVERHEAD_NS / count,
+            },
+        }
+    _STAGES.update(
+        {
+            "sequence": sequence.name,
+            "rows": 1,
+            "passes": STAGE_PASSES,
+            "provider": backend.provider_name,
+            "cpu_count": os.cpu_count() or 1,
+            "ns_per_particle_update": by_count,
+        }
+    )
+    assert all(
+        value > 0 for entry in by_count.values() for value in entry["host_ns"].values()
+    )

@@ -138,7 +138,8 @@ class SessionStack(Protocol):
         ...
 
     def step(self, work: Sequence[StepWork]) -> None:
-        """Fire one gated update for every row listed across ``work``."""
+        """Fire one gated update for every row listed across ``work``
+        (each row listed once)."""
         ...
 
     def estimate(self, row: int) -> "Pose2D":

@@ -7,9 +7,10 @@ every sequence is re-replayed (frames materialized, beams re-extracted)
 once per seed.  This backend instead keeps all R particle populations in
 ``(R, N)`` arrays and advances them together:
 
-* **per-run movement gating via boolean masks** — each step only
-  touches the rows whose gate fired (runs of different sequences fire
-  at different instants);
+* **firing frames only** — the driver steps only the frames where some
+  run's gate fires (:attr:`~repro.engine.replay.ReplayPlan.firing`),
+  and each step touches only the rows whose gate fired (runs of
+  different sequences fire at different instants);
 * **cached replay plans** — the parts of a run that depend only on the
   sequence and the gating/beam configuration (odometry accumulation,
   trigger trace, frame materialization, beam extraction, ground-truth
@@ -51,9 +52,11 @@ A row's weighted-mean estimate is kept as a row of
 with ``theta`` wrapped as :class:`~repro.common.geometry.Pose2D` wraps
 it; the stack builds a ``Pose2D`` only when one is asked for
 (:meth:`ParticleStack.estimate`, which the serve layer calls).  The
-offline driver keeps each frame's ``(runs, 3)`` estimates (frames where
-no gate fires share the array before them) and, at the end, derives each
-run's errors in one pass against the ground-truth array cached on its
+offline driver copies the ``(runs, 3)`` estimates after each firing
+frame into one array; a frame's estimates are those of the last firing
+frame up to it (one gather over the cumulative count of firing frames).
+At the end it derives each run's errors in one pass against the
+ground-truth array cached on its
 :class:`~repro.engine.replay.ReplayPlan`
 (:func:`repro.core.pose_estimate.pose_errors`, the bits of the per-frame
 ``pose_error``).
@@ -69,13 +72,15 @@ poses; the observation call (one per work item) computes the beam
 transform -> EDT gather -> tree reduction and the likelihood exponent;
 the resampling call updates the weights, takes the ESS and runs the
 wheel, the gathers and the uniform reset; the pose call reduces the
-estimates.  Each call loops in C over the int64 list of rows it
-touches.  The stack wraps its arrays and its rows' bit generators for
-C once (:class:`~repro.engine.fast_c.StackKernels`): it writes them
-only in place, and :meth:`ParticleStack.ensure_capacity`, the one place
-that reallocates them, wraps them again.  Each row draws from its own
-numpy bit generator, through numpy's compiled samplers.  It stays
-bitwise because only IEEE-exact arithmetic is evaluated by the
+estimates.  Each call loops in C over the rows it touches.  The stack
+binds its arrays, its rows' bit generators and per-call buffers into one
+C context once (:class:`~repro.engine.fast_c.StackKernels`): it writes
+them only in place, and :meth:`ParticleStack.ensure_capacity`, the one
+place that reallocates them, binds them again.  A step writes its rows
+and increments into the buffers; where its rows fill one block of the
+stack it addresses them as a slice, else by index.  Each row draws
+from its own numpy bit generator, through numpy's compiled samplers.
+It stays bitwise because only IEEE-exact arithmetic is evaluated by the
 library's own C: transcendentals (``sin``/``cos``/``exp``) are always
 evaluated by numpy, three whole-block calls per update, and passed in;
 every reduction follows the deterministic tree spec; and the wheel
@@ -237,7 +242,8 @@ class ParticleStack:
         theta = rng.uniform(-np.pi, np.pi, size=n)
         self._store(row, x, y, theta, np.full(n, 1.0 / n))
         self.update_count[row] = 0
-        self._refresh_estimate(row)
+        self._kernels.rows[0] = row
+        self._refresh_estimates([row], slice(row, row + 1))
 
     # ------------------------------------------------------------------
     # State capture (snapshot / restore, serve-layer migration)
@@ -321,61 +327,77 @@ class ParticleStack:
         resampling stage: all that observed), the observation stage runs
         per work item.  Per-row results are independent of the packing
         (see class docstring), so callers may group rows however
-        throughput dictates.  A row that was never initialized raises
-        :class:`ConfigurationError` before any row is drawn or written.
+        throughput dictates.  A row outside the stack, or listed twice,
+        raises :class:`IndexError`, and a row that was never initialized
+        :class:`ConfigurationError`, before any row is drawn or written.
         """
         listed: list[int] = []
-        pending: list[float] = []
-        observed: list[int] = []
+        scored = 0
         for item in work:
             listed += item.rows
-            increment = item.step.pending
-            pending += [increment.x, increment.y, increment.theta] * len(item.rows)
             if item.step.beams is not None:
-                observed += item.rows
-        if not listed:
+                scored += len(item.rows)
+        count = len(listed)
+        if not count:
             return
-        # The C stages index the arrays unchecked.
-        if min(listed) < 0 or max(listed) >= self.rows:
+        # The C stages index the arrays unchecked, and a row listed twice
+        # would be stepped twice but counted once.
+        low, high = min(listed), max(listed)
+        if low < 0 or high >= self.rows:
             raise IndexError(f"step rows outside the stack's {self.rows} rows")
-        rows = np.array(listed, dtype=np.int64)
+        if len(set(listed)) < count:
+            raise IndexError("a step lists a stack row twice")
         stages = self._kernels
+        stages.rows[:count] = listed
+        at = 0
+        for item in work:
+            size = len(item.rows)
+            increment = item.step.pending
+            stages.pending[at : at + size] = (increment.x, increment.y, increment.theta)
+            at += size
+        # Rows that fill one block of the stack are addressed as a slice.
+        # The estimates are written in listed order: through the slice
+        # only where that order ascends.
+        block = in_order = stages.rows[:count]
+        if high - low + 1 == count:
+            block = slice(low, high + 1)
+            if listed == list(range(low, high + 1)):
+                in_order = block
         # Stage spans + gate counters (no-ops when telemetry is off);
         # timing reads never feed back into the numeric state below.
         obs.counter(COUNTER_STEPS).inc()
-        obs.counter(COUNTER_GATE_TRIGGERS).inc(len(listed))
+        obs.counter(COUNTER_GATE_TRIGGERS).inc(count)
         with obs.span(SPAN_MOTION):
-            stages.motion(rows, np.array(pending))
+            stages.motion(count)
             # The posterior yaw's trig, the step's one trig evaluation
             # (stacked trig equals per-row trig bit for bit:
             # tests/engine/test_stacked_trig.py).
-            theta = self.theta64[rows]
-            self.cos64[rows] = np.cos(theta)
-            self.sin64[rows] = np.sin(theta)
-        if observed:
-            like = np.empty((len(observed), self.count))
+            theta = self.theta64[block]
+            if isinstance(block, slice):
+                np.cos(theta, out=self.cos64[block])
+                np.sin(theta, out=self.sin64[block])
+            else:
+                self.cos64[block] = np.cos(theta)
+                self.sin64[block] = np.sin(theta)
+        if scored:
             with obs.span(SPAN_OBSERVATION):
                 at = filled = 0
                 for item in work:
                     size = len(item.rows)
                     if item.step.beams is not None:
-                        stages.observation(
-                            rows[at : at + size],
-                            item.step,
-                            item.field,
-                            like[filled : filled + size],
-                        )
+                        stages.observation(size, at, filled, item.step, item.field)
                         filled += size
                     at += size
             # The weight update is resampling's: it needs numpy's exp first.
             with obs.span(SPAN_RESAMPLING):
+                like = stages.like[:scored]
                 np.exp(like, out=like)
-                resampled = stages.resampling(np.array(observed, dtype=np.int64), like)
+                resampled = stages.resampling(scored)
             obs.counter(COUNTER_RESAMPLES).inc(resampled)
-            obs.counter(COUNTER_RESAMPLE_SKIPS).inc(len(observed) - resampled)
+            obs.counter(COUNTER_RESAMPLE_SKIPS).inc(scored - resampled)
         with obs.span(SPAN_POSE_COMPUTATION):
-            self._refresh_estimates(rows)
-        self.update_count[rows] += 1
+            self._refresh_estimates(listed, in_order)
+        self.update_count[block] += 1
 
     # ------------------------------------------------------------------
     # State storage and pose estimates
@@ -409,36 +431,32 @@ class ParticleStack:
         if weights:
             self.w64[rows] = self.weights[rows]
 
-    def _refresh_estimates(self, triggered: np.ndarray) -> None:
-        """Recompute the weighted-mean poses of all triggered rows.
+    def _refresh_estimates(self, listed: list[int], in_order) -> None:
+        """Recompute the weighted-mean poses of the ``listed`` rows, which
+        the kernels' ``rows`` buffer holds in that order, and write them
+        to ``estimates[in_order]`` (an index of those rows in that order).
 
         Each row's pose is bitwise identical to
         :func:`repro.engine.kernels.weighted_mean_pose` on that run
         alone: the C stage reads the shadows and reduces along each row
         through the deterministic tree.  A row with degenerate weights
-        (rare) takes the scalar kernel.
+        (rare) takes the scalar kernel.  Every row is stored as
+        ``Pose2D(x, y, theta).as_array()`` would store it, in one
+        assignment.
         """
-        sums = self._kernels.pose(triggered)
-        for run, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(
-            triggered.tolist(), sums.tolist()
-        ):
+        stages = self._kernels
+        sums = stages.pose(len(listed)).tolist()
+        estimates = []
+        for row, (total, mean_x, mean_y, sin_sum, cos_sum) in zip(listed, sums):
             if math.isnan(total):  # degenerate weights (rare)
-                self._refresh_estimate(run)
+                _, mean_x, mean_y, mean_theta = kernels.weighted_mean_pose(
+                    self.x64[row], self.y64[row], self.theta64[row], self.weights[row]
+                )
             else:
                 mean_theta = _circular_mean(sin_sum, cos_sum, total)
-                self._set_estimate(run, mean_x, mean_y, mean_theta)
-
-    def _refresh_estimate(self, row: int) -> None:
-        """Recompute one row's weighted-mean pose with the scalar kernel."""
-        _, mean_x, mean_y, mean_theta = kernels.weighted_mean_pose(
-            self.x64[row], self.y64[row], self.theta64[row], self.weights[row]
-        )
-        self._set_estimate(row, mean_x, mean_y, mean_theta)
-
-    def _set_estimate(self, row: int, x: float, y: float, theta: float) -> None:
-        """Store a row's estimate as ``Pose2D(x, y, theta).as_array()`` would."""
-        self.estimates[row] = (x, y, wrap_angle(theta))
-        self._asked[row] = None
+            estimates.append((mean_x, mean_y, wrap_angle(mean_theta)))
+            self._asked[row] = None
+        self.estimates[in_order] = estimates
 
 
 def _circular_mean(sin_sum: float, cos_sum: float, total: float) -> float:
@@ -566,31 +584,38 @@ class _RunBatch:
     def run(self) -> list[RunTrace]:
         """Step every run to its sequence's end, then build the traces.
 
-        Records each frame's estimates as one ``(runs, 3)`` array (frames
-        where no gate fires share the array before them) and derives each
-        run's errors in one pass at the end.
+        Steps only the frames where some group's gate fires
+        (:attr:`ReplayPlan.firing`), in time order, and copies the
+        ``(runs, 3)`` estimates after each into one array; every frame
+        then reads the estimates of the last firing frame up to it, and
+        each run's errors are derived in one pass at the end.
         """
         runs = len(self.specs)
         horizon = max(group.length for group in self.groups)
-        latest = self.stack.estimates[:runs].copy()
-        frames = []
-        for t in range(horizon):
-            work = [
-                StepWork(rows=group.runs, step=group.plan.steps[t], field=self.field)
-                for group in self.groups
-                if t < group.length and group.plan.steps[t].fires
-            ]
-            if work:
-                self.stack.step(work)
-                latest = self.stack.estimates[:runs].copy()
-            frames.append(latest)
-        estimates = np.stack(frames)
+        # Each firing frame's work items, in group order.
+        schedule: dict[int, list[StepWork]] = {}
+        for group in self.groups:
+            steps = group.plan.steps
+            for t in group.plan.firing:
+                schedule.setdefault(t, []).append(
+                    StepWork(rows=group.runs, step=steps[t], field=self.field)
+                )
+        fired = sorted(schedule)
+        # recorded[i]: the estimates after the i-th firing frame (0: none).
+        recorded = np.empty((len(fired) + 1, runs, 3))
+        recorded[0] = self.stack.estimates[:runs]
+        for index, t in enumerate(fired, 1):
+            self.stack.step(schedule[t])
+            recorded[index] = self.stack.estimates[:runs]
+        firing = np.zeros(horizon, dtype=bool)
+        firing[fired] = True
+        frames = np.cumsum(firing)
 
         traces: list[RunTrace] = [None] * runs
         for group in self.groups:
             plan = group.plan
             for run in group.runs:
-                trace = estimates[: plan.length, run].copy()
+                trace = recorded[frames[: plan.length], run]
                 position_errors, yaw_errors = pose_errors(trace, plan.truth)
                 traces[run] = RunTrace(
                     timestamps=np.array(plan.timestamps),

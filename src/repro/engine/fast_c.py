@@ -14,19 +14,32 @@ An update is the four stages of the paper's Table I
 (:class:`repro.soc.perf.MclStep`), one exported C entry point each:
 ``stage_motion``, ``stage_observation`` (one call per work item, since
 the item's rows share a distance field), ``stage_resampling`` and
-``stage_pose``.  Each takes the stack's 2-D base pointers, the row
-stride N and an int64 array of the stack rows to process, and loops
-those rows in C over ``static`` row kernels, so an update costs four
-library calls however many rows it packs.  Between the calls numpy
-evaluates the update's transcendentals, each in one call over the whole
-block: cos and sin of the posterior yaw after the motion call, and
-``exp`` of the likelihood exponent before the resampling call.
-:class:`StackKernels` wraps a stack's ten arrays and its rows' bit
-generators once.  The pointers stay valid because the stack writes its
-arrays only in place; ``ParticleStack.ensure_capacity`` is the one place
-that rebinds them, and it builds a new :class:`StackKernels`.  A replay
-step's beam end points and a distance field's table are wrapped once
-as well, and kept on the step and the field.
+``stage_pose``.  Each takes one bound context (``stack_ctx``) and a row
+count, and loops those rows in C over ``static`` row kernels, so an
+update costs four library calls however many rows it packs.  Between
+the calls numpy evaluates the update's transcendentals, each in one
+call over the whole block: cos and sin of the posterior yaw after the
+motion call, and ``exp`` of the likelihood exponent before the
+resampling call.
+
+:class:`StackKernels` fills a stack's context once per binding: the
+pointers to its ten arrays and its rows' bit generators, the config's
+constants, the scratch, and per-call buffers sized to the stack's
+capacity (the rows, their pending increments, the likelihood block, the
+observed rows and the pose sums).  A step writes its inputs into those
+buffers with numpy slice assignments and reads the pose sums from a view
+of them, so no call wraps an array: the motion, resampling and pose
+calls pass the context and a count, and the observation call adds its
+item's offsets into the buffers, its step's end points and its field's
+table and geometry.  The pointers stay valid because the stack writes
+its arrays only in place; ``ParticleStack.ensure_capacity`` is the one
+place that rebinds them, and it builds a new :class:`StackKernels`.  A
+replay step's beam end points and a distance field's table and
+geometry are wrapped once as well, and kept on the step and the field.
+They stay plain ``double`` pointers, not structs: a cffi struct serves
+only the FFI that declared it, every ``fast`` backend loads the library
+through an FFI of its own, and steps and fields are shared across
+backends.
 
 Particle lanes in the observation stage
 ---------------------------------------
@@ -555,144 +568,148 @@ STORAGE_ROW_KERNELS(uint16_t, f16, half_from_double, double_from_half)
  * Stage entry points: the four stages of Table I (soc.perf.MclStep),
  * one call each per update.
  *
- * Each takes the stack's 2-D base pointers (row-major, row stride n),
- * then the constants and scratch of the stack, then `rows`, the nrows
- * stack rows to process.  Per-call inputs and outputs are (nrows, n)
- * blocks (or nrows-long vectors) in the order of `rows`.  `bitgens`
- * holds one numpy bit generator per stack row.  Rows share no
- * arithmetic and each draws from its own generator, so every row gets
- * the bits of its row kernels run alone.
+ * Each takes the stack's bound context (stack_ctx, declared with the
+ * entry points: the stack's 2-D arrays, row-major with row stride n;
+ * its constants and scratch; its per-call buffers) and nrows, how many
+ * leading entries of the call's row buffer to process.  Per-call inputs
+ * and outputs are rows of the context's buffers, in the order of that
+ * row buffer.  `bitgens` holds one numpy bit generator per stack row.
+ * Rows share no arithmetic and each draws from its own generator, so
+ * every row gets the bits of its row kernels run alone.
  * ------------------------------------------------------------------ */
 
-/* Motion: each listed row draws its 3n odometry normals from its bit
- * generator (x, then y, then yaw, as kernels.sample_motion_noise
+/* Motion: each of rows[0..nrows) draws its 3n odometry normals from its
+ * bit generator (x, then y, then yaw, as kernels.sample_motion_noise
  * does), adds them to its pending body-frame increment (pending[3r],
  * [3r + 1], [3r + 2]), then composes, wraps and stores the poses
  * (`itemsize` bytes per stored entry: 4 for float, 2 for binary16)
  * and refreshes their shadows.  Returns -1, or the first listed row
  * that has no bit generator, before anything is drawn or written. */
-int64_t stage_motion(
-    void *xs, void *ys, void *ts, int64_t itemsize,
-    double *x64, double *y64, double *t64,
-    const double *cos64, const double *sin64, int64_t n,
-    void *const *bitgens, double sigma_xy, double sigma_theta, double *noise,
-    const int64_t *rows, int64_t nrows, const double *pending)
+int64_t stage_motion(const stack_ctx *c, int64_t nrows)
 {
+    const int64_t *rows = c->rows;
+    int64_t n = c->n, itemsize = c->itemsize;
     for (int64_t r = 0; r < nrows; ++r)
-        if (bitgens[rows[r]] == NULL) return rows[r];
-    double *dx = noise, *dy = noise + n, *dt = noise + 2 * n;
+        if (c->bitgens[rows[r]] == NULL) return rows[r];
+    double *dx = c->noise, *dy = c->noise + n, *dt = c->noise + 2 * n;
     for (int64_t r = 0; r < nrows; ++r) {
-        bitgen_t *bitgen = bitgens[rows[r]];
-        const double *inc = pending + 3 * r;
+        bitgen_t *bitgen = c->bitgens[rows[r]];
+        const double *inc = c->pending + 3 * r;
         for (int64_t i = 0; i < n; ++i)
-            dx[i] = inc[0] + random_normal(bitgen, 0.0, sigma_xy);
+            dx[i] = inc[0] + random_normal(bitgen, 0.0, c->sigma_xy);
         for (int64_t i = 0; i < n; ++i)
-            dy[i] = inc[1] + random_normal(bitgen, 0.0, sigma_xy);
+            dy[i] = inc[1] + random_normal(bitgen, 0.0, c->sigma_xy);
         for (int64_t i = 0; i < n; ++i)
-            dt[i] = inc[2] + random_normal(bitgen, 0.0, sigma_theta);
+            dt[i] = inc[2] + random_normal(bitgen, 0.0, c->sigma_theta);
         int64_t at = rows[r] * n, off = at * itemsize;
         STORAGE_KERNEL(compose_store, itemsize)(
-            cos64 + at, sin64 + at, dx, dy, dt, n,
-            (char *)xs + off, (char *)ys + off, (char *)ts + off,
-            x64 + at, y64 + at, t64 + at);
+            c->cos64 + at, c->sin64 + at, dx, dy, dt, n,
+            (char *)c->x + off, (char *)c->y + off, (char *)c->theta + off,
+            c->x64 + at, c->y64 + at, c->theta64 + at);
     }
     return -1;
 }
 
-/* Observation: each particle's det-tree sum of squared EDT distances
- * over the k beams of one work item (its rows share the field), turned
- * in place into its likelihood exponent (exponent_row); numpy takes
- * the exp.  `table` is the field's squared metres per cell, row-major;
- * `partials` is scratch of ceil(k / DET_CHUNK) * LANES doubles. */
+/* Observation of one work item (its rows share the step and the field):
+ * rows[at..at + nrows) each get every particle's det-tree sum of
+ * squared EDT distances over the item's k beams, turned in place into
+ * its likelihood exponent (exponent_row) in like rows filled, filled +
+ * 1, ...; numpy takes the exp.  Each scored row is recorded in
+ * observed[filled..], the rows the resampling call updates.  `table` is
+ * the field's squared metres per cell, row-major, and `grid` its
+ * geometry: {rows, cols, origin_x, origin_y, resolution, border_sq}
+ * (the counts exact in double).  The context's `partials` scratch holds
+ * ceil(k / DET_CHUNK) * LANES doubles. */
 void stage_observation(
-    const double *x64, const double *y64,
-    const double *cos64, const double *sin64, int64_t n,
-    double two_sigma_sq, double replication, double *partials,
-    const int64_t *rows, int64_t nrows,
+    const stack_ctx *c, int64_t nrows, int64_t at, int64_t filled,
     const double *end_x, const double *end_y, int64_t k,
-    const double *table, int64_t grid_rows, int64_t grid_cols,
-    double origin_x, double origin_y, double resolution, double border_sq,
-    double *out)
+    const double *table, const double *grid)
 {
+    int64_t n = c->n;
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n;
-        beam_sums_row(x64 + at, y64 + at, cos64 + at, sin64 + at, n,
-                      end_x, end_y, k, table, grid_rows, grid_cols,
-                      origin_x, origin_y, resolution, border_sq,
-                      partials, out + r * n);
-        exponent_row(out + r * n, n, two_sigma_sq, replication);
+        int64_t row = c->rows[at + r], off = row * n;
+        double *out = c->like + (filled + r) * n;
+        beam_sums_row(c->x64 + off, c->y64 + off, c->cos64 + off,
+                      c->sin64 + off, n, end_x, end_y, k, table,
+                      (int64_t)grid[0], (int64_t)grid[1], grid[2], grid[3],
+                      grid[4], grid[5], c->partials, out);
+        exponent_row(out, n, c->two_sigma_sq, c->replication);
+        c->observed[filled + r] = row;
     }
 }
 
-/* Resampling, per listed row: the weight update given its likelihood
- * ratios; then, if its effective sample size is at most `threshold`,
- * the wheel at an offset drawn from its bit generator (as
- * kernels.draw_wheel_offset draws it), the gather of the three stored
- * rows (`itemsize` bytes per entry) and their five float64 shadows
- * (cos/sin of yaw included: a gather of exact values equals the trig
- * of the gathered yaw), and uniform weights.  Returns how many rows
- * resampled. */
-int64_t stage_resampling(
-    void *ws, void *xs, void *ys, void *ts, int64_t itemsize,
-    double *w64, double *x64, double *y64, double *t64,
-    double *cos64, double *sin64, int64_t n,
-    void *const *bitgens, double threshold,
-    double *scratch, int64_t *idx, void *bounce,
-    const int64_t *rows, int64_t nrows, const double *like)
+/* Resampling, per row of observed[0..nrows): the weight update given
+ * its likelihood ratios (its like row); then, if its effective sample
+ * size is at most `threshold`, the wheel at an offset drawn from its
+ * bit generator (as kernels.draw_wheel_offset draws it), the gather of
+ * the three stored rows (`itemsize` bytes per entry) and their five
+ * float64 shadows (cos/sin of yaw included: a gather of exact values
+ * equals the trig of the gathered yaw), and uniform weights.  Returns
+ * how many rows resampled. */
+int64_t stage_resampling(const stack_ctx *c, int64_t nrows)
 {
+    int64_t n = c->n, itemsize = c->itemsize;
     double inv_count = 1.0 / (double)n;
     int64_t resampled = 0;
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n, off = at * itemsize;
+        int64_t row = c->observed[r], at = row * n, off = at * itemsize;
         STORAGE_KERNEL(update_weights, itemsize)(
-            (char *)ws + off, w64 + at, like + r * n, n, inv_count, scratch);
-        if (!(ess_row(w64 + at, n, scratch) <= threshold)) continue;
-        double u0 = random_uniform(bitgens[rows[r]], 0.0, inv_count);
-        wheel_resample(w64 + at, n, u0, scratch, idx);
-        void *stored[3] = {xs, ys, ts};
+            (char *)c->weights + off, c->w64 + at, c->like + r * n, n,
+            inv_count, c->scratch);
+        if (!(ess_row(c->w64 + at, n, c->scratch) <= c->threshold)) continue;
+        double u0 = random_uniform(c->bitgens[row], 0.0, inv_count);
+        wheel_resample(c->w64 + at, n, u0, c->scratch, c->idx);
+        void *stored[3] = {c->x, c->y, c->theta};
         for (int a = 0; a < 3; ++a)
-            gather_stored((char *)stored[a] + off, itemsize, idx, n, bounce);
-        double *shadows[5] = {x64, y64, t64, cos64, sin64};
+            gather_stored((char *)stored[a] + off, itemsize, c->idx, n,
+                          c->bounce);
+        double *shadows[5] = {c->x64, c->y64, c->theta64, c->cos64, c->sin64};
         for (int a = 0; a < 5; ++a)
-            gather_f64(shadows[a] + at, idx, n, scratch);
+            gather_f64(shadows[a] + at, c->idx, n, c->scratch);
         STORAGE_KERNEL(reset_uniform, itemsize)(
-            (char *)ws + off, w64 + at, n, inv_count);
+            (char *)c->weights + off, c->w64 + at, n, inv_count);
         ++resampled;
     }
     return resampled;
 }
 
-/* Pose computation: each listed row's weighted-mean reductions, out is
- * (nrows, 5) (see estimate_row). */
-void stage_pose(
-    const double *x64, const double *y64,
-    const double *sin64, const double *cos64, const double *w64, int64_t n,
-    double *wn, double *scratch,
-    const int64_t *rows, int64_t nrows, double *out)
+/* Pose computation: the weighted-mean reductions of each of
+ * rows[0..nrows), into sums row by row (5 each, see estimate_row). */
+void stage_pose(const stack_ctx *c, int64_t nrows)
 {
+    int64_t n = c->n;
     for (int64_t r = 0; r < nrows; ++r) {
-        int64_t at = rows[r] * n;
-        estimate_row(x64 + at, y64 + at, sin64 + at, cos64 + at, w64 + at,
-                     n, wn, scratch, out + 5 * r);
+        int64_t at = c->rows[r] * n;
+        estimate_row(c->x64 + at, c->y64 + at, c->sin64 + at, c->cos64 + at,
+                     c->w64 + at, n, c->wn, c->scratch, c->sums + 5 * r);
     }
 }
 """
 
 C_DECLARATIONS = """
-int64_t stage_motion(void *, void *, void *, int64_t, double *, double *,
-    double *, const double *, const double *, int64_t, void *const *, double,
-    double, double *, const int64_t *, int64_t, const double *);
-void stage_observation(const double *, const double *, const double *,
-    const double *, int64_t, double, double, double *, const int64_t *,
-    int64_t, const double *, const double *, int64_t, const double *,
-    int64_t, int64_t, double, double, double, double, double *);
-int64_t stage_resampling(void *, void *, void *, void *, int64_t, double *,
-    double *, double *, double *, double *, double *, int64_t, void *const *,
-    double, double *, int64_t *, void *, const int64_t *, int64_t,
-    const double *);
-void stage_pose(const double *, const double *, const double *,
-    const double *, const double *, int64_t, double *, double *,
-    const int64_t *, int64_t, double *);
+/* One stack's bound context (StackKernels fills it once per binding):
+ * its stored rows and float64 shadows, row stride n; its rows' bit
+ * generators; its config's constants; scratch; and the per-call
+ * buffers, sized to the stack's capacity R: rows and observed (R stack
+ * rows), pending (R x 3), like (R x n) and sums (R x 5). */
+typedef struct {
+    void *x, *y, *theta, *weights;
+    int64_t itemsize;
+    double *x64, *y64, *theta64, *w64, *cos64, *sin64;
+    int64_t n;
+    void **bitgens;
+    double sigma_xy, sigma_theta, two_sigma_sq, replication, threshold;
+    double *noise, *scratch, *wn, *partials;
+    int64_t *idx;
+    void *bounce;
+    int64_t *rows, *observed;
+    double *pending, *like, *sums;
+} stack_ctx;
+int64_t stage_motion(const stack_ctx *, int64_t);
+void stage_observation(const stack_ctx *, int64_t, int64_t, int64_t,
+    const double *, const double *, int64_t, const double *, const double *);
+int64_t stage_resampling(const stack_ctx *, int64_t);
+void stage_pose(const stack_ctx *, int64_t);
 """
 
 #: Keep the machine-specific flags IEEE-strict: no -ffast-math, ever —
@@ -883,128 +900,131 @@ class CProvider:
 class StackKernels:
     """The four stage calls over rows of one stack's arrays.
 
-    Binds, once, cffi pointers to the stack's ten arrays (stored ``x, y,
-    theta, weights``; float64 shadows ``x64, y64, theta64, w64``; trig
-    shadows ``cos64, sin64``) and to its rows' bit generators
-    (``bitgens``), its config's constants and its own scratch rows.
-    ``rows`` arguments are C-contiguous int64 arrays of stack rows,
-    which C indexes unchecked (``ParticleStack.step`` rejects rows
-    outside the stack); per-call inputs and outputs are ``(len(rows),
-    N)`` float64 blocks in that order.  The stored arrays are float32 or
-    float16 (the stage kernels pick their storage type by the entry
-    width).  Not thread-safe: the scratch rows are shared by every call,
-    and the draws take no generator lock.
+    Fills, once, one C context (``stack_ctx``) with pointers to the
+    stack's ten arrays (stored ``x, y, theta, weights``; float64 shadows
+    ``x64, y64, theta64, w64``; trig shadows ``cos64, sin64``), to its
+    rows' bit generators (``bitgens``), its config's constants, its own
+    scratch and its per-call buffers, sized to the stack's capacity R:
+
+    * ``rows`` (int64, R): the stack rows a call processes, in order;
+    * ``pending`` (``(R, 3)``): each listed row's body-frame increment;
+    * ``like`` (``(R, N)``): each observed row's likelihood exponents,
+      which numpy turns into ratios in place;
+    * ``observed`` (int64, R): the rows the observation calls scored, in
+      the order of ``like``;
+    * ``sums`` (``(R, 5)``): each listed row's pose sums.
+
+    A caller writes a call's inputs into the leading entries of the
+    buffers and passes their count, so no call wraps anything.  C
+    indexes ``rows`` unchecked (``ParticleStack.step`` rejects rows
+    outside the stack and rows listed twice).  The stored arrays are
+    float32 or float16 (the stage kernels pick their storage type by the
+    entry width).  Not thread-safe: the scratch and the buffers are
+    shared by every call, and the draws take no generator lock.
     """
 
     def __init__(self, ffi, lib, stack: ParticleStack) -> None:
-        double = self._double = partial(ffi.from_buffer, ffi.typeof("double[]"))
-        self._int64 = partial(ffi.from_buffer, ffi.typeof("int64_t[]"))
+        self._lib = lib
+        self._double = double = partial(ffi.from_buffer, ffi.typeof("double[]"))
+        int64 = partial(ffi.from_buffer, ffi.typeof("int64_t[]"))
         config = stack.config
-        n = stack.count
-        x64, y64, theta64, w64, cos64, sin64 = (
-            double(array)
-            for array in (
-                stack.x64,
-                stack.y64,
-                stack.theta64,
-                stack.w64,
-                stack.cos64,
-                stack.sin64,
-            )
-        )
+        n, capacity = stack.count, stack.rows
+        self.rows = np.zeros(capacity, dtype=np.int64)
+        self.observed = np.zeros(capacity, dtype=np.int64)
+        self.pending = np.zeros((capacity, 3))
+        self.like = np.zeros((capacity, n))
+        self.sums = np.zeros((capacity, 5))
+        noise, scratch, wn = np.empty(3 * n), np.empty(n), np.empty(n)
+        idx, bounce = np.empty(n, dtype=np.int64), np.empty(n, dtype=stack.dtype)
+        stored = {name: getattr(stack, name) for name in ("x", "y", "theta", "weights")}
+        shadows = {
+            name: getattr(stack, name)
+            for name in ("x64", "y64", "theta64", "w64", "cos64", "sin64")
+        }
+        # The context holds bare pointers: this keeps what they point into.
+        self._owned = (*stored.values(), *shadows.values(), stack.bitgens)
+        self._owned += (noise, scratch, wn, idx, bounce)
+        self._itemsize = stack.x.itemsize
+        ctx = self._ctx = ffi.new("stack_ctx *")
         # The stored arrays cross as ``void *`` plus their itemsize.
-        x, y, theta, weights = (
-            ffi.from_buffer(array)
-            for array in (stack.x, stack.y, stack.theta, stack.weights)
+        for name, array in stored.items():
+            setattr(ctx, name, ffi.from_buffer(array))
+        for name, array in shadows.items():
+            setattr(ctx, name, double(array))
+        ctx.itemsize = self._itemsize
+        ctx.n = n
+        ctx.bitgens = ffi.from_buffer("void *[]", stack.bitgens)
+        ctx.sigma_xy = config.sigma_odom_xy
+        ctx.sigma_theta = config.sigma_odom_theta
+        ctx.two_sigma_sq = 2.0 * config.sigma_obs**2
+        ctx.replication = float(config.beam_replication)
+        ctx.threshold = config.resample_ess_fraction * n
+        ctx.noise, ctx.scratch, ctx.wn = double(noise), double(scratch), double(wn)
+        ctx.idx, ctx.bounce = int64(idx), ffi.from_buffer(bounce)
+        ctx.rows, ctx.observed = int64(self.rows), int64(self.observed)
+        ctx.pending, ctx.like, ctx.sums = (
+            double(self.pending), double(self.like), double(self.sums)
         )
-        self._itemsize = itemsize = stack.x.itemsize
-        bitgens = ffi.from_buffer("void *[]", stack.bitgens)
-        scratch = double(np.empty(n))
-        self._motion = partial(
-            lib.stage_motion,
-            x, y, theta, itemsize, x64, y64, theta64, cos64, sin64, n,
-            bitgens, config.sigma_odom_xy, config.sigma_odom_theta,
-            double(np.empty(3 * n)),
-        )
-        self._observation = partial(
-            lib.stage_observation,
-            x64, y64, cos64, sin64, n,
-            2.0 * config.sigma_obs**2, float(config.beam_replication),
-        )
-        self._resampling = partial(
-            lib.stage_resampling,
-            weights, x, y, theta, itemsize,
-            w64, x64, y64, theta64, cos64, sin64, n,
-            bitgens, config.resample_ess_fraction * n,
-            scratch, self._int64(np.empty(n, dtype=np.int64)),
-            ffi.from_buffer(np.empty(n, dtype=stack.dtype)),
-        )
-        self._pose = partial(
-            lib.stage_pose,
-            x64, y64, sin64, cos64, w64, n, double(np.empty(n)), scratch,
-        )
-        self._partial_rows = 0
+        self._partial_beams = 0
 
-    def _partials(self, k: int):
-        """Scratch for the observation stage's chunk partials over ``k``
-        beams: one row of :data:`LANES` doubles per chunk of
-        :data:`~repro.engine.reductions.DET_CHUNK` beams, re-wrapped only
-        when it grows."""
-        rows = -(-k // DET_CHUNK)
-        if rows > self._partial_rows:
-            self._partial_rows = rows
-            self._partial_scratch = self._double(np.empty(rows * LANES))
-        return self._partial_scratch
-
-    def motion(self, rows: np.ndarray, pending: np.ndarray) -> None:
-        """Draw, compose, wrap and store each row's motion update, with
-        ``pending`` each row's body-frame increment (x, y, yaw), row
-        after row.
+    def motion(self, nrows: int) -> None:
+        """Draw, compose, wrap and store the motion update of each of the
+        first ``nrows`` of ``rows``, with its ``pending`` row its
+        body-frame increment (x, y, yaw).
 
         Raises :class:`ConfigurationError` before anything is drawn or
         written when a row has no generator.
         """
-        missing = self._motion(self._int64(rows), rows.size, self._double(pending))
+        missing = self._lib.stage_motion(self._ctx, nrows)
         if missing >= 0:
             raise ConfigurationError(f"stack row {missing} was never initialized")
 
     def observation(
-        self, rows: np.ndarray, step: ReplayStep, field, out: np.ndarray
+        self, nrows: int, at: int, filled: int, step: ReplayStep, field
     ) -> None:
-        """Each row's likelihood exponents against ``step``'s beams and
-        ``field``, into ``out`` (``(len(rows), N)``, C-contiguous): the
-        beam sums of :func:`repro.engine.kernels.beam_squared_sums`,
-        fused per particle, then :func:`~repro.engine.kernels.likelihood_ratios`
-        up to its ``exp``."""
+        """The likelihood exponents of ``rows[at : at + nrows]`` against
+        ``step``'s beams and ``field``, into ``like[filled : filled +
+        nrows]``, recording those rows in ``observed[filled : filled +
+        nrows]``: the beam sums of
+        :func:`repro.engine.kernels.beam_squared_sums`, fused per
+        particle, then :func:`~repro.engine.kernels.likelihood_ratios` up
+        to its ``exp``."""
         ends = step.c_ends
         if ends is None:
             ends = step.c_ends = self._wrap_ends(step)
         tables = field.c_tables
         if tables is None:
             tables = field.c_tables = self._wrap_tables(field)
-        self._observation(
-            self._partials(ends[2]),
-            self._int64(rows), rows.size, *ends, *tables, self._double(out),
-        )
+        if ends[2] > self._partial_beams:
+            self._grow_partials(ends[2])
+        self._lib.stage_observation(self._ctx, nrows, at, filled, *ends, *tables)
 
-    def resampling(self, rows: np.ndarray, like: np.ndarray) -> int:
-        """Each row's weight update given its likelihood ratios ``like``
-        (``(len(rows), N)``); where the effective sample size is at most
-        the config's fraction of N, the wheel, the gathers and uniform
-        weights.  Returns how many rows resampled."""
-        return self._resampling(self._int64(rows), rows.size, self._double(like))
+    def resampling(self, nrows: int) -> int:
+        """Each of the first ``nrows`` of ``observed``: its weight update
+        given its ``like`` row of likelihood ratios; where the effective
+        sample size is at most the config's fraction of N, the wheel, the
+        gathers and uniform weights.  Returns how many rows resampled."""
+        return self._lib.stage_resampling(self._ctx, nrows)
 
-    def pose(self, rows: np.ndarray) -> np.ndarray:
-        """``(len(rows), 5)``: each row's normalized weight total, mean x,
-        mean y and weighted sin and cos sums of yaw.
+    def pose(self, nrows: int) -> np.ndarray:
+        """``(nrows, 5)``, a view of ``sums``: each of the first ``nrows``
+        of ``rows``' normalized weight total, mean x, mean y and weighted
+        sin and cos sums of yaw.
 
         A row whose weight total is not positive and finite gets a NaN
         total (its other entries are unset); the caller falls back to
         the scalar kernel for it.
         """
-        out = np.empty((rows.size, 5))
-        self._pose(self._int64(rows), rows.size, self._double(out))
-        return out
+        self._lib.stage_pose(self._ctx, nrows)
+        return self.sums[:nrows]
+
+    def _grow_partials(self, k: int) -> None:
+        """Scratch for the observation stage's chunk partials over ``k``
+        beams: one row of :data:`LANES` doubles per chunk of
+        :data:`~repro.engine.reductions.DET_CHUNK` beams."""
+        partials = np.empty(-(-k // DET_CHUNK) * LANES)
+        self._ctx.partials = self._double(partials)
+        self._partials, self._partial_beams = partials, k
 
     def _wrap_ends(self, step: ReplayStep) -> tuple:
         """A replay step's beam end points as the observation call takes them."""
@@ -1019,7 +1039,6 @@ class StackKernels:
         (``DistanceField.squared_table``, decoded for every storage kind)
         and its geometry, as the observation call takes them."""
         height, width = field.data.shape
-        return (
-            self._double(field.squared_table()), height, width,
-            field.origin_x, field.origin_y, field.resolution, field.border_squared(),
-        )
+        geometry = (field.origin_x, field.origin_y, field.resolution)
+        grid = np.array([height, width, *geometry, field.border_squared()])
+        return self._double(field.squared_table()), self._double(grid)

@@ -91,6 +91,8 @@ class ReplayPlan:
                 step.end_x, step.end_y = beams.endpoints_body()
             self.steps.append(step)
             pending = Pose2D.identity()
+        #: The frames whose gate fires, in time order.
+        self.firing = [t for t, step in enumerate(self.steps) if step.fires]
 
     @staticmethod
     def signature(config: MclConfig) -> tuple:

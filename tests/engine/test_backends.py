@@ -23,7 +23,7 @@ from repro.core.config import MclConfig
 from repro.dataset.recorder import RecordedSequence
 from repro.engine import available_backends, get_backend
 from repro.engine.backend import DEFAULT_BACKEND, RunSpec, StepWork
-from repro.engine.replay import ReplayPlan
+from repro.engine.replay import ReplayPlan, ReplayStep
 from repro.engine.reference import ReferenceBackend
 from repro.maps.distance_field import DistanceField
 from repro.maps.maze import generate_maze
@@ -105,6 +105,19 @@ def _row_bytes(stack, row):
         stack.updates(row),
         stack.rngs[row].bit_generator.state,
     )
+
+
+#: Work items of the row-addressing test, each item's rows and whether
+#: its steps carry beams, with the id suffix of each set: sparse and
+#: unsorted rows (bare variant ids), a contiguous unsorted block, a
+#: contiguous ascending block, and an item without beams before one
+#: with them.
+ROW_SETS = [
+    ("", [([5, 0, 3], True)]),
+    ("-contiguous-unsorted", [([2, 0, 1], True)]),
+    ("-contiguous-ascending", [([3, 4, 5], True)]),
+    ("-split-one-blind", [([4, 1], False), ([2, 5], True)]),
+]
 
 
 def _metrics_signature(result):
@@ -233,14 +246,23 @@ class _StackEquivalence:
         stack.ensure_capacity(5)
         _assert_shadows_exact(stack)
 
-    @pytest.mark.parametrize("variant", ["fp32", "fp16qm"])
+    @pytest.mark.parametrize(
+        "variant, items",
+        [
+            pytest.param(variant, items, id=variant + suffix)
+            for suffix, items in ROW_SETS
+            for variant in ("fp32", "fp16qm")
+        ],
+    )
     def test_unsorted_sparse_rows_match_rows_stepped_alone(
-        self, mini_world, backend, variant
+        self, mini_world, backend, variant, items
     ):
-        """Steps over rows [5, 0, 3] of a 6-row stack leave each of those
-        rows with the bytes of that row stepped alone, and rows 1, 2 and
-        4 untouched: neither row order nor the gaps between rows reach
-        any row's state."""
+        """Steps over some rows of a 6-row stack leave each of those rows
+        with the bytes of that row stepped alone, and the other rows
+        untouched: neither row order, nor the gaps between rows, nor a
+        block of rows addressed as one slice, nor a work item without
+        beams before one with them reaches any row's state.  ``items``
+        lists each work item's rows and whether its steps carry beams."""
         grid, long_flight, __ = mini_world
         # At half the ESS the rows resample on different steps.
         config = dataclasses.replace(
@@ -251,24 +273,35 @@ class _StackEquivalence:
         steps = [step for step in backend.plan(long_flight, config).steps if step.fires]
         steps = steps[:12]
 
-        def stepped(rows, seeds):
+        def stepped(items, seeds):
             stack = backend.open_stack(config, len(seeds))
             for row, seed in enumerate(seeds):
                 stack.init_row(row, grid, RunSpec(long_flight, seed))
             for step in steps:
-                stack.step([StepWork(rows=rows, step=step, field=field)])
+                blind = ReplayStep(fires=True, pending=step.pending)
+                stack.step(
+                    [
+                        StepWork(rows=rows, step=step if beams else blind, field=field)
+                        for rows, beams in items
+                    ]
+                )
             return stack
 
-        packed = stepped([5, 0, 3], range(6))
-        for row in (5, 0, 3):
-            assert _row_bytes(packed, row) == _row_bytes(stepped([0], [row]), 0), row
+        packed = stepped(items, range(6))
+        for rows, beams in items:
+            for row in rows:
+                alone = stepped([([0], beams)], [row])
+                assert _row_bytes(packed, row) == _row_bytes(alone, 0), row
         untouched = stepped([], range(6))
-        for row in (1, 2, 4):
+        listed = {row for rows, _ in items for row in rows}
+        for row in set(range(6)) - listed:
             assert _row_bytes(packed, row) == _row_bytes(untouched, row), row
 
     def test_rows_outside_the_stack_are_rejected(self, mini_world, backend):
         """The C stages index the stack unchecked, so a step naming a row
-        the stack does not have must fail before any stage runs."""
+        the stack does not have must fail before any stage runs; so must a
+        step listing a row twice (in one work item or across two), which
+        would be stepped twice but counted once."""
         grid, long_flight, __ = mini_world
         config = MclConfig(particle_count=64)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
@@ -277,10 +310,60 @@ class _StackEquivalence:
         for row in range(2):
             stack.init_row(row, grid, RunSpec(long_flight, row))
         before = [_row_bytes(stack, row) for row in range(2)]
-        for rows in ([0, 2], [-1]):
+        for items in ([[0, 2]], [[-1]], [[0, 0]], [[1], [0, 1]]):
             with pytest.raises(IndexError):
-                stack.step([StepWork(rows=rows, step=step, field=field)])
+                stack.step(
+                    [StepWork(rows=rows, step=step, field=field) for rows in items]
+                )
         assert [_row_bytes(stack, row) for row in range(2)] == before
+
+    def test_degenerate_weights_take_the_scalar_pose(self, mini_world, backend):
+        """A row whose weights sum to zero (restored so) gets, after a step
+        without beams, the estimate of the reference stack: the C pose
+        stage flags the row and the scalar kernel's unweighted mean
+        stands in."""
+        grid, long_flight, __ = mini_world
+        config = MclConfig(particle_count=64)
+        step = next(s for s in ReplayPlan(long_flight, config).steps if s.fires)
+        blind = ReplayStep(fires=True, pending=step.pending)
+        source = ReferenceBackend().open_stack(config, 1)
+        source.init_row(0, grid, RunSpec(long_flight, 0))
+        snapshot = source.export_row(0)
+        zero = np.zeros_like(snapshot.weights)
+        snapshot = dataclasses.replace(snapshot, weights=zero)
+        estimates = []
+        for executor in (ReferenceBackend(), backend):
+            stack = executor.open_stack(config, 2)
+            stack.import_row(1, snapshot)
+            stack.step([StepWork(rows=[1], step=blind, field=None)])
+            estimates.append(stack.estimate_array(1).tobytes())
+        assert estimates[0] == estimates[1]
+
+    def test_two_backends_step_one_field_and_one_plan(self, mini_world, backend):
+        """Two ``fast`` backends, each on its own C provider (and so its
+        own cffi FFI), step the same distance field and the same replay
+        steps one after the other and give equal traces.  The field and
+        the steps keep the C-wrapped tables and end points of the first
+        backend that used them, and every later backend must take them,
+        as two sweep engines sharing one field cache do."""
+        grid, long_flight, __ = mini_world
+        config = MclConfig(particle_count=64)
+        field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
+        steps = [step for step in ReplayPlan(long_flight, config).steps if step.fires]
+        other = get_backend(self.backend_name)
+        assert other.provider is not backend.provider
+        traces = []
+        for executor in (backend, other):
+            stack = executor.open_stack(config, 2)
+            for row in range(2):
+                stack.init_row(row, grid, RunSpec(long_flight, row))
+            trace = []
+            for step in steps:
+                stack.step([StepWork(rows=[1, 0], step=step, field=field)])
+                trace.append(stack.estimates.copy())
+            traces.append(np.array(trace))
+            assert field.c_tables is not None
+        np.testing.assert_array_equal(traces[0], traces[1])
 
 
 class TestBatchedEquivalence(_StackEquivalence):

@@ -64,7 +64,9 @@ def test_cold_build_leaves_one_library_and_no_build_directory(cache):
     stack = ParticleStack(MclConfig(particle_count=16), rows=3, provider=provider)
     stack.w64[:] = 1.0 / 16
     stack.x64[:] = 0.5
-    sums = provider.bind(stack).pose(np.array([2, 0]))
+    stages = provider.bind(stack)
+    stages.rows[:2] = [2, 0]
+    sums = stages.pose(2)
     assert sums[:, :2].tolist() == [[1.0, 0.5], [1.0, 0.5]]
 
 
@@ -139,8 +141,8 @@ def test_drifted_declaration_fails_the_build(cache, monkeypatch):
     """A declaration that no longer matches its definition must stop the
     build: ABI mode would otherwise pass wrong arguments silently."""
     drifted = fast_c.C_DECLARATIONS.replace(
-        "void stage_pose(const double *, const double *, const double *,",
-        "void stage_pose(const double *, const float *, const double *,",
+        "void stage_pose(const stack_ctx *, int64_t);",
+        "void stage_pose(const stack_ctx *, double);",
     )
     assert drifted != fast_c.C_DECLARATIONS
     monkeypatch.setattr(fast_c, "C_DECLARATIONS", drifted)
@@ -284,6 +286,16 @@ def _drawn_increments(stack, work, mirrors):
 def _mirrors(stack):
     """A copy of every row's generator, for the reference to consume."""
     return [copy.deepcopy(rng) for rng in stack.rngs]
+
+
+def _resample(stack, rows, like) -> int:
+    """The resampling stage over ``rows`` given their likelihood ratios
+    ``like``, called as a step calls it: the rows and ratios written into
+    the kernels' ``observed`` and ``like`` buffers."""
+    stages = stack._kernels
+    stages.observed[: rows.size] = rows
+    stages.like[: rows.size] = like
+    return stages.resampling(rows.size)
 
 
 def _reference_weights(stack, rows, like):
@@ -526,7 +538,7 @@ def test_weight_stage_matches_numpy_bit_for_bit(stage_provider, dtype):
     stack.weights[order] = prior
     stack.w64[order] = prior.astype(np.float64)
     expected = _reference_weights(stack, order, like)
-    assert stack._kernels.resampling(order, like) == 0
+    assert _resample(stack, order, like) == 0
     _assert_same_bits(expected, stack, ["weights", "w64"])
 
     weights = dict(zip(names, stack.weights[order]))
@@ -655,10 +667,13 @@ def test_observation_stage_matches_numpy_bit_for_bit(observation_fields, kind, n
     step = ReplayStep(fires=True, end_x=end_x, end_y=end_y)
     rows = np.array([3, 0, 2])
     expected = _reference_exponents(stack, rows, end_x, end_y, field)
-    out = np.empty((rows.size, n))
-    stack._kernels.observation(rows, step, field, out)
+    stages = stack._kernels
+    stages.rows[: rows.size] = rows
+    stages.observation(rows.size, 0, 0, step, field)
+    out = stages.like[: rows.size]
     np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
     assert np.isfinite(out).all()
+    assert stages.observed[: rows.size].tolist() == rows.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -762,7 +777,7 @@ def test_c_draws_consume_each_rows_stream_as_numpy_does(n):
                 weights["w64"][row], u0, normalized=True
             )
             gathered[row] = stack.x64[row][index]
-        assert stack._kernels.resampling(order, like) == order.size
+        assert _resample(stack, order, like) == order.size
         np.testing.assert_array_equal(stack.x64, gathered)
         assert (stack.weights[order] == dtype.type(1.0 / n)).all()
     for row in range(10):

@@ -2,11 +2,13 @@
 
 The fused motion stage refreshes the cos/sin shadows of every triggered
 row with one ``np.cos``/``np.sin`` call over the gathered ``(R', N)``
-block instead of one call per row.  That is only legal if numpy's
-(possibly SIMD) float64 trig gives each element the same bits whatever
-its position in the call: inside a vector lane or in the remainder
-tail, at any alignment.  Row lengths around the vector widths (7, 8, 9,
-63, 64, 65, 257) put every lane position in play.
+block instead of one call per row, or, when the rows fill one block of
+the stack, with one call over that slice of the stack written in place
+(``out=``).  That is only legal if numpy's (possibly SIMD) float64 trig
+gives each element the same bits whatever its position in the call:
+inside a vector lane or in the remainder tail, at any alignment.  Row
+lengths around the vector widths (7, 8, 9, 63, 64, 65, 257) put every
+lane position in play.
 """
 
 import math
@@ -68,3 +70,16 @@ def test_gathered_block_trig_equals_per_row_trig(seed, gathered, extra, n, data)
             np.testing.assert_array_equal(
                 stacked[i].view(np.uint64), trig(theta[row]).view(np.uint64)
             )
+
+    # A contiguous block of rows, evaluated into the same rows of a
+    # stack-shaped array; the rows around it stay as they were.
+    low = data.draw(st.integers(0, stack_rows - 1))
+    high = data.draw(st.integers(low + 1, stack_rows))
+    for trig in (np.cos, np.sin):
+        shadow = np.full_like(theta, np.nan)
+        trig(theta[low:high], out=shadow[low:high])
+        for row in range(low, high):
+            np.testing.assert_array_equal(
+                shadow[row].view(np.uint64), trig(theta[row]).view(np.uint64)
+            )
+        assert np.isnan(shadow[:low]).all() and np.isnan(shadow[high:]).all()
