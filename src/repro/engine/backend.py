@@ -51,7 +51,6 @@ from .. import obs
 from ..common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # imports kept lazy to avoid core <-> engine cycles
-    from ..common.geometry import Pose2D
     from ..core.config import MclConfig
     from ..core.snapshot import FilterStateSnapshot
     from ..dataset.recorder import RecordedSequence
@@ -114,9 +113,13 @@ class SessionStack(Protocol):
     observation instant at a time, over an open-ended set of *rows* —
     one row per live filter population.  Rows are created
     (:meth:`init_row`), stepped in packed groups (:meth:`step`),
-    snapshotted and restored (:meth:`export_row` / :meth:`import_row`)
-    independently; all rows share one :class:`MclConfig` (and therefore
-    one particle count and storage precision).
+    asked for their current estimate (:meth:`estimate_array`, the one
+    estimate query), snapshotted and restored (:meth:`export_row` /
+    :meth:`import_row`) independently; all rows share one
+    :class:`MclConfig` (and therefore one particle count and storage
+    precision).  A stack keeps no per-frame record: a caller that wants
+    a trace keeps the estimates it asked for and derives the rest
+    through :meth:`~repro.engine.replay.ReplayPlan.trace`.
 
     The bitwise-equivalence contract extends to stacks: every row's
     state after any step schedule must be bit-for-bit identical to the
@@ -142,12 +145,9 @@ class SessionStack(Protocol):
         (each row listed once)."""
         ...
 
-    def estimate(self, row: int) -> "Pose2D":
-        """The row's current weighted-mean pose estimate."""
-        ...
-
     def estimate_array(self, row: int) -> np.ndarray:
-        """The row's current estimate as a ``(3,)`` float64 array."""
+        """The row's current weighted-mean pose estimate, ``[x, y, theta]``,
+        as a ``(3,)`` float64 array of the caller's own."""
         ...
 
     def updates(self, row: int) -> int:

@@ -50,16 +50,14 @@ Estimates and records
 A row's weighted-mean estimate is kept as a row of
 :attr:`ParticleStack.estimates`, ``(R, 3)`` float64 ``[x, y, theta]``
 with ``theta`` wrapped as :class:`~repro.common.geometry.Pose2D` wraps
-it; the stack builds a ``Pose2D`` only when one is asked for
-(:meth:`ParticleStack.estimate`, which the serve layer calls).  The
+it; :meth:`ParticleStack.estimate_array` answers a copy of one row.  The
 offline driver copies the ``(runs, 3)`` estimates after each firing
 frame into one array; a frame's estimates are those of the last firing
 frame up to it (one gather over the cumulative count of firing frames).
-At the end it derives each run's errors in one pass against the
-ground-truth array cached on its
-:class:`~repro.engine.replay.ReplayPlan`
-(:func:`repro.core.pose_estimate.pose_errors`, the bits of the per-frame
-``pose_error``).
+At the end each run's estimates become its trace through
+:meth:`~repro.engine.replay.ReplayPlan.trace`, which derives the errors
+in one pass against the plan's ground truth, as it does for a serve
+session's estimates.
 
 Compiled kernels
 ----------------
@@ -97,10 +95,9 @@ import numpy as np
 
 from .. import obs
 from ..common.errors import ConfigurationError
-from ..common.geometry import Pose2D, wrap_angle
+from ..common.geometry import wrap_angle
 from ..common.rng import make_rng
 from ..core.config import MclConfig
-from ..core.pose_estimate import pose_errors
 from ..core.snapshot import FilterStateSnapshot
 from ..dataset.recorder import RecordedSequence
 from ..maps.distance_field import DistanceField
@@ -182,10 +179,8 @@ class ParticleStack:
         self.rngs: list[np.random.Generator | None] = []
         # Each row's bit generator address (0: none), which the C draws read.
         self.bitgens = np.zeros(0, dtype=np.uintp)
-        # Each row's estimate [x, y, theta]; and, once asked for after
-        # an update, as a Pose2D and as an array of its own.
+        # Each row's estimate [x, y, theta].
         self.estimates = np.zeros((0, 3))
-        self._asked: list[tuple[Pose2D, np.ndarray] | None] = []
         self.ensure_capacity(rows)
 
     # ------------------------------------------------------------------
@@ -225,7 +220,6 @@ class ParticleStack:
         )
         self.bitgens = np.concatenate([self.bitgens, np.zeros(added, dtype=np.uintp)])
         self.rngs.extend([None] * added)
-        self._asked.extend([None] * added)
         self.rows = rows
         self._kernels = self.provider.bind(self)
 
@@ -283,7 +277,6 @@ class ParticleStack:
         self._set_rng(row, snapshot.make_rng())
         self.update_count[row] = int(snapshot.update_count)
         self.estimates[row] = snapshot.estimate
-        self._asked[row] = None
 
     def _set_rng(self, row: int, rng: np.random.Generator) -> None:
         """Give ``row`` its generator; the C draws use its bit generator."""
@@ -293,24 +286,10 @@ class ParticleStack:
     # ------------------------------------------------------------------
     # Row queries
     # ------------------------------------------------------------------
-    def estimate(self, row: int) -> Pose2D:
-        return self._asked_for(row)[0]
-
     def estimate_array(self, row: int) -> np.ndarray:
         if self.rngs[row] is None:
             raise ConfigurationError(f"stack row {row} was never initialized")
-        return self._asked_for(row)[1]
-
-    def _asked_for(self, row: int) -> tuple[Pose2D, np.ndarray]:
-        """The row's estimate as a :class:`Pose2D` and as a ``(3,)`` array
-        that the stack never writes, built on the first ask after each
-        update and shared by every ask until the next (a serve session
-        records one per frame)."""
-        asked = self._asked[row]
-        if asked is None:
-            array = self.estimates[row].copy()
-            asked = self._asked[row] = (Pose2D(*array.tolist()), array)
-        return asked
+        return self.estimates[row].copy()
 
     def updates(self, row: int) -> int:
         return int(self.update_count[row])
@@ -455,7 +434,6 @@ class ParticleStack:
             else:
                 mean_theta = _circular_mean(sin_sum, cos_sum, total)
             estimates.append((mean_x, mean_y, wrap_angle(mean_theta)))
-            self._asked[row] = None
         self.estimates[in_order] = estimates
 
 
@@ -615,13 +593,6 @@ class _RunBatch:
         for group in self.groups:
             plan = group.plan
             for run in group.runs:
-                trace = recorded[frames[: plan.length], run]
-                position_errors, yaw_errors = pose_errors(trace, plan.truth)
-                traces[run] = RunTrace(
-                    timestamps=np.array(plan.timestamps),
-                    position_errors=position_errors,
-                    yaw_errors=yaw_errors,
-                    estimate_trace=trace,
-                    update_count=self.stack.updates(run),
-                )
+                estimates = recorded[frames[: plan.length], run]
+                traces[run] = plan.trace(estimates, self.stack.updates(run))
         return traces

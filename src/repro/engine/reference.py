@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..common.geometry import Pose2D
 from ..common.rng import make_rng
 from ..core.config import MclConfig
 from ..core.mcl import MonteCarloLocalization, fire_update
@@ -53,8 +52,8 @@ class ReferenceStack:
         self._particles: list[ParticleSet | None] = []
         self._rngs: list[np.random.Generator | None] = []
         self._updates: list[int] = []
-        self._estimates: list[Pose2D] = []
-        self._estimate_arrays: list[np.ndarray | None] = []
+        # Each row's estimate [x, y, theta].
+        self._estimates: list[np.ndarray | None] = []
         self.ensure_capacity(rows)
 
     # ------------------------------------------------------------------
@@ -67,8 +66,7 @@ class ReferenceStack:
         self._particles.extend([None] * added)
         self._rngs.extend([None] * added)
         self._updates.extend([0] * added)
-        self._estimates.extend([Pose2D.identity()] * added)
-        self._estimate_arrays.extend([None] * added)
+        self._estimates.extend([None] * added)
 
     def init_row(self, row: int, grid: OccupancyGrid, spec: RunSpec) -> None:
         """(Re)initialize ``row`` exactly like a fresh reference filter."""
@@ -78,7 +76,7 @@ class ReferenceStack:
         self._particles[row] = particles
         self._rngs[row] = rng
         self._updates[row] = 0
-        self._set_estimate(row, estimate_pose(particles).pose)
+        self._estimates[row] = estimate_pose(particles).pose.as_array()
 
     def _row(self, row: int) -> tuple[ParticleSet, np.random.Generator]:
         particles = self._particles[row]
@@ -86,10 +84,6 @@ class ReferenceStack:
         if particles is None or rng is None:
             raise ConfigurationError(f"stack row {row} was never initialized")
         return particles, rng
-
-    def _set_estimate(self, row: int, pose: Pose2D) -> None:
-        self._estimates[row] = pose
-        self._estimate_arrays[row] = pose.as_array()
 
     # ------------------------------------------------------------------
     # Stepping
@@ -104,20 +98,17 @@ class ReferenceStack:
         step = item.step
         assert step.pending is not None  # packed steps always fired
         fire_update(particles, rng, step.pending, step.beams, item.field, self.config)
-        self._set_estimate(row, estimate_pose(particles).pose)
+        self._estimates[row] = estimate_pose(particles).pose.as_array()
         self._updates[row] += 1
 
     # ------------------------------------------------------------------
     # Queries and state capture
     # ------------------------------------------------------------------
-    def estimate(self, row: int) -> Pose2D:
-        return self._estimates[row]
-
     def estimate_array(self, row: int) -> np.ndarray:
-        array = self._estimate_arrays[row]
+        array = self._estimates[row]
         if array is None:
             raise ConfigurationError(f"stack row {row} was never initialized")
-        return array
+        return array.copy()
 
     def updates(self, row: int) -> int:
         return self._updates[row]
@@ -149,7 +140,7 @@ class ReferenceStack:
         particles.weights[:] = snapshot.weights
         self._rngs[row] = snapshot.make_rng()
         self._updates[row] = int(snapshot.update_count)
-        self._set_estimate(row, snapshot.estimate_pose())
+        self._estimates[row] = snapshot.estimate_pose().as_array()
 
 
 class ReferenceBackend:

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..common.geometry import Pose2D
+from ..common.geometry import Pose2D, wrap_angle
 from ..core.config import MclConfig
 from ..core.observation import BeamBundle, extract_beams
+from ..core.pose_estimate import pose_errors
 from ..dataset.recorder import RecordedSequence
+from .backend import RunTrace
 
 
 @dataclass
@@ -55,21 +57,19 @@ class ReplayPlan:
     Replicates the reference loop's odometry accumulation and movement
     gating operation-for-operation, and hoists frame materialization,
     beam extraction and ground-truth pose construction out of the
-    per-run (and per-cell) hot path.
+    per-run (and per-cell) hot path.  It is also the one place that
+    turns a run's estimates into its :class:`RunTrace` (:meth:`trace`),
+    for the offline driver and for serve sessions alike.
     """
 
     def __init__(self, sequence: RecordedSequence, config: MclConfig) -> None:
         self.sequence = sequence  # strong ref keeps the cache key stable
         self.length = len(sequence)
         self.timestamps = [float(t) for t in sequence.timestamps]
-        self.ground_truth = [
-            sequence.ground_truth_pose(t) for t in range(self.length)
-        ]
-        #: The ground-truth poses as ``(length, 3)`` rows ``[x, y, theta]``.
-        self.truth = np.array(
-            [(pose.x, pose.y, pose.theta) for pose in self.ground_truth],
-            dtype=np.float64,
-        ).reshape(-1, 3)
+        #: The ground-truth poses as ``(length, 3)`` rows ``[x, y, theta]``,
+        #: the yaw wrapped as :class:`Pose2D` wraps it.
+        self.truth = np.array(sequence.ground_truth, dtype=np.float64)
+        self.truth[:, 2] = wrap_angle(self.truth[:, 2])
         self.steps: list[ReplayStep] = []
 
         pending = Pose2D.identity()
@@ -93,6 +93,25 @@ class ReplayPlan:
             pending = Pose2D.identity()
         #: The frames whose gate fires, in time order.
         self.firing = [t for t, step in enumerate(self.steps) if step.fires]
+
+    def trace(self, estimates: np.ndarray, update_count: int) -> RunTrace:
+        """The trace of a run whose estimates at the plan's first T frames
+        are the ``(T, 3)`` rows of ``estimates``, which the trace holds as
+        its ``estimate_trace`` (not a copy).
+
+        The errors are derived in one pass against :attr:`truth`
+        (:func:`~repro.core.pose_estimate.pose_errors`, the bits of the
+        per-frame ``pose_error`` of the reference loop).
+        """
+        frames = len(estimates)
+        position_errors, yaw_errors = pose_errors(estimates, self.truth[:frames])
+        return RunTrace(
+            timestamps=np.array(self.timestamps[:frames]),
+            position_errors=position_errors,
+            yaw_errors=yaw_errors,
+            estimate_trace=estimates,
+            update_count=int(update_count),
+        )
 
     @staticmethod
     def signature(config: MclConfig) -> tuple:

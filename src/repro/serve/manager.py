@@ -30,8 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
+from ..common.geometry import Pose2D
 from ..engine.backend import DEFAULT_BACKEND, RunSpec
 from ..engine.replay import ReplayPlan
 from ..eval.metrics import AggregateMetrics
@@ -153,10 +156,9 @@ class SessionManager:
         """Retire a session, returning the trace served so far."""
         session = self._session(session_id)
         stack = self.scheduler.stack(session)
+        trace = session.trace(stack.updates(session.row))
         result = SessionResult(
-            spec=session.spec,
-            trace=session.trace(stack.updates(session.row)),
-            metrics=session.metrics(),
+            spec=session.spec, trace=trace, metrics=session.metrics(trace)
         )
         self.scheduler.evict(session)
         del self._sessions[session_id]
@@ -332,7 +334,7 @@ class SessionManager:
             queued=session.queued,
             update_count=stack.updates(session.row),
             done=session.done,
-            estimate=stack.estimate(session.row),
+            estimate=Pose2D(*stack.estimate_array(session.row).tolist()),
             metrics=session.metrics(),
         )
 
@@ -373,7 +375,9 @@ class SessionManager:
 
         The restored session continues bit-for-bit: filter state, RNG
         position, cursor and trace all resume exactly.  ``session_id``
-        optionally renames it (results are id-independent).
+        optionally renames it (results are id-independent).  The blob's
+        estimates must cover its cursor, and its other ``trace_*`` arrays
+        must be what this manager's replay plan derives from them.
         """
         spec, cursor, state, trace = snapshot_from_bytes(data, session_id)
         if spec.session_id in self._sessions:
@@ -386,6 +390,22 @@ class SessionManager:
                 f"snapshot cursor {cursor} exceeds sequence length "
                 f"{session.plan.length} — scenario definition drifted"
             )
+        estimates = trace["trace_estimates"]
+        if estimates.dtype != np.float64 or estimates.shape != (cursor, 3):
+            raise ConfigurationError(
+                f"snapshot trace_estimates is {estimates.dtype} "
+                f"{estimates.shape}, expected float64 ({cursor}, 3)"
+            )
+        derived = session.plan.trace(estimates, state.update_count)
+        for name in ("timestamps", "position_errors", "yaw_errors"):
+            stored, expected = trace[f"trace_{name}"], getattr(derived, name)
+            if (stored.dtype, stored.shape, stored.tobytes()) != (
+                expected.dtype, expected.shape, expected.tobytes()
+            ):
+                raise EvaluationError(
+                    f"snapshot trace_{name} is not what the replay plan "
+                    "derives from its estimates — scenario definition drifted"
+                )
         self.scheduler.admit(session)
         try:
             self.scheduler.stack(session).import_row(session.row, state)
@@ -396,11 +416,6 @@ class SessionManager:
             self.scheduler.evict(session)
             raise
         session.cursor = cursor
-        session.timestamps = [float(t) for t in trace["trace_timestamps"]]
-        session.position_errors = [
-            float(v) for v in trace["trace_position_errors"]
-        ]
-        session.yaw_errors = [float(v) for v in trace["trace_yaw_errors"]]
-        session.estimate_rows = list(trace["trace_estimates"])
+        session.estimates[:cursor] = estimates
         self._sessions[spec.session_id] = session
         return spec.session_id

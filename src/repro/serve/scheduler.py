@@ -177,7 +177,7 @@ class StepScheduler:
 
         Firing sessions are stepped through their cohort stacks in the
         packed order; every session (firing or not) then records its
-        current estimate against ground truth and moves its cursor.
+        current estimate and moves its cursor.
         Returns the number of gated updates executed.
         """
         with obs.span("serve.sched.tick"):
@@ -201,9 +201,7 @@ class StepScheduler:
                 if session.done:
                     continue
                 stack = self._cohorts[session.cohort_key].stack
-                session.record(
-                    stack.estimate(session.row), stack.estimate_array(session.row)
-                )
+                session.record(stack.estimate_array(session.row))
         obs.counter("serve.sched.ticks").inc()
         obs.counter("serve.sched.fired").inc(fired)
         obs.counter("serve.sched.stack_calls").inc(stack_calls)

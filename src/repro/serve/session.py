@@ -8,9 +8,12 @@ scheduler's cohort for its ``(config fingerprint, N)`` — the session's
 :attr:`~FilterSession.cohort_key`, computed from the materialized
 config; the session itself owns
 everything per-client — the replay cursor, the pending-frame queue, and
-the accumulated error trace.
+the estimate served at each frame so far.  Its trace is derived from
+those estimates by its replay plan
+(:meth:`~repro.engine.replay.ReplayPlan.trace`), as the offline driver
+derives a run's.
 
-The trace a fully stepped session accumulates is **bitwise identical**
+The trace of a fully stepped session is **bitwise identical**
 to the :class:`~repro.engine.backend.RunTrace` of the same
 (sequence, seed) executed alone through the reference backend — that is
 the serve layer's extension of the engine's equivalence contract, and
@@ -34,7 +37,6 @@ import numpy as np
 from ..common.errors import ConfigurationError
 from ..common.geometry import Pose2D
 from ..core.config import ConfigSpec, MclConfig
-from ..core.pose_estimate import pose_error
 from ..core.snapshot import SNAPSHOT_VERSION, FilterStateSnapshot
 from ..engine.backend import RunTrace
 from ..engine.replay import ReplayPlan
@@ -160,10 +162,9 @@ class FilterSession:
         # the value the handoff ships, and the filter state stays at the
         # exact frame boundary the snapshot captured.
         self.draining = False
-        self.timestamps: list[float] = []
-        self.position_errors: list[float] = []
-        self.yaw_errors: list[float] = []
-        self.estimate_rows: list[np.ndarray] = []
+        # The estimate [x, y, theta] served at each frame; rows below the
+        # cursor are filled.
+        self.estimates = np.empty((plan.length, 3))
 
     @property
     def frames_total(self) -> int:
@@ -177,37 +178,22 @@ class FilterSession:
     def remaining(self) -> int:
         return self.plan.length - self.cursor
 
-    def record(self, estimate: Pose2D, estimate_array: np.ndarray) -> None:
-        """Append the current frame's estimate-vs-truth errors and advance."""
-        ground_truth = self.plan.ground_truth[self.cursor]
-        err_pos, err_yaw = pose_error(estimate, ground_truth)
-        self.timestamps.append(self.plan.timestamps[self.cursor])
-        self.position_errors.append(err_pos)
-        self.yaw_errors.append(err_yaw)
-        self.estimate_rows.append(estimate_array)
+    def record(self, estimate: np.ndarray) -> None:
+        """Keep the current frame's estimate ``[x, y, theta]`` and advance."""
+        self.estimates[self.cursor] = estimate
         self.cursor += 1
 
     def trace(self, update_count: int) -> RunTrace:
         """The trace served so far, in backend ``RunTrace`` form."""
-        estimates = (
-            np.stack(self.estimate_rows)
-            if self.estimate_rows
-            else np.empty((0, 3), dtype=np.float64)
-        )
-        return RunTrace(
-            timestamps=np.array(self.timestamps),
-            position_errors=np.array(self.position_errors),
-            yaw_errors=np.array(self.yaw_errors),
-            estimate_trace=estimates,
-            update_count=int(update_count),
-        )
+        return self.plan.trace(self.estimates[: self.cursor], update_count)
 
-    def metrics(self) -> RunMetrics | None:
-        """Paper metrics of the trace so far (None before any frame)."""
+    def metrics(self, trace: RunTrace | None = None) -> RunMetrics | None:
+        """Paper metrics of the trace so far (None before any frame);
+        ``trace`` is that trace when the caller has derived it already."""
+        if trace is None:
+            trace = self.trace(0)  # the metrics read no update count
         return evaluate_partial_run(
-            np.array(self.timestamps),
-            np.array(self.position_errors),
-            np.array(self.yaw_errors),
+            trace.timestamps, trace.position_errors, trace.yaw_errors
         )
 
 
@@ -222,7 +208,9 @@ def snapshot_to_bytes(
     The payload is written with sorted keys through
     ``np.savez_compressed`` (fixed zip timestamps), so identical session
     state always yields identical bytes — snapshots can themselves be
-    content-addressed, diffed, and byte-verified after migration.
+    content-addressed, diffed, and byte-verified after migration.  The
+    ``trace_*`` arrays are the session's trace, derived here from its
+    estimates.
     """
     meta = {
         "format": SNAPSHOT_VERSION,
@@ -236,16 +224,11 @@ def snapshot_to_bytes(
     }
     payload = state.to_payload(prefix="state_")
     payload["serve_meta"] = np.array(json.dumps(meta, sort_keys=True))
-    payload["trace_timestamps"] = np.array(session.timestamps, dtype=np.float64)
-    payload["trace_position_errors"] = np.array(
-        session.position_errors, dtype=np.float64
-    )
-    payload["trace_yaw_errors"] = np.array(session.yaw_errors, dtype=np.float64)
-    payload["trace_estimates"] = (
-        np.stack(session.estimate_rows).astype(np.float64)
-        if session.estimate_rows
-        else np.empty((0, 3), dtype=np.float64)
-    )
+    trace = session.trace(state.update_count)
+    payload["trace_timestamps"] = trace.timestamps
+    payload["trace_position_errors"] = trace.position_errors
+    payload["trace_yaw_errors"] = trace.yaw_errors
+    payload["trace_estimates"] = trace.estimate_trace
     buffer = io.BytesIO()
     np.savez_compressed(
         buffer, **{key: payload[key] for key in sorted(payload)}
@@ -292,13 +275,18 @@ def snapshot_from_bytes(
             seed=meta["seed"],
         )
         state = FilterStateSnapshot.from_payload(archive, prefix="state_")
-        trace = {
-            key: np.array(archive[key])
-            for key in (
-                "trace_timestamps",
-                "trace_position_errors",
-                "trace_yaw_errors",
-                "trace_estimates",
-            )
-        }
+        try:
+            trace = {
+                key: np.array(archive[key])
+                for key in (
+                    "trace_timestamps",
+                    "trace_position_errors",
+                    "trace_yaw_errors",
+                    "trace_estimates",
+                )
+            }
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"snapshot trace is incomplete: {exc.args[0]}"
+            ) from exc
     return spec, int(meta["cursor"]), state, trace

@@ -1,9 +1,12 @@
 """Session lifecycle, scheduler packing determinism, and fleet helpers."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, EvaluationError
+from repro.common.geometry import Pose2D
 from repro.scenarios import FleetSpec
 from repro.serve import SessionManager, SessionSpec
 from repro.serve.scheduler import StepScheduler
@@ -107,6 +110,23 @@ class TestSessionLifecycle:
         manager.run_to_completion()
         aggregate = manager.fleet_metrics()
         assert aggregate.run_count == 2
+
+    @pytest.mark.parametrize("frames", [0, 17, 40])
+    def test_live_estimate(self, frames):
+        """``query().estimate`` is the same on both backends, and after k
+        frames it is the closed trace's k-th estimate."""
+        live = {}
+        for backend in ("fast", "reference"):
+            manager = SessionManager(backend=backend)
+            manager.create(make_spec("a", seed=3))
+            manager.submit("a", frames)
+            manager.flush()
+            estimate = manager.query("a").estimate
+            trace = manager.close("a").trace
+            if frames:
+                assert estimate == Pose2D(*trace.estimate_trace[frames - 1])
+            live[backend] = [value.hex() for value in astuple(estimate)]
+        assert live["fast"] == live["reference"]
 
 
 class TestSchedulerDeterminism:

@@ -12,10 +12,12 @@ Three properties, each across the fp32 and quantized (fp16qm) variants:
   serve snapshots build on).
 """
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, EvaluationError
 from repro.common.geometry import Pose2D
 from repro.core.config import MclConfig
 from repro.core.mcl import MonteCarloLocalization
@@ -25,6 +27,9 @@ from repro.scenarios import build_scenario
 from repro.serve import SessionManager, SessionSpec, snapshot_from_bytes
 
 SCENARIO = "office:1:flight_s=8"
+TRACE_KEYS = (
+    "trace_timestamps", "trace_position_errors", "trace_yaw_errors", "trace_estimates",
+)
 
 
 def make_spec(variant, session_id="snap", seed=4):
@@ -140,7 +145,6 @@ class TestSnapshotValidation:
             manager.restore(blob)
 
     def test_garbage_bytes_rejected(self):
-        import io
         import zipfile
 
         buffer = io.BytesIO()
@@ -159,6 +163,43 @@ class TestSnapshotValidation:
         assert trace["trace_timestamps"].shape == (12,)
         assert trace["trace_estimates"].shape == (12, 3)
         assert state.x.shape == (64,)
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            # Every trace array cut to 5 of the cursor's 12 rows.
+            ({key: lambda a: a[:5] for key in TRACE_KEYS}, ConfigurationError),
+            # 3 estimate rows beside 12 timestamps and errors.
+            ({"trace_estimates": lambda a: a[:3]}, ConfigurationError),
+            # Yaw errors one ulp off what the plan derives: the world drifted.
+            ({"trace_yaw_errors": lambda a: np.nextafter(a, np.inf)}, EvaluationError),
+            # No yaw errors at all (an edit that returns None drops the member).
+            ({"trace_yaw_errors": lambda a: None}, ConfigurationError),
+        ],
+        ids=["cut-to-5", "3-estimates", "drifted-errors", "no-yaw-errors"],
+    )
+    def test_restore_rejects_a_trace_that_disagrees(self, edits, error):
+        """A blob's trace must be whole, cover its cursor and equal what
+        the replay plan derives from its estimates; a rejected restore
+        admits no row."""
+        manager = SessionManager()
+        manager.create(make_spec("fp32"))
+        manager.submit("snap", 12)
+        manager.flush()
+        with np.load(io.BytesIO(manager.snapshot("snap"))) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        for key, edit in edits.items():
+            payload[key] = edit(payload[key])
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer, **{key: value for key, value in payload.items() if value is not None}
+        )
+
+        target = SessionManager()
+        with pytest.raises(error):
+            target.restore(buffer.getvalue())
+        assert len(target) == 0
+        assert target.scheduler.cohort_count() == 0
 
 
 @pytest.mark.parametrize("variant", ["fp32", "fp16qm"])
