@@ -320,7 +320,7 @@ class ParticleStack:
         if not count:
             return
         # The C stages index the arrays unchecked, and a row listed twice
-        # would be stepped twice but counted once.
+        # would be stepped twice.
         low, high = min(listed), max(listed)
         if low < 0 or high >= self.rows:
             raise IndexError(f"step rows outside the stack's {self.rows} rows")
@@ -376,7 +376,6 @@ class ParticleStack:
             obs.counter(COUNTER_RESAMPLE_SKIPS).inc(scored - resampled)
         with obs.span(SPAN_POSE_COMPUTATION):
             self._refresh_estimates(listed, in_order)
-        self.update_count[block] += 1
 
     # ------------------------------------------------------------------
     # State storage and pose estimates

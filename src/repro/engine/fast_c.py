@@ -37,9 +37,9 @@ place that rebinds them, and it builds a new :class:`StackKernels`.  A
 replay step's beam end points and a distance field's table and
 geometry are wrapped once as well, and kept on the step and the field.
 They stay plain ``double`` pointers, not structs: a cffi struct serves
-only the FFI that declared it, every ``fast`` backend loads the library
-through an FFI of its own, and steps and fields are shared across
-backends.
+only the FFI that declared it, a process holds one FFI per library (a
+library built by another compiler has its own), and steps and fields
+are shared across backends.
 
 Particle lanes in the observation stage
 ---------------------------------------
@@ -109,7 +109,11 @@ generated wrapper, no setuptools — cached under ``$REPRO_FAST_CACHE``
 (default ``~/.cache/repro-fastc``) by source, declarations, flags,
 compiler, CPU, numpy version and the archive's SHA-256, and are called
 through cffi's ABI mode (``ffi.dlopen`` over :data:`C_DECLARATIONS`).
-Concurrent builds race benignly: each compiles in its own directory
+A process loads each library once, like an import: its FFI, the parsed
+declarations and the types :class:`StackKernels` binds with are kept per
+library path, so every later backend, and every worker a process pool
+forks from a process that loaded it, binds stacks at once.  Concurrent
+builds race benignly: each compiles in its own directory
 inside the cache and publishes by atomic rename.  A missing dependency
 (cffi; numpy's ``bitgen.h`` or ``libnpyrandom.a``; or a compiler when
 the cache holds no library) raises :class:`MissingDependency`, on which
@@ -578,13 +582,14 @@ STORAGE_ROW_KERNELS(uint16_t, f16, half_from_double, double_from_half)
  * every row gets the bits of its row kernels run alone.
  * ------------------------------------------------------------------ */
 
-/* Motion: each of rows[0..nrows) draws its 3n odometry normals from its
- * bit generator (x, then y, then yaw, as kernels.sample_motion_noise
- * does), adds them to its pending body-frame increment (pending[3r],
- * [3r + 1], [3r + 2]), then composes, wraps and stores the poses
- * (`itemsize` bytes per stored entry: 4 for float, 2 for binary16)
- * and refreshes their shadows.  Returns -1, or the first listed row
- * that has no bit generator, before anything is drawn or written. */
+/* Motion: each of rows[0..nrows) counts the update (counts[row]), draws
+ * its 3n odometry normals from its bit generator (x, then y, then yaw,
+ * as kernels.sample_motion_noise does), adds them to its pending
+ * body-frame increment (pending[3r], [3r + 1], [3r + 2]), then
+ * composes, wraps and stores the poses (`itemsize` bytes per stored
+ * entry: 4 for float, 2 for binary16) and refreshes their shadows.
+ * Returns -1, or the first listed row that has no bit generator,
+ * before anything is counted, drawn or written. */
 int64_t stage_motion(const stack_ctx *c, int64_t nrows)
 {
     const int64_t *rows = c->rows;
@@ -595,6 +600,7 @@ int64_t stage_motion(const stack_ctx *c, int64_t nrows)
     for (int64_t r = 0; r < nrows; ++r) {
         bitgen_t *bitgen = c->bitgens[rows[r]];
         const double *inc = c->pending + 3 * r;
+        c->counts[rows[r]] += 1;
         for (int64_t i = 0; i < n; ++i)
             dx[i] = inc[0] + random_normal(bitgen, 0.0, c->sigma_xy);
         for (int64_t i = 0; i < n; ++i)
@@ -689,15 +695,17 @@ void stage_pose(const stack_ctx *c, int64_t nrows)
 C_DECLARATIONS = """
 /* One stack's bound context (StackKernels fills it once per binding):
  * its stored rows and float64 shadows, row stride n; its rows' bit
- * generators; its config's constants; scratch; and the per-call
- * buffers, sized to the stack's capacity R: rows and observed (R stack
- * rows), pending (R x 3), like (R x n) and sums (R x 5). */
+ * generators and update counts; its config's constants; scratch; and
+ * the per-call buffers, sized to the stack's capacity R: rows and
+ * observed (R stack rows), pending (R x 3), like (R x n) and sums
+ * (R x 5). */
 typedef struct {
     void *x, *y, *theta, *weights;
     int64_t itemsize;
     double *x64, *y64, *theta64, *w64, *cos64, *sin64;
     int64_t n;
     void **bitgens;
+    int64_t *counts;
     double sigma_xy, sigma_theta, two_sigma_sq, replication, threshold;
     double *noise, *scratch, *wn, *partials;
     int64_t *idx;
@@ -866,23 +874,46 @@ def library_path() -> Path:
 
 
 def load_library():
-    """``(ffi, lib)`` over the kernel library, built on first use.
+    """``(ffi, lib)`` over the kernel library, built on first use and
+    loaded once per process (:func:`_open`).
 
     Raises :class:`MissingDependency` without cffi, before anything is
-    compiled.
+    compiled.  The library's path is derived on every call, so a
+    changed compiler, cache or numpy gets its own library, and a failed
+    build raises every time.
     """
     try:
-        import cffi
+        import cffi  # noqa: F401 - _open builds the FFI
     except ImportError as exc:
         raise MissingDependency("cffi is not installed", name="cffi") from exc
-    path = library_path()
+    return _open(str(library_path()))
+
+
+#: The C types :class:`StackKernels` wraps and allocates with: parsed
+#: once, when :func:`_open` loads the library.
+_BOUND_TYPES = ("double[]", "int64_t[]", "void *[]", "stack_ctx *")
+
+
+@functools.cache
+def _open(path: str):
+    """``(ffi, lib)`` over the library at ``path``: one FFI per library
+    and process, with the declarations and :data:`_BOUND_TYPES` parsed.
+
+    Only a load that returns is kept; one that raises is retried on the
+    next call.
+    """
+    import cffi
+
     ffi = cffi.FFI()
     ffi.cdef(C_DECLARATIONS)
-    return ffi, ffi.dlopen(str(path))
+    lib = ffi.dlopen(path)
+    for ctype in _BOUND_TYPES:
+        ffi.typeof(ctype)
+    return ffi, lib
 
 
 class CProvider:
-    """The compiled kernel library, loaded once per backend.
+    """The compiled kernel library, loaded once per process.
 
     :meth:`bind` hands each stack its stage entry points.
     """
@@ -903,8 +934,10 @@ class StackKernels:
     Fills, once, one C context (``stack_ctx``) with pointers to the
     stack's ten arrays (stored ``x, y, theta, weights``; float64 shadows
     ``x64, y64, theta64, w64``; trig shadows ``cos64, sin64``), to its
-    rows' bit generators (``bitgens``), its config's constants, its own
-    scratch and its per-call buffers, sized to the stack's capacity R:
+    rows' bit generators (``bitgens``) and update counts
+    (``update_count``, which the motion call counts), its config's
+    constants, its own scratch and its per-call buffers, sized to the
+    stack's capacity R:
 
     * ``rows`` (int64, R): the stack rows a call processes, in order;
     * ``pending`` (``(R, 3)``): each listed row's body-frame increment;
@@ -943,6 +976,7 @@ class StackKernels:
         }
         # The context holds bare pointers: this keeps what they point into.
         self._owned = (*stored.values(), *shadows.values(), stack.bitgens)
+        self._owned += (stack.update_count,)
         self._owned += (noise, scratch, wn, idx, bounce)
         self._itemsize = stack.x.itemsize
         ctx = self._ctx = ffi.new("stack_ctx *")
@@ -954,6 +988,7 @@ class StackKernels:
         ctx.itemsize = self._itemsize
         ctx.n = n
         ctx.bitgens = ffi.from_buffer("void *[]", stack.bitgens)
+        ctx.counts = int64(stack.update_count)
         ctx.sigma_xy = config.sigma_odom_xy
         ctx.sigma_theta = config.sigma_odom_theta
         ctx.two_sigma_sq = 2.0 * config.sigma_obs**2
@@ -968,12 +1003,12 @@ class StackKernels:
         self._partial_beams = 0
 
     def motion(self, nrows: int) -> None:
-        """Draw, compose, wrap and store the motion update of each of the
-        first ``nrows`` of ``rows``, with its ``pending`` row its
-        body-frame increment (x, y, yaw).
+        """Count an update of each of the first ``nrows`` of ``rows``, and
+        draw, compose, wrap and store its motion, with its ``pending`` row
+        its body-frame increment (x, y, yaw).
 
-        Raises :class:`ConfigurationError` before anything is drawn or
-        written when a row has no generator.
+        Raises :class:`ConfigurationError` before anything is counted,
+        drawn or written when a row has no generator.
         """
         missing = self._lib.stage_motion(self._ctx, nrows)
         if missing >= 0:

@@ -414,11 +414,12 @@ def run_campaign(
     field once.  ``jobs=1`` runs the tasks in this process, in grid
     order.  ``jobs > 1`` runs them on a process pool (the last
     ``scenarios % jobs`` scenarios split into chunks that every worker
-    shares), and the parent builds no backend.  A scenario's cells reach
-    the store when its task returns, in completion order (content
-    addressing makes the order irrelevant), so an interrupted ``jobs=N``
-    run loses at most N scenarios' unfinished cells, which
-    ``resume=True`` recomputes.
+    shares); when the pool forks, its workers inherit the C kernels
+    the parent loads first (:func:`~repro.eval.sweep_engine.fan_out`).
+    A scenario's cells reach the store when its task returns, in
+    completion order (content addressing makes the order irrelevant),
+    so an interrupted ``jobs=N`` run loses at most N scenarios'
+    unfinished cells, which ``resume=True`` recomputes.
 
     ``shard=(index, count)`` executes only shard ``index`` of the
     :func:`shard_cells` split (multi-host scale-out): every shard writes

@@ -13,9 +13,9 @@ lacked:
   :class:`~repro.engine.backend.FilterBackend` call, so the ``fast``
   backend can advance all R runs as ``(R, N)`` stacks;
 * **keyed distance-field cache** — cells are grouped by
-  (map, r_max, precision kind) and each distinct EDT is built once per
+  (map, r_max, precision kind) and each distinct field is built once per
   engine (which keeps the 32 newest), shared across variants and
-  particle counts;
+  particle counts; every kind of one (map, r_max) converts one EDT;
 * **one cell loop** — cell sweeps, scenario sweeps and campaigns all
   hand :func:`fan_out` (world, seeds, cell) units, where a world is a
   registry scenario id or an in-memory ``(grid, sequences)`` pair.  A
@@ -38,9 +38,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .. import obs
 from ..common.errors import ConfigurationError, EvaluationError
@@ -61,8 +64,15 @@ from .runner import RunResult, run_localization_batch
 
 #: Fields a :class:`DistanceFieldCache` keeps, oldest evicted first: an
 #: engine's, a pool worker's and a session manager's cache all outlive
-#: one world, and a sweep over hundreds of worlds stays bounded.
+#: one world, and a sweep over hundreds of worlds stays bounded.  It
+#: bounds the metric EDTs the cache keeps as well.
 _FIELD_CACHE_LIMIT = 32
+
+
+def _make_room(store: dict) -> None:
+    """Evict the oldest entries of ``store`` until one more fits the limit."""
+    while len(store) >= _FIELD_CACHE_LIMIT:
+        store.pop(next(iter(store)))
 
 
 class DistanceFieldCache:
@@ -71,12 +81,17 @@ class DistanceFieldCache:
     Each distinct (map, truncation, kind) triple is computed once and
     shared by reference across every cell that needs it.  Keys
     fingerprint the grid *content*, so two identical maps in different
-    objects still share one field.  At most :data:`_FIELD_CACHE_LIMIT`
-    fields are kept, oldest insertion evicted first.
+    objects still share one field.  Every kind is a conversion of one
+    float64 metric EDT, which the cache keeps per (map, r_max)
+    (``DistanceField.build``'s ``metrics``), so the kinds of one
+    (map, r_max) cost one transform.  At most :data:`_FIELD_CACHE_LIMIT`
+    fields and as many metric EDTs are kept, oldest insertion evicted
+    first.
     """
 
     def __init__(self) -> None:
         self._fields: dict[tuple, DistanceField] = {}
+        self._metrics: dict[tuple, dict[float, np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -96,10 +111,12 @@ class DistanceFieldCache:
         if key not in self._fields:
             self.misses += 1
             obs.counter("sweep.edt_cache.misses").inc()
-            while len(self._fields) >= _FIELD_CACHE_LIMIT:
-                self._fields.pop(next(iter(self._fields)))
+            _make_room(self._fields)
+            if key[:2] not in self._metrics:
+                _make_room(self._metrics)
+            metrics = self._metrics.setdefault(key[:2], {})
             with obs.span("sweep.edt_build"):
-                self._fields[key] = DistanceField.build(grid, r_max, kind)
+                self._fields[key] = DistanceField.build(grid, r_max, kind, metrics)
         else:
             self.hits += 1
             obs.counter("sweep.edt_cache.hits").inc()
@@ -304,9 +321,13 @@ def fan_out(
 
     Tasks carry the backend's name, never an instance: the ``fast``
     backend holds a cffi library, which cannot be pickled.  Workers
-    resolve the name once per process.  An instance whose ``name`` is
-    not a registered backend raises :class:`ConfigurationError` before
-    any task is submitted.
+    resolve the name once per process.  When the pool forks (the start
+    method of this process's default context), this process resolves
+    the name first, so its workers inherit the C kernels loaded.  Under
+    spawn or forkserver no worker would inherit them, so each loads them
+    once itself and this process loads nothing.  An instance whose
+    ``name`` is not a registered backend raises
+    :class:`ConfigurationError` before any task is submitted.
     """
     if not units:
         return
@@ -324,7 +345,12 @@ def fan_out(
             f"backend {name!r} cannot cross the process pool: workers "
             f"resolve backends by name, one of {', '.join(available_backends())}"
         )
-    with obs.span("sweep.fan_out"), ProcessPoolExecutor(max_workers=jobs) as pool:
+    context = multiprocessing.get_context()
+    if context.get_start_method() == "fork":
+        get_backend(name)  # loaded once here, inherited by every worker
+    with obs.span("sweep.fan_out"), ProcessPoolExecutor(
+        max_workers=jobs, mp_context=context
+    ) as pool:
         try:
             futures = [pool.submit(_run_task, *task, name) for task in tasks]
             obs.counter("sweep.tasks").inc(len(futures))

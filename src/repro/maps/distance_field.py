@@ -107,7 +107,10 @@ class DistanceField:
     # ------------------------------------------------------------------
     @staticmethod
     def build(
-        grid: OccupancyGrid, r_max: float, kind: FieldKind = FieldKind.FLOAT32
+        grid: OccupancyGrid,
+        r_max: float,
+        kind: FieldKind = FieldKind.FLOAT32,
+        metrics: dict[float, np.ndarray] | None = None,
     ) -> "DistanceField":
         """Compute the truncated EDT of ``grid`` and store it as ``kind``.
 
@@ -118,6 +121,14 @@ class DistanceField:
         whose walls coincide with the grid edge punish the *true* pose.
         Beyond the padding the lookup saturates at ``r_max``, which is
         exact because no obstacle can be closer than the padding width.
+
+        Every kind converts one float64 metric EDT.  ``metrics``, a dict
+        that keeps ``grid``'s metric EDTs by ``r_max``, shares it between
+        builds: a build takes it from there, or computes it and puts it
+        there, so the kinds of one map cost one transform
+        (:class:`~repro.eval.sweep_engine.DistanceFieldCache` keeps one
+        such dict per map and ``r_max``, and so bounds how many metric
+        EDTs it keeps).
         """
         if r_max <= 0:
             raise MapError(f"r_max must be positive, got {r_max}")
@@ -134,7 +145,11 @@ class DistanceField:
             origin_x=grid.origin_x - pad * grid.resolution,
             origin_y=grid.origin_y - pad * grid.resolution,
         )
-        metric = euclidean_distance_field(padded, r_max)
+        if metrics is None:
+            metrics = {}
+        metric = metrics.get(float(r_max))
+        if metric is None:
+            metric = metrics[float(r_max)] = euclidean_distance_field(padded, r_max)
         if kind is FieldKind.FLOAT32:
             data = metric.astype(np.float32)
         elif kind is FieldKind.FLOAT16:

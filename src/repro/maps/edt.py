@@ -23,9 +23,14 @@ whole-array numpy passes:
    stopping once ``d**2 >= D.max()``: no farther column can then lower
    any cell.
 
-Pass 2 runs one step per cell of the largest distance in the grid.  The
-result is converted to metres and truncated at ``r_max`` (paper
-Sec. III-C1).
+Pass 2 runs one step per cell of the largest distance in the grid, and,
+given a ``limit``, at most ``limit`` steps: a cell whose ``D`` is at
+most ``limit**2`` finds its nearest column within ``|d| <= limit``, and
+every other cell ends above ``limit**2``.  The metric field is
+truncated at ``r_max`` (paper Sec. III-C1), so it stops pass 2 after
+at most ``ceil(r_max / resolution) + 1`` offsets: both kinds of cell clip
+to the same value as the unbounded transform, with a whole cell of
+margin.
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ from .occupancy import OccupancyGrid
 _INF = np.float64(1e20)
 
 
-def squared_edt(obstacle_mask: np.ndarray) -> np.ndarray:
+def squared_edt(obstacle_mask: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Exact squared EDT (in cells²) of a boolean obstacle mask.
 
     Cells where ``obstacle_mask`` is True have distance 0.  Returns a
     float64 array of squared cell distances, each an exact integer.  A
     mask with no obstacles returns ``inf``-like values (``>= 1e20``)
-    everywhere.
+    everywhere.  With a ``limit`` (in cells), a cell is exact where its
+    squared distance is at most ``limit**2`` and above ``limit**2``
+    everywhere else.
     """
     mask = np.asarray(obstacle_mask, dtype=bool)
     if mask.ndim != 2:
@@ -72,8 +79,9 @@ def squared_edt(obstacle_mask: np.ndarray) -> np.ndarray:
     # Pass 2: the nearest column, one column offset d at a time.
     best = column_sq.copy()
     shifted = down  # spent; holds d**2 + column_sq shifted by d
+    last = cols - 1 if limit is None else min(cols - 1, limit)
     d = 1
-    while d < cols and d * d < best.max():
+    while d <= last and d * d < best.max():
         np.add(column_sq[:, d:], d * d, out=shifted[:, :-d])
         np.minimum(best[:, :-d], shifted[:, :-d], out=best[:, :-d])
         np.add(column_sq[:, :-d], d * d, out=shifted[:, d:])
@@ -95,17 +103,22 @@ def euclidean_distance_field(
 
     A grid with no occupied cell yields ``r_max`` everywhere (or raises
     if no truncation was requested, since distances would be undefined).
+    Pass 2 of the transform stops at most ``ceil(r_max / resolution) + 1``
+    cells out (:func:`squared_edt`'s ``limit``): every cell farther than
+    that clips to ``r_max`` all the same.
     """
+    if r_max is not None and r_max <= 0:
+        raise MapError(f"r_max must be positive, got {r_max}")
     mask = grid.occupied_mask()
     if not bool(mask.any()):
         if r_max is None:
             raise MapError("grid has no occupied cells and no r_max was given")
         return np.full(mask.shape, float(r_max), dtype=np.float64)
-    dist = np.sqrt(squared_edt(mask)) * grid.resolution
-    if r_max is not None:
-        if r_max <= 0:
-            raise MapError(f"r_max must be positive, got {r_max}")
-        np.clip(dist, 0.0, float(r_max), out=dist)
+    if r_max is None:
+        return np.sqrt(squared_edt(mask)) * grid.resolution
+    limit = int(np.ceil(r_max / grid.resolution)) + 1
+    dist = np.sqrt(squared_edt(mask, limit)) * grid.resolution
+    np.clip(dist, 0.0, float(r_max), out=dist)
     return dist
 
 

@@ -339,31 +339,56 @@ class _StackEquivalence:
             estimates.append(stack.estimate_array(1).tobytes())
         assert estimates[0] == estimates[1]
 
-    def test_two_backends_step_one_field_and_one_plan(self, mini_world, backend):
-        """Two ``fast`` backends, each on its own C provider (and so its
-        own cffi FFI), step the same distance field and the same replay
-        steps one after the other and give equal traces.  The field and
-        the steps keep the C-wrapped tables and end points of the first
-        backend that used them, and every later backend must take them,
-        as two sweep engines sharing one field cache do."""
-        grid, long_flight, __ = mini_world
+    @staticmethod
+    def _step_one_field_and_one_plan(executors, grid, flight):
+        """Each executor's trace of two rows stepped through ``flight``'s
+        fired steps, all on one field and one plan."""
         config = MclConfig(particle_count=64)
         field = DistanceField.build_for_mode(grid, config.r_max, config.precision)
-        steps = [step for step in ReplayPlan(long_flight, config).steps if step.fires]
-        other = get_backend(self.backend_name)
-        assert other.provider is not backend.provider
+        steps = [step for step in ReplayPlan(flight, config).steps if step.fires]
         traces = []
-        for executor in (backend, other):
+        for executor in executors:
             stack = executor.open_stack(config, 2)
             for row in range(2):
-                stack.init_row(row, grid, RunSpec(long_flight, row))
+                stack.init_row(row, grid, RunSpec(flight, row))
             trace = []
             for step in steps:
                 stack.step([StepWork(rows=[1, 0], step=step, field=field)])
                 trace.append(stack.estimates.copy())
             traces.append(np.array(trace))
             assert field.c_tables is not None
-        np.testing.assert_array_equal(traces[0], traces[1])
+        return traces
+
+    def test_two_backends_step_one_field_and_one_plan(self, mini_world, backend):
+        """Two ``fast`` backends, each on its own C provider over the
+        process's one load of the library (one cffi FFI), step the same
+        distance field and the same replay steps one after the other and
+        give equal traces.  The field and the steps keep the C-wrapped
+        tables and end points of the first backend that used them, and
+        every later backend must take them, as two sweep engines sharing
+        one field cache do."""
+        grid, long_flight, __ = mini_world
+        other = get_backend(self.backend_name)
+        assert other.provider is not backend.provider
+        assert other.provider._ffi is backend.provider._ffi
+        assert other.provider._lib is backend.provider._lib
+        first, second = self._step_one_field_and_one_plan((backend, other), grid, long_flight)
+        np.testing.assert_array_equal(first, second)
+
+    def test_a_library_on_another_ffi_steps_one_field_and_one_plan(
+        self, mini_world, backend, tmp_path, monkeypatch
+    ):
+        """A backend built in another cache (so another library, loaded
+        through another FFI, as a library built by another compiler is)
+        takes the tables and end points the first backend's FFI wrapped,
+        and gives its traces."""
+        grid, long_flight, __ = mini_world
+        monkeypatch.setenv("REPRO_FAST_CACHE", str(tmp_path / "other"))
+        other = get_backend(self.backend_name)
+        assert other.provider._ffi is not backend.provider._ffi
+        assert other.provider._lib is not backend.provider._lib
+        first, second = self._step_one_field_and_one_plan((backend, other), grid, long_flight)
+        np.testing.assert_array_equal(first, second)
 
 
 class TestBatchedEquivalence(_StackEquivalence):

@@ -80,6 +80,26 @@ def test_second_provider_in_the_same_cache_spawns_no_compiler(cache, monkeypatch
     fast_c.CProvider()
 
 
+def test_a_process_loads_each_library_once(cache, monkeypatch):
+    """Every backend of a process shares one FFI and one loaded library
+    per library path; a failed load is not kept, so it fails again."""
+    import cffi
+
+    first, second = fast_c.CProvider(), fast_c.CProvider()
+    assert first._ffi is second._ffi and first._lib is second._lib
+    ffi = first._ffi
+
+    def no_ffi(*args, **kwargs):
+        raise AssertionError("a second FFI was built for a loaded library")
+
+    monkeypatch.setattr(cffi, "FFI", no_ffi)
+    assert fast_c.CProvider()._ffi is ffi
+    monkeypatch.setenv("CC", "false")  # another library path, which fails
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="exited 1"):
+            fast_c.CProvider()
+
+
 def test_library_is_keyed_by_the_cpu(cache, monkeypatch):
     """``-march=native`` ties a library to the CPU that built it, so hosts
     sharing one cache must not share a library."""

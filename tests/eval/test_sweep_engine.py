@@ -18,7 +18,8 @@ from repro.eval.sweep_engine import (
     _cell_specs,
     _pool_tasks,
 )
-from repro.maps.distance_field import FieldKind
+from repro.maps.distance_field import DistanceField, FieldKind
+from repro.maps.edt import euclidean_distance_field
 from repro.maps.maze import generate_maze
 from repro.maps.planning import plan_tour, snap_to_clearance
 from repro.vehicle.crazyflie import CrazyflieSimulator, SimConfig
@@ -53,7 +54,7 @@ def inline_pool(monkeypatch):
     submitted = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             pass
 
         def __enter__(self):
@@ -129,6 +130,20 @@ def _assert_scenario_fanout_matches_inline(scenarios, backend):
         )
 
 
+def _fan_out_units(grid, sequence):
+    cells = _cell_specs(["fp32", "fp16qm"], [64, 128])
+    return [((grid, [sequence]), (0, 1), cell) for cell in cells]
+
+
+def _fanned_bytes(units, jobs):
+    """Every unit's runs, pickled, from fan_out on the ``fast`` backend."""
+    import pickle
+
+    from repro.eval.sweep_engine import fan_out
+
+    return {index: pickle.dumps(runs) for index, runs in fan_out(units, "fast", jobs)}
+
+
 class TestDistanceFieldCache:
     def test_identical_content_shares_one_field(self, mini_world):
         grid, __ = mini_world
@@ -164,6 +179,53 @@ class TestDistanceFieldCache:
         assert cache.get(grid, 1.5, FieldKind.FLOAT32) is not first  # evicted
         assert (cache.misses, cache.hits) == (4, 1)
 
+    def test_storage_kinds_of_one_map_share_one_transform(self, mini_world, monkeypatch):
+        # fp32 and u8 fields of one (map, r_max) convert one metric EDT,
+        # and each is byte for byte the field DistanceField.build makes
+        # alone; another r_max builds its own transform.
+        import repro.maps.distance_field as distance_field
+
+        transforms = []
+
+        def spy(grid, r_max=None):
+            transforms.append(r_max)
+            return euclidean_distance_field(grid, r_max)
+
+        monkeypatch.setattr(distance_field, "euclidean_distance_field", spy)
+        grid, __ = mini_world
+        cache = DistanceFieldCache()
+        kinds = (FieldKind.FLOAT32, FieldKind.QUANTIZED_U8, FieldKind.FLOAT16)
+        fields = [cache.get(grid, 1.5, kind) for kind in kinds]
+        assert transforms == [1.5]
+        cache.get(grid, 2.0, FieldKind.FLOAT32)
+        cache.get(grid, 2.0, FieldKind.QUANTIZED_U8)
+        assert transforms == [1.5, 2.0]
+        for kind, shared in zip(kinds, fields):
+            alone = DistanceField.build(grid, 1.5, kind)
+            assert shared.data.dtype == alone.data.dtype
+            assert shared.data.tobytes() == alone.data.tobytes()
+            assert (shared.origin_x, shared.origin_y) == (alone.origin_x, alone.origin_y)
+
+    def test_keeps_a_bounded_number_of_metric_transforms(self, mini_world, monkeypatch):
+        # One metric EDT is kept per (map, r_max), and no more of them
+        # than fields, however many r_max values one map is asked at.
+        import repro.eval.sweep_engine as sweep_engine
+
+        monkeypatch.setattr(sweep_engine, "_FIELD_CACHE_LIMIT", 2)
+        grid, __ = mini_world
+        cache = DistanceFieldCache()
+        for step in range(40):
+            for kind in (FieldKind.FLOAT32, FieldKind.QUANTIZED_U8):
+                cache.get(grid, 0.5 + 0.05 * step, kind)
+            kept = [m for metrics in cache._metrics.values() for m in metrics.values()]
+            assert len(kept) <= 2 and len(cache) <= 2
+        others = [generate_maze(size_m=2.0, cells=3, seed=seed) for seed in range(3)]
+        for other in others:
+            cache.get(other, 1.5, FieldKind.FLOAT32)
+        assert list(cache._metrics) == [
+            (DistanceFieldCache.grid_key(other), 1.5) for other in others[1:]
+        ]
+
 
 class TestSweepEngine:
     def test_backends_produce_identical_sweeps(self, mini_world):
@@ -196,6 +258,53 @@ class TestSweepEngine:
         # The instance holds the C provider's cffi library, which cannot
         # be pickled: only its name may cross the pool.
         _assert_fanout_matches_inline(fast_backend, *mini_world)
+
+    def test_forked_workers_inherit_the_loaded_kernels(self, mini_world, monkeypatch):
+        # fan_out loads the C kernels in this process before the pool
+        # forks, so workers that cannot build an FFI of their own still
+        # run fast, with the bytes of jobs=1.
+        cffi = pytest.importorskip("cffi")
+        import multiprocessing
+        import os
+
+        from repro.engine import fast_c, get_backend
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the kernels only when the pool forks")
+        if get_backend("fast").name != "fast":
+            pytest.skip("the fast backend fell back to reference")
+        units = _fan_out_units(*mini_world)
+        inline = _fanned_bytes(units, jobs=1)
+        parent, real_ffi = os.getpid(), cffi.FFI
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a forked worker built an FFI of its own")
+            return real_ffi(*args, **kwargs)
+
+        monkeypatch.setattr(cffi, "FFI", parent_only)
+        fast_c._open.cache_clear()  # loaded again only by fan_out, below
+        assert _fanned_bytes(units, jobs=2) == inline
+
+    def test_spawned_workers_give_the_same_bytes(self, mini_world, monkeypatch):
+        # Under spawn (Python 3.14 defaults to forkserver) no worker would
+        # inherit a load made here, so fan_out resolves no backend in this
+        # process; each worker loads the kernels itself, and the results
+        # do not change.
+        import multiprocessing
+
+        import repro.eval.sweep_engine as sweep_engine
+
+        units = _fan_out_units(*mini_world)
+        inline = _fanned_bytes(units, jobs=1)
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: get_context(method or "spawn")
+        )
+        resolved = []
+        monkeypatch.setattr(sweep_engine, "get_backend", resolved.append)
+        assert _fanned_bytes(units, jobs=2) == inline
+        assert resolved == []
 
     def test_scenario_fanout_matches_inline(self):
         _assert_scenario_fanout_matches_inline(SCENARIOS, "fast")

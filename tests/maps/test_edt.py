@@ -106,6 +106,72 @@ class TestSquaredEdt:
         assert np.all(np.abs(np.diff(dist, axis=1)) <= 1.0 + 1e-9)
 
 
+def _bounded_cases():
+    """(mask, limit) pairs: random densities, empty and all-occupied masks."""
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 24),
+        st.integers(1, 24),
+        st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]),
+        st.integers(0, 30),
+    )
+
+
+class TestBoundedSquaredEdt:
+    @settings(max_examples=60, deadline=None)
+    @given(_bounded_cases())
+    def test_exact_within_the_limit_and_above_it_elsewhere(self, case):
+        seed, rows, cols, density, limit = case
+        mask = np.random.default_rng(seed).random((rows, cols)) < density
+        full = squared_edt(mask)
+        bounded = squared_edt(mask, limit)
+        near = full <= limit * limit
+        np.testing.assert_array_equal(bounded[near], full[near])
+        assert np.all(bounded[~near] > limit * limit)
+
+    def test_all_occupied_and_empty_masks(self):
+        for limit in (0, 1, 5):
+            np.testing.assert_array_equal(
+                squared_edt(np.ones((6, 9), dtype=bool), limit), np.zeros((6, 9))
+            )
+            assert np.all(squared_edt(np.zeros((6, 9), dtype=bool), limit) >= 1e20)
+
+
+def _unbounded_field(grid: OccupancyGrid, r_max: float) -> np.ndarray:
+    """The metric field as it was before pass 2 stopped at ``r_max``."""
+    dist = np.sqrt(squared_edt(grid.occupied_mask())) * grid.resolution
+    return np.clip(dist, 0.0, r_max)
+
+
+class TestTruncatedFieldBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+        st.sampled_from([0.05, 0.1, 0.25]),
+        # Below one cell, exact multiples of the resolution, and between.
+        st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.77, 1.0, 1.5, 2.5]),
+    )
+    def test_byte_equal_to_the_unbounded_transform(self, seed, density, resolution, r_max):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((40, 33)) < density
+        cells = np.where(mask, CellState.OCCUPIED, CellState.FREE).astype(np.uint8)
+        grid = OccupancyGrid(cells, resolution=resolution)
+        field = euclidean_distance_field(grid, r_max)
+        if mask.any():
+            assert field.tobytes() == _unbounded_field(grid, r_max).tobytes()
+        else:
+            assert np.all(field == r_max)
+
+    def test_paper_world_is_byte_equal(self):
+        from repro.maps.maze import build_drone_maze_world
+
+        grid = build_drone_maze_world().grid
+        for r_max in (0.3, 1.0, 1.5, 2.0):
+            field = euclidean_distance_field(grid, r_max)
+            assert field.tobytes() == _unbounded_field(grid, r_max).tobytes()
+
+
 class TestEuclideanDistanceField:
     def _grid_with_center_wall(self) -> OccupancyGrid:
         cells = np.zeros((21, 21), dtype=np.uint8)
@@ -148,3 +214,18 @@ class TestEuclideanDistanceField:
         grid = self._grid_with_center_wall()
         with pytest.raises(MapError):
             euclidean_distance_field(grid, r_max=-0.1)
+
+    @pytest.mark.parametrize("r_max", [0.0, -1.0])
+    def test_invalid_rmax_is_refused_before_any_work(self, r_max, monkeypatch):
+        # The transform's bound derives from r_max, so a bad one must
+        # stop the call before the mask or the transform is computed.
+        import repro.maps.edt as edt
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the transform ran for a bad r_max")
+
+        monkeypatch.setattr(edt, "squared_edt", no_transform)
+        grid = self._grid_with_center_wall()
+        monkeypatch.setattr(grid, "occupied_mask", no_transform)
+        with pytest.raises(MapError, match="r_max must be positive"):
+            euclidean_distance_field(grid, r_max=r_max)
